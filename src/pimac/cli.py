@@ -104,15 +104,13 @@ def _cmd_sweep(args) -> int:
         "p2": (float, None, True),
         "p3": (float, None, True),
         "curves": (_parse_curves, CURVES, False),
-        "seed": (int, 0, False),
         "out": (str, None, True),
     }
     opts = _resolve(args, spec, config_values)
     cfg = SweepConfig(h_min=opts["h_min"], h_max=opts["h_max"],
                       steps=opts["steps"], h22=opts["h22"],
                       p1=opts["p1"], p2=opts["p2"], p3=opts["p3"],
-                      which_curves=tuple(opts["curves"]), seed=opts["seed"],
-                      out=opts["out"])
+                      which_curves=tuple(opts["curves"]), out=opts["out"])
     rows = run_sweep(cfg)
     emit_csv(rows, cfg.out)
     print(f"wrote {cfg.out} ({len(rows)} rows)")
@@ -199,7 +197,6 @@ def _build_parser() -> _Parser:
     sweep.add_argument("--p3", type=float)
     sweep.add_argument("--curves", type=_parse_curves,
                        help=f"comma-separated subset of {','.join(CURVES)}")
-    sweep.add_argument("--seed", type=int)
     sweep.add_argument("--out", type=str)
     sweep.add_argument("--config", type=str)
     sweep.set_defaults(func=_cmd_sweep)
@@ -228,13 +225,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
-        print(f"pimac: error: {exc}", file=sys.stderr)
-        return 1
-    except PimacError as exc:
-        print(f"pimac: error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (_UsageError, PimacError, ValueError) as exc:
         print(f"pimac: error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

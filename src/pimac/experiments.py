@@ -59,7 +59,6 @@ class SweepConfig:
     p2: float
     p3: float
     which_curves: tuple = CURVES
-    seed: int = 0
     out: str | None = None
 
     def __post_init__(self):
@@ -72,8 +71,6 @@ class SweepConfig:
         unknown = set(self.which_curves) - set(CURVES)
         if unknown:
             raise DomainError(f"unknown curves: {sorted(unknown)!r}")
-        if self.seed < 0:
-            raise DomainError("seed must be a nonnegative integer")
 
 
 @dataclass(frozen=True)

@@ -1,18 +1,17 @@
 """Deterministic derivative-free optimization kernels.
 
-Three entry points back the schemes and bounds: scalar maximization on an
-interval, box-constrained maximization, and constrained minimization with
-projection. All of them evaluate a uniform grid plus a set of mandatory
-seed points and then refine locally, so the returned value can never be
-worse than the objective at any seed. Tie-breaks are lexicographic on the
-argument, which makes results reproducible across runs and platforms.
+Two entry points back the schemes and bounds: scalar maximization on an
+interval, and constrained minimization with projection. Both evaluate a
+uniform grid plus a set of mandatory seed points and then refine locally,
+so the returned value can never be worse than the objective at any seed.
+Tie-breaks are lexicographic on the argument, which makes results
+reproducible across runs and platforms.
 
 Objectives may optionally provide a vectorized twin (``f_vec``) used for
 the grid phase; seeds, the best grid cells and all refinement steps are
 always re-evaluated through the scalar objective, which is authoritative.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -124,7 +123,7 @@ def _grid_values(f, f_vec, pts, to_point=None, allow_posinf=False):
 def _top_indices(values, k):
     """Indices of the k largest values, ordered by value then by index.
 
-    Uses a partial partition so million-point grids avoid a full sort; the
+    Uses a partial partition so large grids avoid a full sort; the
     selection is deterministic for identical inputs.
     """
     n = values.size
@@ -185,98 +184,6 @@ def maximize_scalar(f, lo: float, hi: float, cfg: OptConfig | None = None,
     best_x = min(x for v, x in candidates if v == best_v)
     return OptResult(arg=best_x, value=best_v, evaluations=evals,
                      status="grid+golden")
-
-
-def _box_corners(upper):
-    seen = set()
-    corners = []
-    for corner in itertools.product(*[(0.0, float(b)) for b in upper]):
-        if corner not in seen:
-            seen.add(corner)
-            corners.append(corner)
-    return corners
-
-
-def maximize_box(f, upper, cfg: OptConfig | None = None, f_vec=None) -> OptResult:
-    """Maximize ``f`` on the box ``prod_i [0, upper[i]]``.
-
-    Evaluates a per-axis uniform grid, all corners of the box (mandatory
-    seeds) and ``cfg.seeds``, then refines the best candidate by cyclic
-    golden-section line searches with shrinking trust intervals. Ties break
-    to the lexicographically smallest point.
-    """
-    cfg = cfg if cfg is not None else OptConfig()
-    upper = tuple(float(b) for b in upper)
-    if any(not math.isfinite(b) or b < 0.0 for b in upper):
-        raise DomainError(f"box bounds must be finite and >= 0, got {upper!r}")
-    ndim = len(upper)
-
-    axes = [np.unique(np.linspace(0.0, b, cfg.grid_points_per_axis)) for b in upper]
-    sizes = [a.size for a in axes]
-    total = int(np.prod(sizes))
-    pts = np.empty((total, ndim))
-    for i, axis in enumerate(axes):
-        inner = int(np.prod(sizes[i + 1:])) if i + 1 < ndim else 1
-        outer = total // (axis.size * inner)
-        pts[:, i] = np.tile(np.repeat(axis, inner), outer)
-    evals = 0
-
-    gv = _grid_values(f, f_vec, pts, to_point=tuple)
-    evals += pts.shape[0]
-
-    candidates: list[tuple[float, tuple]] = []
-    for seed in list(_box_corners(upper)) + [tuple(map(float, s)) for s in cfg.seeds]:
-        if len(seed) != ndim or any(not 0.0 <= seed[i] <= upper[i] for i in range(ndim)):
-            raise DomainError(f"seed {seed!r} lies outside the box {upper!r}")
-        candidates.append((_checked_max(f, seed), seed))
-        evals += 1
-
-    for i in _top_indices(gv, 3):
-        p = tuple(float(v) for v in pts[int(i)])
-        if f_vec is not None:
-            candidates.append((_checked_max(f, p), p))
-            evals += 1
-        else:
-            candidates.append((float(gv[int(i)]), p))
-
-    best_v = max(v for v, _ in candidates)
-    best_p = min((p for v, p in candidates if v == best_v))
-
-    # Cyclic line-search refinement around the incumbent.
-    steps = [axes[i][1] - axes[i][0] if axes[i].size > 1 else max(upper[i], 1.0)
-             for i in range(ndim)]
-    x = list(best_p)
-    vx = best_v
-    scale = max(max(upper), 1.0)
-    for _ in range(cfg.max_refine_iters):
-        gained = 0.0
-        for i in range(ndim):
-            a = max(0.0, x[i] - steps[i])
-            b = min(upper[i], x[i] + steps[i])
-            if not a < b:
-                continue
-
-            def g(t, i=i):
-                trial = list(x)
-                trial[i] = t
-                return f(tuple(trial))
-
-            xt, vt, e = _golden_max(g, a, b, cfg.refine_tolerance,
-                                    cfg.max_refine_iters)
-            evals += e
-            if vt > vx:
-                gained += vt - vx
-                x[i] = xt
-                vx = vt
-        if gained < cfg.refine_tolerance:
-            steps = [s * 0.5 for s in steps]
-        if max(steps) < 1e-12 * scale:
-            break
-
-    if vx > best_v:
-        best_v, best_p = vx, tuple(x)
-    return OptResult(arg=best_p, value=best_v, evaluations=evals,
-                     status="grid+coordinate-descent")
 
 
 def _checked_min(f, x) -> float:

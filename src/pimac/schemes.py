@@ -6,12 +6,13 @@ noise. The MAC receiver additionally decodes its two users successively,
 so its sum constraint is the single log term with both powers pooled.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConstraintError, DegenerateInputError, DomainError
+from .errors import ConstraintError, DegenerateInputError
 from .model import (
     MacRegionBounds,
     PimacParams,
@@ -21,12 +22,10 @@ from .model import (
     effective_noise_at_rx1,
     half_log,
 )
-from .optimize import OptConfig, maximize_box, maximize_scalar
+from .optimize import OptConfig, maximize_scalar
 
 TDMA_TIN_OPT_CFG = OptConfig(grid_points_per_axis=1025, refine_tolerance=1e-6,
                              max_refine_iters=100)
-PC_TIN_OPT_CFG = OptConfig(grid_points_per_axis=101, refine_tolerance=1e-6,
-                           max_refine_iters=60)
 
 
 @dataclass(frozen=True)
@@ -185,41 +184,51 @@ def pc_tin_objective(params: PimacParams, alloc: PowerAllocation) -> float:
     return mac + p2p
 
 
-def _pc_objective_vec(params: PimacParams):
-    g31 = params.h31 * params.h31
-    g12 = params.h12 * params.h12
-    g22 = params.h22 * params.h22
+def pc_tin_sum_rate(params: PimacParams) -> SchemeResult:
+    """Best TIN sum-rate over transmit powers in the budget box.
 
-    def obj(pts):
-        p = np.asarray(pts, dtype=float)
-        p1, p2, p3 = p[:, 0], p[:, 1], p[:, 2]
-        mac = 0.5 * np.log2(1.0 + (p1 + p2) / (1.0 + g31 * p3))
-        p2p = 0.5 * np.log2(1.0 + p3 / (1.0 + g12 * p1 + g22 * p2))
-        return mac + p2p
+    The maximum over ``[0,P1] x [0,P2] x [0,P3]`` is attained at a vertex,
+    so the 8 vertices are the whole candidate set (binary power control, as
+    in Gjendemsjoe, Gesbert, Oien and Kiani, IEEE Trans. Wireless Commun.,
+    2008). Ties go to the lexicographically smallest vertex.
 
-    return obj
+    Proof. Write ``g_ij = h_ij^2``, ``S = p1 + p2``, ``L = g12 p1 + g22 p2``
+    and ``u = 1 + g31 p3``; up to the factor ``1/(2 ln 2)`` the objective is
+    ``F = ln(u + S) - ln(u) + ln(1 + L + p3) - ln(1 + L)``.
 
+    1. For fixed ``S`` and ``p3``, ``F`` depends on ``(p1, p2)`` only
+       through ``L`` and does not increase in it. The least ``L`` fills the
+       user with the smaller cross gain first, so ``L_min(S)`` is piecewise
+       affine with a single kink at ``S = P_small``, that user's budget.
+    2. On one affine piece ``L = a + g S``:
+       - at fixed ``S``, every stationary point in ``p3`` has
+         ``F'' = 2 g31^2 S u / (u^2 (u + S)^2) > 0``;
+       - at fixed ``p3``, every stationary point in ``S`` has
+         ``F'' = 2 g^2 p3 (1 + L) / ((1 + L)^2 (1 + L + p3)^2) > 0``;
+       - where ``g31 S = 0`` (resp. ``g p3 = 0``) ``F`` increases strictly
+         in that coordinate instead.
+    3. So on a piece neither coordinate has an interior maximiser. Take any
+       maximiser with the least ``L`` for its ``S`` (step 1); moving ``p3``
+       to the better endpoint of ``[0, P3]``, then ``S`` to the better
+       endpoint of its piece, loses nothing. That leaves ``p3 in {0, P3}``
+       and ``S in {0, P_small, P1 + P2}``, where the least ``L`` is reached
+       at a box vertex.
 
-def pc_tin_sum_rate(params: PimacParams,
-                    opt_cfg: OptConfig | None = None) -> SchemeResult:
-    """Best TIN sum-rate over transmit powers within the budgets.
-
-    All corners of the budget box are mandatory candidates, so the result
-    dominates every box vertex: full-power TIN and the schedules that leave
-    only one side on (the MAC alone, ``half_log(P1+P2)``, or the link alone,
-    ``half_log(P3)``). It does not dominate plain TDMA, which time-shares:
-    at ``h12=1.076, h22=0.687, h31=0.738, P=(31.28, 0.628, 18.36)`` PC-TIN
-    gives 2.520 bits and plain TDMA 2.840.
+    The result therefore dominates full-power TIN and the schedules that
+    leave only one side on (the MAC alone, ``half_log(P1+P2)``, or the link
+    alone, ``half_log(P3)``). It does not dominate plain TDMA, which
+    time-shares: at ``h12=1.076, h22=0.687, h31=0.738, P=(31.28, 0.628,
+    18.36)`` PC-TIN gives 2.520 bits and plain TDMA 2.840.
     """
-    cfg = opt_cfg if opt_cfg is not None else PC_TIN_OPT_CFG
     budgets = (params.p1_max, params.p2_max, params.p3_max)
-
-    def obj(p):
-        return pc_tin_objective(params, PowerAllocation(*p))
-
-    res = maximize_box(obj, budgets, cfg, f_vec=_pc_objective_vec(params))
-    return SchemeResult(sum_rate=res.value, arg=PowerAllocation(*res.arg),
-                        diagnostics=res.diagnostics())
+    vertices = [PowerAllocation(*v)
+                for v in itertools.product(*((0.0, float(b)) for b in budgets))]
+    # max() keeps the first of equal values: product order is lexicographic.
+    value, alloc = max(((pc_tin_objective(params, v), v) for v in vertices),
+                       key=lambda pair: pair[0])
+    return SchemeResult(sum_rate=value, arg=alloc,
+                        diagnostics={"evaluations": len(vertices),
+                                     "status": "vertex-enumeration"})
 
 
 def plain_tdma_sum_rate(params: PimacParams) -> SchemeResult:

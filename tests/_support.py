@@ -9,8 +9,6 @@ from pimac import OptConfig, PimacParams
 # defaults, only grid density and refinement depth shrink.
 UB1_FAST_CFG = OptConfig(grid_points_per_axis=7, refine_tolerance=1e-3,
                          max_refine_iters=12)
-PC_FAST_CFG = OptConfig(grid_points_per_axis=21, refine_tolerance=1e-6,
-                        max_refine_iters=40)
 
 FIGURE3_BUDGETS = (10.0, 10.0, 10.0)
 

@@ -34,7 +34,6 @@ from pimac.errors import DegenerateInputError
 
 from _support import (
     FIGURE3_BUDGETS,
-    PC_FAST_CFG,
     UB1_FAST_CFG,
     draw_feasible_genie,
     draw_params,
@@ -188,7 +187,7 @@ def test_criterion_6_bound_validity(figure3_sweep):
         p = draw_params(rng, h31_high=1.0)
         achievable = max(sd_tin_sum_rate(p).sum_rate,
                          tdma_tin_sum_rate(p).sum_rate,
-                         pc_tin_sum_rate(p, PC_FAST_CFG).sum_rate,
+                         pc_tin_sum_rate(p).sum_rate,
                          plain_tdma_sum_rate(p).sum_rate)
         ub1 = c_sigma_1(p, UB1_FAST_CFG).sum_rate
         ub2 = c_sigma_2(p)
@@ -227,7 +226,7 @@ def test_criterion_8_sign_invariance():
         def six(params):
             return (sd_tin_sum_rate(params).sum_rate,
                     tdma_tin_sum_rate(params).sum_rate,
-                    pc_tin_sum_rate(params, PC_FAST_CFG).sum_rate,
+                    pc_tin_sum_rate(params).sum_rate,
                     plain_tdma_sum_rate(params).sum_rate,
                     c_sigma_1(params, UB1_FAST_CFG).sum_rate,
                     c_sigma_2(params))

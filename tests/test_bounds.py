@@ -29,7 +29,6 @@ from pimac import (
 from pimac.bounds import _genie_objective_batch, genie_feasible, project_genie
 
 from _support import (
-    PC_FAST_CFG,
     UB1_FAST_CFG,
     draw_feasible_genie,
     draw_params,
@@ -236,7 +235,7 @@ def test_genie_objective_validity_over_random_draws():
         bound = genie_bound_objective(p, genie)
         achievable = max(sd_tin_sum_rate(p).sum_rate,
                          tdma_tin_sum_rate(p).sum_rate,
-                         pc_tin_sum_rate(p, PC_FAST_CFG).sum_rate,
+                         pc_tin_sum_rate(p).sum_rate,
                          plain_tdma_sum_rate(p).sum_rate)
         assert bound >= achievable - 1e-9
 

@@ -54,6 +54,11 @@ def test_sweep_unknown_curve_is_config_error(capsys):
                "--h22", "0.2", "--p1", "10", "--p2", "10", "--p3", "10",
                "--curves", "sd_tin,bogus", "--out", "x.csv"])
     assert rc == 1
+    # Sweeps are deterministic, so sweep has no --seed option.
+    rc = main(["sweep", "--h-min", "0", "--h-max", "1", "--steps", "3",
+               "--h22", "0.2", "--p1", "10", "--p2", "10", "--p3", "10",
+               "--seed", "3", "--out", "x.csv"])
+    assert rc == 1
 
 
 def test_sweep_io_error_exit_code(tmp_path, capsys):

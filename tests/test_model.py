@@ -17,8 +17,6 @@ from pimac import (
     tdma_tin_sum_rate,
 )
 
-from _support import PC_FAST_CFG
-
 
 def test_half_log_exact_values():
     assert half_log(0.0) == 0.0
@@ -89,7 +87,7 @@ def test_scale_convention_zero_gains():
     expected = half_log(20.0) + half_log(10.0)
     assert abs(sd_tin_sum_rate(params).sum_rate - expected) <= 1e-12
     assert abs(tdma_tin_sum_rate(params).sum_rate - expected) <= 1e-12
-    assert abs(pc_tin_sum_rate(params, PC_FAST_CFG).sum_rate - expected) <= 1e-12
+    assert abs(pc_tin_sum_rate(params).sum_rate - expected) <= 1e-12
 
 
 def test_sign_invariance_of_tin_schemes():
@@ -100,12 +98,12 @@ def test_sign_invariance_of_tin_schemes():
         base = PimacParams(*h, *pw)
         ref = (sd_tin_sum_rate(base).sum_rate,
                tdma_tin_sum_rate(base).sum_rate,
-               pc_tin_sum_rate(base, PC_FAST_CFG).sum_rate)
+               pc_tin_sum_rate(base).sum_rate)
         for i in range(3):
             flipped = list(h)
             flipped[i] = -flipped[i]
             params = PimacParams(*flipped, *pw)
             got = (sd_tin_sum_rate(params).sum_rate,
                    tdma_tin_sum_rate(params).sum_rate,
-                   pc_tin_sum_rate(params, PC_FAST_CFG).sum_rate)
+                   pc_tin_sum_rate(params).sum_rate)
             assert got == ref

@@ -9,7 +9,6 @@ from pimac import (
     InfeasibleError,
     NumericError,
     OptConfig,
-    maximize_box,
     maximize_scalar,
     minimize_constrained,
 )
@@ -75,48 +74,6 @@ def test_scalar_non_finite_objective_identifies_point():
 
     with pytest.raises(NumericError):
         maximize_scalar(f, 0.0, 1.0, OptConfig(grid_points_per_axis=11))
-
-
-def test_box_quadratic():
-    cfg = OptConfig(grid_points_per_axis=11, refine_tolerance=1e-9,
-                    max_refine_iters=80)
-    res = maximize_box(lambda p: -((p[0] - 1) ** 2 + (p[1] - 2) ** 2 + (p[2] - 3) ** 2),
-                       (10.0, 10.0, 10.0), cfg)
-    assert np.allclose(res.arg, (1.0, 2.0, 3.0), atol=1e-4)
-
-
-def test_box_linear_corner():
-    res = maximize_box(lambda p: p[0] + p[1] + p[2], (10.0, 10.0, 10.0),
-                       OptConfig(grid_points_per_axis=5))
-    assert res.arg == (10.0, 10.0, 10.0)
-    assert res.value == 30.0
-
-
-def test_box_corner_seeds_are_exact():
-    # The returned value can never undercut any corner of the box.
-    def f(p):
-        return -abs(p[0] - 10.0) - abs(p[1]) - abs(p[2] - 10.0)
-
-    res = maximize_box(f, (10.0, 4.0, 10.0), OptConfig(grid_points_per_axis=4))
-    assert res.value >= f((10.0, 0.0, 10.0))
-    assert res.arg == (10.0, 0.0, 10.0)
-
-
-def test_box_determinism():
-    def f(p):
-        return math.sin(p[0]) * math.cos(p[1]) + 0.1 * p[2]
-
-    a = maximize_box(f, (3.0, 3.0, 3.0), OptConfig(grid_points_per_axis=13))
-    b = maximize_box(f, (3.0, 3.0, 3.0), OptConfig(grid_points_per_axis=13))
-    assert a == b
-
-
-def test_box_degenerate_axis():
-    res = maximize_box(lambda p: p[0] - (p[1] - 0.25) ** 2, (2.0, 1.0, 0.0),
-                       OptConfig(grid_points_per_axis=9))
-    assert res.arg[2] == 0.0
-    assert abs(res.arg[0] - 2.0) <= 1e-9
-    assert abs(res.arg[1] - 0.25) <= 1e-4
 
 
 def _disk_candidates(n=21):

@@ -1,8 +1,11 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pimac import (
     ConstraintError,
@@ -24,7 +27,7 @@ from pimac import (
 )
 from pimac.schemes import _tdma_objective_vec
 
-from _support import PC_FAST_CFG, draw_params, figure3_params
+from _support import draw_params, figure3_params
 from oracle_tools import (
     dense_pc_grid_max,
     dense_tdma_objective,
@@ -228,7 +231,7 @@ def test_pc_tin_dominates_sd_and_plain_tdma():
     rng = np.random.default_rng(6)
     for _ in range(30):
         p = draw_params(rng)
-        pc = pc_tin_sum_rate(p, PC_FAST_CFG).sum_rate
+        pc = pc_tin_sum_rate(p).sum_rate
         assert pc >= sd_tin_sum_rate(p).sum_rate - 1e-12
         # Not pc >= plain TDMA: PC-TIN does not time-share, and this seed's
         # first draw gives 2.520 against TDMA's 2.840. It does reach TDMA's
@@ -237,6 +240,34 @@ def test_pc_tin_dominates_sd_and_plain_tdma():
         for on in itertools.product((False, True), repeat=3):
             vertex = PowerAllocation(*(b if o else 0.0 for b, o in zip(budgets, on)))
             assert pc >= pc_tin_objective(p, vertex) - 1e-12
+
+
+def _zero_or_log_uniform(low_exp, high_exp):
+    return st.one_of(st.just(0.0),
+                     st.floats(low_exp, high_exp).map(lambda e: 10.0 ** e))
+
+
+_WIDE_GAIN = st.builds(lambda m, sign: sign * m, _zero_or_log_uniform(-3, 150),
+                       st.sampled_from((1.0, -1.0)))
+_WIDE_POWER = _zero_or_log_uniform(-300, 200)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(gains=st.tuples(_WIDE_GAIN, _WIDE_GAIN, _WIDE_GAIN),
+       powers=st.tuples(_WIDE_POWER, _WIDE_POWER, _WIDE_POWER))
+def test_pc_tin_vertex_over_extreme_range(gains, powers):
+    # Gains up to 1e150 and powers from 1e-300 to 1e200: the result is a
+    # finite box vertex, no grid point beats it, and nothing overflows.
+    p = PimacParams(*gains, *powers)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = pc_tin_sum_rate(p)
+    assert math.isfinite(res.sum_rate)
+    assert res.arg.as_tuple() in set(itertools.product(*((0.0, b) for b in powers)))
+    assert res.diagnostics == {"evaluations": 8, "status": "vertex-enumeration"}
+    with np.errstate(over="ignore"):
+        _, oracle = dense_pc_grid_max(p, 21)
+    assert res.sum_rate >= oracle - 1e-12 * max(1.0, abs(res.sum_rate))
 
 
 def test_plain_tdma_examples():
@@ -291,4 +322,4 @@ def test_scheme_determinism():
     a = tdma_tin_sum_rate(CANON)
     b = tdma_tin_sum_rate(CANON)
     assert a == b
-    assert pc_tin_sum_rate(CANON, PC_FAST_CFG) == pc_tin_sum_rate(CANON, PC_FAST_CFG)
+    assert pc_tin_sum_rate(CANON) == pc_tin_sum_rate(CANON)
