@@ -2,19 +2,39 @@
 
 Two bounds are computed. The closed-form bound hands the MAC messages to
 the point-to-point receiver and is valid whenever ``h31^2 <= 1``. The
-genie bound gives each receiver a side-information signal whose noise is
-correlated with the receiver noise, evaluates the two Gaussian mutual
-informations from a joint covariance, and minimizes over the genie's
-correlation and scaling parameters. Every feasible genie yields a valid
-upper bound, so an early-stopped minimization degrades tightness only,
-never validity.
+genie bound (the noisy-interference genie of Shang, Kramer and Chen, IEEE
+Trans. IT 2009) gives each receiver a side-information signal whose noise
+is correlated with the receiver noise, and minimizes the sum of two
+Gaussian mutual informations over the genie's correlation and scaling
+parameters. Every feasible genie yields a valid upper bound, so an
+early-stopped minimization degrades tightness only, never validity.
 
 Variable ordering used throughout: ``(X1, X2, X3, Y1, S1, Y2, S2)`` where
 ``Y1 = X1 + X2 + h31 X3 + Z1``, ``Y2 = h12 X1 + h22 X2 + X3 + Z2``,
 ``S1 = h12 X1 + h22 X2 + eta1 W1``, ``S2 = h31 X3 + eta2 W2`` and the only
 noise couplings are ``E[W1 Z1] = rho1``, ``E[W2 Z2] = rho2``.
-"""
 
+Both mutual informations are ratios of 2x2 determinants. Write
+``P = P1 + P2``, ``q = h12^2 P1 + h22^2 P2``, ``s = h12 P1 + h22 P2`` and
+``n1 = 1 + h31^2 P3``. Given the inputs, ``(Y1, S1)`` has noise covariance
+``N1 = [[n1, eta1 rho1], [eta1 rho1, eta1^2]]``, and expanding
+``det Cov(Y1, S1) - det N1`` with ``Pq - s^2 = P1 P2 (h12 - h22)^2`` gives
+
+    I(X1,X2; Y1,S1) = 1/2 log2(1 + [P1 P2 (h12-h22)^2 + P eta1^2 + n1 q
+                                    - 2 s eta1 rho1] / (eta1^2 (n1 - rho1^2))).
+
+``X3`` enters ``(Y2, S2)`` along ``v = (1, h31)`` over the noise covariance
+``N2 = [[q+1, eta2 rho2], [eta2 rho2, eta2^2]]``, so the matrix determinant
+lemma ``det(N2 + P3 v v') = det N2 (1 + P3 v' N2^-1 v)`` gives
+
+    I(X3; Y2,S2) = 1/2 log2(1 + P3 [eta2^2 - 2 h31 eta2 rho2 + h31^2 (q+1)]
+                                / (eta2^2 (q + 1 - rho2^2))).
+
+``genie_bound_batch`` evaluates these over arrays of genie points. The
+7x7 joint covariance (``build_genie_joint_cov``, ``gaussian_mutual_info``)
+is kept for the Monte-Carlo check and as the tests' reference.
+"""
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -37,8 +57,11 @@ RX2_OUTPUTS = (5, 6)
 
 LN2 = math.log(2.0)
 
-# Relative determinant floor: below it the joint is treated as degenerate
-# (a noiseless genie) and the mutual information reported as +inf.
+# Degeneracy rule: a mutual-information term whose determinant ratio
+# det(S_A) det(S_B) / det(S_AB) reaches 1/EPS_DET = 1e12 is reported as
+# +inf, as for a noiseless genie. That is every term of 0.5*log2(1e12)
+# ~ 19.93 bits or more, degenerate or not: at high SNR all genie points
+# can be discarded, and c_sigma_1 then raises InfeasibleError.
 EPS_DET = 1e-12
 
 # Fractions of the feasible radius at which the coarse grid samples the
@@ -250,76 +273,60 @@ def gaussian_mutual_info(model: GaussianJointModel, group_a, group_b) -> float:
     return max(0.5 * (ld_a + ld_b - ld_ab) / LN2, 0.0)
 
 
-def genie_bound_objective(params: PimacParams, genie: GenieParams) -> float:
-    """Upper bound value at one genie point (any feasible point is valid)."""
-    model = build_genie_joint_cov(params, genie)
-    mi1 = gaussian_mutual_info(model, MAC_INPUTS, RX1_OUTPUTS)
-    mi2 = gaussian_mutual_info(model, P2P_INPUT, RX2_OUTPUTS)
-    return mi1 + mi2
+def _mi_term(ratio_minus_one, drop, drop_snr):
+    """``0.5*log2(1 + x)`` bits, or ``0.5*log2(1 + drop_snr)`` where ``drop``
+    marks a genie signal of zero variance (left out). A ratio ``1 + x`` of
+    ``1/EPS_DET`` or more, or NaN (0/0 of a noiseless genie, or overflow),
+    gives ``+inf``."""
+    x = np.where(drop, drop_snr, ratio_minus_one)
+    usable = (1.0 + x > 0.0) & (1.0 + x < 1.0 / EPS_DET)
+    return np.where(usable, np.log1p(np.maximum(x, 0.0)) * (0.5 / LN2), np.inf)
 
 
-def _genie_objective_batch(params: PimacParams):
-    """Vectorized genie objective for the minimizer's grid phase.
+def genie_bound_batch(params: PimacParams, points) -> np.ndarray:
+    """Genie bound at each row ``(rho1, rho2, eta1, eta2)`` of ``points``.
 
-    Degenerate points (including exact zero-variance corners that the
-    scalar path would resolve by dropping variables) are reported as +inf
-    so the grid simply skips them; the scalar objective stays authoritative
-    for seeds and refinement.
+    The closed form of the module docstring, evaluated over an (n, 4)
+    array; returns n values in bits. Every feasible row gives a valid upper
+    bound. Up to rounding it equals ``gaussian_mutual_info`` on
+    ``build_genie_joint_cov``, including the zero-variance and ``EPS_DET``
+    rules.
     """
     g12, g22, g31 = params.h12, params.h22, params.h31
     p1, p2, p3 = params.p1_max, params.p2_max, params.p3_max
-    q = g12 * g12 * p1 + g22 * g22 * p2
-    s = g12 * p1 + g22 * p2
-    log_eps = math.log(EPS_DET)
-
-    def mi_batch(cov, na):
-        sign_a, ld_a = np.linalg.slogdet(cov[:, :na, :na])
-        sign_b, ld_b = np.linalg.slogdet(cov[:, na:, na:])
-        sign_ab, ld_ab = np.linalg.slogdet(cov)
-        mi = 0.5 * (ld_a + ld_b - ld_ab) / LN2
-        bad = ((sign_ab <= 0.0) | (ld_ab <= log_eps + ld_a + ld_b)
-               | (sign_a <= 0.0) | (sign_b <= 0.0))
-        return np.where(bad, np.inf, np.maximum(mi, 0.0))
-
-    def obj(pts):
-        pts = np.asarray(pts, dtype=float)
-        r1, r2 = pts[:, 0], pts[:, 1]
-        e1, e2 = pts[:, 2], pts[:, 3]
-        n = pts.shape[0]
-
-        cov1 = np.zeros((n, 4, 4))           # (X1, X2, Y1, S1)
-        cov1[:, 0, 0] = p1
-        cov1[:, 1, 1] = p2
-        cov1[:, 2, 2] = p1 + p2 + g31 * g31 * p3 + 1.0
-        cov1[:, 3, 3] = q + e1 * e1
-        cov1[:, 0, 2] = cov1[:, 2, 0] = p1
-        cov1[:, 1, 2] = cov1[:, 2, 1] = p2
-        cov1[:, 0, 3] = cov1[:, 3, 0] = g12 * p1
-        cov1[:, 1, 3] = cov1[:, 3, 1] = g22 * p2
-        cov1[:, 2, 3] = cov1[:, 3, 2] = s + e1 * r1
-
-        cov2 = np.zeros((n, 3, 3))           # (X3, Y2, S2)
-        cov2[:, 0, 0] = p3
-        cov2[:, 1, 1] = q + p3 + 1.0
-        cov2[:, 2, 2] = g31 * g31 * p3 + e2 * e2
-        cov2[:, 0, 1] = cov2[:, 1, 0] = p3
-        cov2[:, 0, 2] = cov2[:, 2, 0] = g31 * p3
-        cov2[:, 1, 2] = cov2[:, 2, 1] = g31 * p3 + e2 * r2
-
-        with np.errstate(invalid="ignore"):
-            return mi_batch(cov1, 2) + mi_batch(cov2, 1)
-
-    return obj
+    r1, r2, e1, e2 = np.asarray(points, dtype=float).T
+    with np.errstate(all="ignore"):
+        q = g12 * g12 * p1 + g22 * g22 * p2
+        s = g12 * p1 + g22 * p2
+        n1 = 1.0 + g31 * g31 * p3
+        total = p1 + p2
+        e1sq, e2sq = e1 * e1, e2 * e2
+        mi1 = _mi_term((p1 * p2 * (g12 - g22) ** 2 + n1 * q + total * e1sq
+                        - 2.0 * s * e1 * r1) / (e1sq * (n1 - r1 * r1)),
+                       (q == 0.0) & (e1sq == 0.0), total / n1)
+        mi2 = _mi_term(p3 * (e2sq - 2.0 * g31 * e2 * r2 + g31 * g31 * (q + 1.0))
+                       / (e2sq * (q + 1.0 - r2 * r2)),
+                       (g31 * g31 * p3 == 0.0) & (e2sq == 0.0), p3 / (q + 1.0))
+    # An input group with zero variance carries nothing.
+    return np.where(total > 0.0, mi1, 0.0) + np.where(p3 > 0.0, mi2, 0.0)
 
 
-def _genie_candidate_grid(cfg: OptConfig) -> np.ndarray:
-    """Feasible coarse grid: correlations crossed with radius fractions."""
-    rho = np.linspace(-1.0, 1.0, cfg.grid_points_per_axis)
+def genie_bound_objective(params: PimacParams, genie: GenieParams) -> float:
+    """Upper bound value at one genie point (any feasible point is valid)."""
+    return float(genie_bound_batch(params, [genie.as_tuple()])[0])
+
+
+@functools.lru_cache(maxsize=8)
+def _genie_candidate_grid(points_per_axis: int) -> np.ndarray:
+    """Feasible coarse grid, read-only: correlations crossed with radius fractions."""
+    rho = np.linspace(-1.0, 1.0, points_per_axis)
     fr = np.asarray(ETA_FRACTIONS)
     r1, r2, f1, f2 = np.meshgrid(rho, rho, fr, fr, indexing="ij")
     e1 = f1 * np.sqrt(np.maximum(0.0, 1.0 - r2 * r2))
     e2 = f2 * np.sqrt(np.maximum(0.0, 1.0 - r1 * r1))
-    return np.stack([r1, r2, e1, e2], axis=-1).reshape(-1, 4)
+    grid = np.stack([r1, r2, e1, e2], axis=-1).reshape(-1, 4)
+    grid.flags.writeable = False
+    return grid
 
 
 def _sign_canonical(params: PimacParams) -> PimacParams:
@@ -336,26 +343,25 @@ def c_sigma_1(params: PimacParams,
               opt_cfg: OptConfig | None = None) -> SchemeResult:
     """Genie bound minimized over the feasible correlation/scaling set.
 
-    A coarse feasible grid seeds a projected compass search. The point
-    ``rho = 0, eta = 1`` (genie noise independent of everything) is always
-    in the candidate set, so the result is never worse than that bound.
+    A genie point costs two closed-form ratios (module docstring): the
+    MAC term ``1 + [P1 P2 (h12-h22)^2 + P eta1^2 + n1 q - 2 s eta1 rho1] /
+    (eta1^2 (n1 - rho1^2))`` from ``Pq - s^2 = P1 P2 (h12-h22)^2``, and the
+    point-to-point term from the matrix determinant lemma. So the seeds,
+    the coarse feasible grid and each compass iteration's trials are one
+    ``genie_bound_batch`` call each. The point ``rho = 0, eta = 1`` (genie
+    noise independent of everything) is always a seed, so the result is
+    never worse than that bound.
     """
     cfg = opt_cfg if opt_cfg is not None else GENIE_OPT_CFG
     cparams = _sign_canonical(params)
     cfg = replace(cfg, seeds=((0.0, 0.0, 1.0, 1.0),) + tuple(cfg.seeds))
-
-    def obj(point) -> float:
-        return genie_bound_objective(cparams, GenieParams(*point))
-
     res = minimize_constrained(
-        obj,
-        _genie_candidate_grid(cfg),
+        functools.partial(genie_bound_batch, cparams),
+        _genie_candidate_grid(cfg.grid_points_per_axis),
         cfg,
         project=project_genie,
         feasible=genie_feasible,
-        f_vec=_genie_objective_batch(cparams),
         step_init=(0.1, 0.1, 0.1, 0.1),
-        candidates_feasible=True,
     )
     return SchemeResult(sum_rate=res.value, arg=GenieParams(*res.arg),
                         diagnostics=res.diagnostics())

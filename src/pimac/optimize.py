@@ -7,13 +7,14 @@ so the returned value can never be worse than the objective at any seed.
 Tie-breaks are lexicographic on the argument, which makes results
 reproducible across runs and platforms.
 
-Objectives may optionally provide a vectorized twin (``f_vec``) used for
-the grid phase; seeds, the best grid cells and all refinement steps are
-always re-evaluated through the scalar objective, which is authoritative.
+``maximize_scalar`` may be given a vectorized twin (``f_vec``) of its
+objective for the grid phase; the best grid cells and the golden-section
+steps go through the scalar objective. ``minimize_constrained`` takes one
+vectorized objective and evaluates each of its stages as a single call.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,15 +43,22 @@ class OptConfig:
 
 @dataclass(frozen=True)
 class OptResult:
-    """Optimizer output: argument, objective value and run diagnostics."""
+    """Optimizer output: argument, objective value and run diagnostics.
+
+    ``details`` holds solver-specific diagnostics: ``minimize_constrained``
+    reports ``stages`` (evaluations per stage), ``iterations`` and ``stop``
+    (``tolerance``, ``iteration-cap`` or ``step-floor``).
+    """
 
     arg: object
     value: float
     evaluations: int
     status: str
+    details: dict = field(default_factory=dict)
 
     def diagnostics(self) -> dict:
-        return {"evaluations": self.evaluations, "status": self.status}
+        return {"evaluations": self.evaluations, "status": self.status,
+                **self.details}
 
 
 def _checked_max(f, x) -> float:
@@ -102,16 +110,13 @@ def _golden_max(f, lo, hi, width_tol, max_iters):
     return best_x, best_v, evals
 
 
-def _grid_values(f, f_vec, pts, to_point=None, allow_posinf=False):
+def _grid_values(f, f_vec, pts):
     """Evaluate the grid, preferring the vectorized path when available."""
     if f_vec is not None:
         values = np.asarray(f_vec(pts), dtype=float)
     else:
-        convert = to_point if to_point is not None else float
-        values = np.array([float(f(convert(p))) for p in pts], dtype=float)
+        values = np.array([float(f(float(p))) for p in pts], dtype=float)
     bad = ~np.isfinite(values)
-    if allow_posinf:
-        bad &= ~np.isposinf(values)
     if np.any(bad):
         idx = int(np.flatnonzero(bad)[0])
         raise NumericError(
@@ -186,103 +191,89 @@ def maximize_scalar(f, lo: float, hi: float, cfg: OptConfig | None = None,
                      status="grid+golden")
 
 
-def _checked_min(f, x) -> float:
-    v = float(f(x))
-    if math.isnan(v) or v == -math.inf:
-        raise NumericError(f"objective is not usable at {x!r}: {v!r}")
-    return v
+def _checked_min(f, pts) -> np.ndarray:
+    """One call of the vectorised objective on the (n, d) array ``pts``."""
+    values = np.asarray(f(pts), dtype=float)
+    bad = np.isnan(values) | (values == -math.inf)
+    if np.any(bad):
+        i = int(np.flatnonzero(bad)[0])
+        raise NumericError(
+            f"objective is not usable at {tuple(pts[i].tolist())!r}: {values[i]!r}")
+    return values
 
 
 def minimize_constrained(f, candidates, cfg: OptConfig | None = None, *,
-                         project, feasible=None, f_vec=None,
-                         step_init=None,
-                         candidates_feasible: bool = False) -> OptResult:
+                         project, feasible=None, step_init=None) -> OptResult:
     """Minimize ``f`` over a feasible set given by a predicate and projection.
 
-    ``candidates`` is the caller-supplied grid (array of shape (n, d));
-    infeasible entries are skipped. ``cfg.seeds`` are mandatory starting
-    points and must be feasible. Objective values of ``+inf`` are legal and
-    simply discarded, so a degenerate plateau cannot poison the result; if
-    no finite feasible value is ever seen, InfeasibleError is raised. The
-    best point then seeds a compass pattern search whose trial moves are
-    projected back onto the feasible set (step halves on stalls).
+    ``f`` maps an (n, d) array of points to n values; it is called once for
+    the seeds, once for the grid and once per compass iteration.
+    ``candidates`` is the caller-supplied grid of feasible points, shape
+    (n, d). ``cfg.seeds`` are mandatory starting points and must satisfy
+    ``feasible``. Objective values of ``+inf`` are legal and simply
+    discarded, so a degenerate plateau cannot poison the result; if no
+    finite value is seen, InfeasibleError is raised. The best point (ties
+    to the lexicographically smallest) seeds a compass pattern search: the
+    2·d axis moves are projected with ``project``, evaluated together, the
+    best improving one (ties as before) is taken, else the steps halve.
     """
     cfg = cfg if cfg is not None else OptConfig()
     pts = np.asarray(candidates, dtype=float)
     if pts.ndim != 2:
         raise DomainError("candidates must be a 2-D array of points")
     ndim = pts.shape[1]
-    evals = 0
 
-    pool: list[tuple[float, tuple]] = []
-
-    for s in cfg.seeds:
-        s = tuple(map(float, s))
+    seeds = [tuple(map(float, s)) for s in cfg.seeds]
+    for s in seeds:
         if feasible is not None and not feasible(s):
             raise ConstraintError(f"mandatory seed {s!r} is infeasible")
-        v = _checked_min(f, s)
-        evals += 1
-        if v < math.inf:
-            pool.append((v, s))
+    seed_pts = np.array(seeds, dtype=float).reshape(-1, ndim)
+    seed_v, grid_v = _checked_min(f, seed_pts), _checked_min(f, pts)
+    stages = {"seeds": len(seed_pts), "grid": len(pts), "refine": 0}
 
-    if pts.shape[0]:
-        if feasible is not None and not candidates_feasible:
-            mask = np.fromiter((feasible(tuple(p)) for p in pts), dtype=bool,
-                               count=pts.shape[0])
-            pts = pts[mask]
-    if pts.shape[0]:
-        values = _grid_values(f, f_vec, pts, to_point=tuple, allow_posinf=True)
-        evals += pts.shape[0]
-        finite = np.isfinite(values)
-        if np.any(finite):
-            fin_idx = np.flatnonzero(finite)
-            # Re-evaluate the best few through the scalar objective, which
-            # is the authoritative value for the returned point.
-            best_of = [fin_idx[i] for i in _top_indices(-values[fin_idx], 3)]
-            for i in best_of:
-                p = tuple(float(v) for v in pts[int(i)])
-                v = _checked_min(f, p) if f_vec is not None else float(values[int(i)])
-                evals += 1 if f_vec is not None else 0
-                if v < math.inf:
-                    pool.append((v, p))
-
-    if not pool:
+    vx = float(min(seed_v.min(initial=math.inf), grid_v.min(initial=math.inf)))
+    if not vx < math.inf:
         raise InfeasibleError("no feasible point with a finite objective value")
-
-    vx = min(v for v, _ in pool)
-    x = min(p for v, p in pool if v == vx)
+    x = min(map(tuple, seed_pts[seed_v == vx].tolist() + pts[grid_v == vx].tolist()))
 
     steps = np.full(ndim, 0.1) if step_init is None else np.asarray(step_init, float).copy()
-    gained_since_shrink = math.inf
+    gained_since_shrink = 0.0
     shrinks = 0
-    for _ in range(cfg.max_refine_iters):
-        best_trial = None
-        best_trial_v = vx
+    iterations = 0
+    stop = "iteration-cap"
+    while iterations < cfg.max_refine_iters:
+        iterations += 1
+        trials = []
         for i in range(ndim):
             for sgn in (1.0, -1.0):
                 trial = list(x)
                 trial[i] += sgn * steps[i]
                 t = tuple(map(float, project(tuple(trial))))
-                if t == x:
-                    continue
-                v = _checked_min(f, t)
-                evals += 1
-                if v < best_trial_v or (v == best_trial_v and best_trial is not None
-                                        and t < best_trial):
-                    best_trial, best_trial_v = t, v
-        if best_trial is not None and best_trial_v < vx:
-            if gained_since_shrink is math.inf:
-                gained_since_shrink = 0.0
+                if t != x:
+                    trials.append(t)
+        values = _checked_min(f, np.array(trials, dtype=float).reshape(-1, ndim))
+        stages["refine"] += len(trials)
+        best_trial = None
+        best_trial_v = vx
+        for t, v in zip(trials, values.tolist()):
+            if v < best_trial_v or (v == best_trial_v and best_trial is not None
+                                    and t < best_trial):
+                best_trial, best_trial_v = t, v
+        if best_trial is not None:
             gained_since_shrink += vx - best_trial_v
             x, vx = best_trial, best_trial_v
         else:
             if shrinks >= 2 and gained_since_shrink < cfg.refine_tolerance:
+                stop = "tolerance"
                 break
             steps *= 0.5
             shrinks += 1
             gained_since_shrink = 0.0
             if float(np.max(steps)) < 1e-9:
+                stop = "step-floor"
                 break
 
-    return OptResult(arg=x, value=vx, evaluations=evals,
-                     status="grid+pattern-search")
+    return OptResult(arg=x, value=vx, evaluations=sum(stages.values()),
+                     status="grid+pattern-search",
+                     details={"stages": stages, "iterations": iterations,
+                              "stop": stop})

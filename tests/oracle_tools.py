@@ -80,3 +80,22 @@ def dense_pc_grid_max(params, n_per_axis=61):
          + 0.5 * np.log2(1.0 + p3 / (1.0 + g12 * p1 + g22 * p2)))
     i = np.unravel_index(int(np.argmax(v)), v.shape)
     return (axes[0][i[0]], axes[1][i[1]], axes[2][i[2]]), float(v[i])
+
+
+def genie_independent(h12, h22, h31, p1, p2, p3):
+    """Genie bound at ``rho = 0, eta = 1`` in bits, by 2x2 determinants.
+
+    Each genie sees unit noise independent of everything else:
+    ``S1 = h12 X1 + h22 X2 + W1`` and ``S2 = h31 X3 + W2``. The bound is
+    ``I(X1,X2; Y1,S1) + I(X3; Y2,S2)``, each term the log ratio of the
+    output covariance determinant to the noise covariance determinant.
+    """
+    h12, h22, h31 = mp.mpf(h12), mp.mpf(h22), mp.mpf(h31)
+    p1, p2, p3 = mp.mpf(p1), mp.mpf(p2), mp.mpf(p3)
+    n1 = 1 + h31 ** 2 * p3
+    n2 = 1 + h12 ** 2 * p1 + h22 ** 2 * p2
+    cov1 = mp.matrix([[p1 + p2 + n1, h12 * p1 + h22 * p2],
+                      [h12 * p1 + h22 * p2, n2]])
+    cov2 = mp.matrix([[n2 + p3, h31 * p3],
+                      [h31 * p3, h31 ** 2 * p3 + 1]])
+    return (mp.log(mp.det(cov1) / n1, 2) + mp.log(mp.det(cov2) / n2, 2)) / 2

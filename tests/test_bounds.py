@@ -1,13 +1,17 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pimac import (
     ConstraintError,
     DomainError,
     GaussianJointModel,
     GenieParams,
+    InfeasibleError,
     InvalidRegimeError,
     MAC_INPUTS,
     NumericError,
@@ -26,7 +30,7 @@ from pimac import (
     sd_tin_sum_rate,
     tdma_tin_sum_rate,
 )
-from pimac.bounds import _genie_objective_batch, genie_feasible, project_genie
+from pimac.bounds import genie_bound_batch, genie_feasible, project_genie
 
 from _support import (
     UB1_FAST_CFG,
@@ -34,6 +38,7 @@ from _support import (
     draw_params,
     figure3_params,
 )
+from oracle_tools import genie_independent
 
 # Frozen from the mpmath oracle.
 UB2_CANON = 3.1033327741286653          # h31 = 0.5, P = 10 each
@@ -240,13 +245,47 @@ def test_genie_objective_validity_over_random_draws():
         assert bound >= achievable - 1e-9
 
 
-def test_genie_batch_matches_scalar_objective():
+def _covariance_oracle(p, genie):
+    model = build_genie_joint_cov(p, GenieParams(*genie))
+    return (gaussian_mutual_info(model, MAC_INPUTS, RX1_OUTPUTS)
+            + gaussian_mutual_info(model, P2P_INPUT, RX2_OUTPUTS))
+
+
+def test_genie_kernel_matches_covariance_oracle():
     rng = np.random.default_rng(15)
-    p = draw_params(rng)
-    pts = np.array([draw_feasible_genie(rng) for _ in range(200)])
-    batch = _genie_objective_batch(p)(pts)
-    scal = np.array([genie_bound_objective(p, GenieParams(*q)) for q in pts])
-    assert np.max(np.abs(batch - scal)) <= 1e-12
+    for _ in range(20):
+        p = draw_params(rng)
+        signs = rng.choice([-1.0, 1.0], 3)
+        p = PimacParams(signs[0] * p.h12, signs[1] * p.h22, signs[2] * p.h31,
+                        p.p1_max, p.p2_max, p.p3_max)
+        pts = np.array([draw_feasible_genie(rng) for _ in range(20)])
+        oracle = np.array([_covariance_oracle(p, g) for g in pts])
+        assert np.max(np.abs(genie_bound_batch(p, pts) - oracle)) <= 1e-11
+
+    # Edge lattice: exact correlations, zero and full-radius scalings, zero
+    # gains and powers. It holds every special case of the covariance path:
+    # dropped zero-variance groups, noiseless genies (+inf) and 0/0 ratios.
+    genies = sorted({(r1, r2, e1, e2)
+                     for r1, r2 in itertools.product((-1.0, 0.0, 1.0), repeat=2)
+                     for e1 in (0.0, math.sqrt(1.0 - r2 * r2))
+                     for e2 in (0.0, math.sqrt(1.0 - r1 * r1))})
+    seen_inf = seen_finite = 0
+    for gains in itertools.product((-1.0, 0.0, 0.5, 1.0), repeat=3):
+        for powers in itertools.product((0.0, 10.0), repeat=3):
+            p = PimacParams(*gains, *powers)
+            got = genie_bound_batch(p, genies)
+            for g, v in zip(genies, got):
+                want = _covariance_oracle(p, g)
+                assert v == want or abs(v - want) <= 1e-11, (p, g, v, want)
+                seen_inf += want == math.inf
+                seen_finite += want < math.inf
+    assert seen_inf and seen_finite
+    # S1 carries no variance and is dropped, X3 is silent: I(X1,X2; Y1)
+    # alone, where the ratio form reads 0/0.
+    dropped = genie_bound_batch(PimacParams(0.0, 0.0, 0.5, 10.0, 10.0, 0.0),
+                                [(0.0, 1.0, 0.0, 1.0)])
+    assert dropped[0] == pytest.approx(2.19615871138938, abs=1e-12)
+    assert dropped[0] == pytest.approx(half_log(20.0), abs=1e-15)
 
 
 def test_c_sigma_1_zero_gain_collapses_to_exact_capacity():
@@ -267,6 +306,12 @@ def test_c_sigma_1_regression_and_monotone_sanity():
         GenieParams(0.0, 0.0, 1.0, 1.0))
     assert res.sum_rate <= seed_value
     assert genie_feasible(res.arg.as_tuple())
+    # Evaluation counts are deterministic, so they show a regression in the
+    # solver's work even where wall time is too noisy to.
+    diag = res.diagnostics
+    assert diag["stages"] == {"seeds": 1, "grid": 11025, "refine": 24}
+    assert diag["evaluations"] == sum(diag["stages"].values()) == 11050
+    assert (diag["iterations"], diag["stop"]) == (4, "tolerance")
 
 
 def test_c_sigma_1_near_tight_at_matched_gain():
@@ -275,6 +320,29 @@ def test_c_sigma_1_near_tight_at_matched_gain():
     sd = sd_tin_sum_rate(p).sum_rate
     assert res.sum_rate >= sd - 1e-9
     assert res.sum_rate - sd <= 0.02
+
+
+_SIGNED_GAIN = st.builds(lambda e, sign: sign * 10.0 ** e, st.floats(-3.0, 3.0),
+                        st.sampled_from((1.0, -1.0)))
+_POWER = st.floats(-6.0, 8.0).map(lambda e: 10.0 ** e)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(gains=st.tuples(_SIGNED_GAIN, _SIGNED_GAIN, _SIGNED_GAIN),
+       powers=st.tuples(_POWER, _POWER, _POWER))
+def test_c_sigma_1_tight_and_valid_over_wide_range(gains, powers):
+    # Where the bound returns, it is no looser than the always-seeded
+    # rho = 0, eta = 1 genie and no lower than what SD-TIN or plain TDMA
+    # achieve. Raising InfeasibleError is the documented EPS_DET outcome.
+    p = PimacParams(*gains, *powers)
+    try:
+        bound = c_sigma_1(p).sum_rate
+    except InfeasibleError:
+        return
+    seed = float(genie_independent(*gains, *powers))
+    assert bound <= seed + 1e-9 * max(1.0, abs(seed))
+    achievable = max(sd_tin_sum_rate(p).sum_rate, plain_tdma_sum_rate(p).sum_rate)
+    assert bound >= achievable - 1e-9
 
 
 def test_c_sigma_1_determinism():

@@ -91,7 +91,7 @@ def _disk_project(p):
 
 def test_minimize_unit_disk_quadratic():
     res = minimize_constrained(
-        lambda p: p[0] ** 2 + p[1] ** 2,
+        lambda p: p[:, 0] ** 2 + p[:, 1] ** 2,
         _disk_candidates(),
         OptConfig(refine_tolerance=1e-9, max_refine_iters=60,
                   seeds=((0.5, 0.5),)),
@@ -104,9 +104,8 @@ def test_minimize_unit_disk_quadratic():
 
 def test_minimize_skips_infinite_plateau():
     def pocket(p):
-        if abs(p[0]) > 0.3 or abs(p[1]) > 0.3:
-            return math.inf
-        return (p[0] - 0.1) ** 2 + p[1] ** 2
+        inside = (np.abs(p[:, 0]) <= 0.3) & (np.abs(p[:, 1]) <= 0.3)
+        return np.where(inside, (p[:, 0] - 0.1) ** 2 + p[:, 1] ** 2, math.inf)
 
     res = minimize_constrained(
         pocket,
@@ -123,7 +122,7 @@ def test_minimize_skips_infinite_plateau():
 def test_minimize_infeasible_when_everything_is_infinite():
     with pytest.raises(InfeasibleError):
         minimize_constrained(
-            lambda p: math.inf,
+            lambda p: np.full(len(p), math.inf),
             _disk_candidates(5),
             OptConfig(seeds=((0.0, 0.0),)),
             project=_disk_project,
@@ -134,7 +133,7 @@ def test_minimize_infeasible_when_everything_is_infinite():
 def test_minimize_rejects_infeasible_seed():
     with pytest.raises(ConstraintError):
         minimize_constrained(
-            lambda p: p[0] ** 2,
+            lambda p: p[:, 0] ** 2,
             _disk_candidates(5),
             OptConfig(seeds=((2.0, 2.0),)),
             project=_disk_project,
@@ -144,13 +143,35 @@ def test_minimize_rejects_infeasible_seed():
 
 def test_minimize_determinism():
     def f(p):
-        return math.cos(3 * p[0]) + (p[1] - 0.2) ** 2
+        return np.cos(3 * p[:, 0]) + (p[:, 1] - 0.2) ** 2
 
     kwargs = dict(project=_disk_project,
                   feasible=lambda p: p[0] ** 2 + p[1] ** 2 <= 1.0)
     a = minimize_constrained(f, _disk_candidates(), OptConfig(seeds=((0.0, 0.0),)), **kwargs)
     b = minimize_constrained(f, _disk_candidates(), OptConfig(seeds=((0.0, 0.0),)), **kwargs)
     assert a == b
+
+
+def test_minimize_stop_reasons_and_stage_counts():
+    def toward(target):
+        return lambda p: (p[:, 0] - target) ** 2 + (p[:, 1] - target / 2) ** 2
+
+    cases = (
+        (toward(0.3), OptConfig(max_refine_iters=3), "iteration-cap"),
+        (toward(0.3), OptConfig(), "tolerance"),
+        # 1/3 is no dyadic fraction, so every halving of the steps still gains.
+        (toward(1 / 3), OptConfig(refine_tolerance=1e-300, max_refine_iters=1000),
+         "step-floor"),
+    )
+    for f, cfg, stop in cases:
+        res = minimize_constrained(f, _disk_candidates(), cfg, project=_disk_project)
+        diag = res.diagnostics()
+        assert diag["stop"] == stop
+        assert diag["stages"]["seeds"] == 0
+        assert diag["stages"]["grid"] == len(_disk_candidates())
+        assert diag["evaluations"] == sum(diag["stages"].values())
+        assert 0 < diag["stages"]["refine"] <= 4 * diag["iterations"]
+        assert diag["iterations"] <= cfg.max_refine_iters
 
 
 def test_opt_config_validation():
