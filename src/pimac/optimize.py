@@ -1,26 +1,22 @@
 """Deterministic derivative-free optimization kernels.
 
 Two entry points back the schemes and bounds: scalar maximization on an
-interval, and constrained minimization with projection. Both evaluate a
-uniform grid plus a set of mandatory seed points and then refine locally,
-so the returned value can never be worse than the objective at any seed.
-Tie-breaks are lexicographic on the argument, which makes results
-reproducible across runs and platforms.
-
-``maximize_scalar`` may be given a vectorized twin (``f_vec``) of its
-objective for the grid phase; the best grid cells and the golden-section
-steps go through the scalar objective. ``minimize_constrained`` takes one
-vectorized objective and evaluates each of its stages as a single call.
+interval, and constrained minimization with projection. Both take one
+vectorised objective and evaluate each of their stages as a single call:
+a uniform grid together with a set of mandatory seed points, then local
+refinement (nested grids for the scalar solver, a compass pattern search
+for the constrained one). The returned value can never be worse than the
+objective at any seed. Tie-breaks are lexicographic on the argument, which
+makes results reproducible across runs and platforms.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConstraintError, DomainError, InfeasibleError, NumericError
-
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -45,9 +41,9 @@ class OptConfig:
 class OptResult:
     """Optimizer output: argument, objective value and run diagnostics.
 
-    ``details`` holds solver-specific diagnostics: ``minimize_constrained``
-    reports ``stages`` (evaluations per stage), ``iterations`` and ``stop``
-    (``tolerance``, ``iteration-cap`` or ``step-floor``).
+    ``details`` holds solver diagnostics: ``stages`` (evaluations per
+    stage), the stop reason ``stop``, and ``levels`` (``maximize_scalar``)
+    or ``iterations`` (``minimize_constrained``).
     """
 
     arg: object
@@ -61,134 +57,98 @@ class OptResult:
                 **self.details}
 
 
-def _checked_max(f, x) -> float:
-    v = float(f(x))
-    if not math.isfinite(v):
-        raise NumericError(f"objective is not finite at {x!r}: {v!r}")
-    return v
+# A refinement level puts a 65-point grid over plus or minus one spacing of
+# the previous level around each of that level's 3 best points.
+_WINDOW = np.linspace(0.0, 1.0, 65)
+_CENTRES = 3
 
 
-def _golden_max(f, lo, hi, width_tol, max_iters):
-    """Golden-section ascent on [lo, hi]; ties prefer the smaller argument."""
-    a, b = float(lo), float(hi)
-    evals = 0
+def _finite_values(f, xs) -> np.ndarray:
+    """One call of ``f`` on the 1-D array ``xs``.
 
-    best_x, best_v = a, _checked_max(f, a)
-    evals += 1
-
-    def consider(x, v):
-        nonlocal best_x, best_v
-        if v > best_v or (v == best_v and x < best_x):
-            best_x, best_v = x, v
-
-    vb = _checked_max(f, b)
-    evals += 1
-    consider(b, vb)
-
-    c = b - (b - a) * _INV_PHI
-    d = a + (b - a) * _INV_PHI
-    fc = _checked_max(f, c)
-    fd = _checked_max(f, d)
-    evals += 2
-    consider(c, fc)
-    consider(d, fd)
-
-    it = 0
-    while (b - a) > width_tol and it < max_iters:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - (b - a) * _INV_PHI
-            fc = _checked_max(f, c)
-            consider(c, fc)
-        else:
-            a, c, fc = c, d, fd
-            d = a + (b - a) * _INV_PHI
-            fd = _checked_max(f, d)
-            consider(d, fd)
-        evals += 1
-        it += 1
-    return best_x, best_v, evals
-
-
-def _grid_values(f, f_vec, pts):
-    """Evaluate the grid, preferring the vectorized path when available."""
-    if f_vec is not None:
-        values = np.asarray(f_vec(pts), dtype=float)
-    else:
-        values = np.array([float(f(float(p))) for p in pts], dtype=float)
+    A non-finite value raises NumericError naming its point.
+    """
+    values = np.asarray(f(xs), dtype=float)
     bad = ~np.isfinite(values)
-    if np.any(bad):
-        idx = int(np.flatnonzero(bad)[0])
-        raise NumericError(
-            f"objective is not finite at grid point index {idx}: {values[idx]!r}"
-        )
+    if bad.any():
+        i = int(np.flatnonzero(bad)[0])
+        raise NumericError(f"objective is not finite at {float(xs[i])!r}: {values[i]!r}")
     return values
 
 
-def _top_indices(values, k):
-    """Indices of the k largest values, ordered by value then by index.
-
-    Uses a partial partition so large grids avoid a full sort; the
-    selection is deterministic for identical inputs.
-    """
-    n = values.size
-    k = min(k, n)
-    if k == 0:
-        return []
-    if n > 4 * k:
-        idx = np.argpartition(-values, k - 1)[:k]
-    else:
-        idx = np.arange(n)
-    idx = idx[np.lexsort((idx, -values[idx]))][:k]
-    return [int(i) for i in idx]
+@functools.lru_cache(maxsize=8)
+def _grid(lo: float, hi: float, n: int) -> np.ndarray:
+    """The uniform grid on [lo, hi], built once per interval and size."""
+    grid = np.linspace(lo, hi, n)
+    grid.flags.writeable = False
+    return grid
 
 
-def maximize_scalar(f, lo: float, hi: float, cfg: OptConfig | None = None,
-                    f_vec=None) -> OptResult:
-    """Maximize ``f`` on [lo, hi] by grid search plus golden-section refinement.
+def _ranked(xs, values, k) -> list[tuple[float, float]]:
+    """``(value, arg)`` of the k best distinct arguments, ties to the smaller."""
+    top: list[tuple[float, float]] = []
+    for i in np.lexsort((xs, -values)):
+        x = float(xs[i])
+        if not top or x != top[-1][1]:
+            top.append((float(values[i]), x))
+            if len(top) == k:
+                break
+    return top
 
-    The candidate set is a uniform grid of ``cfg.grid_points_per_axis``
-    points, every point in ``cfg.seeds`` (each must lie inside the
-    interval), and golden-section refinements launched from the best three
-    grid cells. The returned value is never below the objective at any seed.
+
+def maximize_scalar(f, lo: float, hi: float, cfg: OptConfig | None = None) -> OptResult:
+    """Maximize the vectorised ``f`` on [lo, hi] by a grid and nested grids.
+
+    ``f`` maps a 1-D array of arguments to their values. The first call
+    evaluates every point of ``cfg.seeds`` (each must lie inside the
+    interval) together with a uniform grid of ``cfg.grid_points_per_axis``
+    points. Each refinement level is one more call: a 65-point grid over
+    plus or minus one spacing of the previous level (cut to the interval)
+    around each of that level's 3 best distinct points, so the spacing
+    shrinks 32-fold. Levels repeat until the spacing is below
+    ``cfg.refine_tolerance`` or ``cfg.max_refine_iters`` levels have run.
+    Every evaluated point is a candidate, so the value is never below the
+    objective at a seed; ties go to the smallest argument. A non-finite
+    value raises NumericError.
+
+    ``details`` reports ``stages`` (``seeds``, ``grid`` and ``refine``
+    evaluations, summing to ``evaluations``), ``levels`` and ``stop``
+    (``tolerance`` or ``level-cap``).
     """
     cfg = cfg if cfg is not None else OptConfig()
     lo, hi = float(lo), float(hi)
-    if not lo < hi:
-        raise DomainError(f"need lo < hi, got [{lo!r}, {hi!r}]")
-
-    evals = 0
-    grid = np.linspace(lo, hi, cfg.grid_points_per_axis)
-    gv = _grid_values(f, f_vec, grid)
-    evals += grid.size
-
-    candidates: list[tuple[float, float]] = []  # (value, arg), scalar-evaluated
-    for s in cfg.seeds:
-        s = float(s)
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise DomainError(f"need finite lo < hi, got [{lo!r}, {hi!r}]")
+    seeds = [float(s) for s in cfg.seeds]
+    for s in seeds:
         if not lo <= s <= hi:
             raise DomainError(f"seed {s!r} lies outside [{lo!r}, {hi!r}]")
-        candidates.append((_checked_max(f, s), s))
-        evals += 1
 
-    for i in _top_indices(gv, 3):
-        x = float(grid[i])
-        if f_vec is not None:
-            candidates.append((_checked_max(f, x), x))
-            evals += 1
-        else:
-            candidates.append((float(gv[i]), x))
-        a = float(grid[max(i - 1, 0)])
-        b = float(grid[min(i + 1, grid.size - 1)])
-        if a < b:
-            xb, vb, e = _golden_max(f, a, b, cfg.refine_tolerance,
-                                    cfg.max_refine_iters)
-            candidates.append((vb, xb))
-            evals += e
+    xs = np.concatenate((seeds, _grid(lo, hi, cfg.grid_points_per_axis)))
+    stages = {"seeds": len(seeds), "grid": cfg.grid_points_per_axis, "refine": 0}
+    spacing = (hi - lo) / (cfg.grid_points_per_axis - 1)
+    levels = 0
+    best = []  # (value, arg) of each level's best point
+    while True:
+        top = _ranked(xs, _finite_values(f, xs), _CENTRES)
+        best.append(top[0])
+        if spacing < cfg.refine_tolerance or levels == cfg.max_refine_iters:
+            break
+        left = [max(x - spacing, lo) for _, x in top]
+        width = [min(x + spacing, hi) - a for (_, x), a in zip(top, left)]
+        xs = np.minimum(np.array(left)[:, None] + np.array(width)[:, None] * _WINDOW,
+                        hi).ravel()
+        stages["refine"] += xs.size
+        spacing *= 2.0 / (_WINDOW.size - 1)
+        levels += 1
 
-    best_v = max(v for v, _ in candidates)
-    best_x = min(x for v, x in candidates if v == best_v)
-    return OptResult(arg=best_x, value=best_v, evaluations=evals,
-                     status="grid+golden")
+    value = max(v for v, _ in best)
+    arg = min(x for v, x in best if v == value)
+    return OptResult(arg=arg, value=value, evaluations=sum(stages.values()),
+                     status="grid+nested-grid",
+                     details={"stages": stages, "levels": levels,
+                              "stop": "tolerance" if spacing < cfg.refine_tolerance
+                              else "level-cap"})
 
 
 def _checked_min(f, pts) -> np.ndarray:

@@ -24,8 +24,7 @@ from .model import (
 )
 from .optimize import OptConfig, maximize_scalar
 
-TDMA_TIN_OPT_CFG = OptConfig(grid_points_per_axis=1025, refine_tolerance=1e-6,
-                             max_refine_iters=100)
+TDMA_TIN_OPT_CFG = OptConfig(grid_points_per_axis=1025, refine_tolerance=1e-7)
 
 
 @dataclass(frozen=True)
@@ -51,13 +50,6 @@ def _mac_slot(weight: float, power: float, noise: float) -> float:
     return 0.5 * weight * math.log2(1.0 + power / (weight * noise))
 
 
-def _p2p_slot(weight: float, p3: float, interference: float) -> float:
-    # weight * half_log(p3 / (1 + interference/weight)); limit 0 at weight=0.
-    if weight == 0.0:
-        return 0.0
-    return 0.5 * weight * math.log2(1.0 + p3 / (1.0 + interference / weight))
-
-
 def sd_tin_region(params: PimacParams) -> MacRegionBounds:
     """Rate bounds when all users transmit at full power.
 
@@ -81,43 +73,41 @@ def sd_tin_sum_rate(params: PimacParams) -> SchemeResult:
                         diagnostics={"evaluations": 1, "status": "closed-form"})
 
 
+def _tdma_parts(params: PimacParams, alphas) -> tuple[np.ndarray, np.ndarray]:
+    """MAC and point-to-point parts of TDMA-TIN at an array of shares.
+
+    User 1's slot has weight ``w = alpha`` and user 2's ``w = 1 - alpha``.
+    A slot adds ``w/2 log2(1 + P/(w N))`` to the MAC part, with
+    ``N = 1 + h31^2 P3``, and ``w/2 log2(1 + P3/(1 + c/w))`` to the
+    point-to-point part, with ``c = h^2 P`` of that user. They are computed
+    as ``w/2 (log2(w + P/N) - log2 w)`` and ``w/2 log2(1 + P3 w/(w + c))``,
+    which stay finite for every finite input (an overflowed ``c = inf``
+    gives the correct limit 0), and a slot of weight 0 adds its limit 0.
+    """
+    a = np.asarray(alphas, dtype=float)
+    noise = effective_noise_at_rx1(params, params.p3_max)
+    snr = np.array([[params.p1_max / noise], [params.p2_max / noise]])
+    cross = np.array([[params.h12 * params.h12 * params.p1_max],
+                      [params.h22 * params.h22 * params.p2_max]])
+    w = np.empty((2,) + a.shape)
+    w[0] = a
+    np.subtract(1.0, a, out=w[1])
+    s = np.maximum(w, 5e-324)  # w, but 5e-324 where w = 0 (its term is weighted by 0)
+    mac = w * (np.log2(s + snr) - np.log2(s))
+    p2p = w * np.log2(1.0 + params.p3_max * s / (s + cross))
+    return 0.5 * (mac[0] + mac[1]), 0.5 * (p2p[0] + p2p[1])
+
+
 def tdma_tin_components(params: PimacParams, share: TimeShare) -> TdmaTinDecomposition:
     """MAC and point-to-point contributions at a given time share.
 
     User 1 gets fraction ``alpha`` with power boosted to ``P1/alpha``;
     user 2 gets the rest. The point-to-point user transmits throughout and
-    faces one boosted interferer per slot.
+    faces one boosted interferer per slot. This is ``_tdma_parts`` on a
+    batch of one.
     """
-    alpha = share.alpha
-    noise = effective_noise_at_rx1(params, params.p3_max)
-    c1 = params.h12 * params.h12 * params.p1_max
-    c2 = params.h22 * params.h22 * params.p2_max
-    a_val = (_mac_slot(alpha, params.p1_max, noise)
-             + _mac_slot(1.0 - alpha, params.p2_max, noise))
-    b_val = (_p2p_slot(alpha, params.p3_max, c1)
-             + _p2p_slot(1.0 - alpha, params.p3_max, c2))
-    return TdmaTinDecomposition(a_of_alpha=a_val, b_of_alpha=b_val)
-
-
-def _tdma_objective_vec(params: PimacParams):
-    """Vectorized twin of A(alpha)+B(alpha) for the optimizer's grid phase."""
-    noise = effective_noise_at_rx1(params, params.p3_max)
-    p1, p2, p3 = params.p1_max, params.p2_max, params.p3_max
-    c1 = params.h12 * params.h12 * p1
-    c2 = params.h22 * params.h22 * p2
-
-    def obj(alphas):
-        a = np.asarray(alphas, dtype=float)
-        b = 1.0 - a
-        sa = np.where(a > 0.0, a, 1.0)
-        sb = np.where(b > 0.0, b, 1.0)
-        term = np.where(a > 0.0, 0.5 * a * np.log2(1.0 + p1 / (sa * noise)), 0.0)
-        term = term + np.where(b > 0.0, 0.5 * b * np.log2(1.0 + p2 / (sb * noise)), 0.0)
-        term = term + np.where(a > 0.0, 0.5 * a * np.log2(1.0 + p3 / (1.0 + c1 / sa)), 0.0)
-        term = term + np.where(b > 0.0, 0.5 * b * np.log2(1.0 + p3 / (1.0 + c2 / sb)), 0.0)
-        return term
-
-    return obj
+    mac, p2p = _tdma_parts(params, (share.alpha,))
+    return TdmaTinDecomposition(a_of_alpha=float(mac[0]), b_of_alpha=float(p2p[0]))
 
 
 def alpha_star(params: PimacParams) -> TimeShare:
@@ -141,18 +131,26 @@ def alpha_prime(params: PimacParams) -> TimeShare:
         raise DegenerateInputError(
             "no interference into the point-to-point receiver; "
             "its rate does not depend on the share")
+    if math.isinf(c1 + c2):
+        # The products overflow. The share is the logistic function of
+        # ln(c1/c2), which is taken from the logs of their factors.
+        if c1 == 0.0 or c2 == 0.0:
+            return TimeShare(float(c2 == 0.0))
+        d = (2.0 * (math.log(abs(params.h12)) - math.log(abs(params.h22)))
+             + math.log(params.p1_max) - math.log(params.p2_max))
+        return TimeShare(1.0 / (1.0 + math.exp(-d)) if d >= 0.0
+                         else math.exp(d) / (1.0 + math.exp(d)))
     return TimeShare(c1 / (c1 + c2))
 
 
-def tdma_tin_sum_rate(params: PimacParams,
-                      opt_cfg: OptConfig | None = None) -> SchemeResult:
+def tdma_tin_sum_rate(params: PimacParams) -> SchemeResult:
     """Best TDMA-TIN sum-rate over the time share.
 
     The candidate set always contains both endpoints and, when defined, the
     MAC-optimal and P2P-optimal shares, so the result is never below the
-    full-power TIN sum-rate.
+    full-power TIN sum-rate. The objective can have two interior local
+    maxima, so the search starts from a global grid.
     """
-    cfg = opt_cfg if opt_cfg is not None else TDMA_TIN_OPT_CFG
     seeds = [0.0, 1.0]
     try:
         seeds.append(alpha_star(params).alpha)
@@ -162,12 +160,8 @@ def tdma_tin_sum_rate(params: PimacParams,
         seeds.append(alpha_prime(params).alpha)
     except DegenerateInputError:
         pass
-    cfg = replace(cfg, seeds=tuple(seeds) + tuple(cfg.seeds))
-
-    def obj(a: float) -> float:
-        return tdma_tin_components(params, TimeShare(a)).total
-
-    res = maximize_scalar(obj, 0.0, 1.0, cfg, f_vec=_tdma_objective_vec(params))
+    res = maximize_scalar(lambda a: np.add(*_tdma_parts(params, a)), 0.0, 1.0,
+                          replace(TDMA_TIN_OPT_CFG, seeds=tuple(seeds)))
     return SchemeResult(sum_rate=res.value, arg=TimeShare(res.arg),
                         diagnostics=res.diagnostics())
 

@@ -31,6 +31,7 @@ from pimac import (
     tdma_tin_sum_rate,
 )
 from pimac.errors import DegenerateInputError
+from pimac.schemes import _tdma_parts
 
 from _support import (
     FIGURE3_BUDGETS,
@@ -99,8 +100,7 @@ def test_criterion_3_convexity_stationarity_minimizer():
     n_interior = 0
     for _ in range(1000):
         p = draw_params(rng)
-        b_vals = np.array([tdma_tin_components(p, TimeShare(float(a))).b_of_alpha
-                           for a in grid])
+        _, b_vals = _tdma_parts(p, grid)
         # second central finite differences on the grid
         d2 = b_vals[2:] - 2.0 * b_vals[1:-1] + b_vals[:-2]
         worst_d2 = min(worst_d2, float(d2.min()))

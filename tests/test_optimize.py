@@ -12,7 +12,7 @@ from pimac import (
     maximize_scalar,
     minimize_constrained,
 )
-from pimac.schemes import _tdma_objective_vec
+from pimac.schemes import _tdma_parts
 
 from _support import figure3_params
 from oracle_tools import dense_tdma_objective
@@ -41,9 +41,8 @@ def test_scalar_interior_peak_at_unit_gain():
     oracle_value = float(np.max(values))
     assert abs(oracle_value - 1.9998298574551758) <= 1e-11  # frozen from oracle
 
-    obj = _tdma_objective_vec(params)
-    res = maximize_scalar(lambda a: float(obj(np.array([a]))[0]), 0.0, 1.0,
-                          f_vec=obj, cfg=OptConfig(grid_points_per_axis=1025))
+    res = maximize_scalar(lambda a: np.add(*_tdma_parts(params, a)), 0.0, 1.0,
+                          cfg=OptConfig(grid_points_per_axis=1025))
     assert res.value >= oracle_value - 1e-12
     assert abs(res.value - oracle_value) <= 1e-9
     assert abs(res.arg - oracle_arg) <= 1e-3
@@ -52,7 +51,7 @@ def test_scalar_interior_peak_at_unit_gain():
 
 def test_scalar_seed_dominance_is_exact():
     def jagged(x):
-        return math.sin(37.0 * x) - 0.2 * x
+        return np.sin(37.0 * x) - 0.2 * x
 
     seeds = (0.17, 0.5, 0.93)
     cfg = OptConfig(grid_points_per_axis=9, seeds=seeds)
@@ -70,10 +69,40 @@ def test_scalar_rejects_bad_interval_and_seed():
 
 def test_scalar_non_finite_objective_identifies_point():
     def f(x):
-        return math.inf if x > 0.5 else x
+        return np.where(x > 0.5, math.inf, x)
 
     with pytest.raises(NumericError):
         maximize_scalar(f, 0.0, 1.0, OptConfig(grid_points_per_axis=11))
+
+
+def test_scalar_stop_reasons_and_stage_counts():
+    def peak(x):
+        return -(x - 0.3) ** 2
+
+    cases = (
+        (OptConfig(grid_points_per_axis=65, max_refine_iters=1), 1, "level-cap"),
+        # the spacing 1/64 shrinks to 1/64/32 > 1e-4, then to 1/64/32**2 < 1e-4
+        (OptConfig(grid_points_per_axis=65, refine_tolerance=1e-4,
+                   seeds=(0.25, 1.0)), 2, "tolerance"),
+        (OptConfig(grid_points_per_axis=65, max_refine_iters=0), 0, "level-cap"),
+    )
+    for cfg, levels, stop in cases:
+        diag = maximize_scalar(peak, 0.0, 1.0, cfg).diagnostics()
+        assert diag["status"] == "grid+nested-grid"
+        assert diag["stop"] == stop
+        assert diag["levels"] == levels
+        assert diag["stages"] == {"seeds": len(cfg.seeds), "grid": 65,
+                                  "refine": 3 * 65 * levels}
+        assert diag["evaluations"] == sum(diag["stages"].values())
+
+
+def test_scalar_ties_go_to_smallest_argument():
+    res = maximize_scalar(lambda x: np.zeros_like(x), -1.0, 1.0,
+                          OptConfig(grid_points_per_axis=9, seeds=(0.5,)))
+    assert (res.arg, res.value) == (-1.0, 0.0)
+    plateau = maximize_scalar(lambda x: np.minimum(x, 0.25), 0.0, 1.0,
+                              OptConfig(grid_points_per_axis=9))
+    assert plateau.arg == 0.25 and plateau.value == 0.25
 
 
 def _disk_candidates(n=21):

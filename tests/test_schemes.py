@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pimac import (
@@ -25,7 +25,7 @@ from pimac import (
     tdma_tin_components,
     tdma_tin_sum_rate,
 )
-from pimac.schemes import _tdma_objective_vec
+from pimac.schemes import _tdma_parts
 
 from _support import draw_params, figure3_params
 from oracle_tools import (
@@ -127,12 +127,20 @@ def test_tdma_components_share_validation():
         tdma_tin_components(CANON, TimeShare(1.5))
 
 
-def test_tdma_vectorized_objective_matches_scalar():
-    grid = np.linspace(0.0, 1.0, 257)
-    vec = _tdma_objective_vec(CANON)(grid)
-    scal = np.array([tdma_tin_components(CANON, TimeShare(float(a))).total
-                     for a in grid])
-    assert np.max(np.abs(vec - scal)) <= 1e-13
+def test_tdma_kernel_matches_oracle():
+    # Seeded draws at random shares plus the shares where a slot weight is
+    # 0, denormal-scale or one ulp; each part within 1e-12 of mpmath.
+    rng = np.random.default_rng(11)
+    edges = np.array([0.0, 1.0, 1e-300, 1.0 - 2.0 ** -53])
+    for _ in range(25):
+        p = draw_params(rng)
+        alphas = np.concatenate((edges, rng.uniform(0.0, 1.0, 8)))
+        mac, p2p = _tdma_parts(p, alphas)
+        for a, got_mac, got_p2p in zip(alphas, mac, p2p):
+            a_mp, b_mp = tdma_components_mp(p.h12, p.h22, p.h31, p.p1_max,
+                                            p.p2_max, p.p3_max, float(a))
+            assert got_mac == pytest.approx(float(a_mp), abs=1e-12)
+            assert got_p2p == pytest.approx(float(b_mp), abs=1e-12)
 
 
 def test_alpha_star():
@@ -183,6 +191,16 @@ def test_tdma_tin_matches_dense_grid_oracle():
         res = tdma_tin_sum_rate(p)
         assert res.sum_rate >= oracle - 1e-12
         assert res.sum_rate <= oracle + 1e-6
+
+
+def test_tdma_tin_diagnostics():
+    # One grid call with the four seeds, then three nested-grid levels of
+    # 3 x 65 points before the spacing 2**-10 / 32**3 drops below 1e-7.
+    res = tdma_tin_sum_rate(figure3_params(0.5))
+    assert res.diagnostics == {
+        "evaluations": 1614, "status": "grid+nested-grid",
+        "stages": {"seeds": 4, "grid": 1025, "refine": 585},
+        "levels": 3, "stop": "tolerance"}
 
 
 def test_pc_tin_objective_frozen_values():
@@ -270,6 +288,63 @@ def test_pc_tin_vertex_over_extreme_range(gains, powers):
     assert res.sum_rate >= oracle - 1e-12 * max(1.0, abs(res.sum_rate))
 
 
+# genie_wide's extreme panel, point 300: alpha' = 1.3e-257, where the plain
+# form w log2(1 + P/(w N)) of the MAC slot overflows to inf.
+_TDMA_POINT_300 = ((-1.937759477503557e-132, 8.568571513207532e-25,
+                    -7.597887117416644e-137),
+                   (4.506882001480703e+156, 1.8076522270089212e+198,
+                    9.779286297207784e-164))
+# Panel point 590: h22^2 P2 overflows to inf, so alpha' = 0.
+_TDMA_CROSS_INF = ((-3.754911792654859e-114, -7.342041777695163e+101,
+                    -5.772788864900581e-123),
+                   (2.031198537527071e+113, 3.2676065738103122e+196,
+                    9.563444048275592e-27))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(gains=st.tuples(_WIDE_GAIN, _WIDE_GAIN, _WIDE_GAIN),
+       powers=st.tuples(_WIDE_POWER, _WIDE_POWER, _WIDE_POWER))
+@example(*_TDMA_POINT_300)
+@example(*_TDMA_CROSS_INF)
+def test_tdma_tin_over_extreme_range(gains, powers):
+    # Gains up to 1e150 and powers from 1e-300 to 1e200: a finite value at a
+    # share in [0, 1], no worse than any seed or a dense grid, and no
+    # numpy warning on the way.
+    p = PimacParams(*gains, *powers)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = tdma_tin_sum_rate(p)
+        seeds = [0.0, 1.0]
+        for share in (alpha_star, alpha_prime):
+            try:
+                seeds.append(share(p).alpha)
+            except DegenerateInputError:
+                pass
+        at_seeds = np.add(*_tdma_parts(p, seeds))
+    v = res.sum_rate
+    assert math.isfinite(v)
+    assert 0.0 <= res.arg.alpha <= 1.0
+    assert v >= at_seeds.max()
+    with np.errstate(over="ignore"):
+        _, dense = dense_tdma_objective(p, 200_001)
+    assert v >= float(np.max(dense)) - 1e-12 * max(1.0, abs(v))
+
+
+def test_tdma_tin_cross_product_overflow_keeps_value():
+    res = tdma_tin_sum_rate(PimacParams(*_TDMA_CROSS_INF[0], *_TDMA_CROSS_INF[1]))
+    assert res.sum_rate == 326.40307044428636
+    assert res.arg.alpha == 0.0
+
+
+def test_alpha_prime_when_cross_products_overflow():
+    # h^2 P is 1e500 for both users: the ratio is taken in the log domain.
+    assert alpha_prime(PimacParams(1e150, -1e150, 0.0, 1e200, 1e200, 1.0)).alpha == 0.5
+    share = alpha_prime(PimacParams(1e150, 1e149, 0.0, 1e200, 1e200, 1.0)).alpha
+    assert share == pytest.approx(100.0 / 101.0, rel=1e-14)
+    assert alpha_prime(PimacParams(1e150, 0.0, 0.0, 1e200, 1e200, 1.0)).alpha == 1.0
+    assert alpha_prime(PimacParams(1e-3, 1e150, 0.0, 1e-300, 1e200, 1.0)).alpha == 0.0
+
+
 def test_plain_tdma_examples():
     res = plain_tdma_sum_rate(PimacParams(0.3, 0.1, 0.9, 10, 10, 10))
     assert res.arg.alpha == pytest.approx(2.0 / 3.0, abs=1e-15)
@@ -313,8 +388,7 @@ def test_mac_part_is_maximized_at_alpha_star():
         star = alpha_star(p)
         a_star = tdma_tin_components(p, star).a_of_alpha
         assert a_star == pytest.approx(sd_tin_region(p).r12, abs=1e-12)
-        a_vals = [tdma_tin_components(p, TimeShare(float(a))).a_of_alpha
-                  for a in grid]
+        a_vals, _ = _tdma_parts(p, grid)
         assert max(a_vals) <= a_star + 1e-12
 
 
