@@ -15,28 +15,64 @@ Variable ordering used throughout: ``(X1, X2, X3, Y1, S1, Y2, S2)`` where
 noise couplings are ``E[W1 Z1] = rho1``, ``E[W2 Z2] = rho2``.
 
 Both mutual informations are ratios of 2x2 determinants. Write
-``P = P1 + P2``, ``q = h12^2 P1 + h22^2 P2``, ``s = h12 P1 + h22 P2`` and
-``n1 = 1 + h31^2 P3``. Given the inputs, ``(Y1, S1)`` has noise covariance
+``P = P1 + P2``, ``q = h12^2 P1 + h22^2 P2``, ``s = h12 P1 + h22 P2``,
+``n1 = 1 + h31^2 P3``, ``D = P1 P2 (h12 - h22)^2`` and ``t = 1/eta``.
+Given the inputs, ``(Y1, S1)`` has noise covariance
 ``N1 = [[n1, eta1 rho1], [eta1 rho1, eta1^2]]``, and expanding
-``det Cov(Y1, S1) - det N1`` with ``Pq - s^2 = P1 P2 (h12 - h22)^2`` gives
+``det Cov(Y1, S1) - det N1`` with ``Pq - s^2 = D`` gives
 
-    I(X1,X2; Y1,S1) = 1/2 log2(1 + [P1 P2 (h12-h22)^2 + P eta1^2 + n1 q
-                                    - 2 s eta1 rho1] / (eta1^2 (n1 - rho1^2))).
+    I(X1,X2; Y1,S1) = 1/2 log2(1 + (A t1^2 - 2 s rho1 t1 + P) / (n1 - rho1^2)),
 
-``X3`` enters ``(Y2, S2)`` along ``v = (1, h31)`` over the noise covariance
-``N2 = [[q+1, eta2 rho2], [eta2 rho2, eta2^2]]``, so the matrix determinant
-lemma ``det(N2 + P3 v v') = det N2 (1 + P3 v' N2^-1 v)`` gives
+with ``A = D + n1 q``. ``X3`` enters ``(Y2, S2)`` along ``v = (1, h31)``
+over the noise covariance ``N2 = [[q+1, eta2 rho2], [eta2 rho2, eta2^2]]``,
+so the matrix determinant lemma ``det(N2 + P3 v v') = det N2 (1 + P3 v'
+N2^-1 v)`` gives
 
-    I(X3; Y2,S2) = 1/2 log2(1 + P3 [eta2^2 - 2 h31 eta2 rho2 + h31^2 (q+1)]
-                                / (eta2^2 (q + 1 - rho2^2))).
+    I(X3; Y2,S2) = 1/2 log2(1 + P3 (1 - 2 h31 rho2 t2 + h31^2 (q+1) t2^2)
+                                / (q + 1 - rho2^2)).
 
-``genie_bound_batch`` evaluates these over arrays of genie points. The
-7x7 joint covariance (``build_genie_joint_cov``, ``gaussian_mutual_info``)
-is kept for the Monte-Carlo check and as the tests' reference.
+Each ratio is a convex quadratic in ``t`` over a denominator that depends
+on ``rho`` only. The kernel evaluates them with the square completed, so
+that every term is nonnegative and nothing cancels: with
+``t0 = s rho1 / A`` and ``P A - s^2 rho1^2 = D (P + n1) + s^2 (n1 - rho1^2)``
+the first ratio is
+
+    A (t1 - t0)^2 / (n1 - rho1^2) + D (P + n1) / (A (n1 - rho1^2)) + s^2 / A,
+
+and with ``u = h31 t2`` and ``u0 = rho2 / (q+1)`` the second is
+
+    P3 [(q+1) (u - u0)^2 / (q + 1 - rho2^2) + 1 / (q+1)].
+
+Feasibility (``eta1 <= sqrt(1 - rho2^2)``, ``eta2 <= sqrt(1 - rho1^2)``)
+reads ``t1 >= 1/sqrt(1 - rho2^2)`` and ``t2 >= 1/sqrt(1 - rho1^2)``, so for
+fixed ``rho`` the best scalings are closed-form:
+
+    t1* = max(s rho1 / A, 1/sqrt(1 - rho2^2)),
+    t2* = max(rho2 / (h31 (q+1)), 1/sqrt(1 - rho1^2)),
+
+and the genie bound is a minimum over ``(rho1, rho2)`` alone. With
+nonnegative gains, ``s`` and ``h31`` are nonnegative and the scalings may
+be taken nonnegative, so replacing ``rho`` by ``|rho|`` only lowers each
+numerator and leaves the denominators and the constraints unchanged: the
+search box is ``[0, 1]^2``. At its corner ``rho = 0`` the kernel is taken
+at its minimiser over ``t``, which is never above the genie with
+``eta = 1`` whose noise is independent of everything.
+
+Degenerate cases keep the covariance path's rules. An input group of zero
+power carries nothing. A genie signal of zero variance (``eta = 0``, i.e.
+``t = inf``, with ``q = 0`` for ``S1`` or ``h31^2 P3 = 0`` for ``S2``) is
+dropped, leaving ``P / n1`` or ``P3 / (q+1)``. A signal that carries no
+input (``A = 0``, i.e. ``q = s = D = 0``, for ``S1``; ``h31 = 0`` for
+``S2``) only reveals receiver noise, which can only raise the bound, so it
+is best dropped: ``t* = inf``.
+
+``genie_bound_batch`` evaluates the kernel at ``t = 1/eta`` over arrays of
+genie points. The 7x7 joint covariance (``build_genie_joint_cov``,
+``gaussian_mutual_info``) is kept for the Monte-Carlo check and as the
+tests' reference.
 """
-import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,7 +83,7 @@ from .errors import (
     NumericError,
 )
 from .model import PimacParams, SchemeResult, half_log
-from .optimize import OptConfig, minimize_constrained
+from .optimize import OptConfig, maximize_box
 
 VARIABLES = ("X1", "X2", "X3", "Y1", "S1", "Y2", "S2")
 MAC_INPUTS = (0, 1)
@@ -64,12 +100,7 @@ LN2 = math.log(2.0)
 # can be discarded, and c_sigma_1 then raises InfeasibleError.
 EPS_DET = 1e-12
 
-# Fractions of the feasible radius at which the coarse grid samples the
-# genie noise scalings.
-ETA_FRACTIONS = (0.1, 0.3, 0.5, 0.8, 1.0)
-
-GENIE_OPT_CFG = OptConfig(grid_points_per_axis=21, refine_tolerance=1e-4,
-                          max_refine_iters=200)
+GENIE_OPT_CFG = OptConfig(grid_points_per_axis=33, refine_tolerance=1e-6)
 
 # Validation slack: boundary points built as eta = sqrt(1 - rho^2) may
 # overshoot the exact constraint by a rounding error when squared back.
@@ -110,25 +141,6 @@ class GenieParams:
         return (self.rho1, self.rho2, self.eta1, self.eta2)
 
 
-def genie_feasible(point) -> bool:
-    """Feasibility predicate over raw ``(rho1, rho2, eta1, eta2)`` tuples."""
-    r1, r2, e1, e2 = point
-    return (abs(r1) <= 1.0 and abs(r2) <= 1.0
-            and e1 * e1 <= 1.0 - r2 * r2 + _FEAS_SLACK
-            and e2 * e2 <= 1.0 - r1 * r1 + _FEAS_SLACK)
-
-
-def project_genie(point) -> tuple[float, float, float, float]:
-    """Clamp a trial point into the feasible set (nonnegative scalings)."""
-    r1 = min(max(point[0], -1.0), 1.0)
-    r2 = min(max(point[1], -1.0), 1.0)
-    rad1 = math.sqrt(max(0.0, 1.0 - r2 * r2))
-    rad2 = math.sqrt(max(0.0, 1.0 - r1 * r1))
-    e1 = min(max(point[2], 0.0), rad1)
-    e2 = min(max(point[3], 0.0), rad2)
-    return (r1, r2, e1, e2)
-
-
 @dataclass(frozen=True)
 class GaussianJointModel:
     """Joint covariance over ``VARIABLES`` with validated symmetry and PSD.
@@ -166,7 +178,7 @@ def c_sigma_2(params: PimacParams) -> float:
         raise InvalidRegimeError(
             f"bound requires h31^2 <= 1, got h31={params.h31!r}")
     mac = half_log((params.p1_max + params.p2_max)
-                   / (1.0 + params.h31 * params.h31 * params.p3_max))
+                   / (1.0 + params.h31 * (params.h31 * params.p3_max)))
     return mac + half_log(params.p3_max)
 
 
@@ -273,60 +285,97 @@ def gaussian_mutual_info(model: GaussianJointModel, group_a, group_b) -> float:
     return max(0.5 * (ld_a + ld_b - ld_ab) / LN2, 0.0)
 
 
-def _mi_term(ratio_minus_one, drop, drop_snr):
-    """``0.5*log2(1 + x)`` bits, or ``0.5*log2(1 + drop_snr)`` where ``drop``
-    marks a genie signal of zero variance (left out). A ratio ``1 + x`` of
-    ``1/EPS_DET`` or more, or NaN (0/0 of a noiseless genie, or overflow),
-    gives ``+inf``."""
-    x = np.where(drop, drop_snr, ratio_minus_one)
-    usable = (1.0 + x > 0.0) & (1.0 + x < 1.0 / EPS_DET)
-    return np.where(usable, np.log1p(np.maximum(x, 0.0)) * (0.5 / LN2), np.inf)
+def _bits(x):
+    """``0.5*log2(1 + x)`` for a ratio ``x >= 0``, or ``+inf`` where
+    ``1 + x`` reaches ``1/EPS_DET`` or ``x`` is NaN (0/0 of a noiseless
+    genie, or overflow)."""
+    return np.where(x < 1.0 / EPS_DET - 1.0, np.log1p(x) * (0.5 / LN2), np.inf)
+
+
+def _genie_coeffs(params: PimacParams) -> tuple:
+    """The scalars ``(P, q, s, n1, D, A, h31, P3)`` of the module docstring.
+
+    Cross products are formed as ``h * (h * P)`` and ``D`` with the powers
+    first, so a zero power gives 0 however large its gain.
+    """
+    g12, g22, g31 = params.h12, params.h22, params.h31
+    p1, p2, p3 = params.p1_max, params.p2_max, params.p3_max
+    q = g12 * (g12 * p1) + g22 * (g22 * p2)
+    n1 = 1.0 + g31 * (g31 * p3)
+    d = p1 * p2 * (g12 - g22) * (g12 - g22)
+    return p1 + p2, q, g12 * p1 + g22 * p2, n1, d, d + n1 * q, g31, p3
+
+
+def _genie_kernel(c: tuple, r1, r2, t1, t2) -> np.ndarray:
+    """Genie bound in bits at arrays of ``rho`` and ``t = 1/eta``.
+
+    ``c`` is ``_genie_coeffs(params)``. The ratios are the completed squares
+    of the module docstring, with its rules for degenerate cases. Callers
+    hold ``np.errstate(all="ignore")``: 0/0 and overflow are part of the
+    rules.
+    """
+    total, q, s, n1, d, a, g31, p3 = c
+    # An input group of zero power carries nothing.
+    out = np.zeros(np.shape(r1))
+    if total > 0.0:
+        den = n1 - r1 * r1
+        if a == 0.0:  # q = s = D = 0: the ratio does not depend on t
+            x = total / den
+        else:
+            w = t1 - r1 * (s / a)
+            x = (a * w * w + d * (total + n1) / a) / den + s * (s / a)
+        if q == 0.0:
+            x = np.where(np.isinf(t1), total / n1, x)
+        out = _bits(x)
+    if p3 > 0.0:
+        w = g31 * t2 - r2 * (1.0 / (q + 1.0))
+        x = ((q + 1.0) * w * w / (q + 1.0 - r2 * r2) + 1.0 / (q + 1.0)) * p3
+        if g31 * (g31 * p3) == 0.0:
+            x = np.where(np.isinf(t2), p3 / (q + 1.0), x)
+        out = out + _bits(x)
+    return out
+
+
+def _t_star(c: tuple, r1, r2) -> tuple[np.ndarray, np.ndarray]:
+    """The best feasible ``t = 1/eta`` of each term at arrays of ``rho``.
+
+    Where a term's genie signal carries no input (``A = 0``, or ``h31 = 0``)
+    it is best dropped: ``t* = inf``. Callers hold
+    ``np.errstate(all="ignore")``; ``fmax`` skips the NaN of ``0 * inf``.
+    """
+    _, q, s, _, _, a, g31, _ = c
+    t1 = t2 = np.full(np.shape(r1), math.inf)
+    if a != 0.0:
+        t1 = np.fmax(r1 * (s / a), 1.0 / np.sqrt(1.0 - r2 * r2))
+    if g31 != 0.0:
+        t2 = np.fmax(r2 * (1.0 / (g31 * (q + 1.0))), 1.0 / np.sqrt(1.0 - r1 * r1))
+    return t1, t2
+
+
+def _genie_reduced(c: tuple, rho) -> np.ndarray:
+    """Genie bound minimized over the scalings, at each row ``(rho1, rho2)``."""
+    r1, r2 = rho[:, 0], rho[:, 1]
+    with np.errstate(all="ignore"):
+        return _genie_kernel(c, r1, r2, *_t_star(c, r1, r2))
 
 
 def genie_bound_batch(params: PimacParams, points) -> np.ndarray:
     """Genie bound at each row ``(rho1, rho2, eta1, eta2)`` of ``points``.
 
-    The closed form of the module docstring, evaluated over an (n, 4)
-    array; returns n values in bits. Every feasible row gives a valid upper
-    bound. Up to rounding it equals ``gaussian_mutual_info`` on
+    The kernel of the module docstring at ``t = 1/eta``, evaluated over an
+    (n, 4) array; returns n values in bits. Every feasible row gives a valid
+    upper bound. Up to rounding it equals ``gaussian_mutual_info`` on
     ``build_genie_joint_cov``, including the zero-variance and ``EPS_DET``
     rules.
     """
-    g12, g22, g31 = params.h12, params.h22, params.h31
-    p1, p2, p3 = params.p1_max, params.p2_max, params.p3_max
     r1, r2, e1, e2 = np.asarray(points, dtype=float).T
     with np.errstate(all="ignore"):
-        q = g12 * g12 * p1 + g22 * g22 * p2
-        s = g12 * p1 + g22 * p2
-        n1 = 1.0 + g31 * g31 * p3
-        total = p1 + p2
-        e1sq, e2sq = e1 * e1, e2 * e2
-        mi1 = _mi_term((p1 * p2 * (g12 - g22) ** 2 + n1 * q + total * e1sq
-                        - 2.0 * s * e1 * r1) / (e1sq * (n1 - r1 * r1)),
-                       (q == 0.0) & (e1sq == 0.0), total / n1)
-        mi2 = _mi_term(p3 * (e2sq - 2.0 * g31 * e2 * r2 + g31 * g31 * (q + 1.0))
-                       / (e2sq * (q + 1.0 - r2 * r2)),
-                       (g31 * g31 * p3 == 0.0) & (e2sq == 0.0), p3 / (q + 1.0))
-    # An input group with zero variance carries nothing.
-    return np.where(total > 0.0, mi1, 0.0) + np.where(p3 > 0.0, mi2, 0.0)
+        return _genie_kernel(_genie_coeffs(params), r1, r2, 1.0 / e1, 1.0 / e2)
 
 
 def genie_bound_objective(params: PimacParams, genie: GenieParams) -> float:
     """Upper bound value at one genie point (any feasible point is valid)."""
     return float(genie_bound_batch(params, [genie.as_tuple()])[0])
-
-
-@functools.lru_cache(maxsize=8)
-def _genie_candidate_grid(points_per_axis: int) -> np.ndarray:
-    """Feasible coarse grid, read-only: correlations crossed with radius fractions."""
-    rho = np.linspace(-1.0, 1.0, points_per_axis)
-    fr = np.asarray(ETA_FRACTIONS)
-    r1, r2, f1, f2 = np.meshgrid(rho, rho, fr, fr, indexing="ij")
-    e1 = f1 * np.sqrt(np.maximum(0.0, 1.0 - r2 * r2))
-    e2 = f2 * np.sqrt(np.maximum(0.0, 1.0 - r1 * r1))
-    grid = np.stack([r1, r2, e1, e2], axis=-1).reshape(-1, 4)
-    grid.flags.writeable = False
-    return grid
 
 
 def _sign_canonical(params: PimacParams) -> PimacParams:
@@ -339,29 +388,26 @@ def _sign_canonical(params: PimacParams) -> PimacParams:
                        p2_max=params.p2_max, p3_max=params.p3_max)
 
 
-def c_sigma_1(params: PimacParams,
-              opt_cfg: OptConfig | None = None) -> SchemeResult:
-    """Genie bound minimized over the feasible correlation/scaling set.
+def c_sigma_1(params: PimacParams) -> SchemeResult:
+    """Genie bound minimized over the feasible correlations and scalings.
 
-    A genie point costs two closed-form ratios (module docstring): the
-    MAC term ``1 + [P1 P2 (h12-h22)^2 + P eta1^2 + n1 q - 2 s eta1 rho1] /
-    (eta1^2 (n1 - rho1^2))`` from ``Pq - s^2 = P1 P2 (h12-h22)^2``, and the
-    point-to-point term from the matrix determinant lemma. So the seeds,
-    the coarse feasible grid and each compass iteration's trials are one
-    ``genie_bound_batch`` call each. The point ``rho = 0, eta = 1`` (genie
-    noise independent of everything) is always a seed, so the result is
-    never worse than that bound.
+    The scalings have the closed form ``t* = 1/eta*`` of the module
+    docstring, so the bound is the minimum over ``(rho1, rho2)`` in
+    ``[0, 1]^2`` of the kernel at ``t*``, for the nonnegative-gain
+    equivalent of ``params``. ``maximize_box`` searches it as the maximum
+    of its negative: a 33 x 33 grid, then nested 9 x 9 grids around the 3
+    best points down to a spacing below 1e-6, one kernel call per stage. The
+    grid corner ``rho = 0`` is never above the genie with ``eta = 1`` and
+    noise independent of everything, so neither is the result.
+    A point where the kernel is ``+inf`` (the ``EPS_DET`` rule) is
+    infeasible; if every grid point is, InfeasibleError is raised.
     """
-    cfg = opt_cfg if opt_cfg is not None else GENIE_OPT_CFG
-    cparams = _sign_canonical(params)
-    cfg = replace(cfg, seeds=((0.0, 0.0, 1.0, 1.0),) + tuple(cfg.seeds))
-    res = minimize_constrained(
-        functools.partial(genie_bound_batch, cparams),
-        _genie_candidate_grid(cfg.grid_points_per_axis),
-        cfg,
-        project=project_genie,
-        feasible=genie_feasible,
-        step_init=(0.1, 0.1, 0.1, 0.1),
-    )
-    return SchemeResult(sum_rate=res.value, arg=GenieParams(*res.arg),
+    c = _genie_coeffs(_sign_canonical(params))
+    res = maximize_box(lambda rho: -_genie_reduced(c, rho), (0.0, 0.0), (1.0, 1.0),
+                       GENIE_OPT_CFG)
+    r1, r2 = res.arg
+    with np.errstate(all="ignore"):
+        t1, t2 = _t_star(c, np.array([r1]), np.array([r2]))
+    return SchemeResult(sum_rate=-res.value,
+                        arg=GenieParams(r1, r2, 1.0 / float(t1[0]), 1.0 / float(t2[0])),
                         diagnostics=res.diagnostics())

@@ -25,7 +25,6 @@ from .bounds import (
 )
 from .errors import ContractError, DomainError
 from .model import PimacParams
-from .optimize import OptConfig
 from .schemes import (
     pc_tin_sum_rate,
     plain_tdma_sum_rate,
@@ -111,8 +110,7 @@ def classify_power_point(p_opt, budgets, power_tol: float = 1e-3) -> str:
     return OTHER
 
 
-def run_sweep(cfg: SweepConfig,
-              genie_opt_cfg: OptConfig | None = None) -> list[SweepRow]:
+def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
     """Evaluate the requested curves at ``cfg.steps`` equally spaced gains.
 
     The closed-form upper bound column is marked unavailable on rows where
@@ -141,7 +139,7 @@ def run_sweep(cfg: SweepConfig,
         if "tdma" in want:
             values["tdma"] = plain_tdma_sum_rate(params).sum_rate
         if "ub1" in want:
-            res = c_sigma_1(params, genie_opt_cfg)
+            res = c_sigma_1(params)
             values["ub1"] = res.sum_rate
             values["genie_opt"] = res.arg.as_tuple()
         if "ub2" in want and h * h <= 1.0:

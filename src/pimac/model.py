@@ -142,4 +142,4 @@ def effective_noise_at_rx1(params: PimacParams, p3: float) -> float:
     _require_finite("p3", p3)
     if p3 < 0.0:
         raise DomainError(f"p3 must be >= 0, got {p3!r}")
-    return 1.0 + params.h31 * params.h31 * p3
+    return 1.0 + params.h31 * (params.h31 * p3)

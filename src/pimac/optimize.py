@@ -1,13 +1,12 @@
-"""Deterministic derivative-free optimization kernels.
+"""Deterministic derivative-free optimization.
 
-Two entry points back the schemes and bounds: scalar maximization on an
-interval, and constrained minimization with projection. Both take one
-vectorised objective and evaluate each of their stages as a single call:
-a uniform grid together with a set of mandatory seed points, then local
-refinement (nested grids for the scalar solver, a compass pattern search
-for the constrained one). The returned value can never be worse than the
-objective at any seed. Tie-breaks are lexicographic on the argument, which
-makes results reproducible across runs and platforms.
+One solver backs the schemes and bounds: maximization of a vectorised
+objective on a 1- or 2-D box. Each of its stages is a single call of the
+objective: a uniform grid together with a set of mandatory seed points,
+then nested grids around the best points found so far. The returned value
+can never be worse than the objective at any seed. Tie-breaks are
+lexicographic on the argument, which makes results reproducible across
+runs and platforms.
 """
 
 import functools
@@ -16,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConstraintError, DomainError, InfeasibleError, NumericError
+from .errors import DomainError, InfeasibleError, NumericError
 
 
 @dataclass(frozen=True)
@@ -42,8 +41,8 @@ class OptResult:
     """Optimizer output: argument, objective value and run diagnostics.
 
     ``details`` holds solver diagnostics: ``stages`` (evaluations per
-    stage), the stop reason ``stop``, and ``levels`` (``maximize_scalar``)
-    or ``iterations`` (``minimize_constrained``).
+    stage), the stop reason ``stop`` and the number of refinement
+    ``levels``.
     """
 
     arg: object
@@ -57,183 +56,139 @@ class OptResult:
                 **self.details}
 
 
-# A refinement level puts a 65-point grid over plus or minus one spacing of
-# the previous level around each of that level's 3 best points.
-_WINDOW = np.linspace(0.0, 1.0, 65)
+# A refinement level puts a grid over plus or minus one spacing of the
+# previous level around each of that level's 3 best points: 65 points in
+# 1-D and 9 per axis in 2-D, so the spacing shrinks 32-fold or 4-fold.
+# _WINDOWS[d] is (points per axis, that grid on the unit box, one point per
+# row, a point being a float in 1-D and a pair in 2-D).
+_WINDOWS = {1: (65, np.linspace(0.0, 1.0, 65)),
+            2: (9, np.linspace(0.0, 1.0, 9)[np.indices((9, 9)).reshape(2, -1).T])}
 _CENTRES = 3
 
 
-def _finite_values(f, xs) -> np.ndarray:
-    """One call of ``f`` on the 1-D array ``xs``.
-
-    A non-finite value raises NumericError naming its point.
-    """
-    values = np.asarray(f(xs), dtype=float)
-    bad = ~np.isfinite(values)
-    if bad.any():
-        i = int(np.flatnonzero(bad)[0])
-        raise NumericError(f"objective is not finite at {float(xs[i])!r}: {values[i]!r}")
+def _values(f, pts) -> np.ndarray:
+    """One call of ``f`` on ``pts``. ``-inf`` marks an infeasible point; NaN
+    or ``+inf`` raises NumericError naming its point."""
+    values = np.asarray(f(pts), dtype=float)
+    if not values.max() < math.inf:  # NaN or +inf
+        i = int(np.flatnonzero(~(values < math.inf))[0])
+        x = pts[i].tolist()
+        raise NumericError(f"objective is not usable at "
+                           f"{x if pts.ndim == 1 else tuple(x)!r}: {values[i]!r}")
     return values
 
 
 @functools.lru_cache(maxsize=8)
-def _grid(lo: float, hi: float, n: int) -> np.ndarray:
-    """The uniform grid on [lo, hi], built once per interval and size."""
-    grid = np.linspace(lo, hi, n)
+def _grid(box: tuple, n: int) -> np.ndarray:
+    """The uniform grid on ``box`` (one ``(lo, hi)`` pair per axis), one point
+    per row, built once per box and size."""
+    if len(box) == 1:
+        grid = np.linspace(*box[0], n)
+    else:
+        axes = [np.linspace(a, b, n) for a, b in box]
+        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(box))
     grid.flags.writeable = False
     return grid
 
 
-def _ranked(xs, values, k) -> list[tuple[float, float]]:
-    """``(value, arg)`` of the k best distinct arguments, ties to the smaller."""
-    top: list[tuple[float, float]] = []
-    for i in np.lexsort((xs, -values)):
-        x = float(xs[i])
-        if not top or x != top[-1][1]:
-            top.append((float(values[i]), x))
-            if len(top) == k:
-                break
-    return top
+def _ranked(pts, values, k) -> list:
+    """``(value, point)`` of the k best distinct points, ties to the
+    lexicographically smallest; a point is a float in 1-D and a tuple in 2-D."""
+    n = len(values)
+    cand = None
+    if pts.ndim == 2 and n > 3 * k:
+        # In 2-D, sort only the points at least as good as the 3k-th best
+        # value (ties included): they lead the full order and hold k distinct
+        # points unless one repeats more than 3 times (3 windows overlap it).
+        # In 1-D the grid and each window are sorted runs, cheap to sort whole.
+        cand = np.flatnonzero(values >= np.partition(values, n - 3 * k)[n - 3 * k])
+    while True:
+        p, v = (pts, values) if cand is None else (pts[cand], values[cand])
+        top: list = []
+        for i in np.lexsort(((p,) if p.ndim == 1 else (p[:, 1], p[:, 0])) + (-v,)):
+            x = float(p[i]) if p.ndim == 1 else tuple(p[i].tolist())
+            if not top or x != top[-1][1]:
+                top.append((float(v[i]), x))
+                if len(top) == k:
+                    return top
+        if cand is None:
+            return top
+        cand = None
 
 
-def maximize_scalar(f, lo: float, hi: float, cfg: OptConfig | None = None) -> OptResult:
-    """Maximize the vectorised ``f`` on [lo, hi] by a grid and nested grids.
+def maximize_box(f, lo, hi, cfg: OptConfig | None = None) -> OptResult:
+    """Maximize the vectorised ``f`` on a 1- or 2-D box by a grid and nested grids.
 
-    ``f`` maps a 1-D array of arguments to their values. The first call
-    evaluates every point of ``cfg.seeds`` (each must lie inside the
-    interval) together with a uniform grid of ``cfg.grid_points_per_axis``
-    points. Each refinement level is one more call: a 65-point grid over
-    plus or minus one spacing of the previous level (cut to the interval)
-    around each of that level's 3 best distinct points, so the spacing
-    shrinks 32-fold. Levels repeat until the spacing is below
-    ``cfg.refine_tolerance`` or ``cfg.max_refine_iters`` levels have run.
-    Every evaluated point is a candidate, so the value is never below the
-    objective at a seed; ties go to the smallest argument. A non-finite
-    value raises NumericError.
+    With scalar ``lo`` and ``hi`` the box is the interval [lo, hi], ``f``
+    maps a 1-D array of arguments to their values and the argument returned
+    is a float. With two-element ``lo`` and ``hi`` the box is their
+    product, ``f`` maps an (n, 2) array of points to n values and the
+    argument returned is a tuple. Seeds have the shape of ``lo``.
+
+    The first call evaluates every point of ``cfg.seeds`` (each must lie in
+    the box) together with a uniform grid of ``cfg.grid_points_per_axis``
+    points per axis. Each refinement level is one more call: a grid over
+    plus or minus one spacing of the previous level (cut to the box) around
+    each of that level's 3 best distinct points, with 65 points in 1-D and
+    9 per axis in 2-D, so the spacing shrinks 32-fold or 4-fold. Levels
+    repeat until the spacing is below ``cfg.refine_tolerance`` or
+    ``cfg.max_refine_iters`` levels have run. Every evaluated point is a
+    candidate, so the value is never below the objective at a seed; ties go
+    to the lexicographically smallest point.
+
+    A value of ``-inf`` marks an infeasible point; if every seed and grid
+    point has it, InfeasibleError is raised. NaN or ``+inf`` raises
+    NumericError. To minimize ``g``, pass ``-g``.
 
     ``details`` reports ``stages`` (``seeds``, ``grid`` and ``refine``
     evaluations, summing to ``evaluations``), ``levels`` and ``stop``
     (``tolerance`` or ``level-cap``).
     """
     cfg = cfg if cfg is not None else OptConfig()
-    lo, hi = float(lo), float(hi)
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        raise DomainError(f"need finite lo < hi, got [{lo!r}, {hi!r}]")
-    seeds = [float(s) for s in cfg.seeds]
-    for s in seeds:
-        if not lo <= s <= hi:
-            raise DomainError(f"seed {s!r} lies outside [{lo!r}, {hi!r}]")
+    lo_a, hi_a = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    shape = lo_a.shape
+    box = tuple(zip(lo_a.ravel().tolist(), hi_a.ravel().tolist()))
+    if shape not in ((), (2,)) or hi_a.shape != shape or not all(
+            math.isfinite(a) and math.isfinite(b) and a < b for a, b in box):
+        raise DomainError(f"need a 1- or 2-D box with finite lo < hi, got "
+                          f"[{lo!r}, {hi!r}]")
+    seeds = np.array(cfg.seeds, dtype=float).reshape((-1,) + shape)
+    inside = ((seeds >= lo_a) & (seeds <= hi_a)).reshape(-1, len(box)).all(axis=1)
+    if not inside.all():
+        raise DomainError(f"seed {seeds[np.argmin(inside)].tolist()!r} lies outside "
+                          f"[{lo!r}, {hi!r}]")
 
-    xs = np.concatenate((seeds, _grid(lo, hi, cfg.grid_points_per_axis)))
-    stages = {"seeds": len(seeds), "grid": cfg.grid_points_per_axis, "refine": 0}
-    spacing = (hi - lo) / (cfg.grid_points_per_axis - 1)
-    levels = 0
-    best = []  # (value, arg) of each level's best point
-    while True:
-        top = _ranked(xs, _finite_values(f, xs), _CENTRES)
+    n = cfg.grid_points_per_axis
+    per_axis, window = _WINDOWS[len(box)]
+    pts = _grid(box, n)
+    if len(seeds):
+        pts = np.concatenate((seeds, pts))
+    stages = {"seeds": len(seeds), "grid": n ** len(box), "refine": 0}
+    spacing = (hi_a - lo_a) / (n - 1)
+    shrink = 2.0 / (per_axis - 1)
+    # Count the levels: the spacing shrinks until below the tolerance, or the cap.
+    step, levels = max((b - a) / (n - 1) for a, b in box), 0
+    while not (step < cfg.refine_tolerance or levels == cfg.max_refine_iters):
+        step, levels = step * shrink, levels + 1
+
+    top = _ranked(pts, _values(f, pts), _CENTRES)
+    if top[0][0] == -math.inf:
+        raise InfeasibleError("no seed or grid point has a finite objective value")
+    best = [top[0]]  # (value, point) of each level's best point
+    for _ in range(levels):
+        centres = np.array([x for _, x in top])
+        left = np.maximum(centres - spacing, lo_a)
+        width = np.minimum(centres + spacing, hi_a) - left
+        pts = np.minimum(left[:, None] + width[:, None] * window, hi_a).reshape((-1,) + shape)
+        stages["refine"] += len(pts)
+        spacing = spacing * shrink
+        top = _ranked(pts, _values(f, pts), _CENTRES)
         best.append(top[0])
-        if spacing < cfg.refine_tolerance or levels == cfg.max_refine_iters:
-            break
-        left = [max(x - spacing, lo) for _, x in top]
-        width = [min(x + spacing, hi) - a for (_, x), a in zip(top, left)]
-        xs = np.minimum(np.array(left)[:, None] + np.array(width)[:, None] * _WINDOW,
-                        hi).ravel()
-        stages["refine"] += xs.size
-        spacing *= 2.0 / (_WINDOW.size - 1)
-        levels += 1
 
     value = max(v for v, _ in best)
     arg = min(x for v, x in best if v == value)
-    return OptResult(arg=arg, value=value, evaluations=sum(stages.values()),
-                     status="grid+nested-grid",
+    return OptResult(arg=arg, value=value,
+                     evaluations=sum(stages.values()), status="grid+nested-grid",
                      details={"stages": stages, "levels": levels,
-                              "stop": "tolerance" if spacing < cfg.refine_tolerance
+                              "stop": "tolerance" if step < cfg.refine_tolerance
                               else "level-cap"})
-
-
-def _checked_min(f, pts) -> np.ndarray:
-    """One call of the vectorised objective on the (n, d) array ``pts``."""
-    values = np.asarray(f(pts), dtype=float)
-    bad = np.isnan(values) | (values == -math.inf)
-    if np.any(bad):
-        i = int(np.flatnonzero(bad)[0])
-        raise NumericError(
-            f"objective is not usable at {tuple(pts[i].tolist())!r}: {values[i]!r}")
-    return values
-
-
-def minimize_constrained(f, candidates, cfg: OptConfig | None = None, *,
-                         project, feasible=None, step_init=None) -> OptResult:
-    """Minimize ``f`` over a feasible set given by a predicate and projection.
-
-    ``f`` maps an (n, d) array of points to n values; it is called once for
-    the seeds, once for the grid and once per compass iteration.
-    ``candidates`` is the caller-supplied grid of feasible points, shape
-    (n, d). ``cfg.seeds`` are mandatory starting points and must satisfy
-    ``feasible``. Objective values of ``+inf`` are legal and simply
-    discarded, so a degenerate plateau cannot poison the result; if no
-    finite value is seen, InfeasibleError is raised. The best point (ties
-    to the lexicographically smallest) seeds a compass pattern search: the
-    2·d axis moves are projected with ``project``, evaluated together, the
-    best improving one (ties as before) is taken, else the steps halve.
-    """
-    cfg = cfg if cfg is not None else OptConfig()
-    pts = np.asarray(candidates, dtype=float)
-    if pts.ndim != 2:
-        raise DomainError("candidates must be a 2-D array of points")
-    ndim = pts.shape[1]
-
-    seeds = [tuple(map(float, s)) for s in cfg.seeds]
-    for s in seeds:
-        if feasible is not None and not feasible(s):
-            raise ConstraintError(f"mandatory seed {s!r} is infeasible")
-    seed_pts = np.array(seeds, dtype=float).reshape(-1, ndim)
-    seed_v, grid_v = _checked_min(f, seed_pts), _checked_min(f, pts)
-    stages = {"seeds": len(seed_pts), "grid": len(pts), "refine": 0}
-
-    vx = float(min(seed_v.min(initial=math.inf), grid_v.min(initial=math.inf)))
-    if not vx < math.inf:
-        raise InfeasibleError("no feasible point with a finite objective value")
-    x = min(map(tuple, seed_pts[seed_v == vx].tolist() + pts[grid_v == vx].tolist()))
-
-    steps = np.full(ndim, 0.1) if step_init is None else np.asarray(step_init, float).copy()
-    gained_since_shrink = 0.0
-    shrinks = 0
-    iterations = 0
-    stop = "iteration-cap"
-    while iterations < cfg.max_refine_iters:
-        iterations += 1
-        trials = []
-        for i in range(ndim):
-            for sgn in (1.0, -1.0):
-                trial = list(x)
-                trial[i] += sgn * steps[i]
-                t = tuple(map(float, project(tuple(trial))))
-                if t != x:
-                    trials.append(t)
-        values = _checked_min(f, np.array(trials, dtype=float).reshape(-1, ndim))
-        stages["refine"] += len(trials)
-        best_trial = None
-        best_trial_v = vx
-        for t, v in zip(trials, values.tolist()):
-            if v < best_trial_v or (v == best_trial_v and best_trial is not None
-                                    and t < best_trial):
-                best_trial, best_trial_v = t, v
-        if best_trial is not None:
-            gained_since_shrink += vx - best_trial_v
-            x, vx = best_trial, best_trial_v
-        else:
-            if shrinks >= 2 and gained_since_shrink < cfg.refine_tolerance:
-                stop = "tolerance"
-                break
-            steps *= 0.5
-            shrinks += 1
-            gained_since_shrink = 0.0
-            if float(np.max(steps)) < 1e-9:
-                stop = "step-floor"
-                break
-
-    return OptResult(arg=x, value=vx, evaluations=sum(stages.values()),
-                     status="grid+pattern-search",
-                     details={"stages": stages, "iterations": iterations,
-                              "stop": stop})

@@ -22,7 +22,7 @@ from .model import (
     effective_noise_at_rx1,
     half_log,
 )
-from .optimize import OptConfig, maximize_scalar
+from .optimize import OptConfig, maximize_box
 
 TDMA_TIN_OPT_CFG = OptConfig(grid_points_per_axis=1025, refine_tolerance=1e-7)
 
@@ -60,8 +60,8 @@ def sd_tin_region(params: PimacParams) -> MacRegionBounds:
     r1 = half_log(params.p1_max / noise)
     r2 = half_log(params.p2_max / noise)
     r12 = half_log((params.p1_max + params.p2_max) / noise)
-    p2p_noise = (1.0 + params.h12 * params.h12 * params.p1_max
-                 + params.h22 * params.h22 * params.p2_max)
+    p2p_noise = (1.0 + params.h12 * (params.h12 * params.p1_max)
+                 + params.h22 * (params.h22 * params.p2_max))
     r3 = half_log(params.p3_max / p2p_noise)
     return MacRegionBounds(r1=r1, r2=r2, r12=r12, r3=r3)
 
@@ -87,8 +87,8 @@ def _tdma_parts(params: PimacParams, alphas) -> tuple[np.ndarray, np.ndarray]:
     a = np.asarray(alphas, dtype=float)
     noise = effective_noise_at_rx1(params, params.p3_max)
     snr = np.array([[params.p1_max / noise], [params.p2_max / noise]])
-    cross = np.array([[params.h12 * params.h12 * params.p1_max],
-                      [params.h22 * params.h22 * params.p2_max]])
+    cross = np.array([[params.h12 * (params.h12 * params.p1_max)],
+                      [params.h22 * (params.h22 * params.p2_max)]])
     w = np.empty((2,) + a.shape)
     w[0] = a
     np.subtract(1.0, a, out=w[1])
@@ -125,8 +125,8 @@ def alpha_prime(params: PimacParams) -> TimeShare:
     Equals ``h12^2 P1 / (h12^2 P1 + h22^2 P2)``; the P2P part is convex in
     the share and flat exactly when both interference products vanish.
     """
-    c1 = params.h12 * params.h12 * params.p1_max
-    c2 = params.h22 * params.h22 * params.p2_max
+    c1 = params.h12 * (params.h12 * params.p1_max)
+    c2 = params.h22 * (params.h22 * params.p2_max)
     if c1 + c2 <= 0.0:
         raise DegenerateInputError(
             "no interference into the point-to-point receiver; "
@@ -160,8 +160,8 @@ def tdma_tin_sum_rate(params: PimacParams) -> SchemeResult:
         seeds.append(alpha_prime(params).alpha)
     except DegenerateInputError:
         pass
-    res = maximize_scalar(lambda a: np.add(*_tdma_parts(params, a)), 0.0, 1.0,
-                          replace(TDMA_TIN_OPT_CFG, seeds=tuple(seeds)))
+    res = maximize_box(lambda a: np.add(*_tdma_parts(params, a)), 0.0, 1.0,
+                       replace(TDMA_TIN_OPT_CFG, seeds=tuple(seeds)))
     return SchemeResult(sum_rate=res.value, arg=TimeShare(res.arg),
                         diagnostics=res.diagnostics())
 
@@ -172,9 +172,9 @@ def pc_tin_objective(params: PimacParams, alloc: PowerAllocation) -> float:
     for value, budget, name in zip(alloc.as_tuple(), budgets, ("p1", "p2", "p3")):
         if value > budget:
             raise ConstraintError(f"{name}={value!r} exceeds its budget {budget!r}")
-    mac = half_log((alloc.p1 + alloc.p2) / (1.0 + params.h31 * params.h31 * alloc.p3))
-    p2p = half_log(alloc.p3 / (1.0 + params.h12 * params.h12 * alloc.p1
-                               + params.h22 * params.h22 * alloc.p2))
+    mac = half_log((alloc.p1 + alloc.p2) / (1.0 + params.h31 * (params.h31 * alloc.p3)))
+    p2p = half_log(alloc.p3 / (1.0 + params.h12 * (params.h12 * alloc.p1)
+                               + params.h22 * (params.h22 * alloc.p2)))
     return mac + p2p
 
 

@@ -1,14 +1,8 @@
-"""Shared helpers for the test suite: instance generators and fast configs."""
+"""Shared helpers for the test suite: instance generators."""
 
 import numpy as np
 
-from pimac import OptConfig, PimacParams
-
-# Reduced search budgets for tests that exercise validity, determinism or
-# sign handling rather than tightness; the code paths are identical to the
-# defaults, only grid density and refinement depth shrink.
-UB1_FAST_CFG = OptConfig(grid_points_per_axis=7, refine_tolerance=1e-3,
-                         max_refine_iters=12)
+from pimac import PimacParams
 
 FIGURE3_BUDGETS = (10.0, 10.0, 10.0)
 

@@ -35,7 +35,6 @@ from pimac.schemes import _tdma_parts
 
 from _support import (
     FIGURE3_BUDGETS,
-    UB1_FAST_CFG,
     draw_feasible_genie,
     draw_params,
 )
@@ -189,7 +188,7 @@ def test_criterion_6_bound_validity(figure3_sweep):
                          tdma_tin_sum_rate(p).sum_rate,
                          pc_tin_sum_rate(p).sum_rate,
                          plain_tdma_sum_rate(p).sum_rate)
-        ub1 = c_sigma_1(p, UB1_FAST_CFG).sum_rate
+        ub1 = c_sigma_1(p).sum_rate
         ub2 = c_sigma_2(p)
         worst_margin = min(worst_margin, ub1 - achievable, ub2 - achievable)
     ok = row_fail is None and worst_margin >= -1e-9
@@ -228,7 +227,7 @@ def test_criterion_8_sign_invariance():
                     tdma_tin_sum_rate(params).sum_rate,
                     pc_tin_sum_rate(params).sum_rate,
                     plain_tdma_sum_rate(params).sum_rate,
-                    c_sigma_1(params, UB1_FAST_CFG).sum_rate,
+                    c_sigma_1(params).sum_rate,
                     c_sigma_2(params))
 
         base = six(p)

@@ -19,7 +19,7 @@ from pimac import (
     run_sweep,
 )
 
-from _support import UB1_FAST_CFG, draw_feasible_genie, draw_params
+from _support import draw_feasible_genie, draw_params
 
 BUDGETS = (10.0, 10.0, 10.0)
 
@@ -52,7 +52,7 @@ def test_small_sweep_rows():
 def test_sweep_zero_gain_row_values():
     cfg = SweepConfig(h_min=0.0, h_max=1.0, steps=2, h22=0.2, p1=10, p2=10,
                       p3=10, which_curves=("sd_tin", "pc_tin"))
-    row = run_sweep(cfg, genie_opt_cfg=None)[0]
+    row = run_sweep(cfg)[0]
     # h = 0: only the h22 leg interferes, so the P2P user still loses 0.4
     # of noise power while the MAC is clean.
     expected_sd = half_log(20.0) + half_log(10.0 / 1.4)
@@ -162,7 +162,7 @@ def test_csv_round_trip(tmp_path, figure3_small_rows):
 def figure3_small_rows():
     cfg = SweepConfig(h_min=0.0, h_max=1.0, steps=5, h22=0.2, p1=10, p2=10,
                       p3=10, which_curves=("sd_tin", "tdma_tin", "tdma", "ub1", "ub2"))
-    return run_sweep(cfg, genie_opt_cfg=UB1_FAST_CFG)
+    return run_sweep(cfg)
 
 
 def test_small_sweep_sandwich_and_optimizers(figure3_small_rows):

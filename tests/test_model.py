@@ -10,6 +10,7 @@ from pimac import (
     PowerAllocation,
     SchemeResult,
     TimeShare,
+    c_sigma_1,
     effective_noise_at_rx1,
     half_log,
     pc_tin_sum_rate,
@@ -88,6 +89,16 @@ def test_scale_convention_zero_gains():
     assert abs(sd_tin_sum_rate(params).sum_rate - expected) <= 1e-12
     assert abs(tdma_tin_sum_rate(params).sum_rate - expected) <= 1e-12
     assert abs(pc_tin_sum_rate(params).sum_rate - expected) <= 1e-12
+
+
+def test_silent_user_gain_does_not_matter():
+    # User 1 has no power, so its cross gain must not change anything, even
+    # where h12 * h12 overflows (cross products are h * (h * P)).
+    silent = PimacParams(1e200, 0.5, 0.5, 0.0, 10.0, 10.0)
+    reference = PimacParams(0.0, 0.5, 0.5, 0.0, 10.0, 10.0)
+    for scheme in (sd_tin_sum_rate, tdma_tin_sum_rate, pc_tin_sum_rate, c_sigma_1):
+        assert scheme(silent).sum_rate == scheme(reference).sum_rate
+    assert effective_noise_at_rx1(PimacParams(0.5, 0.2, 1e200, 10.0, 10.0, 0.0), 0.0) == 1.0
 
 
 def test_sign_invariance_of_tin_schemes():

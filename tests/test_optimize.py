@@ -4,13 +4,11 @@ import numpy as np
 import pytest
 
 from pimac import (
-    ConstraintError,
     DomainError,
     InfeasibleError,
     NumericError,
     OptConfig,
-    maximize_scalar,
-    minimize_constrained,
+    maximize_box,
 )
 from pimac.schemes import _tdma_parts
 
@@ -20,14 +18,14 @@ from oracle_tools import dense_tdma_objective
 
 def test_scalar_quadratic_argument_within_tolerance():
     cfg = OptConfig(grid_points_per_axis=65, refine_tolerance=1e-6)
-    res = maximize_scalar(lambda x: -(x - 0.3) ** 2, 0.0, 1.0, cfg)
+    res = maximize_box(lambda x: -(x - 0.3) ** 2, 0.0, 1.0, cfg)
     assert abs(res.arg - 0.3) <= cfg.refine_tolerance
     assert res.evaluations > 65
 
 
 def test_scalar_boundary_maximum_with_seed():
     cfg = OptConfig(grid_points_per_axis=8, seeds=(1.0,))
-    res = maximize_scalar(lambda x: x, 0.0, 1.0, cfg)
+    res = maximize_box(lambda x: x, 0.0, 1.0, cfg)
     assert res.arg == 1.0
     assert res.value == 1.0
 
@@ -41,7 +39,7 @@ def test_scalar_interior_peak_at_unit_gain():
     oracle_value = float(np.max(values))
     assert abs(oracle_value - 1.9998298574551758) <= 1e-11  # frozen from oracle
 
-    res = maximize_scalar(lambda a: np.add(*_tdma_parts(params, a)), 0.0, 1.0,
+    res = maximize_box(lambda a: np.add(*_tdma_parts(params, a)), 0.0, 1.0,
                           cfg=OptConfig(grid_points_per_axis=1025))
     assert res.value >= oracle_value - 1e-12
     assert abs(res.value - oracle_value) <= 1e-9
@@ -55,16 +53,16 @@ def test_scalar_seed_dominance_is_exact():
 
     seeds = (0.17, 0.5, 0.93)
     cfg = OptConfig(grid_points_per_axis=9, seeds=seeds)
-    res = maximize_scalar(jagged, 0.0, 1.0, cfg)
+    res = maximize_box(jagged, 0.0, 1.0, cfg)
     for s in seeds:
         assert res.value >= jagged(s)
 
 
 def test_scalar_rejects_bad_interval_and_seed():
     with pytest.raises(DomainError):
-        maximize_scalar(lambda x: x, 1.0, 0.0)
+        maximize_box(lambda x: x, 1.0, 0.0)
     with pytest.raises(DomainError):
-        maximize_scalar(lambda x: x, 0.0, 1.0, OptConfig(seeds=(2.0,)))
+        maximize_box(lambda x: x, 0.0, 1.0, OptConfig(seeds=(2.0,)))
 
 
 def test_scalar_non_finite_objective_identifies_point():
@@ -72,7 +70,7 @@ def test_scalar_non_finite_objective_identifies_point():
         return np.where(x > 0.5, math.inf, x)
 
     with pytest.raises(NumericError):
-        maximize_scalar(f, 0.0, 1.0, OptConfig(grid_points_per_axis=11))
+        maximize_box(f, 0.0, 1.0, OptConfig(grid_points_per_axis=11))
 
 
 def test_scalar_stop_reasons_and_stage_counts():
@@ -87,7 +85,7 @@ def test_scalar_stop_reasons_and_stage_counts():
         (OptConfig(grid_points_per_axis=65, max_refine_iters=0), 0, "level-cap"),
     )
     for cfg, levels, stop in cases:
-        diag = maximize_scalar(peak, 0.0, 1.0, cfg).diagnostics()
+        diag = maximize_box(peak, 0.0, 1.0, cfg).diagnostics()
         assert diag["status"] == "grid+nested-grid"
         assert diag["stop"] == stop
         assert diag["levels"] == levels
@@ -97,110 +95,106 @@ def test_scalar_stop_reasons_and_stage_counts():
 
 
 def test_scalar_ties_go_to_smallest_argument():
-    res = maximize_scalar(lambda x: np.zeros_like(x), -1.0, 1.0,
+    res = maximize_box(lambda x: np.zeros_like(x), -1.0, 1.0,
                           OptConfig(grid_points_per_axis=9, seeds=(0.5,)))
     assert (res.arg, res.value) == (-1.0, 0.0)
-    plateau = maximize_scalar(lambda x: np.minimum(x, 0.25), 0.0, 1.0,
+    plateau = maximize_box(lambda x: np.minimum(x, 0.25), 0.0, 1.0,
                               OptConfig(grid_points_per_axis=9))
     assert plateau.arg == 0.25 and plateau.value == 0.25
 
 
-def _disk_candidates(n=21):
-    xs = np.linspace(-1.0, 1.0, n)
-    pts = np.stack(np.meshgrid(xs, xs, indexing="ij"), axis=-1).reshape(-1, 2)
-    return pts[np.sum(pts ** 2, axis=1) <= 1.0]
+# The 2-D tests minimize g by maximizing -g, as the genie bound does.
+def _bowl(p):
+    return (p[:, 0] - 0.3) ** 2 + 2.0 * (p[:, 1] + 0.45) ** 2
 
 
-def _disk_project(p):
-    r = math.hypot(p[0], p[1])
-    if r <= 1.0:
-        return (p[0], p[1])
-    return (p[0] / r, p[1] / r)
+def _in_disk(g):
+    return lambda p: np.where(p[:, 0] ** 2 + p[:, 1] ** 2 <= 1.0, -g(p), -math.inf)
 
 
 def test_minimize_unit_disk_quadratic():
-    res = minimize_constrained(
-        lambda p: p[:, 0] ** 2 + p[:, 1] ** 2,
-        _disk_candidates(),
-        OptConfig(refine_tolerance=1e-9, max_refine_iters=60,
-                  seeds=((0.5, 0.5),)),
-        project=_disk_project,
-        feasible=lambda p: p[0] ** 2 + p[1] ** 2 <= 1.0,
-    )
-    assert abs(res.arg[0]) <= 1e-6 and abs(res.arg[1]) <= 1e-6
-    assert res.value <= 1e-10
+    cfg = OptConfig(grid_points_per_axis=17, refine_tolerance=1e-8, seeds=((0.5, 0.5),))
+    res = maximize_box(_in_disk(_bowl), (-1.0, -1.0), (1.0, 1.0), cfg)
+    assert isinstance(res.arg, tuple) and len(res.arg) == 2
+    assert abs(res.arg[0] - 0.3) <= 1e-8 and abs(res.arg[1] + 0.45) <= 1e-8
+    assert -res.value <= 1e-15
 
 
 def test_minimize_skips_infinite_plateau():
+    # Only a pocket is feasible; its best point is the corner nearest (0.9, 0.9).
     def pocket(p):
         inside = (np.abs(p[:, 0]) <= 0.3) & (np.abs(p[:, 1]) <= 0.3)
-        return np.where(inside, (p[:, 0] - 0.1) ** 2 + p[:, 1] ** 2, math.inf)
+        return np.where(inside, (p[:, 0] - 0.9) ** 2 + (p[:, 1] - 0.9) ** 2, math.inf)
 
-    res = minimize_constrained(
-        pocket,
-        _disk_candidates(31),
-        OptConfig(refine_tolerance=1e-9, max_refine_iters=60,
-                  seeds=((0.0, 0.0),)),
-        project=_disk_project,
-        feasible=lambda p: True,
-    )
+    res = maximize_box(lambda p: -pocket(p), (-1.0, -1.0), (1.0, 1.0),
+                       OptConfig(grid_points_per_axis=21, refine_tolerance=1e-9,
+                                 seeds=((0.0, 0.0),)))
     assert math.isfinite(res.value)
-    assert abs(res.arg[0] - 0.1) <= 1e-4
+    assert abs(res.arg[0] - 0.3) <= 1e-9 and abs(res.arg[1] - 0.3) <= 1e-9
 
 
 def test_minimize_infeasible_when_everything_is_infinite():
     with pytest.raises(InfeasibleError):
-        minimize_constrained(
-            lambda p: np.full(len(p), math.inf),
-            _disk_candidates(5),
-            OptConfig(seeds=((0.0, 0.0),)),
-            project=_disk_project,
-            feasible=lambda p: True,
-        )
+        maximize_box(lambda p: np.full(len(p), -math.inf), (0.0, 0.0), (1.0, 1.0),
+                     OptConfig(grid_points_per_axis=5, seeds=((0.0, 0.0),)))
+    with pytest.raises(InfeasibleError):
+        maximize_box(lambda x: np.full(len(x), -math.inf), 0.0, 1.0)
 
 
 def test_minimize_rejects_infeasible_seed():
-    with pytest.raises(ConstraintError):
-        minimize_constrained(
-            lambda p: p[:, 0] ** 2,
-            _disk_candidates(5),
-            OptConfig(seeds=((2.0, 2.0),)),
-            project=_disk_project,
-            feasible=lambda p: p[0] ** 2 + p[1] ** 2 <= 1.0,
-        )
+    with pytest.raises(DomainError):
+        maximize_box(_in_disk(_bowl), (-1.0, -1.0), (1.0, 1.0),
+                     OptConfig(seeds=((2.0, 2.0),)))
+    for lo, hi in (((0.0, 1.0), (1.0, 1.0)), ((0.0,) * 3, (1.0,) * 3),
+                   ((0.0, 0.0), (1.0, math.inf)), ((0.0, 0.0), 1.0)):
+        with pytest.raises(DomainError):
+            maximize_box(_in_disk(_bowl), lo, hi)
 
 
 def test_minimize_determinism():
     def f(p):
-        return np.cos(3 * p[:, 0]) + (p[:, 1] - 0.2) ** 2
+        return -(np.cos(3 * p[:, 0]) + (p[:, 1] - 0.2) ** 2)
 
-    kwargs = dict(project=_disk_project,
-                  feasible=lambda p: p[0] ** 2 + p[1] ** 2 <= 1.0)
-    a = minimize_constrained(f, _disk_candidates(), OptConfig(seeds=((0.0, 0.0),)), **kwargs)
-    b = minimize_constrained(f, _disk_candidates(), OptConfig(seeds=((0.0, 0.0),)), **kwargs)
+    cfg = OptConfig(grid_points_per_axis=21, seeds=((0.0, 0.0),))
+    a = maximize_box(f, (-1.0, -1.0), (1.0, 1.0), cfg)
+    b = maximize_box(f, (-1.0, -1.0), (1.0, 1.0), cfg)
     assert a == b
 
 
 def test_minimize_stop_reasons_and_stage_counts():
-    def toward(target):
-        return lambda p: (p[:, 0] - target) ** 2 + (p[:, 1] - target / 2) ** 2
-
     cases = (
-        (toward(0.3), OptConfig(max_refine_iters=3), "iteration-cap"),
-        (toward(0.3), OptConfig(), "tolerance"),
-        # 1/3 is no dyadic fraction, so every halving of the steps still gains.
-        (toward(1 / 3), OptConfig(refine_tolerance=1e-300, max_refine_iters=1000),
-         "step-floor"),
+        # the spacing 2/16 shrinks 4-fold per level: 1/8/4**5 > 1e-4 > 1/8/4**6
+        (OptConfig(grid_points_per_axis=17, refine_tolerance=1e-4,
+                   seeds=((0.25, 1.0),)), 6, "tolerance"),
+        (OptConfig(grid_points_per_axis=17, max_refine_iters=2), 2, "level-cap"),
+        (OptConfig(grid_points_per_axis=17, max_refine_iters=0), 0, "level-cap"),
     )
-    for f, cfg, stop in cases:
-        res = minimize_constrained(f, _disk_candidates(), cfg, project=_disk_project)
-        diag = res.diagnostics()
-        assert diag["stop"] == stop
-        assert diag["stages"]["seeds"] == 0
-        assert diag["stages"]["grid"] == len(_disk_candidates())
+    for cfg, levels, stop in cases:
+        diag = maximize_box(lambda p: -_bowl(p), (-1.0, -1.0), (1.0, 1.0), cfg).diagnostics()
+        assert diag["status"] == "grid+nested-grid"
+        assert (diag["levels"], diag["stop"]) == (levels, stop)
+        assert diag["stages"] == {"seeds": len(cfg.seeds), "grid": 17 * 17,
+                                  "refine": 3 * 81 * levels}
         assert diag["evaluations"] == sum(diag["stages"].values())
-        assert 0 < diag["stages"]["refine"] <= 4 * diag["iterations"]
-        assert diag["iterations"] <= cfg.max_refine_iters
+
+
+def test_box_nan_or_plus_infinity_identifies_point():
+    for bad in (math.nan, math.inf):
+        def f(p):
+            return np.where(p[:, 0] + p[:, 1] > 1.5, bad, 0.0)
+
+        with pytest.raises(NumericError, match=r"\(0\.75, 1\.0\)"):
+            maximize_box(f, (0.0, 0.0), (1.0, 1.0), OptConfig(grid_points_per_axis=5))
+
+
+def test_box_ties_go_to_lexicographically_smallest_point():
+    res = maximize_box(lambda p: np.zeros(len(p)), (-1.0, -1.0), (1.0, 1.0),
+                       OptConfig(grid_points_per_axis=5, seeds=((0.5, 0.5),)))
+    assert (res.arg, res.value) == ((-1.0, -1.0), 0.0)
+    # A ridge along p0 = 0.25: every point on it ties, the smallest p1 wins.
+    ridge = maximize_box(lambda p: np.minimum(p[:, 0], 0.25), (0.0, 0.0), (1.0, 1.0),
+                         OptConfig(grid_points_per_axis=9))
+    assert ridge.arg == (0.25, 0.0) and ridge.value == 0.25
 
 
 def test_opt_config_validation():
