@@ -5,31 +5,29 @@ Subcommands:
   pimac point    all six quantities at one parameter point, key=value lines
   pimac validate Monte-Carlo covariance validation report
 
-Exit codes: 0 success, 1 domain/config errors, 2 I/O errors. Each
-subcommand accepts ``--config FILE`` with ``key = value`` lines mirroring
-the flags; explicit flags override file values.
+Exit codes: 0 success, 1 domain/config errors, 2 I/O errors. Each option is
+declared once, in ``_COMMANDS``: its flag is ``--name`` (with ``-`` for
+``_``) and its config-file key is the name. Each subcommand also accepts
+``--config FILE`` with ``key = value`` lines; explicit flags override file
+values.
 """
 
 import argparse
 import sys
 
-from .bounds import GenieParams, c_sigma_1, c_sigma_2
+from .bounds import GenieParams
 from .errors import PimacError
 from .experiments import (
+    CSV_COLUMNS,
     CURVES,
     SweepConfig,
-    classify_power_point,
+    _evaluate_row,
+    _row_cells,
     emit_csv,
     montecarlo_covariance_check,
     run_sweep,
 )
 from .model import PimacParams
-from .schemes import (
-    pc_tin_sum_rate,
-    plain_tdma_sum_rate,
-    sd_tin_sum_rate,
-    tdma_tin_sum_rate,
-)
 
 
 class _UsageError(Exception):
@@ -55,115 +53,31 @@ def _read_config_file(path) -> dict:
     return values
 
 
-def _resolve(args, spec, config_values):
-    """Merge flag values, config-file values and defaults; check required.
-
-    Unknown config keys are reported before anything else, so a file with a
-    misspelt key names that key rather than the required option it misses.
-    """
-    unknown = set(config_values) - set(spec)
-    if unknown:
-        raise _UsageError(f"unknown config keys: {sorted(unknown)}")
-    out = {}
-    for name, (conv, default, required) in spec.items():
-        flag_value = getattr(args, name)
-        if flag_value is not None:
-            out[name] = flag_value
-        elif name in config_values:
-            try:
-                out[name] = conv(config_values[name])
-            except ValueError as exc:
-                raise _UsageError(f"bad config value for {name}: {exc}")
-        elif required:
-            raise _UsageError(f"missing required option --{name.replace('_', '-')}")
-        else:
-            out[name] = default
-    return out
-
-
 def _parse_curves(text) -> tuple:
-    names = tuple(part.strip() for part in text.split(",") if part.strip())
-    for name in names:
-        if name not in CURVES:
-            raise ValueError(f"unknown curve {name!r} (choose from {', '.join(CURVES)})")
-    return names
+    return tuple(part.strip() for part in text.split(",") if part.strip())
 
 
-def _fmt(value) -> str:
-    return "NA" if value is None else f"{float(value):.9g}"
-
-
-def _cmd_sweep(args) -> int:
-    config_values = _read_config_file(args.config) if args.config else {}
-    spec = {
-        "h_min": (float, None, True),
-        "h_max": (float, None, True),
-        "steps": (int, None, True),
-        "h22": (float, None, True),
-        "p1": (float, None, True),
-        "p2": (float, None, True),
-        "p3": (float, None, True),
-        "curves": (_parse_curves, CURVES, False),
-        "out": (str, None, True),
-    }
-    opts = _resolve(args, spec, config_values)
+def _cmd_sweep(opts) -> int:
     cfg = SweepConfig(h_min=opts["h_min"], h_max=opts["h_max"],
                       steps=opts["steps"], h22=opts["h22"],
                       p1=opts["p1"], p2=opts["p2"], p3=opts["p3"],
-                      which_curves=tuple(opts["curves"]), out=opts["out"])
+                      which_curves=opts["curves"])
     rows = run_sweep(cfg)
-    emit_csv(rows, cfg.out)
-    print(f"wrote {cfg.out} ({len(rows)} rows)")
+    emit_csv(rows, opts["out"])
+    print(f"wrote {opts['out']} ({len(rows)} rows)")
     return 0
 
 
-def _cmd_point(args) -> int:
-    config_values = _read_config_file(args.config) if args.config else {}
-    spec = {
-        "h12": (float, None, True),
-        "h22": (float, None, True),
-        "h31": (float, None, True),
-        "p1": (float, None, True),
-        "p2": (float, None, True),
-        "p3": (float, None, True),
-    }
-    opts = _resolve(args, spec, config_values)
+def _cmd_point(opts) -> int:
     params = PimacParams(h12=opts["h12"], h22=opts["h22"], h31=opts["h31"],
                          p1_max=opts["p1"], p2_max=opts["p2"], p3_max=opts["p3"])
-    budgets = (params.p1_max, params.p2_max, params.p3_max)
-
-    sd = sd_tin_sum_rate(params).sum_rate
-    td_res = tdma_tin_sum_rate(params)
-    pc_res = pc_tin_sum_rate(params)
-    tdma = plain_tdma_sum_rate(params).sum_rate
-    ub1_res = c_sigma_1(params)
-    ub2 = c_sigma_2(params) if params.h31 ** 2 <= 1.0 else None
-
-    print(f"sd_tin={_fmt(sd)}")
-    print(f"tdma_tin={_fmt(td_res.sum_rate)}")
-    print(f"pc_tin={_fmt(pc_res.sum_rate)}")
-    print(f"tdma={_fmt(tdma)}")
-    print(f"ub1={_fmt(ub1_res.sum_rate)}")
-    print(f"ub2={_fmt(ub2)}")
-    print(f"alpha_opt={_fmt(td_res.arg.alpha)}")
-    p_opt = pc_res.arg.as_tuple()
-    for i, value in enumerate(p_opt, 1):
-        print(f"p{i}_opt={_fmt(value)}")
-    genie = ub1_res.arg.as_tuple()
-    for name, value in zip(("rho1", "rho2", "eta1", "eta2"), genie):
-        print(f"{name}={_fmt(value)}")
-    print(f"regime={classify_power_point(p_opt, budgets)}")
+    cells = _row_cells(_evaluate_row(params, CURVES))
+    for name, cell in zip(CSV_COLUMNS[1:], cells[1:]):
+        print(f"{name}={cell}")
     return 0
 
 
-def _cmd_validate(args) -> int:
-    config_values = _read_config_file(args.config) if args.config else {}
-    spec = {
-        "seed": (int, 42, False),
-        "samples": (int, 1_000_000, False),
-    }
-    opts = _resolve(args, spec, config_values)
-
+def _cmd_validate(opts) -> int:
     params = PimacParams(h12=0.5, h22=0.2, h31=0.5,
                          p1_max=10.0, p2_max=10.0, p3_max=10.0)
     genie = GenieParams(rho1=0.0, rho2=0.0, eta1=1.0, eta2=1.0)
@@ -181,42 +95,74 @@ def _cmd_validate(args) -> int:
     return 0
 
 
+# Subcommand -> (help, handler, options). An option maps its name to
+# (type, default) or (type, default, help); a default of None means required.
+_COMMANDS = {
+    "sweep": ("gain sweep to CSV", _cmd_sweep, {
+        "h_min": (float, None),
+        "h_max": (float, None),
+        "steps": (int, None),
+        "h22": (float, None),
+        "p1": (float, None),
+        "p2": (float, None),
+        "p3": (float, None),
+        "curves": (_parse_curves, CURVES,
+                   f"comma-separated subset of {','.join(CURVES)}"),
+        "out": (str, None),
+    }),
+    "point": ("evaluate one parameter point", _cmd_point, {
+        "h12": (float, None),
+        "h22": (float, None),
+        "h31": (float, None),
+        "p1": (float, None),
+        "p2": (float, None),
+        "p3": (float, None),
+    }),
+    "validate": ("Monte-Carlo covariance validation", _cmd_validate, {
+        "seed": (int, 42),
+        "samples": (int, 1_000_000),
+    }),
+}
+
+
+def _options(args) -> dict:
+    """Merge flag values, config-file values and defaults; check required.
+
+    Unknown config keys are reported before anything else, so a file with a
+    misspelt key names that key rather than the required option it misses.
+    """
+    options = _COMMANDS[args.command][2]
+    config_values = _read_config_file(args.config) if args.config else {}
+    unknown = set(config_values) - set(options)
+    if unknown:
+        raise _UsageError(f"unknown config keys: {sorted(unknown)}")
+    out = {}
+    for name, (conv, default, *_) in options.items():
+        value = getattr(args, name)
+        if value is None and name in config_values:
+            try:
+                value = conv(config_values[name])
+            except ValueError as exc:
+                raise _UsageError(f"bad config value for {name}: {exc}")
+        if value is None:
+            if default is None:
+                raise _UsageError(f"missing required option --{name.replace('_', '-')}")
+            value = default
+        out[name] = value
+    return out
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="pimac",
                      description="Sum-rates and sum-capacity upper bounds for "
                                  "a MAC interfering with a point-to-point link")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sweep = sub.add_parser("sweep", help="gain sweep to CSV")
-    sweep.add_argument("--h-min", dest="h_min", type=float)
-    sweep.add_argument("--h-max", dest="h_max", type=float)
-    sweep.add_argument("--steps", type=int)
-    sweep.add_argument("--h22", type=float)
-    sweep.add_argument("--p1", type=float)
-    sweep.add_argument("--p2", type=float)
-    sweep.add_argument("--p3", type=float)
-    sweep.add_argument("--curves", type=_parse_curves,
-                       help=f"comma-separated subset of {','.join(CURVES)}")
-    sweep.add_argument("--out", type=str)
-    sweep.add_argument("--config", type=str)
-    sweep.set_defaults(func=_cmd_sweep)
-
-    point = sub.add_parser("point", help="evaluate one parameter point")
-    point.add_argument("--h12", type=float)
-    point.add_argument("--h22", type=float)
-    point.add_argument("--h31", type=float)
-    point.add_argument("--p1", type=float)
-    point.add_argument("--p2", type=float)
-    point.add_argument("--p3", type=float)
-    point.add_argument("--config", type=str)
-    point.set_defaults(func=_cmd_point)
-
-    validate = sub.add_parser("validate",
-                              help="Monte-Carlo covariance validation")
-    validate.add_argument("--seed", type=int)
-    validate.add_argument("--samples", type=int)
-    validate.add_argument("--config", type=str)
-    validate.set_defaults(func=_cmd_validate)
+    for command, (help_text, _, options) in _COMMANDS.items():
+        cmd = sub.add_parser(command, help=help_text)
+        for name, (conv, _, *flag_help) in options.items():
+            cmd.add_argument("--" + name.replace("_", "-"), type=conv,
+                             help=flag_help[0] if flag_help else None)
+        cmd.add_argument("--config", type=str)
     return parser
 
 
@@ -224,7 +170,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        _, handler, _ = _COMMANDS[args.command]
+        return handler(_options(args))
     except (_UsageError, PimacError, ValueError) as exc:
         print(f"pimac: error: {exc}", file=sys.stderr)
         return 1

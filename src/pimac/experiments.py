@@ -58,7 +58,6 @@ class SweepConfig:
     p2: float
     p3: float
     which_curves: tuple = CURVES
-    out: str | None = None
 
     def __post_init__(self):
         if not (math.isfinite(self.h_min) and math.isfinite(self.h_max)):
@@ -110,42 +109,47 @@ def classify_power_point(p_opt, budgets, power_tol: float = 1e-3) -> str:
     return OTHER
 
 
+def _evaluate_row(params: PimacParams, curves) -> SweepRow:
+    """The requested curves at one instance, as the sweep row at ``h = h12``.
+
+    ``ub2`` is left unavailable when ``h31^2 > 1``, outside its regime.
+    """
+    values: dict = {}
+    if "sd_tin" in curves:
+        values["sd_tin"] = sd_tin_sum_rate(params).sum_rate
+    if "tdma_tin" in curves:
+        res = tdma_tin_sum_rate(params)
+        values["tdma_tin"] = res.sum_rate
+        values["alpha_opt"] = res.arg.alpha
+    if "pc_tin" in curves:
+        res = pc_tin_sum_rate(params)
+        values["pc_tin"] = res.sum_rate
+        values["p_opt"] = res.arg.as_tuple()
+        values["regime"] = classify_power_point(
+            values["p_opt"], (params.p1_max, params.p2_max, params.p3_max))
+    if "tdma" in curves:
+        values["tdma"] = plain_tdma_sum_rate(params).sum_rate
+    if "ub1" in curves:
+        res = c_sigma_1(params)
+        values["ub1"] = res.sum_rate
+        values["genie_opt"] = res.arg.as_tuple()
+    if "ub2" in curves and params.h31 ** 2 <= 1.0:
+        values["ub2"] = c_sigma_2(params)
+    return SweepRow(h=params.h12, **values)
+
+
 def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
     """Evaluate the requested curves at ``cfg.steps`` equally spaced gains.
 
-    The closed-form upper bound column is marked unavailable on rows where
-    ``h^2 > 1``; everything else is defined for all gains.
+    Each row is one instance with ``h12 = h31 = h``, evaluated exactly as
+    ``pimac point`` evaluates an instance. The closed-form upper bound column
+    is marked unavailable on rows where ``h^2 > 1``; everything else is
+    defined for all gains.
     """
-    hs = np.linspace(cfg.h_min, cfg.h_max, cfg.steps)
-    budgets = (cfg.p1, cfg.p2, cfg.p3)
-    rows = []
-    want = set(cfg.which_curves)
-    for h in hs:
-        h = float(h)
-        params = PimacParams(h12=h, h22=cfg.h22, h31=h,
-                             p1_max=cfg.p1, p2_max=cfg.p2, p3_max=cfg.p3)
-        values: dict = {}
-        if "sd_tin" in want:
-            values["sd_tin"] = sd_tin_sum_rate(params).sum_rate
-        if "tdma_tin" in want:
-            res = tdma_tin_sum_rate(params)
-            values["tdma_tin"] = res.sum_rate
-            values["alpha_opt"] = res.arg.alpha
-        if "pc_tin" in want:
-            res = pc_tin_sum_rate(params)
-            values["pc_tin"] = res.sum_rate
-            values["p_opt"] = res.arg.as_tuple()
-            values["regime"] = classify_power_point(values["p_opt"], budgets)
-        if "tdma" in want:
-            values["tdma"] = plain_tdma_sum_rate(params).sum_rate
-        if "ub1" in want:
-            res = c_sigma_1(params)
-            values["ub1"] = res.sum_rate
-            values["genie_opt"] = res.arg.as_tuple()
-        if "ub2" in want and h * h <= 1.0:
-            values["ub2"] = c_sigma_2(params)
-        rows.append(SweepRow(h=h, **values))
-    return rows
+    return [_evaluate_row(PimacParams(h12=h, h22=cfg.h22, h31=h, p1_max=cfg.p1,
+                                      p2_max=cfg.p2, p3_max=cfg.p3),
+                          cfg.which_curves)
+            for h in np.linspace(cfg.h_min, cfg.h_max, cfg.steps).tolist()]
 
 
 def detect_pc_tin_regimes(rows, budgets, power_tol: float = 1e-3):
@@ -214,21 +218,24 @@ def montecarlo_covariance_check(params: PimacParams, genie: GenieParams,
 
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((int(n_samples), 7))
-    x1 = math.sqrt(params.p1_max) * g[:, 0]
-    x2 = math.sqrt(params.p2_max) * g[:, 1]
-    x3 = math.sqrt(params.p3_max) * g[:, 2]
-    z1 = g[:, 3]
-    w1 = genie.rho1 * g[:, 3] + math.sqrt(1.0 - genie.rho1 ** 2) * g[:, 4]
-    z2 = g[:, 5]
-    w2 = genie.rho2 * g[:, 5] + math.sqrt(1.0 - genie.rho2 ** 2) * g[:, 6]
-
-    y1 = x1 + x2 + params.h31 * x3 + z1
-    s1 = params.h12 * x1 + params.h22 * x2 + genie.eta1 * w1
-    y2 = params.h12 * x1 + params.h22 * x2 + x3 + z2
-    s2 = params.h31 * x3 + genie.eta2 * w2
-
-    data = np.stack([x1, x2, x3, y1, s1, y2, s2], axis=1)
-    cov = np.cov(data, rowvar=False)
+    # The seven variables are the rows of ``m`` applied to the standard
+    # normals g = (g_x1, g_x2, g_x3, z1, n1, z2, n2), where the genie noise
+    # is w_k = rho_k z_k + sqrt(1 - rho_k^2) n_k; so their sample covariance
+    # is m Cov(g) m^T.
+    a1, a2, a3 = (math.sqrt(p) for p in (params.p1_max, params.p2_max, params.p3_max))
+    h12, h22, h31 = params.h12, params.h22, params.h31
+    w1 = (genie.eta1 * genie.rho1, genie.eta1 * math.sqrt(1.0 - genie.rho1 ** 2))
+    w2 = (genie.eta2 * genie.rho2, genie.eta2 * math.sqrt(1.0 - genie.rho2 ** 2))
+    m = np.array([
+        [a1, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],                  # x1
+        [0.0, a2, 0.0, 0.0, 0.0, 0.0, 0.0],                  # x2
+        [0.0, 0.0, a3, 0.0, 0.0, 0.0, 0.0],                  # x3
+        [a1, a2, h31 * a3, 1.0, 0.0, 0.0, 0.0],              # y1
+        [h12 * a1, h22 * a2, 0.0, w1[0], w1[1], 0.0, 0.0],   # s1
+        [h12 * a1, h22 * a2, a3, 0.0, 0.0, 1.0, 0.0],        # y2
+        [0.0, 0.0, h31 * a3, 0.0, 0.0, w2[0], w2[1]],        # s2
+    ])
+    cov = m @ np.cov(g, rowvar=False) @ m.T
     cov = 0.5 * (cov + cov.T)
     sampled_model = GaussianJointModel(cov=cov)
     analytic_model = build_genie_joint_cov(params, genie)

@@ -1,4 +1,15 @@
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
 from pimac.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+FIGURE = ["--h22", "0.2", "--p1", "10", "--p2", "10", "--p3", "10"]
 
 
 def _parse_kv(output):
@@ -54,6 +65,7 @@ def test_sweep_unknown_curve_is_config_error(capsys):
                "--h22", "0.2", "--p1", "10", "--p2", "10", "--p3", "10",
                "--curves", "sd_tin,bogus", "--out", "x.csv"])
     assert rc == 1
+    assert "unknown curves: ['bogus']" in capsys.readouterr().err
     # Sweeps are deterministic, so sweep has no --seed option.
     rc = main(["sweep", "--h-min", "0", "--h-max", "1", "--steps", "3",
                "--h22", "0.2", "--p1", "10", "--p2", "10", "--p3", "10",
@@ -121,3 +133,102 @@ def test_domain_error_exit_code(capsys):
                "--p1", "-1", "--p2", "10", "--p3", "10"])
     assert rc == 1
     assert "error" in capsys.readouterr().err
+
+
+# Frozen stdout of ``pimac point``: every digit and every line is pinned.
+POINT_GOLDEN = [
+    (["--h12", "0.2", "--h31", "0.2"] + FIGURE,
+     "sd_tin=3.32341506\ntdma_tin=3.32341506\npc_tin=3.32341506\n"
+     "tdma=2.47709816\nub1=3.32341506\nub2=3.69677184\nalpha_opt=0.5\n"
+     "p1_opt=10\np2_opt=10\np3_opt=10\nrho1=0.302397251\nrho2=0.377682686\n"
+     "eta1=0.925934343\neta2=0.953181105\nregime=FULL_POWER\n"),
+    (["--h12", "0.5", "--h22", "0.2", "--h31", "1.5", "--p1", "1", "--p2", "1",
+      "--p3", "1"],
+     "sd_tin=0.759927119\ntdma_tin=0.768450114\npc_tin=0.79248125\ntdma=1\n"
+     "ub1=1.36235699\nub2=NA\nalpha_opt=0.389016241\np1_opt=1\np2_opt=1\n"
+     "p3_opt=0\nrho1=0.15879488\nrho2=0.464915752\neta1=0.885354925\n"
+     "eta2=0.987311595\nregime=USER3_SILENT\n"),
+    (["--h12", "-0.7", "--h22", "1.3", "--h31", "0.4", "--p1", "0", "--p2", "3",
+      "--p3", "5"],
+     "sd_tin=1.14096215\ntdma_tin=1.38315791\npc_tin=1.29248125\n"
+     "tdma=1.5849625\nub1=2.0705322\nub2=2\nalpha_opt=0.839504421\n"
+     "p1_opt=0\np2_opt=0\np3_opt=5\nrho1=0.396782875\nrho2=0.161100388\n"
+     "eta1=0.986938025\neta2=0.917912496\nregime=OTHER\n"),
+]
+
+
+@pytest.mark.parametrize("flags,expected", POINT_GOLDEN)
+def test_point_stdout_is_frozen(flags, expected, capsys):
+    assert main(["point"] + flags) == 0
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("h", ["0", "0.5", "1.0", "1.2"])
+def test_point_prints_the_sweep_row(h, tmp_path, capsys):
+    out = tmp_path / "row.csv"
+    assert main(["sweep", "--h-min", h, "--h-max", h, "--steps", "1",
+                 "--out", str(out)] + FIGURE) == 0
+    header, row = out.read_text().splitlines()
+    expected = dict(zip(header.split(",")[1:], row.split(",")[1:]))
+    capsys.readouterr()
+    assert main(["point", "--h12", h, "--h31", h] + FIGURE) == 0
+    assert _parse_kv(capsys.readouterr().out) == expected
+    assert (expected["ub2"] == "NA") == (h == "1.2")
+
+
+def test_point_config_file_and_flag_override(tmp_path, capsys):
+    cfg = tmp_path / "point.cfg"
+    cfg.write_text("h12 = 0.2\nh22 = 0.2\nh31 = 0.5\np1 = 10\np2 = 10\np3 = 10\n")
+    assert main(["point", "--config", str(cfg), "--h31", "0.2"]) == 0
+    assert capsys.readouterr().out == POINT_GOLDEN[0][1]
+
+
+def test_validate_config_file_and_flag_override(tmp_path, capsys):
+    cfg = tmp_path / "validate.cfg"
+    cfg.write_text("seed = 7\nsamples = 20000\n")
+    assert main(["validate", "--config", str(cfg)]) == 0
+    from_file = capsys.readouterr().out
+    assert main(["validate", "--seed", "7", "--samples", "20000"]) == 0
+    assert from_file == capsys.readouterr().out
+    assert main(["validate", "--config", str(cfg), "--seed", "1"]) == 0
+    overridden = capsys.readouterr().out
+    assert "seed=1\n" in overridden and "samples=20000\n" in overridden
+
+
+def test_sweep_config_bad_value_names_the_key(tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("h-min = 0\nh-max = 1\nsteps = three\nh22 = 0.2\np1 = 10\n"
+                   f"p2 = 10\np3 = 10\nout = {tmp_path / 'x.csv'}\n")
+    assert main(["sweep", "--config", str(cfg)]) == 1
+    assert "bad config value for steps" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("sweep", ["--h-min", "--h-max", "--steps", "--h22", "--p1", "--p2", "--p3",
+               "--curves", "--out", "--config"]),
+    ("point", ["--h12", "--h22", "--h31", "--p1", "--p2", "--p3", "--config"]),
+    ("validate", ["--seed", "--samples", "--config"]),
+])
+def test_subcommand_flags_in_order(command, flags, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    usage = capsys.readouterr().out.split("options:")[0]
+    assert re.findall(r"--[a-z0-9-]+", usage) == flags
+
+
+def test_module_entry_point_runs_the_benchmark_commands(tmp_path):
+    """The three ``python -m pimac`` commands the benchmark times exit 0."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    commands = [
+        ["point", "--h12", "0.2", "--h31", "0.2"] + FIGURE,
+        ["sweep", "--h-min", "0", "--h-max", "1", "--steps", "5",
+         "--out", str(tmp_path / "cli_sweep.csv")] + FIGURE,
+        ["validate", "--seed", "1", "--samples", "20000"],
+    ]
+    for command in commands:
+        proc = subprocess.run([sys.executable, "-m", "pimac"] + command, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, (command, proc.stderr)
+    assert len((tmp_path / "cli_sweep.csv").read_text().splitlines()) == 6
