@@ -83,7 +83,7 @@ from .errors import (
     NumericError,
 )
 from .model import PimacParams, SchemeResult, half_log
-from .optimize import OptConfig, maximize_box
+from .optimize import maximize_box
 
 VARIABLES = ("X1", "X2", "X3", "Y1", "S1", "Y2", "S2")
 MAC_INPUTS = (0, 1)
@@ -99,8 +99,6 @@ LN2 = math.log(2.0)
 # ~ 19.93 bits or more, degenerate or not: at high SNR all genie points
 # can be discarded, and c_sigma_1 then raises InfeasibleError.
 EPS_DET = 1e-12
-
-GENIE_OPT_CFG = OptConfig(grid_points_per_axis=33, refine_tolerance=1e-6)
 
 # Validation slack: boundary points built as eta = sqrt(1 - rho^2) may
 # overshoot the exact constraint by a rounding error when squared back.
@@ -151,12 +149,11 @@ class GaussianJointModel:
     """
 
     cov: np.ndarray
-    labels: tuple = VARIABLES
 
     def __post_init__(self):
         cov = np.asarray(self.cov, dtype=float)
         object.__setattr__(self, "cov", cov)
-        n = len(self.labels)
+        n = len(VARIABLES)
         if cov.shape != (n, n):
             raise DomainError(f"covariance must be {n}x{n}, got {cov.shape!r}")
         scale = max(1.0, float(np.max(np.abs(cov))))
@@ -228,8 +225,8 @@ def build_genie_joint_cov(params: PimacParams,
     return GaussianJointModel(cov=m)
 
 
-def _group_indices(model: GaussianJointModel, group, name: str) -> list[int]:
-    n = len(model.labels)
+def _group_indices(group, name: str) -> list[int]:
+    n = len(VARIABLES)
     idx = []
     for i in group:
         i = int(i)
@@ -255,8 +252,8 @@ def gaussian_mutual_info(model: GaussianJointModel, group_a, group_b) -> float:
     is factorised in one canonical order (each group sorted, the group with
     the smaller first index first).
     """
-    ia = _group_indices(model, group_a, "group_a")
-    ib = _group_indices(model, group_b, "group_b")
+    ia = _group_indices(group_a, "group_a")
+    ib = _group_indices(group_b, "group_b")
     if set(ia) & set(ib):
         raise DomainError("groups must be disjoint")
 
@@ -395,8 +392,9 @@ def c_sigma_1(params: PimacParams) -> SchemeResult:
     docstring, so the bound is the minimum over ``(rho1, rho2)`` in
     ``[0, 1]^2`` of the kernel at ``t*``, for the nonnegative-gain
     equivalent of ``params``. ``maximize_box`` searches it as the maximum
-    of its negative: a 33 x 33 grid, then nested 9 x 9 grids around the 3
-    best points down to a spacing below 1e-6, one kernel call per stage. The
+    of its negative with grid 33 and tol 1e-6, and no seeds: a 33 x 33
+    grid, then 8 nested 9 x 9 grids around the 3 best points down to a
+    spacing below 1e-6, one kernel call per stage (3 033 evaluations). The
     grid corner ``rho = 0`` is never above the genie with ``eta = 1`` and
     noise independent of everything, so neither is the result.
     A point where the kernel is ``+inf`` (the ``EPS_DET`` rule) is
@@ -404,7 +402,7 @@ def c_sigma_1(params: PimacParams) -> SchemeResult:
     """
     c = _genie_coeffs(_sign_canonical(params))
     res = maximize_box(lambda rho: -_genie_reduced(c, rho), (0.0, 0.0), (1.0, 1.0),
-                       GENIE_OPT_CFG)
+                       33, 1e-6)
     r1, r2 = res.arg
     with np.errstate(all="ignore"):
         t1, t2 = _t_star(c, np.array([r1]), np.array([r2]))

@@ -23,7 +23,7 @@ from .bounds import (
     c_sigma_2,
     gaussian_mutual_info,
 )
-from .errors import ContractError, DomainError
+from .errors import ContractError, DomainError, InvalidRegimeError
 from .model import PimacParams
 from .schemes import (
     pc_tin_sum_rate,
@@ -88,23 +88,19 @@ class SweepRow:
     regime: str | None = None
 
 
-def classify_power_point(p_opt, budgets, power_tol: float = 1e-3) -> str:
-    """Label an allocation as one of the corner regimes or OTHER.
+def classify_power_point(p_opt, budgets) -> str:
+    """Label a box vertex as one of the corner regimes or OTHER.
 
-    A coordinate counts as zero (resp. full) when it is within
-    ``power_tol * budget`` of 0 (resp. of the budget).
+    A coordinate is zero when it equals 0 and full when it equals its
+    budget; a zero budget counts as both.
     """
-    near_zero = []
-    near_full = []
-    for p, b in zip(p_opt, budgets):
-        tol = power_tol * b
-        near_zero.append(p <= tol)
-        near_full.append(p >= b - tol)
-    if all(near_full):
+    zero = [p == 0.0 for p in p_opt]
+    full = [p == b for p, b in zip(p_opt, budgets)]
+    if all(full):
         return FULL_POWER
-    if near_zero[0] and near_full[1] and near_full[2]:
+    if zero[0] and full[1] and full[2]:
         return USER1_SILENT
-    if near_full[0] and near_full[1] and near_zero[2]:
+    if full[0] and full[1] and zero[2]:
         return USER3_SILENT
     return OTHER
 
@@ -112,7 +108,8 @@ def classify_power_point(p_opt, budgets, power_tol: float = 1e-3) -> str:
 def _evaluate_row(params: PimacParams, curves) -> SweepRow:
     """The requested curves at one instance, as the sweep row at ``h = h12``.
 
-    ``ub2`` is left unavailable when ``h31^2 > 1``, outside its regime.
+    ``ub2`` is left unavailable where ``c_sigma_2`` rejects the instance as
+    outside its regime.
     """
     values: dict = {}
     if "sd_tin" in curves:
@@ -133,8 +130,11 @@ def _evaluate_row(params: PimacParams, curves) -> SweepRow:
         res = c_sigma_1(params)
         values["ub1"] = res.sum_rate
         values["genie_opt"] = res.arg.as_tuple()
-    if "ub2" in curves and params.h31 ** 2 <= 1.0:
-        values["ub2"] = c_sigma_2(params)
+    if "ub2" in curves:
+        try:
+            values["ub2"] = c_sigma_2(params)
+        except InvalidRegimeError:
+            pass
     return SweepRow(h=params.h12, **values)
 
 
@@ -152,29 +152,28 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
             for h in np.linspace(cfg.h_min, cfg.h_max, cfg.steps).tolist()]
 
 
-def detect_pc_tin_regimes(rows, budgets, power_tol: float = 1e-3):
-    """Merge per-row power-control labels into gain intervals.
+def detect_pc_tin_regimes(rows):
+    """Merge the rows' power-control labels into gain intervals.
 
     Returns ``[((h_start, h_end), label), ...]`` with interval boundaries
     at the midpoints between adjacent rows whose labels differ. Rows must
-    be sorted by gain and carry the power-control optimizer argument.
+    be sorted by gain and carry the ``regime`` label of the power-control
+    curve.
     """
     if not rows:
         return []
-    labels = []
     for row in rows:
-        if row.p_opt is None:
-            raise ContractError(f"row at h={row.h!r} has no power-control argument")
-        labels.append(classify_power_point(row.p_opt, budgets, power_tol))
+        if row.regime is None:
+            raise ContractError(f"row at h={row.h!r} has no power-control regime")
 
     intervals = []
     start = rows[0].h
-    for i in range(1, len(rows)):
-        if labels[i] != labels[i - 1]:
-            boundary = 0.5 * (rows[i - 1].h + rows[i].h)
-            intervals.append(((start, boundary), labels[i - 1]))
+    for prev, row in zip(rows, rows[1:]):
+        if row.regime != prev.regime:
+            boundary = 0.5 * (prev.h + row.h)
+            intervals.append(((start, boundary), prev.regime))
             start = boundary
-    intervals.append(((start, rows[-1].h), labels[-1]))
+    intervals.append(((start, rows[-1].h), rows[-1].regime))
     return intervals
 
 

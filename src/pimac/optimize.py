@@ -3,7 +3,9 @@
 One solver backs the schemes and bounds: maximization of a vectorised
 objective on a 1- or 2-D box. Each of its stages is a single call of the
 objective: a uniform grid together with a set of mandatory seed points,
-then nested grids around the best points found so far. The returned value
+then nested grids around the best points found so far. Each caller passes
+its schedule directly: grid points per axis, the tolerance that fixes the
+number of nested levels, and the seeds. The returned value
 can never be worse than the objective at any seed. Tie-breaks are
 lexicographic on the argument, which makes results reproducible across
 runs and platforms.
@@ -16,24 +18,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, InfeasibleError, NumericError
-
-
-@dataclass(frozen=True)
-class OptConfig:
-    """Grid resolution, refinement tolerance and mandatory seed points."""
-
-    grid_points_per_axis: int = 101
-    refine_tolerance: float = 1e-6
-    max_refine_iters: int = 100
-    seeds: tuple = ()
-
-    def __post_init__(self):
-        if self.grid_points_per_axis < 2:
-            raise DomainError("grid_points_per_axis must be >= 2")
-        if not (self.refine_tolerance > 0.0 and math.isfinite(self.refine_tolerance)):
-            raise DomainError("refine_tolerance must be a positive real")
-        if self.max_refine_iters < 0:
-            raise DomainError("max_refine_iters must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -116,7 +100,7 @@ def _ranked(pts, values, k) -> list:
         cand = None
 
 
-def maximize_box(f, lo, hi, cfg: OptConfig | None = None) -> OptResult:
+def maximize_box(f, lo, hi, grid: int, tol: float, seeds=()) -> OptResult:
     """Maximize the vectorised ``f`` on a 1- or 2-D box by a grid and nested grids.
 
     With scalar ``lo`` and ``hi`` the box is the interval [lo, hi], ``f``
@@ -125,14 +109,14 @@ def maximize_box(f, lo, hi, cfg: OptConfig | None = None) -> OptResult:
     product, ``f`` maps an (n, 2) array of points to n values and the
     argument returned is a tuple. Seeds have the shape of ``lo``.
 
-    The first call evaluates every point of ``cfg.seeds`` (each must lie in
-    the box) together with a uniform grid of ``cfg.grid_points_per_axis``
-    points per axis. Each refinement level is one more call: a grid over
-    plus or minus one spacing of the previous level (cut to the box) around
-    each of that level's 3 best distinct points, with 65 points in 1-D and
-    9 per axis in 2-D, so the spacing shrinks 32-fold or 4-fold. Levels
-    repeat until the spacing is below ``cfg.refine_tolerance`` or
-    ``cfg.max_refine_iters`` levels have run. Every evaluated point is a
+    The first call evaluates every point of ``seeds`` (each must lie in the
+    box) together with a uniform grid of ``grid`` points per axis (at least
+    2). Each refinement level is one more call: a grid over plus or minus
+    one spacing of the previous level (cut to the box) around each of that
+    level's 3 best distinct points, with 65 points in 1-D and 9 per axis in
+    2-D, so the spacing shrinks 32-fold or 4-fold. Levels repeat until the
+    spacing is below ``tol`` (a positive real), so their number is fixed by
+    ``grid`` and ``tol`` before the first call. Every evaluated point is a
     candidate, so the value is never below the objective at a seed; ties go
     to the lexicographically smallest point.
 
@@ -142,9 +126,12 @@ def maximize_box(f, lo, hi, cfg: OptConfig | None = None) -> OptResult:
 
     ``details`` reports ``stages`` (``seeds``, ``grid`` and ``refine``
     evaluations, summing to ``evaluations``), ``levels`` and ``stop``
-    (``tolerance`` or ``level-cap``).
+    (always ``tolerance``).
     """
-    cfg = cfg if cfg is not None else OptConfig()
+    if grid < 2:
+        raise DomainError(f"grid must be >= 2, got {grid!r}")
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise DomainError(f"tol must be a positive real, got {tol!r}")
     lo_a, hi_a = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     shape = lo_a.shape
     box = tuple(zip(lo_a.ravel().tolist(), hi_a.ravel().tolist()))
@@ -152,23 +139,22 @@ def maximize_box(f, lo, hi, cfg: OptConfig | None = None) -> OptResult:
             math.isfinite(a) and math.isfinite(b) and a < b for a, b in box):
         raise DomainError(f"need a 1- or 2-D box with finite lo < hi, got "
                           f"[{lo!r}, {hi!r}]")
-    seeds = np.array(cfg.seeds, dtype=float).reshape((-1,) + shape)
+    seeds = np.array(seeds, dtype=float).reshape((-1,) + shape)
     inside = ((seeds >= lo_a) & (seeds <= hi_a)).reshape(-1, len(box)).all(axis=1)
     if not inside.all():
         raise DomainError(f"seed {seeds[np.argmin(inside)].tolist()!r} lies outside "
                           f"[{lo!r}, {hi!r}]")
 
-    n = cfg.grid_points_per_axis
     per_axis, window = _WINDOWS[len(box)]
-    pts = _grid(box, n)
+    pts = _grid(box, grid)
     if len(seeds):
         pts = np.concatenate((seeds, pts))
-    stages = {"seeds": len(seeds), "grid": n ** len(box), "refine": 0}
-    spacing = (hi_a - lo_a) / (n - 1)
+    stages = {"seeds": len(seeds), "grid": grid ** len(box), "refine": 0}
+    spacing = (hi_a - lo_a) / (grid - 1)
     shrink = 2.0 / (per_axis - 1)
-    # Count the levels: the spacing shrinks until below the tolerance, or the cap.
-    step, levels = max((b - a) / (n - 1) for a, b in box), 0
-    while not (step < cfg.refine_tolerance or levels == cfg.max_refine_iters):
+    # Count the levels: the spacing shrinks until below the tolerance.
+    step, levels = max((b - a) / (grid - 1) for a, b in box), 0
+    while not step < tol:
         step, levels = step * shrink, levels + 1
 
     top = _ranked(pts, _values(f, pts), _CENTRES)
@@ -189,6 +175,4 @@ def maximize_box(f, lo, hi, cfg: OptConfig | None = None) -> OptResult:
     arg = min(x for v, x in best if v == value)
     return OptResult(arg=arg, value=value,
                      evaluations=sum(stages.values()), status="grid+nested-grid",
-                     details={"stages": stages, "levels": levels,
-                              "stop": "tolerance" if step < cfg.refine_tolerance
-                              else "level-cap"})
+                     details={"stages": stages, "levels": levels, "stop": "tolerance"})

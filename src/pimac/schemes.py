@@ -8,7 +8,7 @@ so its sum constraint is the single log term with both powers pooled.
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,9 +22,7 @@ from .model import (
     effective_noise_at_rx1,
     half_log,
 )
-from .optimize import OptConfig, maximize_box
-
-TDMA_TIN_OPT_CFG = OptConfig(grid_points_per_axis=1025, refine_tolerance=1e-7)
+from .optimize import maximize_box
 
 
 @dataclass(frozen=True)
@@ -146,12 +144,14 @@ def alpha_prime(params: PimacParams) -> TimeShare:
 def tdma_tin_sum_rate(params: PimacParams) -> SchemeResult:
     """Best TDMA-TIN sum-rate over the time share.
 
-    The candidate set always contains both endpoints and, when defined, the
-    MAC-optimal and P2P-optimal shares, so the result is never below the
-    full-power TIN sum-rate. The objective can have two interior local
-    maxima, so the search starts from a global grid.
+    ``maximize_box`` searches ``[0, 1]`` with one call on a 1 025-point grid,
+    which holds both endpoints, and the MAC-optimal and P2P-optimal shares
+    as seeds where they are defined; then nested 65-point grids around the
+    3 best points down to a spacing below 1e-7. The result is therefore never
+    below the full-power TIN sum-rate. The objective can have two interior
+    local maxima, so the search starts from a global grid.
     """
-    seeds = [0.0, 1.0]
+    seeds = []
     try:
         seeds.append(alpha_star(params).alpha)
     except DegenerateInputError:
@@ -161,7 +161,7 @@ def tdma_tin_sum_rate(params: PimacParams) -> SchemeResult:
     except DegenerateInputError:
         pass
     res = maximize_box(lambda a: np.add(*_tdma_parts(params, a)), 0.0, 1.0,
-                       replace(TDMA_TIN_OPT_CFG, seeds=tuple(seeds)))
+                       1025, 1e-7, seeds)
     return SchemeResult(sum_rate=res.value, arg=TimeShare(res.arg),
                         diagnostics=res.diagnostics())
 
@@ -229,13 +229,13 @@ def plain_tdma_sum_rate(params: PimacParams) -> SchemeResult:
     """TDMA between the MAC pair and the point-to-point user.
 
     The optimal share is ``(P1+P2) / (P1+P2+P3)`` in closed form, where the
-    achieved sum-rate collapses to ``half_log(P1+P2+P3)``.
+    achieved sum-rate collapses to ``half_log(P1+P2+P3)``. With all budgets
+    zero every share gives the limit 0; the share returned is 0.0, the
+    smallest.
     """
     mac_power = params.p1_max + params.p2_max
     total = mac_power + params.p3_max
-    if total <= 0.0:
-        raise DegenerateInputError("all power budgets are zero")
-    alpha = mac_power / total
+    alpha = mac_power / total if total > 0.0 else 0.0
     value = (_mac_slot(alpha, mac_power, 1.0)
              + _mac_slot(1.0 - alpha, params.p3_max, 1.0))
     return SchemeResult(sum_rate=value, arg=TimeShare(alpha),

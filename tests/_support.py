@@ -4,9 +4,6 @@ import numpy as np
 
 from pimac import PimacParams
 
-FIGURE3_BUDGETS = (10.0, 10.0, 10.0)
-
-
 def figure3_params(h: float) -> PimacParams:
     """Sweep-convention instance: h12 = h31 = h, h22 = 0.2, P = 10."""
     return PimacParams(h12=h, h22=0.2, h31=h,

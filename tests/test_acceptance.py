@@ -33,11 +33,7 @@ from pimac import (
 from pimac.errors import DegenerateInputError
 from pimac.schemes import _tdma_parts
 
-from _support import (
-    FIGURE3_BUDGETS,
-    draw_feasible_genie,
-    draw_params,
-)
+from _support import draw_feasible_genie, draw_params
 
 FULL_POWER = "FULL_POWER"
 USER1_SILENT = "USER1_SILENT"
@@ -146,7 +142,7 @@ def test_criterion_5_figure_sweep(figure3_sweep):
     row_10 = rows[100]
     ok_b = abs(row_10.ub2 - row_10.tdma) <= 1e-9
 
-    intervals = detect_pc_tin_regimes(rows, FIGURE3_BUDGETS)
+    intervals = detect_pc_tin_regimes(rows)
     labels = [lab for _, lab in intervals]
     ok_c = False
     transition = None

@@ -42,6 +42,17 @@ def test_point_marks_ub2_unavailable_beyond_regime(capsys):
     assert kv["ub2"] == "NA"
 
 
+def test_point_and_sweep_with_all_powers_zero(tmp_path, capsys):
+    silent = ["--h22", "0.2", "--p1", "0", "--p2", "0", "--p3", "0"]
+    assert main(["point", "--h12", "0.5", "--h31", "0.5"] + silent) == 0
+    kv = _parse_kv(capsys.readouterr().out)
+    assert all(kv[k] == "0" for k in ("sd_tin", "tdma_tin", "pc_tin", "tdma", "ub1", "ub2"))
+    out = tmp_path / "silent.csv"
+    assert main(["sweep", "--h-min", "0.5", "--h-max", "0.5", "--steps", "1",
+                 "--out", str(out)] + silent) == 0
+    assert len(out.read_text().splitlines()) == 2
+
+
 def test_sweep_writes_csv(tmp_path, capsys):
     out = tmp_path / "rates.csv"
     rc = main(["sweep", "--h-min", "0", "--h-max", "1", "--steps", "3",

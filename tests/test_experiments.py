@@ -49,6 +49,17 @@ def test_small_sweep_rows():
             assert row.ub2 >= max(row.sd_tin, row.tdma) - 1e-9
 
 
+def test_sweep_row_beyond_float_square_leaves_ub2_unavailable():
+    # h**2 overflows a float at h = 1e160; c_sigma_2 alone decides that ub2
+    # is out of its regime, and the row is still produced.
+    cfg = SweepConfig(h_min=1e160, h_max=1e160, steps=1, h22=0.2, p1=10, p2=10,
+                      p3=10, which_curves=("sd_tin", "ub2"))
+    (row,) = run_sweep(cfg)
+    assert row.h == 1e160
+    assert math.isfinite(row.sd_tin)
+    assert row.ub2 is None
+
+
 def test_sweep_zero_gain_row_values():
     cfg = SweepConfig(h_min=0.0, h_max=1.0, steps=2, h22=0.2, p1=10, p2=10,
                       p3=10, which_curves=("sd_tin", "pc_tin"))
@@ -66,33 +77,31 @@ def test_classify_power_point():
     assert classify_power_point((0.0, 10, 10), BUDGETS) == "USER1_SILENT"
     assert classify_power_point((10, 10, 0.0), BUDGETS) == "USER3_SILENT"
     assert classify_power_point((5, 10, 10), BUDGETS) == "OTHER"
-    # tolerance is relative to the budget
-    assert classify_power_point((0.009, 10, 10), BUDGETS) == "USER1_SILENT"
-    assert classify_power_point((0.02, 10, 10), BUDGETS, power_tol=1e-3) == "OTHER"
+    assert classify_power_point((0.02, 10, 10), BUDGETS) == "OTHER"
     # zero budgets count as both empty and full; full-power wins
     assert classify_power_point((0.0, 0.0, 0.0), (0.0, 0.0, 0.0)) == "FULL_POWER"
 
 
 def _row(h, p_opt):
-    return SweepRow(h=h, p_opt=p_opt)
+    return SweepRow(h=h, p_opt=p_opt, regime=classify_power_point(p_opt, BUDGETS))
 
 
 def test_detect_regimes_merges_intervals():
     rows = [_row(0.0, (10, 10, 10)), _row(0.1, (10, 10, 10)),
             _row(0.2, (0, 10, 10)), _row(0.3, (0, 10, 10)),
             _row(0.4, (10, 10, 0))]
-    intervals = detect_pc_tin_regimes(rows, BUDGETS)
+    intervals = detect_pc_tin_regimes(rows)
     assert intervals == [((0.0, 0.15000000000000002), "FULL_POWER"),
                          ((0.15000000000000002, 0.35), "USER1_SILENT"),
                          ((0.35, 0.4), "USER3_SILENT")]
 
 
 def test_detect_regimes_single_row_and_missing_arg():
-    assert detect_pc_tin_regimes([_row(0.0, (10, 10, 10))], BUDGETS) == [
+    assert detect_pc_tin_regimes([_row(0.0, (10, 10, 10))]) == [
         ((0.0, 0.0), "FULL_POWER")]
-    assert detect_pc_tin_regimes([], BUDGETS) == []
+    assert detect_pc_tin_regimes([]) == []
     with pytest.raises(ContractError):
-        detect_pc_tin_regimes([SweepRow(h=0.0)], BUDGETS)
+        detect_pc_tin_regimes([SweepRow(h=0.0, p_opt=(10, 10, 10))])
 
 
 def test_montecarlo_matches_known_value_with_zero_gains():

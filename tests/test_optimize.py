@@ -7,7 +7,6 @@ from pimac import (
     DomainError,
     InfeasibleError,
     NumericError,
-    OptConfig,
     maximize_box,
 )
 from pimac.schemes import _tdma_parts
@@ -17,15 +16,13 @@ from oracle_tools import dense_tdma_objective
 
 
 def test_scalar_quadratic_argument_within_tolerance():
-    cfg = OptConfig(grid_points_per_axis=65, refine_tolerance=1e-6)
-    res = maximize_box(lambda x: -(x - 0.3) ** 2, 0.0, 1.0, cfg)
-    assert abs(res.arg - 0.3) <= cfg.refine_tolerance
+    res = maximize_box(lambda x: -(x - 0.3) ** 2, 0.0, 1.0, 65, 1e-6)
+    assert abs(res.arg - 0.3) <= 1e-6
     assert res.evaluations > 65
 
 
 def test_scalar_boundary_maximum_with_seed():
-    cfg = OptConfig(grid_points_per_axis=8, seeds=(1.0,))
-    res = maximize_box(lambda x: x, 0.0, 1.0, cfg)
+    res = maximize_box(lambda x: x, 0.0, 1.0, 8, 1e-6, seeds=(1.0,))
     assert res.arg == 1.0
     assert res.value == 1.0
 
@@ -39,8 +36,7 @@ def test_scalar_interior_peak_at_unit_gain():
     oracle_value = float(np.max(values))
     assert abs(oracle_value - 1.9998298574551758) <= 1e-11  # frozen from oracle
 
-    res = maximize_box(lambda a: np.add(*_tdma_parts(params, a)), 0.0, 1.0,
-                          cfg=OptConfig(grid_points_per_axis=1025))
+    res = maximize_box(lambda a: np.add(*_tdma_parts(params, a)), 0.0, 1.0, 1025, 1e-6)
     assert res.value >= oracle_value - 1e-12
     assert abs(res.value - oracle_value) <= 1e-9
     assert abs(res.arg - oracle_arg) <= 1e-3
@@ -52,17 +48,16 @@ def test_scalar_seed_dominance_is_exact():
         return np.sin(37.0 * x) - 0.2 * x
 
     seeds = (0.17, 0.5, 0.93)
-    cfg = OptConfig(grid_points_per_axis=9, seeds=seeds)
-    res = maximize_box(jagged, 0.0, 1.0, cfg)
+    res = maximize_box(jagged, 0.0, 1.0, 9, 1e-6, seeds=seeds)
     for s in seeds:
         assert res.value >= jagged(s)
 
 
 def test_scalar_rejects_bad_interval_and_seed():
     with pytest.raises(DomainError):
-        maximize_box(lambda x: x, 1.0, 0.0)
+        maximize_box(lambda x: x, 1.0, 0.0, 101, 1e-6)
     with pytest.raises(DomainError):
-        maximize_box(lambda x: x, 0.0, 1.0, OptConfig(seeds=(2.0,)))
+        maximize_box(lambda x: x, 0.0, 1.0, 101, 1e-6, seeds=(2.0,))
 
 
 def test_scalar_non_finite_objective_identifies_point():
@@ -70,7 +65,7 @@ def test_scalar_non_finite_objective_identifies_point():
         return np.where(x > 0.5, math.inf, x)
 
     with pytest.raises(NumericError):
-        maximize_box(f, 0.0, 1.0, OptConfig(grid_points_per_axis=11))
+        maximize_box(f, 0.0, 1.0, 11, 1e-6)
 
 
 def test_scalar_stop_reasons_and_stage_counts():
@@ -78,28 +73,25 @@ def test_scalar_stop_reasons_and_stage_counts():
         return -(x - 0.3) ** 2
 
     cases = (
-        (OptConfig(grid_points_per_axis=65, max_refine_iters=1), 1, "level-cap"),
         # the spacing 1/64 shrinks to 1/64/32 > 1e-4, then to 1/64/32**2 < 1e-4
-        (OptConfig(grid_points_per_axis=65, refine_tolerance=1e-4,
-                   seeds=(0.25, 1.0)), 2, "tolerance"),
-        (OptConfig(grid_points_per_axis=65, max_refine_iters=0), 0, "level-cap"),
+        (1e-4, (0.25, 1.0), 2),
+        # the spacing 1/64 is already below 0.1: no refinement level runs
+        (0.1, (), 0),
     )
-    for cfg, levels, stop in cases:
-        diag = maximize_box(peak, 0.0, 1.0, cfg).diagnostics()
+    for tol, seeds, levels in cases:
+        diag = maximize_box(peak, 0.0, 1.0, 65, tol, seeds).diagnostics()
         assert diag["status"] == "grid+nested-grid"
-        assert diag["stop"] == stop
+        assert diag["stop"] == "tolerance"
         assert diag["levels"] == levels
-        assert diag["stages"] == {"seeds": len(cfg.seeds), "grid": 65,
+        assert diag["stages"] == {"seeds": len(seeds), "grid": 65,
                                   "refine": 3 * 65 * levels}
         assert diag["evaluations"] == sum(diag["stages"].values())
 
 
 def test_scalar_ties_go_to_smallest_argument():
-    res = maximize_box(lambda x: np.zeros_like(x), -1.0, 1.0,
-                          OptConfig(grid_points_per_axis=9, seeds=(0.5,)))
+    res = maximize_box(lambda x: np.zeros_like(x), -1.0, 1.0, 9, 1e-6, seeds=(0.5,))
     assert (res.arg, res.value) == (-1.0, 0.0)
-    plateau = maximize_box(lambda x: np.minimum(x, 0.25), 0.0, 1.0,
-                              OptConfig(grid_points_per_axis=9))
+    plateau = maximize_box(lambda x: np.minimum(x, 0.25), 0.0, 1.0, 9, 1e-6)
     assert plateau.arg == 0.25 and plateau.value == 0.25
 
 
@@ -113,8 +105,8 @@ def _in_disk(g):
 
 
 def test_minimize_unit_disk_quadratic():
-    cfg = OptConfig(grid_points_per_axis=17, refine_tolerance=1e-8, seeds=((0.5, 0.5),))
-    res = maximize_box(_in_disk(_bowl), (-1.0, -1.0), (1.0, 1.0), cfg)
+    res = maximize_box(_in_disk(_bowl), (-1.0, -1.0), (1.0, 1.0), 17, 1e-8,
+                       seeds=((0.5, 0.5),))
     assert isinstance(res.arg, tuple) and len(res.arg) == 2
     assert abs(res.arg[0] - 0.3) <= 1e-8 and abs(res.arg[1] + 0.45) <= 1e-8
     assert -res.value <= 1e-15
@@ -126,9 +118,8 @@ def test_minimize_skips_infinite_plateau():
         inside = (np.abs(p[:, 0]) <= 0.3) & (np.abs(p[:, 1]) <= 0.3)
         return np.where(inside, (p[:, 0] - 0.9) ** 2 + (p[:, 1] - 0.9) ** 2, math.inf)
 
-    res = maximize_box(lambda p: -pocket(p), (-1.0, -1.0), (1.0, 1.0),
-                       OptConfig(grid_points_per_axis=21, refine_tolerance=1e-9,
-                                 seeds=((0.0, 0.0),)))
+    res = maximize_box(lambda p: -pocket(p), (-1.0, -1.0), (1.0, 1.0), 21, 1e-9,
+                       seeds=((0.0, 0.0),))
     assert math.isfinite(res.value)
     assert abs(res.arg[0] - 0.3) <= 1e-9 and abs(res.arg[1] - 0.3) <= 1e-9
 
@@ -136,44 +127,43 @@ def test_minimize_skips_infinite_plateau():
 def test_minimize_infeasible_when_everything_is_infinite():
     with pytest.raises(InfeasibleError):
         maximize_box(lambda p: np.full(len(p), -math.inf), (0.0, 0.0), (1.0, 1.0),
-                     OptConfig(grid_points_per_axis=5, seeds=((0.0, 0.0),)))
+                     5, 1e-6, seeds=((0.0, 0.0),))
     with pytest.raises(InfeasibleError):
-        maximize_box(lambda x: np.full(len(x), -math.inf), 0.0, 1.0)
+        maximize_box(lambda x: np.full(len(x), -math.inf), 0.0, 1.0, 101, 1e-6)
 
 
 def test_minimize_rejects_infeasible_seed():
     with pytest.raises(DomainError):
-        maximize_box(_in_disk(_bowl), (-1.0, -1.0), (1.0, 1.0),
-                     OptConfig(seeds=((2.0, 2.0),)))
+        maximize_box(_in_disk(_bowl), (-1.0, -1.0), (1.0, 1.0), 101, 1e-6,
+                     seeds=((2.0, 2.0),))
     for lo, hi in (((0.0, 1.0), (1.0, 1.0)), ((0.0,) * 3, (1.0,) * 3),
                    ((0.0, 0.0), (1.0, math.inf)), ((0.0, 0.0), 1.0)):
         with pytest.raises(DomainError):
-            maximize_box(_in_disk(_bowl), lo, hi)
+            maximize_box(_in_disk(_bowl), lo, hi, 101, 1e-6)
 
 
 def test_minimize_determinism():
     def f(p):
         return -(np.cos(3 * p[:, 0]) + (p[:, 1] - 0.2) ** 2)
 
-    cfg = OptConfig(grid_points_per_axis=21, seeds=((0.0, 0.0),))
-    a = maximize_box(f, (-1.0, -1.0), (1.0, 1.0), cfg)
-    b = maximize_box(f, (-1.0, -1.0), (1.0, 1.0), cfg)
+    a = maximize_box(f, (-1.0, -1.0), (1.0, 1.0), 21, 1e-6, seeds=((0.0, 0.0),))
+    b = maximize_box(f, (-1.0, -1.0), (1.0, 1.0), 21, 1e-6, seeds=((0.0, 0.0),))
     assert a == b
 
 
 def test_minimize_stop_reasons_and_stage_counts():
     cases = (
         # the spacing 2/16 shrinks 4-fold per level: 1/8/4**5 > 1e-4 > 1/8/4**6
-        (OptConfig(grid_points_per_axis=17, refine_tolerance=1e-4,
-                   seeds=((0.25, 1.0),)), 6, "tolerance"),
-        (OptConfig(grid_points_per_axis=17, max_refine_iters=2), 2, "level-cap"),
-        (OptConfig(grid_points_per_axis=17, max_refine_iters=0), 0, "level-cap"),
+        (1e-4, ((0.25, 1.0),), 6),
+        # the spacing 2/16 is already below 0.5: no refinement level runs
+        (0.5, (), 0),
     )
-    for cfg, levels, stop in cases:
-        diag = maximize_box(lambda p: -_bowl(p), (-1.0, -1.0), (1.0, 1.0), cfg).diagnostics()
+    for tol, seeds, levels in cases:
+        diag = maximize_box(lambda p: -_bowl(p), (-1.0, -1.0), (1.0, 1.0), 17, tol,
+                            seeds).diagnostics()
         assert diag["status"] == "grid+nested-grid"
-        assert (diag["levels"], diag["stop"]) == (levels, stop)
-        assert diag["stages"] == {"seeds": len(cfg.seeds), "grid": 17 * 17,
+        assert (diag["levels"], diag["stop"]) == (levels, "tolerance")
+        assert diag["stages"] == {"seeds": len(seeds), "grid": 17 * 17,
                                   "refine": 3 * 81 * levels}
         assert diag["evaluations"] == sum(diag["stages"].values())
 
@@ -184,21 +174,21 @@ def test_box_nan_or_plus_infinity_identifies_point():
             return np.where(p[:, 0] + p[:, 1] > 1.5, bad, 0.0)
 
         with pytest.raises(NumericError, match=r"\(0\.75, 1\.0\)"):
-            maximize_box(f, (0.0, 0.0), (1.0, 1.0), OptConfig(grid_points_per_axis=5))
+            maximize_box(f, (0.0, 0.0), (1.0, 1.0), 5, 1e-6)
 
 
 def test_box_ties_go_to_lexicographically_smallest_point():
-    res = maximize_box(lambda p: np.zeros(len(p)), (-1.0, -1.0), (1.0, 1.0),
-                       OptConfig(grid_points_per_axis=5, seeds=((0.5, 0.5),)))
+    res = maximize_box(lambda p: np.zeros(len(p)), (-1.0, -1.0), (1.0, 1.0), 5, 1e-6,
+                       seeds=((0.5, 0.5),))
     assert (res.arg, res.value) == ((-1.0, -1.0), 0.0)
     # A ridge along p0 = 0.25: every point on it ties, the smallest p1 wins.
     ridge = maximize_box(lambda p: np.minimum(p[:, 0], 0.25), (0.0, 0.0), (1.0, 1.0),
-                         OptConfig(grid_points_per_axis=9))
+                         9, 1e-6)
     assert ridge.arg == (0.25, 0.0) and ridge.value == 0.25
 
 
 def test_opt_config_validation():
     with pytest.raises(DomainError):
-        OptConfig(grid_points_per_axis=1)
+        maximize_box(lambda x: x, 0.0, 1.0, 1, 1e-6)
     with pytest.raises(DomainError):
-        OptConfig(refine_tolerance=0.0)
+        maximize_box(lambda x: x, 0.0, 1.0, 101, 0.0)

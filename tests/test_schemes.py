@@ -16,6 +16,7 @@ from pimac import (
     TimeShare,
     alpha_prime,
     alpha_star,
+    c_sigma_2,
     half_log,
     pc_tin_objective,
     pc_tin_sum_rate,
@@ -194,12 +195,13 @@ def test_tdma_tin_matches_dense_grid_oracle():
 
 
 def test_tdma_tin_diagnostics():
-    # One grid call with the four seeds, then three nested-grid levels of
-    # 3 x 65 points before the spacing 2**-10 / 32**3 drops below 1e-7.
+    # One grid call with the two seeds alpha* and alpha' (the grid holds both
+    # endpoints), then three nested-grid levels of 3 x 65 points before the
+    # spacing 2**-10 / 32**3 drops below 1e-7.
     res = tdma_tin_sum_rate(figure3_params(0.5))
     assert res.diagnostics == {
-        "evaluations": 1614, "status": "grid+nested-grid",
-        "stages": {"seeds": 4, "grid": 1025, "refine": 585},
+        "evaluations": 1612, "status": "grid+nested-grid",
+        "stages": {"seeds": 2, "grid": 1025, "refine": 585},
         "levels": 3, "stop": "tolerance"}
 
 
@@ -330,6 +332,24 @@ def test_tdma_tin_over_extreme_range(gains, powers):
     assert v >= float(np.max(dense)) - 1e-12 * max(1.0, abs(v))
 
 
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(gains=st.tuples(_WIDE_GAIN, _WIDE_GAIN, _WIDE_GAIN),
+       powers=st.tuples(_WIDE_POWER, _WIDE_POWER, _WIDE_POWER))
+@example((0.5, 0.2, 0.5), (0.0, 0.0, 0.0))
+def test_closed_forms_over_extreme_range(gains, powers):
+    # Gains up to 1e150 and powers from 1e-300 to 1e200, and all powers
+    # zero: SD-TIN, plain TDMA and, in its regime, the closed-form bound
+    # return finite values, and the bound is above both schemes.
+    p = PimacParams(*gains, *powers)
+    sd = sd_tin_sum_rate(p).sum_rate
+    tdma = plain_tdma_sum_rate(p).sum_rate
+    assert math.isfinite(sd) and math.isfinite(tdma)
+    if p.h31 * p.h31 <= 1.0:
+        ub2 = c_sigma_2(p)
+        assert math.isfinite(ub2)
+        assert ub2 >= max(sd, tdma) - 1e-9
+
+
 def test_tdma_tin_cross_product_overflow_keeps_value():
     res = tdma_tin_sum_rate(PimacParams(*_TDMA_CROSS_INF[0], *_TDMA_CROSS_INF[1]))
     assert res.sum_rate == 326.40307044428636
@@ -358,8 +378,9 @@ def test_plain_tdma_examples():
     assert only_mac.arg.alpha == 1.0
     assert only_mac.sum_rate == half_log(20.0)
 
-    with pytest.raises(DegenerateInputError):
-        plain_tdma_sum_rate(PimacParams(0.5, 0.5, 0.5, 0, 0, 0))
+    # All budgets zero: every share gives the limit 0, and the smallest wins.
+    silent = plain_tdma_sum_rate(PimacParams(0.5, 0.5, 0.5, 0, 0, 0))
+    assert (silent.arg.alpha, silent.sum_rate) == (0.0, 0.0)
 
 
 def test_plain_tdma_identity():
