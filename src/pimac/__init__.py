@@ -2,17 +2,9 @@
 MAC interfering with a point-to-point link."""
 
 from .bounds import (
-    GaussianJointModel,
     GenieParams,
-    MAC_INPUTS,
-    P2P_INPUT,
-    RX1_OUTPUTS,
-    RX2_OUTPUTS,
-    VARIABLES,
-    build_genie_joint_cov,
     c_sigma_1,
     c_sigma_2,
-    gaussian_mutual_info,
     genie_bound_objective,
 )
 from .errors import (
@@ -72,36 +64,28 @@ __all__ = [
     "CURVES",
     "DegenerateInputError",
     "DomainError",
-    "GaussianJointModel",
     "GenieParams",
     "InfeasibleError",
     "InvalidRegimeError",
-    "MAC_INPUTS",
     "MacRegionBounds",
     "NumericError",
     "OptResult",
-    "P2P_INPUT",
     "PimacError",
     "PimacParams",
     "PowerAllocation",
-    "RX1_OUTPUTS",
-    "RX2_OUTPUTS",
     "SchemeResult",
     "SweepConfig",
     "SweepRow",
     "TdmaTinDecomposition",
     "TimeShare",
-    "VARIABLES",
     "alpha_prime",
     "alpha_star",
-    "build_genie_joint_cov",
     "c_sigma_1",
     "c_sigma_2",
     "classify_power_point",
     "detect_pc_tin_regimes",
     "effective_noise_at_rx1",
     "emit_csv",
-    "gaussian_mutual_info",
     "genie_bound_objective",
     "half_log",
     "maximize_box",

@@ -58,8 +58,8 @@ search box is ``[0, 1]^2``. At its corner ``rho = 0`` the kernel is taken
 at its minimiser over ``t``, which is never above the genie with
 ``eta = 1`` whose noise is independent of everything.
 
-Degenerate cases keep the covariance path's rules. An input group of zero
-power carries nothing. A genie signal of zero variance (``eta = 0``, i.e.
+The kernel defines the degenerate cases. An input group of zero power
+carries nothing. A genie signal of zero variance (``eta = 0``, i.e.
 ``t = inf``, with ``q = 0`` for ``S1`` or ``h31^2 P3 = 0`` for ``S2``) is
 dropped, leaving ``P / n1`` or ``P3 / (q+1)``. A signal that carries no
 input (``A = 0``, i.e. ``q = s = D = 0``, for ``S1``; ``h31 = 0`` for
@@ -67,37 +67,25 @@ input (``A = 0``, i.e. ``q = s = D = 0``, for ``S1``; ``h31 = 0`` for
 is best dropped: ``t* = inf``.
 
 ``genie_bound_batch`` evaluates the kernel at ``t = 1/eta`` over arrays of
-genie points. The 7x7 joint covariance (``build_genie_joint_cov``,
-``gaussian_mutual_info``) is kept for the Monte-Carlo check and as the
-tests' reference.
+genie points. ``montecarlo_covariance_check`` compares its two terms with
+mutual informations of a sampled covariance.
 """
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConstraintError,
-    DomainError,
-    InvalidRegimeError,
-    NumericError,
-)
+from .errors import ConstraintError, InvalidRegimeError
 from .model import PimacParams, SchemeResult, half_log
 from .optimize import maximize_box
 
-VARIABLES = ("X1", "X2", "X3", "Y1", "S1", "Y2", "S2")
-MAC_INPUTS = (0, 1)
-RX1_OUTPUTS = (3, 4)
-P2P_INPUT = (2,)
-RX2_OUTPUTS = (5, 6)
-
 LN2 = math.log(2.0)
 
-# Degeneracy rule: a mutual-information term whose determinant ratio
-# det(S_A) det(S_B) / det(S_AB) reaches 1/EPS_DET = 1e12 is reported as
-# +inf, as for a noiseless genie. That is every term of 0.5*log2(1e12)
-# ~ 19.93 bits or more, degenerate or not: at high SNR all genie points
-# can be discarded, and c_sigma_1 then raises InfeasibleError.
+# Degeneracy rule: a mutual-information term whose ratio ``1 + x`` in
+# ``_bits`` reaches 1/EPS_DET = 1e12 is reported as +inf, as for a noiseless
+# genie. That is every term of 0.5*log2(1e12) ~ 19.93 bits or more,
+# degenerate or not: at high SNR all genie points can be discarded, and
+# c_sigma_1 then raises InfeasibleError.
 EPS_DET = 1e-12
 
 # Validation slack: boundary points built as eta = sqrt(1 - rho^2) may
@@ -139,33 +127,6 @@ class GenieParams:
         return (self.rho1, self.rho2, self.eta1, self.eta2)
 
 
-@dataclass(frozen=True)
-class GaussianJointModel:
-    """Joint covariance over ``VARIABLES`` with validated symmetry and PSD.
-
-    Accepts any covariance of matching size (analytic constructions and
-    sample estimates alike); positive semidefiniteness is enforced up to a
-    small scaled round-off tolerance.
-    """
-
-    cov: np.ndarray
-
-    def __post_init__(self):
-        cov = np.asarray(self.cov, dtype=float)
-        object.__setattr__(self, "cov", cov)
-        n = len(VARIABLES)
-        if cov.shape != (n, n):
-            raise DomainError(f"covariance must be {n}x{n}, got {cov.shape!r}")
-        scale = max(1.0, float(np.max(np.abs(cov))))
-        if float(np.max(np.abs(cov - cov.T))) > 1e-12 * scale:
-            raise NumericError("covariance matrix is not symmetric")
-        if self.min_eigenvalue() < -1e-10 * scale:
-            raise NumericError("covariance matrix is not PSD within tolerance")
-
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.cov)[0])
-
-
 def c_sigma_2(params: PimacParams) -> float:
     """Closed-form sum-capacity bound, valid for ``h31^2 <= 1``.
 
@@ -177,109 +138,6 @@ def c_sigma_2(params: PimacParams) -> float:
     mac = half_log((params.p1_max + params.p2_max)
                    / (1.0 + params.h31 * (params.h31 * params.p3_max)))
     return mac + half_log(params.p3_max)
-
-
-def build_genie_joint_cov(params: PimacParams,
-                          genie: GenieParams) -> GaussianJointModel:
-    """Joint covariance of inputs, channel outputs and genie signals.
-
-    Inputs are independent zero-mean Gaussians at the budget powers; all
-    noises are unit variance with the two stated cross-correlations only.
-    """
-    g12, g22, g31 = params.h12, params.h22, params.h31
-    p1, p2, p3 = params.p1_max, params.p2_max, params.p3_max
-    r1, r2, e1, e2 = genie.as_tuple()
-
-    q = g12 * g12 * p1 + g22 * g22 * p2        # signal power inside S1 / Y2
-    s = g12 * p1 + g22 * p2                    # cross term of S1 with Y1/Y2
-
-    m = np.zeros((7, 7))
-
-    def put(i, j, value):
-        m[i, j] = value
-        m[j, i] = value
-
-    m[0, 0] = p1
-    m[1, 1] = p2
-    m[2, 2] = p3
-    m[3, 3] = p1 + p2 + g31 * g31 * p3 + 1.0
-    m[4, 4] = q + e1 * e1
-    m[5, 5] = q + p3 + 1.0
-    m[6, 6] = g31 * g31 * p3 + e2 * e2
-
-    put(0, 3, p1)
-    put(1, 3, p2)
-    put(2, 3, g31 * p3)
-    put(0, 4, g12 * p1)
-    put(1, 4, g22 * p2)
-    put(0, 5, g12 * p1)
-    put(1, 5, g22 * p2)
-    put(2, 5, p3)
-    put(2, 6, g31 * p3)
-    put(3, 4, s + e1 * r1)
-    put(3, 5, s + g31 * p3)
-    put(3, 6, g31 * g31 * p3)
-    put(4, 5, q)
-    put(5, 6, g31 * p3 + e2 * r2)
-
-    return GaussianJointModel(cov=m)
-
-
-def _group_indices(group, name: str) -> list[int]:
-    n = len(VARIABLES)
-    idx = []
-    for i in group:
-        i = int(i)
-        if not 0 <= i < n:
-            raise DomainError(f"{name} index {i} out of range for {n} variables")
-        if i in idx:
-            raise DomainError(f"{name} contains duplicate index {i}")
-        idx.append(i)
-    return idx
-
-
-def gaussian_mutual_info(model: GaussianJointModel, group_a, group_b) -> float:
-    """Mutual information between two disjoint variable groups, in bits.
-
-    Computed as ``0.5 * log2(det(S_A) det(S_B) / det(S_AB))`` with
-    log-domain determinants. Variables with exactly zero variance carry no
-    information and are dropped. When the joint determinant falls below
-    ``EPS_DET`` times the product of the marginals the grouping is
-    degenerate (e.g. a noiseless genie) and ``+inf`` is returned.
-
-    The result depends only on the two index sets: it is bit-identical
-    when the groups are swapped or reordered within, because every block
-    is factorised in one canonical order (each group sorted, the group with
-    the smaller first index first).
-    """
-    ia = _group_indices(group_a, "group_a")
-    ib = _group_indices(group_b, "group_b")
-    if set(ia) & set(ib):
-        raise DomainError("groups must be disjoint")
-
-    diag = np.diagonal(model.cov)
-    ia = sorted(i for i in ia if diag[i] != 0.0)
-    ib = sorted(i for i in ib if diag[i] != 0.0)
-    if not ia or not ib:
-        return 0.0
-    if ib[0] < ia[0]:
-        ia, ib = ib, ia
-
-    iab = ia + ib
-    sign_a, ld_a = np.linalg.slogdet(model.cov[np.ix_(ia, ia)])
-    sign_b, ld_b = np.linalg.slogdet(model.cov[np.ix_(ib, ib)])
-    sign_ab, ld_ab = np.linalg.slogdet(model.cov[np.ix_(iab, iab)])
-
-    degenerate_cut = math.log(EPS_DET) + ld_a + ld_b
-    if sign_ab <= 0.0:
-        if ld_ab > degenerate_cut:
-            raise NumericError("joint covariance block is not PSD")
-        return math.inf
-    if ld_ab <= degenerate_cut:
-        return math.inf
-    if sign_a <= 0.0 or sign_b <= 0.0:
-        raise NumericError("marginal covariance block is singular")
-    return max(0.5 * (ld_a + ld_b - ld_ab) / LN2, 0.0)
 
 
 def _bits(x):
@@ -303,8 +161,9 @@ def _genie_coeffs(params: PimacParams) -> tuple:
     return p1 + p2, q, g12 * p1 + g22 * p2, n1, d, d + n1 * q, g31, p3
 
 
-def _genie_kernel(c: tuple, r1, r2, t1, t2) -> np.ndarray:
-    """Genie bound in bits at arrays of ``rho`` and ``t = 1/eta``.
+def _genie_kernel(c: tuple, r1, r2, t1, t2) -> tuple[np.ndarray, np.ndarray]:
+    """The genie bound's two terms ``I(X1,X2; Y1,S1)`` and ``I(X3; Y2,S2)``
+    in bits, at arrays of ``rho`` and ``t = 1/eta``.
 
     ``c`` is ``_genie_coeffs(params)``. The ratios are the completed squares
     of the module docstring, with its rules for degenerate cases. Callers
@@ -313,7 +172,7 @@ def _genie_kernel(c: tuple, r1, r2, t1, t2) -> np.ndarray:
     """
     total, q, s, n1, d, a, g31, p3 = c
     # An input group of zero power carries nothing.
-    out = np.zeros(np.shape(r1))
+    mac = p2p = np.zeros(np.shape(r1))
     if total > 0.0:
         den = n1 - r1 * r1
         if a == 0.0:  # q = s = D = 0: the ratio does not depend on t
@@ -323,14 +182,14 @@ def _genie_kernel(c: tuple, r1, r2, t1, t2) -> np.ndarray:
             x = (a * w * w + d * (total + n1) / a) / den + s * (s / a)
         if q == 0.0:
             x = np.where(np.isinf(t1), total / n1, x)
-        out = _bits(x)
+        mac = _bits(x)
     if p3 > 0.0:
         w = g31 * t2 - r2 * (1.0 / (q + 1.0))
         x = ((q + 1.0) * w * w / (q + 1.0 - r2 * r2) + 1.0 / (q + 1.0)) * p3
         if g31 * (g31 * p3) == 0.0:
             x = np.where(np.isinf(t2), p3 / (q + 1.0), x)
-        out = out + _bits(x)
-    return out
+        p2p = _bits(x)
+    return mac, p2p
 
 
 def _t_star(c: tuple, r1, r2) -> tuple[np.ndarray, np.ndarray]:
@@ -353,7 +212,8 @@ def _genie_reduced(c: tuple, rho) -> np.ndarray:
     """Genie bound minimized over the scalings, at each row ``(rho1, rho2)``."""
     r1, r2 = rho[:, 0], rho[:, 1]
     with np.errstate(all="ignore"):
-        return _genie_kernel(c, r1, r2, *_t_star(c, r1, r2))
+        mac, p2p = _genie_kernel(c, r1, r2, *_t_star(c, r1, r2))
+    return mac + p2p
 
 
 def genie_bound_batch(params: PimacParams, points) -> np.ndarray:
@@ -361,13 +221,14 @@ def genie_bound_batch(params: PimacParams, points) -> np.ndarray:
 
     The kernel of the module docstring at ``t = 1/eta``, evaluated over an
     (n, 4) array; returns n values in bits. Every feasible row gives a valid
-    upper bound. Up to rounding it equals ``gaussian_mutual_info`` on
-    ``build_genie_joint_cov``, including the zero-variance and ``EPS_DET``
-    rules.
+    upper bound: the sum of the log-det mutual informations of the inputs
+    and their receiver's output and genie signal, with the degenerate cases
+    and the ``EPS_DET`` rule of the module docstring.
     """
     r1, r2, e1, e2 = np.asarray(points, dtype=float).T
     with np.errstate(all="ignore"):
-        return _genie_kernel(_genie_coeffs(params), r1, r2, 1.0 / e1, 1.0 / e2)
+        mac, p2p = _genie_kernel(_genie_coeffs(params), r1, r2, 1.0 / e1, 1.0 / e2)
+    return mac + p2p
 
 
 def genie_bound_objective(params: PimacParams, genie: GenieParams) -> float:

@@ -12,18 +12,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import (
-    GaussianJointModel,
+    EPS_DET,
+    LN2,
     GenieParams,
-    MAC_INPUTS,
-    P2P_INPUT,
-    RX1_OUTPUTS,
-    RX2_OUTPUTS,
-    build_genie_joint_cov,
+    _genie_coeffs,
+    _genie_kernel,
     c_sigma_1,
     c_sigma_2,
-    gaussian_mutual_info,
 )
-from .errors import ContractError, DomainError, InvalidRegimeError
+from .errors import ContractError, DomainError, InfeasibleError, InvalidRegimeError
 from .model import PimacParams
 from .schemes import (
     pc_tin_sum_rate,
@@ -108,8 +105,9 @@ def classify_power_point(p_opt, budgets) -> str:
 def _evaluate_row(params: PimacParams, curves) -> SweepRow:
     """The requested curves at one instance, as the sweep row at ``h = h12``.
 
-    ``ub2`` is left unavailable where ``c_sigma_2`` rejects the instance as
-    outside its regime.
+    ``ub1`` and its genie point are left unavailable where ``c_sigma_1``
+    finds no finite genie value, and ``ub2`` where ``c_sigma_2`` rejects the
+    instance as outside its regime.
     """
     values: dict = {}
     if "sd_tin" in curves:
@@ -127,9 +125,12 @@ def _evaluate_row(params: PimacParams, curves) -> SweepRow:
     if "tdma" in curves:
         values["tdma"] = plain_tdma_sum_rate(params).sum_rate
     if "ub1" in curves:
-        res = c_sigma_1(params)
-        values["ub1"] = res.sum_rate
-        values["genie_opt"] = res.arg.as_tuple()
+        try:
+            res = c_sigma_1(params)
+            values["ub1"] = res.sum_rate
+            values["genie_opt"] = res.arg.as_tuple()
+        except InfeasibleError:
+            pass
     if "ub2" in curves:
         try:
             values["ub2"] = c_sigma_2(params)
@@ -199,33 +200,15 @@ class CovarianceCheckReport:
     sample_min_eigenvalue: float
 
 
-def montecarlo_covariance_check(params: PimacParams, genie: GenieParams,
-                                n_samples: int, seed: int) -> CovarianceCheckReport:
-    """Validate the joint covariance construction by direct sampling.
-
-    Draws the inputs and correlated noise pairs, forms the sample
-    covariance of all seven variables, and compares both mutual
-    informations computed from the sample covariance against the analytic
-    construction through the same log-det kernel. Deterministic for a
-    given seed. Requires genie scalings above 0.05 so the sampled joint
-    stays well conditioned.
-    """
-    if n_samples < 2:
-        raise DomainError("n_samples must be >= 2")
-    if not (genie.eta1 > 0.05 and genie.eta2 > 0.05):
-        raise DomainError("genie scalings must exceed 0.05 for a stable estimate")
-
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((int(n_samples), 7))
-    # The seven variables are the rows of ``m`` applied to the standard
-    # normals g = (g_x1, g_x2, g_x3, z1, n1, z2, n2), where the genie noise
-    # is w_k = rho_k z_k + sqrt(1 - rho_k^2) n_k; so their sample covariance
-    # is m Cov(g) m^T.
+def _sampling_map(params: PimacParams, genie: GenieParams) -> np.ndarray:
+    """The map ``m`` from standard normals ``g = (g_x1, g_x2, g_x3, z1, n1, z2,
+    n2)`` to ``(X1, X2, X3, Y1, S1, Y2, S2)``, with genie noise ``w_k = rho_k
+    z_k + sqrt(1 - rho_k^2) n_k``: their sample covariance is ``m Cov(g) m^T``."""
     a1, a2, a3 = (math.sqrt(p) for p in (params.p1_max, params.p2_max, params.p3_max))
     h12, h22, h31 = params.h12, params.h22, params.h31
     w1 = (genie.eta1 * genie.rho1, genie.eta1 * math.sqrt(1.0 - genie.rho1 ** 2))
     w2 = (genie.eta2 * genie.rho2, genie.eta2 * math.sqrt(1.0 - genie.rho2 ** 2))
-    m = np.array([
+    return np.array([
         [a1, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],                  # x1
         [0.0, a2, 0.0, 0.0, 0.0, 0.0, 0.0],                  # x2
         [0.0, 0.0, a3, 0.0, 0.0, 0.0, 0.0],                  # x3
@@ -234,24 +217,53 @@ def montecarlo_covariance_check(params: PimacParams, genie: GenieParams,
         [h12 * a1, h22 * a2, a3, 0.0, 0.0, 1.0, 0.0],        # y2
         [0.0, 0.0, h31 * a3, 0.0, 0.0, w2[0], w2[1]],        # s2
     ])
+
+
+def montecarlo_covariance_check(params: PimacParams, genie: GenieParams,
+                                n_samples: int, seed: int) -> CovarianceCheckReport:
+    """Validate the genie kernel's two terms by direct sampling.
+
+    Draws the inputs and correlated noise pairs, forms the sample covariance
+    of all seven variables, and compares its mutual informations
+    ``I(X1,X2; Y1,S1)`` and ``I(X3; Y2,S2)`` with the terms of the kernel
+    that ``c_sigma_1`` minimises. Deterministic for a given seed. Requires
+    genie scalings above 0.05 so the sampled joint stays well conditioned.
+    """
+    if n_samples < 2:
+        raise DomainError("n_samples must be >= 2")
+    if not (genie.eta1 > 0.05 and genie.eta2 > 0.05):
+        raise DomainError("genie scalings must exceed 0.05 for a stable estimate")
+
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((int(n_samples), 7))
+    m = _sampling_map(params, genie)
     cov = m @ np.cov(g, rowvar=False) @ m.T
     cov = 0.5 * (cov + cov.T)
-    sampled_model = GaussianJointModel(cov=cov)
-    analytic_model = build_genie_joint_cov(params, genie)
+    point = np.array([[genie.rho1], [genie.rho2], [1.0 / genie.eta1], [1.0 / genie.eta2]])
+    with np.errstate(all="ignore"):
+        mac, p2p = _genie_kernel(_genie_coeffs(params), *point)
 
+    # Log-det mutual information of the sampled groups, without the variables
+    # of zero variance (a silent transmitter's row is exactly 0) and with the
+    # kernel's EPS_DET rule.
+    keep = np.diagonal(cov) != 0.0
     entries = []
-    for name, ga, gb in (("mac_rx1", MAC_INPUTS, RX1_OUTPUTS),
-                         ("p2p_rx2", P2P_INPUT, RX2_OUTPUTS)):
-        analytic = gaussian_mutual_info(analytic_model, ga, gb)
-        sampled = gaussian_mutual_info(sampled_model, ga, gb)
-        entries.append(MiCheckEntry(name=name, analytic=analytic,
-                                    sampled=sampled,
+    for name, analytic, inputs, outputs in (("mac_rx1", float(mac[0]), (0, 1), (3, 4)),
+                                            ("p2p_rx2", float(p2p[0]), (2,), (5, 6))):
+        ia, ib = [i for i in inputs if keep[i]], [i for i in outputs if keep[i]]
+        sampled = 0.0
+        if ia and ib:
+            ld_a, ld_b, ld_ab = (np.linalg.slogdet(cov[np.ix_(k, k)])[1] for k in (ia, ib, ia + ib))
+            sampled = max(0.5 * (ld_a + ld_b - ld_ab) / LN2, 0.0)
+            if ld_ab <= math.log(EPS_DET) + ld_a + ld_b:
+                sampled = math.inf
+        entries.append(MiCheckEntry(name=name, analytic=analytic, sampled=sampled,
                                     gap=abs(analytic - sampled)))
     return CovarianceCheckReport(
         params=params, genie=genie, n_samples=int(n_samples), seed=int(seed),
         generator=RNG_NAME, entries=tuple(entries),
         max_gap=max(e.gap for e in entries),
-        sample_min_eigenvalue=sampled_model.min_eigenvalue(),
+        sample_min_eigenvalue=float(np.linalg.eigvalsh(cov)[0]),
     )
 
 

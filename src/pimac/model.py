@@ -29,7 +29,8 @@ class PimacParams:
     Gains are stored as signed amplitudes and squared at use sites, so the
     rate formulas only ever see ``h**2``. Powers are linear and
     noise-normalized; budgets of exactly zero are legal and simply remove
-    the corresponding terms.
+    the corresponding terms. All six are stored as Python floats, whose
+    overflow to ``inf`` is silent where a numpy scalar's would warn.
     """
 
     h12: float
@@ -40,13 +41,12 @@ class PimacParams:
     p3_max: float
 
     def __post_init__(self):
-        for name in ("h12", "h22", "h31"):
-            _require_finite(name, getattr(self, name))
-        for name in ("p1_max", "p2_max", "p3_max"):
+        for name in ("h12", "h22", "h31", "p1_max", "p2_max", "p3_max"):
             value = getattr(self, name)
             _require_finite(name, value)
-            if value < 0.0:
+            if name.startswith("p") and value < 0.0:
                 raise DomainError(f"{name} must be >= 0, got {value!r}")
+            object.__setattr__(self, name, float(value))
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,22 @@
 """Shared helpers for the test suite: instance generators."""
 
 import numpy as np
+from hypothesis import strategies as st
 
 from pimac import PimacParams
+
+
+def _zero_or_log_uniform(low_exp, high_exp):
+    return st.one_of(st.just(0.0),
+                     st.floats(low_exp, high_exp).map(lambda e: 10.0 ** e))
+
+
+# Extreme dynamic range with exact zeros: signed gains up to 1e150, powers
+# from 1e-300 to 1e200.
+WIDE_GAIN = st.builds(lambda m, sign: sign * m, _zero_or_log_uniform(-3, 150),
+                      st.sampled_from((1.0, -1.0)))
+WIDE_POWER = _zero_or_log_uniform(-300, 200)
+
 
 def figure3_params(h: float) -> PimacParams:
     """Sweep-convention instance: h12 = h31 = h, h22 = 0.2, P = 10."""

@@ -1,9 +1,12 @@
 """Independent oracles used to derive the frozen expected values.
 
 High-precision evaluation goes through mpmath at 40 digits; maximizations
-are cross-checked with dense numpy grids. These routines deliberately do
-not call into the package's own rate or optimizer code.
+are cross-checked with dense numpy grids; the genie bound against log-det
+mutual informations of a covariance built from the linear channel map. These
+routines deliberately do not call into the package's own code.
 """
+
+import math
 
 import mpmath as mp
 import numpy as np
@@ -99,3 +102,42 @@ def genie_independent(h12, h22, h31, p1, p2, p3):
     cov2 = mp.matrix([[n2 + p3, h31 * p3],
                       [h31 * p3, h31 ** 2 * p3 + 1]])
     return (mp.log(mp.det(cov1) / n1, 2) + mp.log(mp.det(cov2) / n2, 2)) / 2
+
+
+# Variable order of the joint covariance: (X1, X2, X3, Y1, S1, Y2, S2).
+MAC_INPUTS, RX1_OUTPUTS, P2P_INPUT, RX2_OUTPUTS = (0, 1), (3, 4), (2,), (5, 6)
+
+
+def genie_joint_cov(p, genie):
+    """Covariance of ``(X1, X2, X3, Y1, S1, Y2, S2)`` as ``L B L^T``: ``L``
+    maps the sources ``(X1, X2, X3, Z1, Z2, W1, W2)`` to them, and ``B`` holds
+    the powers, unit noises, ``E[Z1 W1] = rho1`` and ``E[Z2 W2] = rho2``."""
+    rho1, rho2, eta1, eta2 = genie
+    base = np.diag([p.p1_max, p.p2_max, p.p3_max, 1.0, 1.0, 1.0, 1.0])
+    base[3, 5] = base[5, 3] = rho1
+    base[4, 6] = base[6, 4] = rho2
+    lmap = np.array([[1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+                     [0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+                     [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0],
+                     [1.0, 1.0, p.h31, 1.0, 0.0, 0.0, 0.0],
+                     [p.h12, p.h22, 0.0, 0.0, 0.0, eta1, 0.0],
+                     [p.h12, p.h22, 1.0, 0.0, 1.0, 0.0, 0.0],
+                     [0.0, 0.0, p.h31, 0.0, 0.0, 0.0, eta2]])
+    return lmap @ base @ lmap.T
+
+
+def mutual_info_bits(cov, group_a, group_b):
+    """``0.5 log2(det S_A det S_B / det S_AB)`` without the variables of zero
+    variance; ``+inf`` where the ratio reaches 1e12, the bound's ``EPS_DET``
+    rule. Groups are factorised in one canonical order, so order is free."""
+    keep = np.diagonal(cov) != 0.0
+    ia = sorted(i for i in group_a if keep[i])
+    ib = sorted(i for i in group_b if keep[i])
+    if not ia or not ib:
+        return 0.0
+    if ib[0] < ia[0]:
+        ia, ib = ib, ia
+    ld_a, ld_b, ld_ab = (np.linalg.slogdet(cov[np.ix_(g, g)])[1] for g in (ia, ib, ia + ib))
+    if ld_ab <= math.log(1e-12) + ld_a + ld_b:
+        return math.inf
+    return max(0.5 * (ld_a + ld_b - ld_ab) / math.log(2.0), 0.0)

@@ -53,6 +53,21 @@ def test_point_and_sweep_with_all_powers_zero(tmp_path, capsys):
     assert len(out.read_text().splitlines()) == 2
 
 
+def test_point_and_sweep_without_a_finite_genie_bound(tmp_path, capsys):
+    # At h12 = h31 = 1e160 every genie point is discarded by the EPS_DET
+    # rule: ub1 and its genie point are NA, and the other curves print.
+    huge = ["--h12", "1e160", "--h31", "1e160"] + FIGURE
+    assert main(["point"] + huge) == 0
+    kv = _parse_kv(capsys.readouterr().out)
+    assert all(kv[k] == "NA" for k in ("ub1", "rho1", "rho2", "eta1", "eta2"))
+    assert (kv["tdma_tin"], kv["pc_tin"], kv["tdma"]) == (
+        "1.51276755", "2.19615871", "2.47709816")
+    out = tmp_path / "huge.csv"
+    assert main(["sweep", "--h-min", "0.5", "--h-max", "1e160", "--steps", "2",
+                 "--out", str(out)] + FIGURE) == 0
+    assert len(out.read_text().splitlines()) == 3
+
+
 def test_sweep_writes_csv(tmp_path, capsys):
     out = tmp_path / "rates.csv"
     rc = main(["sweep", "--h-min", "0", "--h-max", "1", "--steps", "3",
@@ -130,13 +145,18 @@ def test_missing_config_file_is_io_error(capsys):
     assert rc == 2
 
 
+# Frozen stdout of ``pimac validate --seed 7 --samples 20000``.
+VALIDATE_GOLDEN = (
+    "generator=numpy PCG64 (numpy.random.default_rng)\nseed=7\nsamples=20000\n"
+    "mac_rx1: analytic=1.80355946 sampled=1.8189151 gap=0.0154\n"
+    "p2p_rx2: analytic=1.30014708 sampled=1.30034191 gap=0.000195\n"
+    "max_gap=0.0154\nsample_min_eigenvalue=0.228\n")
+
+
 def test_validate_reports_gaps(capsys):
     rc = main(["validate", "--seed", "7", "--samples", "20000"])
     assert rc == 0
-    out = capsys.readouterr().out
-    assert "generator=numpy PCG64" in out
-    assert "mac_rx1" in out and "p2p_rx2" in out
-    assert "max_gap=" in out
+    assert capsys.readouterr().out == VALIDATE_GOLDEN
 
 
 def test_domain_error_exit_code(capsys):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -125,6 +126,19 @@ def test_montecarlo_determinism_and_precondition():
     with pytest.raises(DomainError):
         montecarlo_covariance_check(params, GenieParams(0.0, 0.0, 0.01, 1.0),
                                     1000, seed=0)
+
+
+def test_montecarlo_silent_transmitters():
+    # A silent transmitter's row of the sampled covariance is exactly 0 and
+    # is dropped, so its term reads 0.0 on both sides.
+    genie = GenieParams(0.3, -0.2, 0.8, 0.9)
+    for powers, silent in (((10.0, 5.0, 0.0), "p2p_rx2"), ((0.0, 0.0, 10.0), "mac_rx1")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = montecarlo_covariance_check(PimacParams(0.5, 0.2, 0.5, *powers),
+                                                 genie, 20_000, seed=3)
+        entry = {e.name: e for e in report.entries}[silent]
+        assert (entry.analytic, entry.sampled, entry.gap) == (0.0, 0.0, 0.0)
 
 
 def test_montecarlo_gap_shrinks_reasonably():

@@ -1,19 +1,25 @@
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from pimac import (
     DomainError,
+    InfeasibleError,
+    InvalidRegimeError,
     MacRegionBounds,
     PimacParams,
     PowerAllocation,
     SchemeResult,
     TimeShare,
     c_sigma_1,
+    c_sigma_2,
     effective_noise_at_rx1,
     half_log,
     pc_tin_sum_rate,
+    plain_tdma_sum_rate,
     sd_tin_sum_rate,
     tdma_tin_sum_rate,
 )
@@ -55,6 +61,31 @@ def test_params_validation():
         PimacParams(math.inf, 0.2, 0.5, 10, 10, 10)
     # negative gains are fine, zero budgets are fine
     PimacParams(-0.5, 0.2, -1.5, 0.0, 0.0, 0.0)
+
+
+def _outcome(quantity, params):
+    try:
+        value = quantity(params)
+    except (InfeasibleError, InvalidRegimeError) as exc:
+        return type(exc)
+    return getattr(value, "sum_rate", value)
+
+
+def test_numpy_scalar_inputs_match_python_floats():
+    # Fields are stored as Python floats. Kept as numpy.float64, the first
+    # instance made c_sigma_1 warn on overflow instead of raising
+    # InfeasibleError, and plain TDMA returned a numpy.float64.
+    for point in ((-4.45e-119, -5.40e38, -1.40e128, 1.54e-80, 1.97e177, 8.87e-51),
+                  (0.5, 0.2, 0.5, 10.0, 10.0, 10.0)):
+        from_numpy, from_float = PimacParams(*np.array(point)), PimacParams(*point)
+        assert all(type(v) is float for v in dataclasses.astuple(from_numpy))
+        for quantity in (sd_tin_sum_rate, tdma_tin_sum_rate, pc_tin_sum_rate,
+                         plain_tdma_sum_rate, c_sigma_1, c_sigma_2):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = _outcome(quantity, from_numpy)
+            want = _outcome(quantity, from_float)
+            assert got == want and type(got) is type(want), quantity.__name__
 
 
 def test_time_share_and_allocation_validation():

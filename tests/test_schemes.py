@@ -28,7 +28,7 @@ from pimac import (
 )
 from pimac.schemes import _tdma_parts
 
-from _support import draw_params, figure3_params
+from _support import WIDE_GAIN, WIDE_POWER, draw_params, figure3_params
 from oracle_tools import (
     dense_pc_grid_max,
     dense_tdma_objective,
@@ -262,19 +262,9 @@ def test_pc_tin_dominates_sd_and_plain_tdma():
             assert pc >= pc_tin_objective(p, vertex) - 1e-12
 
 
-def _zero_or_log_uniform(low_exp, high_exp):
-    return st.one_of(st.just(0.0),
-                     st.floats(low_exp, high_exp).map(lambda e: 10.0 ** e))
-
-
-_WIDE_GAIN = st.builds(lambda m, sign: sign * m, _zero_or_log_uniform(-3, 150),
-                       st.sampled_from((1.0, -1.0)))
-_WIDE_POWER = _zero_or_log_uniform(-300, 200)
-
-
 @settings(derandomize=True, deadline=None, max_examples=200)
-@given(gains=st.tuples(_WIDE_GAIN, _WIDE_GAIN, _WIDE_GAIN),
-       powers=st.tuples(_WIDE_POWER, _WIDE_POWER, _WIDE_POWER))
+@given(gains=st.tuples(WIDE_GAIN, WIDE_GAIN, WIDE_GAIN),
+       powers=st.tuples(WIDE_POWER, WIDE_POWER, WIDE_POWER))
 def test_pc_tin_vertex_over_extreme_range(gains, powers):
     # Gains up to 1e150 and powers from 1e-300 to 1e200: the result is a
     # finite box vertex, no grid point beats it, and nothing overflows.
@@ -304,8 +294,8 @@ _TDMA_CROSS_INF = ((-3.754911792654859e-114, -7.342041777695163e+101,
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
-@given(gains=st.tuples(_WIDE_GAIN, _WIDE_GAIN, _WIDE_GAIN),
-       powers=st.tuples(_WIDE_POWER, _WIDE_POWER, _WIDE_POWER))
+@given(gains=st.tuples(WIDE_GAIN, WIDE_GAIN, WIDE_GAIN),
+       powers=st.tuples(WIDE_POWER, WIDE_POWER, WIDE_POWER))
 @example(*_TDMA_POINT_300)
 @example(*_TDMA_CROSS_INF)
 def test_tdma_tin_over_extreme_range(gains, powers):
@@ -333,8 +323,8 @@ def test_tdma_tin_over_extreme_range(gains, powers):
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
-@given(gains=st.tuples(_WIDE_GAIN, _WIDE_GAIN, _WIDE_GAIN),
-       powers=st.tuples(_WIDE_POWER, _WIDE_POWER, _WIDE_POWER))
+@given(gains=st.tuples(WIDE_GAIN, WIDE_GAIN, WIDE_GAIN),
+       powers=st.tuples(WIDE_POWER, WIDE_POWER, WIDE_POWER))
 @example((0.5, 0.2, 0.5), (0.0, 0.0, 0.0))
 def test_closed_forms_over_extreme_range(gains, powers):
     # Gains up to 1e150 and powers from 1e-300 to 1e200, and all powers
