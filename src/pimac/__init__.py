@@ -10,16 +10,12 @@ from .bounds import (
 from .errors import (
     ConstraintError,
     ContractError,
-    DegenerateInputError,
     DomainError,
     InfeasibleError,
     InvalidRegimeError,
     NumericError,
-    PimacError,
 )
 from .experiments import (
-    CovarianceCheckReport,
-    CURVES,
     SweepConfig,
     SweepRow,
     classify_power_point,
@@ -30,7 +26,6 @@ from .experiments import (
     run_sweep,
 )
 from .model import (
-    MacRegionBounds,
     PimacParams,
     PowerAllocation,
     SchemeResult,
@@ -38,20 +33,14 @@ from .model import (
     effective_noise_at_rx1,
     half_log,
 )
-from .optimize import (
-    OptResult,
-    maximize_box,
-)
+from .optimize import maximize_box
 from .schemes import (
-    TdmaTinDecomposition,
     alpha_prime,
     alpha_star,
     pc_tin_objective,
     pc_tin_sum_rate,
     plain_tdma_sum_rate,
-    sd_tin_region,
     sd_tin_sum_rate,
-    tdma_tin_components,
     tdma_tin_sum_rate,
 )
 
@@ -60,23 +49,16 @@ __version__ = "0.1.0"
 __all__ = [
     "ConstraintError",
     "ContractError",
-    "CovarianceCheckReport",
-    "CURVES",
-    "DegenerateInputError",
     "DomainError",
     "GenieParams",
     "InfeasibleError",
     "InvalidRegimeError",
-    "MacRegionBounds",
     "NumericError",
-    "OptResult",
-    "PimacError",
     "PimacParams",
     "PowerAllocation",
     "SchemeResult",
     "SweepConfig",
     "SweepRow",
-    "TdmaTinDecomposition",
     "TimeShare",
     "alpha_prime",
     "alpha_star",
@@ -95,8 +77,6 @@ __all__ = [
     "plain_tdma_sum_rate",
     "render_csv",
     "run_sweep",
-    "sd_tin_region",
     "sd_tin_sum_rate",
-    "tdma_tin_components",
     "tdma_tin_sum_rate",
 ]

@@ -269,4 +269,4 @@ def c_sigma_1(params: PimacParams) -> SchemeResult:
         t1, t2 = _t_star(c, np.array([r1]), np.array([r2]))
     return SchemeResult(sum_rate=-res.value,
                         arg=GenieParams(r1, r2, 1.0 / float(t1[0]), 1.0 / float(t2[0])),
-                        diagnostics=res.diagnostics())
+                        diagnostics=res.diagnostics)

@@ -9,10 +9,6 @@ class DomainError(PimacError):
     """An argument lies outside an operation's mathematical domain."""
 
 
-class DegenerateInputError(PimacError):
-    """The input makes the requested quantity ill-defined (e.g. a 0/0 share)."""
-
-
 class InvalidRegimeError(PimacError):
     """The parameters violate the validity condition of a closed-form bound."""
 

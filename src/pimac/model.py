@@ -12,6 +12,7 @@ concurrent use needs no synchronization.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 from .errors import DomainError
@@ -81,37 +82,13 @@ class TimeShare:
 
 
 @dataclass(frozen=True)
-class MacRegionBounds:
-    """Single-user, sum and point-to-point rate bounds (bits/channel use).
-
-    ``r12 <= r1 + r2`` always holds: the sum constraint is dominated by the
-    sum of the individual constraints (a small float slack is allowed).
-    """
-
-    r1: float
-    r2: float
-    r12: float
-    r3: float
-
-    def __post_init__(self):
-        for name in ("r1", "r2", "r12", "r3"):
-            value = getattr(self, name)
-            _require_finite(name, value)
-            if value < 0.0:
-                raise DomainError(f"{name} must be >= 0, got {value!r}")
-        if self.r12 > self.r1 + self.r2 + 1e-12:
-            raise DomainError(
-                f"r12={self.r12!r} exceeds r1+r2={self.r1 + self.r2!r}"
-            )
-
-
-@dataclass(frozen=True)
 class SchemeResult:
     """A sum-rate plus the optimizing argument and solver diagnostics.
 
     ``arg`` is a TimeShare, PowerAllocation or GenieParams depending on the
     scheme, or None for schemes with nothing to optimize. ``diagnostics``
-    carries the evaluation count and refinement status of the solver run.
+    carries the number of objective ``evaluations`` and, for a grid search,
+    the ``stages`` and ``levels`` of ``maximize_box``.
     """
 
     sum_rate: float
@@ -128,9 +105,10 @@ def half_log(x: float) -> float:
     """Rate of a real Gaussian channel at SINR ``x``: ``0.5 * log2(1 + x)``.
 
     Monotone nondecreasing in ``x``; exact at powers of two (``half_log(3)
-    == 1.0``). Negative or non-finite input raises DomainError.
+    == 1.0``). ``x`` may be any real scalar, numpy's included. Negative or
+    non-finite input raises DomainError.
     """
-    if not (isinstance(x, (int, float)) and math.isfinite(x)):
+    if not ((type(x) is float or isinstance(x, numbers.Real)) and math.isfinite(x)):
         raise DomainError(f"SINR must be a finite real, got {x!r}")
     if x < 0.0:
         raise DomainError(f"SINR must be >= 0, got {x!r}")

@@ -13,7 +13,7 @@ runs and platforms.
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,20 +24,13 @@ from .errors import DomainError, InfeasibleError, NumericError
 class OptResult:
     """Optimizer output: argument, objective value and run diagnostics.
 
-    ``details`` holds solver diagnostics: ``stages`` (evaluations per
-    stage), the stop reason ``stop`` and the number of refinement
-    ``levels``.
+    ``diagnostics`` holds the number of objective ``evaluations``, their
+    split by ``stages`` and the number of refinement ``levels``.
     """
 
     arg: object
     value: float
-    evaluations: int
-    status: str
-    details: dict = field(default_factory=dict)
-
-    def diagnostics(self) -> dict:
-        return {"evaluations": self.evaluations, "status": self.status,
-                **self.details}
+    diagnostics: dict
 
 
 # A refinement level puts a grid over plus or minus one spacing of the
@@ -124,9 +117,8 @@ def maximize_box(f, lo, hi, grid: int, tol: float, seeds=()) -> OptResult:
     point has it, InfeasibleError is raised. NaN or ``+inf`` raises
     NumericError. To minimize ``g``, pass ``-g``.
 
-    ``details`` reports ``stages`` (``seeds``, ``grid`` and ``refine``
-    evaluations, summing to ``evaluations``), ``levels`` and ``stop``
-    (always ``tolerance``).
+    ``diagnostics`` reports ``evaluations``, their split by ``stages``
+    (``seeds``, ``grid`` and ``refine``) and the number of ``levels``.
     """
     if grid < 2:
         raise DomainError(f"grid must be >= 2, got {grid!r}")
@@ -174,5 +166,5 @@ def maximize_box(f, lo, hi, grid: int, tol: float, seeds=()) -> OptResult:
     value = max(v for v, _ in best)
     arg = min(x for v, x in best if v == value)
     return OptResult(arg=arg, value=value,
-                     evaluations=sum(stages.values()), status="grid+nested-grid",
-                     details={"stages": stages, "levels": levels, "stop": "tolerance"})
+                     diagnostics={"evaluations": sum(stages.values()),
+                                  "stages": stages, "levels": levels})

@@ -4,17 +4,18 @@ and plain TDMA between the MAC and the point-to-point user.
 All receivers treat whatever interference they see as extra Gaussian
 noise. The MAC receiver additionally decodes its two users successively,
 so its sum constraint is the single log term with both powers pooled.
+Each scheme returns a SchemeResult whose ``diagnostics`` count the
+objective ``evaluations``; TDMA-TIN adds the ``stages`` and ``levels`` of
+its grid search.
 """
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstraintError, DegenerateInputError
+from .errors import ConstraintError
 from .model import (
-    MacRegionBounds,
     PimacParams,
     PowerAllocation,
     SchemeResult,
@@ -25,22 +26,6 @@ from .model import (
 from .optimize import maximize_box
 
 
-@dataclass(frozen=True)
-class TdmaTinDecomposition:
-    """Time-sharing sum-rate split: MAC part and point-to-point part.
-
-    Both parts are defined on the whole closed interval of shares; at the
-    endpoints the vanishing-weight terms take their (zero) limits.
-    """
-
-    a_of_alpha: float
-    b_of_alpha: float
-
-    @property
-    def total(self) -> float:
-        return self.a_of_alpha + self.b_of_alpha
-
-
 def _mac_slot(weight: float, power: float, noise: float) -> float:
     # weight * half_log((power/weight)/noise); continuous limit 0 at weight=0.
     if weight == 0.0:
@@ -48,27 +33,18 @@ def _mac_slot(weight: float, power: float, noise: float) -> float:
     return 0.5 * weight * math.log2(1.0 + power / (weight * noise))
 
 
-def sd_tin_region(params: PimacParams) -> MacRegionBounds:
-    """Rate bounds when all users transmit at full power.
+def sd_tin_sum_rate(params: PimacParams) -> SchemeResult:
+    """Full-power TIN sum-rate: the pooled MAC constraint plus the P2P rate.
 
     The MAC receiver sees noise ``1 + h31^2 P3``; the point-to-point
     receiver sees noise ``1 + h12^2 P1 + h22^2 P2``.
     """
     noise = effective_noise_at_rx1(params, params.p3_max)
-    r1 = half_log(params.p1_max / noise)
-    r2 = half_log(params.p2_max / noise)
-    r12 = half_log((params.p1_max + params.p2_max) / noise)
     p2p_noise = (1.0 + params.h12 * (params.h12 * params.p1_max)
                  + params.h22 * (params.h22 * params.p2_max))
-    r3 = half_log(params.p3_max / p2p_noise)
-    return MacRegionBounds(r1=r1, r2=r2, r12=r12, r3=r3)
-
-
-def sd_tin_sum_rate(params: PimacParams) -> SchemeResult:
-    """Full-power TIN sum-rate: the pooled MAC constraint plus the P2P rate."""
-    region = sd_tin_region(params)
-    return SchemeResult(sum_rate=region.r12 + region.r3, arg=None,
-                        diagnostics={"evaluations": 1, "status": "closed-form"})
+    return SchemeResult(sum_rate=half_log((params.p1_max + params.p2_max) / noise)
+                        + half_log(params.p3_max / p2p_noise),
+                        diagnostics={"evaluations": 1})
 
 
 def _tdma_parts(params: PimacParams, alphas) -> tuple[np.ndarray, np.ndarray]:
@@ -96,39 +72,28 @@ def _tdma_parts(params: PimacParams, alphas) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (mac[0] + mac[1]), 0.5 * (p2p[0] + p2p[1])
 
 
-def tdma_tin_components(params: PimacParams, share: TimeShare) -> TdmaTinDecomposition:
-    """MAC and point-to-point contributions at a given time share.
+def alpha_star(params: PimacParams) -> TimeShare | None:
+    """Share that maximizes the MAC part: ``P1 / (P1 + P2)``.
 
-    User 1 gets fraction ``alpha`` with power boosted to ``P1/alpha``;
-    user 2 gets the rest. The point-to-point user transmits throughout and
-    faces one boosted interferer per slot. This is ``_tdma_parts`` on a
-    batch of one.
+    None when both MAC budgets are zero: then every share is optimal.
     """
-    mac, p2p = _tdma_parts(params, (share.alpha,))
-    return TdmaTinDecomposition(a_of_alpha=float(mac[0]), b_of_alpha=float(p2p[0]))
-
-
-def alpha_star(params: PimacParams) -> TimeShare:
-    """Share that maximizes the MAC part: ``P1 / (P1 + P2)``."""
     total = params.p1_max + params.p2_max
     if total <= 0.0:
-        raise DegenerateInputError(
-            "both MAC power budgets are zero; any share is optimal")
+        return None
     return TimeShare(params.p1_max / total)
 
 
-def alpha_prime(params: PimacParams) -> TimeShare:
+def alpha_prime(params: PimacParams) -> TimeShare | None:
     """Share that minimizes the point-to-point part.
 
     Equals ``h12^2 P1 / (h12^2 P1 + h22^2 P2)``; the P2P part is convex in
-    the share and flat exactly when both interference products vanish.
+    the share and flat exactly when both interference products vanish,
+    where the share is undefined and None is returned.
     """
     c1 = params.h12 * (params.h12 * params.p1_max)
     c2 = params.h22 * (params.h22 * params.p2_max)
     if c1 + c2 <= 0.0:
-        raise DegenerateInputError(
-            "no interference into the point-to-point receiver; "
-            "its rate does not depend on the share")
+        return None
     if math.isinf(c1 + c2):
         # The products overflow. The share is the logistic function of
         # ln(c1/c2), which is taken from the logs of their factors.
@@ -151,19 +116,12 @@ def tdma_tin_sum_rate(params: PimacParams) -> SchemeResult:
     below the full-power TIN sum-rate. The objective can have two interior
     local maxima, so the search starts from a global grid.
     """
-    seeds = []
-    try:
-        seeds.append(alpha_star(params).alpha)
-    except DegenerateInputError:
-        pass
-    try:
-        seeds.append(alpha_prime(params).alpha)
-    except DegenerateInputError:
-        pass
+    seeds = [share.alpha for share in (alpha_star(params), alpha_prime(params))
+             if share is not None]
     res = maximize_box(lambda a: np.add(*_tdma_parts(params, a)), 0.0, 1.0,
                        1025, 1e-7, seeds)
     return SchemeResult(sum_rate=res.value, arg=TimeShare(res.arg),
-                        diagnostics=res.diagnostics())
+                        diagnostics=res.diagnostics)
 
 
 def pc_tin_objective(params: PimacParams, alloc: PowerAllocation) -> float:
@@ -221,8 +179,7 @@ def pc_tin_sum_rate(params: PimacParams) -> SchemeResult:
     value, alloc = max(((pc_tin_objective(params, v), v) for v in vertices),
                        key=lambda pair: pair[0])
     return SchemeResult(sum_rate=value, arg=alloc,
-                        diagnostics={"evaluations": len(vertices),
-                                     "status": "vertex-enumeration"})
+                        diagnostics={"evaluations": len(vertices)})
 
 
 def plain_tdma_sum_rate(params: PimacParams) -> SchemeResult:
@@ -239,4 +196,4 @@ def plain_tdma_sum_rate(params: PimacParams) -> SchemeResult:
     value = (_mac_slot(alpha, mac_power, 1.0)
              + _mac_slot(1.0 - alpha, params.p3_max, 1.0))
     return SchemeResult(sum_rate=value, arg=TimeShare(alpha),
-                        diagnostics={"evaluations": 1, "status": "closed-form"})
+                        diagnostics={"evaluations": 1})

@@ -14,7 +14,6 @@ import pytest
 from pimac import (
     GenieParams,
     PimacParams,
-    TimeShare,
     alpha_prime,
     alpha_star,
     c_sigma_1,
@@ -27,10 +26,8 @@ from pimac import (
     render_csv,
     run_sweep,
     sd_tin_sum_rate,
-    tdma_tin_components,
     tdma_tin_sum_rate,
 )
-from pimac.errors import DegenerateInputError
 from pimac.schemes import _tdma_parts
 
 from _support import draw_feasible_genie, draw_params
@@ -81,7 +78,8 @@ def test_criterion_2_equality_anchor():
         h31 = float(rng.uniform(0.0, 2.0))
         powers = 50.0 * (1.0 - rng.uniform(0.0, 1.0, 3))
         p = PimacParams(h12, h22, h31, *map(float, powers))
-        anchor = tdma_tin_components(p, alpha_star(p)).total
+        mac, p2p = _tdma_parts(p, [alpha_star(p).alpha])
+        anchor = float(mac[0] + p2p[0])
         worst = max(worst, abs(anchor - sd_tin_sum_rate(p).sum_rate))
     _report(2, worst <= 1e-12, f"max |A(a*)+B(a*) - sd_tin| = {worst:.3e}")
 
@@ -99,17 +97,16 @@ def test_criterion_3_convexity_stationarity_minimizer():
         # second central finite differences on the grid
         d2 = b_vals[2:] - 2.0 * b_vals[1:-1] + b_vals[:-2]
         worst_d2 = min(worst_d2, float(d2.min()))
-        try:
-            ap = alpha_prime(p).alpha
-        except DegenerateInputError:
+        share = alpha_prime(p)
+        if share is None:
             continue
+        ap = share.alpha
         worst_minloc = max(worst_minloc,
                            abs(float(grid[int(np.argmin(b_vals))]) - ap))
         if 1e-3 <= ap <= 1.0 - 1e-3:
             n_interior += 1
             delta = 1e-4 * min(ap, 1.0 - ap)
-            up = tdma_tin_components(p, TimeShare(ap + delta)).b_of_alpha
-            down = tdma_tin_components(p, TimeShare(ap - delta)).b_of_alpha
+            _, (up, down) = _tdma_parts(p, [ap + delta, ap - delta])
             worst_deriv = max(worst_deriv, abs((up - down) / (2.0 * delta)))
     ok = (worst_d2 >= -1e-9 and worst_deriv <= 1e-6
           and worst_minloc <= 1e-3 + 1e-12)

@@ -28,8 +28,9 @@ BUDGETS = (10.0, 10.0, 10.0)
 def test_sweep_config_validation():
     with pytest.raises(DomainError):
         SweepConfig(h_min=1.0, h_max=0.0, steps=5, h22=0.2, p1=1, p2=1, p3=1)
-    with pytest.raises(DomainError):
-        SweepConfig(h_min=0.0, h_max=1.0, steps=0, h22=0.2, p1=1, p2=1, p3=1)
+    for steps in (0, 2.5):
+        with pytest.raises(DomainError):
+            SweepConfig(h_min=0.0, h_max=1.0, steps=steps, h22=0.2, p1=1, p2=1, p3=1)
     with pytest.raises(DomainError):
         SweepConfig(h_min=0.0, h_max=1.0, steps=5, h22=0.2, p1=1, p2=1, p3=1,
                     which_curves=("sd_tin", "nope"))
@@ -139,6 +140,20 @@ def test_montecarlo_silent_transmitters():
                                                  genie, 20_000, seed=3)
         entry = {e.name: e for e in report.entries}[silent]
         assert (entry.analytic, entry.sampled, entry.gap) == (0.0, 0.0, 0.0)
+
+
+def test_montecarlo_degenerate_term_on_both_sides():
+    # A term of 19.93 bits or more reads +inf on both sides (the EPS_DET
+    # rule); their gap is 0, and max_gap is the other term's, in either order.
+    genie = GenieParams(0.0, 0.0, 1.0, 1.0)
+    for params, degenerate in ((PimacParams(0.5, 0.2, 0.5, 1e3, 1e3, 1e13), "p2p_rx2"),
+                               (PimacParams(0.5, 0.2, 0.0, 1e13, 1e13, 10.0), "mac_rx1")):
+        report = montecarlo_covariance_check(params, genie, 20_000, seed=1)
+        entries = {e.name: e for e in report.entries}
+        entry = entries.pop(degenerate)
+        assert (entry.analytic, entry.sampled, entry.gap) == (math.inf, math.inf, 0.0)
+        (other,) = entries.values()
+        assert math.isfinite(other.gap) and report.max_gap == other.gap
 
 
 def test_montecarlo_gap_shrinks_reasonably():

@@ -9,21 +9,17 @@ from hypothesis import strategies as st
 
 from pimac import (
     ConstraintError,
-    DegenerateInputError,
-    DomainError,
     PimacParams,
     PowerAllocation,
-    TimeShare,
     alpha_prime,
     alpha_star,
     c_sigma_2,
+    effective_noise_at_rx1,
     half_log,
     pc_tin_objective,
     pc_tin_sum_rate,
     plain_tdma_sum_rate,
-    sd_tin_region,
     sd_tin_sum_rate,
-    tdma_tin_components,
     tdma_tin_sum_rate,
 )
 from pimac.schemes import _tdma_parts
@@ -53,62 +49,50 @@ CANON_PC_USER1_SILENT = 2.486533836106501
 PLAIN_TDMA_P10 = 2.4770981551934376
 
 
-def test_sd_tin_region_frozen_values():
-    region = sd_tin_region(CANON)
-    assert region.r1 == pytest.approx(CANON_R1, abs=1e-14)
-    assert region.r2 == pytest.approx(CANON_R1, abs=1e-14)
-    assert region.r12 == pytest.approx(CANON_R12, abs=1e-14)
-    assert region.r3 == pytest.approx(CANON_R3, abs=1e-14)
-
-
-def test_sd_tin_region_matches_oracle_on_random_draws():
-    rng = np.random.default_rng(3)
-    for _ in range(25):
-        p = draw_params(rng)
-        region = sd_tin_region(p)
-        r1, r2, r12, r3 = sd_region_mp(p.h12, p.h22, p.h31,
-                                       p.p1_max, p.p2_max, p.p3_max)
-        assert region.r1 == pytest.approx(float(r1), abs=1e-12)
-        assert region.r2 == pytest.approx(float(r2), abs=1e-12)
-        assert region.r12 == pytest.approx(float(r12), abs=1e-12)
-        assert region.r3 == pytest.approx(float(r3), abs=1e-12)
-        assert region.r12 <= region.r1 + region.r2 + 1e-12
-
-
-def test_sd_tin_region_trivial_cases():
-    region = sd_tin_region(PimacParams(0, 0, 0, 10, 10, 10))
-    assert region.r1 == half_log(10.0)
-    assert region.r12 == half_log(20.0)
-    assert region.r3 == half_log(10.0)
-
-    silent_mac = sd_tin_region(PimacParams(0.7, -1.2, 0.4, 0.0, 0.0, 10.0))
-    assert silent_mac.r1 == 0.0
-    assert silent_mac.r2 == 0.0
-    assert silent_mac.r12 == 0.0
-    assert silent_mac.r3 == half_log(10.0)
-
-
 def test_sd_tin_sum_rate():
     assert sd_tin_sum_rate(CANON).sum_rate == pytest.approx(CANON_SD, abs=1e-14)
+    assert sd_tin_sum_rate(CANON).sum_rate == pytest.approx(CANON_R12 + CANON_R3,
+                                                            abs=1e-14)
     zero_gain = PimacParams(0, 0, 0, 10, 10, 10)
-    assert sd_tin_sum_rate(zero_gain).sum_rate == pytest.approx(
-        half_log(20.0) + half_log(10.0), abs=1e-14)
+    assert sd_tin_sum_rate(zero_gain).sum_rate == half_log(20.0) + half_log(10.0)
+    silent_mac = PimacParams(0.7, -1.2, 0.4, 0.0, 0.0, 10.0)
+    assert sd_tin_sum_rate(silent_mac).sum_rate == half_log(10.0)
     no_p2p = PimacParams(0.9, 0.4, 0.3, 10, 10, 0.0)
     assert sd_tin_sum_rate(no_p2p).sum_rate == pytest.approx(half_log(20.0),
                                                              abs=1e-14)
 
 
+def test_sd_tin_matches_oracle_on_random_draws():
+    # The region's corner rates are TDMA-TIN's MAC part at the endpoint
+    # shares, its sum rate the MAC part at alpha* and its P2P rate the P2P
+    # part at alpha'; full-power TIN adds the last two.
+    rng = np.random.default_rng(3)
+    for _ in range(25):
+        p = draw_params(rng)
+        r1, r2, r12, r3 = (float(r) for r in sd_region_mp(
+            p.h12, p.h22, p.h31, p.p1_max, p.p2_max, p.p3_max))
+        mac, _ = _tdma_parts(p, [1.0, 0.0, alpha_star(p).alpha])
+        _, (b_prime,) = _tdma_parts(p, [alpha_prime(p).alpha])
+        assert mac[0] == pytest.approx(r1, abs=1e-12)
+        assert mac[1] == pytest.approx(r2, abs=1e-12)
+        assert mac[2] == pytest.approx(r12, abs=1e-12)
+        assert b_prime == pytest.approx(r3, abs=1e-12)
+        assert mac[2] <= mac[0] + mac[1] + 1e-12
+        assert sd_tin_sum_rate(p).sum_rate == pytest.approx(r12 + r3, abs=2e-12)
+
+
 def test_tdma_components_frozen_values():
-    comp = tdma_tin_components(CANON, TimeShare(0.5))
-    assert comp.a_of_alpha == pytest.approx(CANON_A_HALF, abs=1e-14)
-    assert comp.b_of_alpha == pytest.approx(CANON_B_HALF, abs=1e-14)
+    (a_half,), (b_half,) = _tdma_parts(CANON, [0.5])
+    assert a_half == pytest.approx(CANON_A_HALF, abs=1e-14)
+    assert b_half == pytest.approx(CANON_B_HALF, abs=1e-14)
 
-    at_prime = tdma_tin_components(CANON, alpha_prime(CANON))
-    assert at_prime.b_of_alpha == pytest.approx(CANON_R3, abs=1e-12)
+    _, (b_prime,) = _tdma_parts(CANON, [alpha_prime(CANON).alpha])
+    assert b_prime == pytest.approx(CANON_R3, abs=1e-12)
 
-    endpoint = tdma_tin_components(CANON, TimeShare(0.0))
-    assert endpoint.a_of_alpha == pytest.approx(CANON_R1, abs=1e-14)
-    assert endpoint.b_of_alpha == pytest.approx(CANON_B_ZERO, abs=1e-14)
+    (a_zero, a_one), (b_zero, _) = _tdma_parts(CANON, [0.0, 1.0])
+    assert a_zero == pytest.approx(CANON_R1, abs=1e-14)
+    assert a_one == pytest.approx(CANON_R1, abs=1e-14)
+    assert b_zero == pytest.approx(CANON_B_ZERO, abs=1e-14)
 
 
 def test_tdma_components_match_oracle_on_random_draws():
@@ -116,16 +100,11 @@ def test_tdma_components_match_oracle_on_random_draws():
     for _ in range(25):
         p = draw_params(rng)
         a = float(rng.uniform(0.0, 1.0))
-        comp = tdma_tin_components(p, TimeShare(a))
+        (mac,), (p2p,) = _tdma_parts(p, [a])
         a_mp, b_mp = tdma_components_mp(p.h12, p.h22, p.h31, p.p1_max,
                                         p.p2_max, p.p3_max, a)
-        assert comp.a_of_alpha == pytest.approx(float(a_mp), abs=1e-12)
-        assert comp.b_of_alpha == pytest.approx(float(b_mp), abs=1e-12)
-
-
-def test_tdma_components_share_validation():
-    with pytest.raises(DomainError):
-        tdma_tin_components(CANON, TimeShare(1.5))
+        assert mac == pytest.approx(float(a_mp), abs=1e-12)
+        assert p2p == pytest.approx(float(b_mp), abs=1e-12)
 
 
 def test_tdma_kernel_matches_oracle():
@@ -148,21 +127,19 @@ def test_alpha_star():
     assert alpha_star(PimacParams(0, 0, 0, 10, 30, 0)).alpha == 0.25
     assert alpha_star(PimacParams(0, 0, 0, 7, 7, 0)).alpha == 0.5
     assert alpha_star(PimacParams(0, 0, 0, 10, 0, 0)).alpha == 1.0
-    with pytest.raises(DegenerateInputError):
-        alpha_star(PimacParams(0.5, 0.5, 0.5, 0.0, 0.0, 10.0))
+    assert alpha_star(PimacParams(0.5, 0.5, 0.5, 0.0, 0.0, 10.0)) is None
 
 
 def test_alpha_prime():
     assert alpha_prime(CANON).alpha == pytest.approx(2.5 / 2.9, abs=1e-15)
     assert alpha_prime(PimacParams(0.7, 0.7, 0, 5, 5, 1)).alpha == 0.5
     assert alpha_prime(PimacParams(0.5, 0.0, 0, 10, 10, 1)).alpha == 1.0
-    with pytest.raises(DegenerateInputError):
-        alpha_prime(PimacParams(0.0, 0.0, 0.5, 10, 10, 10))
+    assert alpha_prime(PimacParams(0.0, 0.0, 0.5, 10, 10, 10)) is None
 
 
 def test_tdma_tin_dominates_value_at_alpha_star():
     res = tdma_tin_sum_rate(CANON)
-    anchor = tdma_tin_components(CANON, alpha_star(CANON)).total
+    (anchor,) = np.add(*_tdma_parts(CANON, [alpha_star(CANON).alpha]))
     assert anchor == pytest.approx(CANON_A_HALF + CANON_B_HALF, abs=1e-14)
     assert res.sum_rate >= anchor
     assert res.sum_rate >= CANON_SD - 1e-12
@@ -179,7 +156,7 @@ def test_tdma_tin_equality_when_interference_profile_matches():
     # shares coincide, so the objective at that share equals the full-power
     # TIN rate (the maximum may still exceed it).
     p = PimacParams(0.8, -0.8, 0.6, 7.0, 7.0, 12.0)
-    anchor = tdma_tin_components(p, alpha_star(p)).total
+    (anchor,) = np.add(*_tdma_parts(p, [alpha_star(p).alpha]))
     assert anchor == pytest.approx(sd_tin_sum_rate(p).sum_rate, abs=1e-12)
     assert tdma_tin_sum_rate(p).sum_rate >= anchor
 
@@ -200,9 +177,9 @@ def test_tdma_tin_diagnostics():
     # spacing 2**-10 / 32**3 drops below 1e-7.
     res = tdma_tin_sum_rate(figure3_params(0.5))
     assert res.diagnostics == {
-        "evaluations": 1612, "status": "grid+nested-grid",
+        "evaluations": 1612,
         "stages": {"seeds": 2, "grid": 1025, "refine": 585},
-        "levels": 3, "stop": "tolerance"}
+        "levels": 3}
 
 
 def test_pc_tin_objective_frozen_values():
@@ -274,7 +251,7 @@ def test_pc_tin_vertex_over_extreme_range(gains, powers):
         res = pc_tin_sum_rate(p)
     assert math.isfinite(res.sum_rate)
     assert res.arg.as_tuple() in set(itertools.product(*((0.0, b) for b in powers)))
-    assert res.diagnostics == {"evaluations": 8, "status": "vertex-enumeration"}
+    assert res.diagnostics == {"evaluations": 8}
     with np.errstate(over="ignore"):
         _, oracle = dense_pc_grid_max(p, 21)
     assert res.sum_rate >= oracle - 1e-12 * max(1.0, abs(res.sum_rate))
@@ -306,12 +283,8 @@ def test_tdma_tin_over_extreme_range(gains, powers):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         res = tdma_tin_sum_rate(p)
-        seeds = [0.0, 1.0]
-        for share in (alpha_star, alpha_prime):
-            try:
-                seeds.append(share(p).alpha)
-            except DegenerateInputError:
-                pass
+        seeds = [0.0, 1.0] + [share.alpha for share in (alpha_star(p), alpha_prime(p))
+                              if share is not None]
         at_seeds = np.add(*_tdma_parts(p, seeds))
     v = res.sum_rate
     assert math.isfinite(v)
@@ -338,6 +311,39 @@ def test_closed_forms_over_extreme_range(gains, powers):
         ub2 = c_sigma_2(p)
         assert math.isfinite(ub2)
         assert ub2 >= max(sd, tdma) - 1e-9
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(alphas=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+       power_exp=st.floats(20.0, 200.0))
+def test_gdof_at_high_snr(alphas, power_exp):
+    """Each rate divided by ``1/2 log2 P`` is within ``4 / log2 P`` of its
+    generalized degrees of freedom, with ``P1 = P2 = P3 = P`` and
+    ``h_ij^2 P = P^a_ij``.
+
+    Every rate here is a sum of at most two terms ``half_log(S / I)``, or
+    lies between two such sums (TDMA-TIN is at least its value at the better
+    endpoint share and at most the MAC part at alpha* plus the larger P2P
+    part of the two endpoints, by convexity; PC-TIN is the best vertex). In each
+    term ``I`` is 1 plus at most two powers ``P^b`` and ``I + S`` at most
+    four, so ``log2(I + S)`` exceeds the largest exponent times ``log2 P`` by
+    0 to 2 and ``log2 I`` by 0 to ``log2 3``. A term is thus within 1 bit of
+    its limit ``1/2 (s - i)^+ log2 P``, a rate within 2 bits of its GDoF times
+    ``1/2 log2 P``, and the ratio within ``2 * 2 / log2 P``: ``K = 4``.
+    """
+    a12, a22, a31 = alphas
+    power = 10.0 ** power_exp
+    p = PimacParams(*(math.sqrt(power ** (a - 1.0)) for a in (a12, a22, a31)),
+                    power, power, power)
+    checks = {
+        "sd_tin": (sd_tin_sum_rate(p).sum_rate, 2.0 - a31 - max(a12, a22)),
+        "tdma_tin": (tdma_tin_sum_rate(p).sum_rate, 2.0 - a31 - min(a12, a22)),
+        "pc_tin": (pc_tin_sum_rate(p).sum_rate, max(1.0, 2.0 - a31 - min(a12, a22))),
+        "tdma": (plain_tdma_sum_rate(p).sum_rate, 1.0),
+        "ub2": (c_sigma_2(p), 2.0 - a31),
+    }
+    for name, (rate, limit) in checks.items():
+        assert abs(rate / (0.5 * math.log2(power)) - limit) <= 4.0 / math.log2(power), name
 
 
 def test_tdma_tin_cross_product_overflow_keeps_value():
@@ -396,9 +402,9 @@ def test_mac_part_is_maximized_at_alpha_star():
     grid = np.linspace(0.0, 1.0, 501)
     for _ in range(20):
         p = draw_params(rng)
-        star = alpha_star(p)
-        a_star = tdma_tin_components(p, star).a_of_alpha
-        assert a_star == pytest.approx(sd_tin_region(p).r12, abs=1e-12)
+        (a_star,), _ = _tdma_parts(p, [alpha_star(p).alpha])
+        noise = effective_noise_at_rx1(p, p.p3_max)
+        assert a_star == pytest.approx(half_log((p.p1_max + p.p2_max) / noise), abs=1e-12)
         a_vals, _ = _tdma_parts(p, grid)
         assert max(a_vals) <= a_star + 1e-12
 
