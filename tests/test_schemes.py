@@ -49,14 +49,41 @@ CANON_PC_USER1_SILENT = 2.486533836106501
 PLAIN_TDMA_P10 = 2.4770981551934376
 
 
-def test_sd_tin_sum_rate():
-    assert sd_tin_sum_rate(CANON).sum_rate == pytest.approx(CANON_SD, abs=1e-14)
+def test_sd_tin_region_frozen_values():
+    # The region's corner rates are TDMA-TIN's MAC part at the endpoint
+    # shares (r1, r2) and at alpha* (r12), and its P2P part at alpha' (r3).
+    (r1, r2, r12), _ = _tdma_parts(CANON, [1.0, 0.0, alpha_star(CANON).alpha])
+    _, (r3,) = _tdma_parts(CANON, [alpha_prime(CANON).alpha])
+    assert r1 == pytest.approx(CANON_R1, abs=1e-14)
+    assert r2 == pytest.approx(CANON_R1, abs=1e-14)
+    assert r12 == pytest.approx(CANON_R12, abs=1e-14)
+    assert r3 == pytest.approx(CANON_R3, abs=1e-14)
     assert sd_tin_sum_rate(CANON).sum_rate == pytest.approx(CANON_R12 + CANON_R3,
                                                             abs=1e-14)
+
+
+def test_sd_tin_region_trivial_cases():
+    # Without interference the P2P part is half_log(P3) at every share.
     zero_gain = PimacParams(0, 0, 0, 10, 10, 10)
+    (r1,), (r3,) = _tdma_parts(zero_gain, [1.0])
+    assert r1 == half_log(10.0)
+    assert r3 == half_log(10.0)
     assert sd_tin_sum_rate(zero_gain).sum_rate == half_log(20.0) + half_log(10.0)
+
+    # With both MAC budgets zero alpha* is undefined and every MAC rate is 0.
     silent_mac = PimacParams(0.7, -1.2, 0.4, 0.0, 0.0, 10.0)
+    (r1, r2), (r3, _) = _tdma_parts(silent_mac, [1.0, 0.0])
+    assert r1 == 0.0
+    assert r2 == 0.0
+    assert r3 == half_log(10.0)
     assert sd_tin_sum_rate(silent_mac).sum_rate == half_log(10.0)
+
+
+def test_sd_tin_sum_rate():
+    assert sd_tin_sum_rate(CANON).sum_rate == pytest.approx(CANON_SD, abs=1e-14)
+    zero_gain = PimacParams(0, 0, 0, 10, 10, 10)
+    assert sd_tin_sum_rate(zero_gain).sum_rate == pytest.approx(
+        half_log(20.0) + half_log(10.0), abs=1e-14)
     no_p2p = PimacParams(0.9, 0.4, 0.3, 10, 10, 0.0)
     assert sd_tin_sum_rate(no_p2p).sum_rate == pytest.approx(half_log(20.0),
                                                              abs=1e-14)
