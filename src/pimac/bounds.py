@@ -72,12 +72,13 @@ mutual informations of a sampled covariance.
 """
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConstraintError, InvalidRegimeError
+from .errors import ConstraintError, InfeasibleError, InvalidRegimeError
 from .model import PimacParams, SchemeResult, half_log
-from .optimize import maximize_box
+from .optimize import _blocks, maximize_box
 
 LN2 = math.log(2.0)
 
@@ -147,72 +148,127 @@ def _bits(x):
     return np.where(x < 1.0 / EPS_DET - 1.0, np.log1p(x) * (0.5 / LN2), np.inf)
 
 
-def _genie_coeffs(params: PimacParams) -> tuple:
-    """The scalars ``(P, q, s, n1, D, A, h31, P3)`` of the module docstring.
+class _GenieCoeffs(NamedTuple):
+    """The quantities of the module docstring for m instances, each an
+    (m, 1) array: the scalars, the ratios the kernel needs, and one flag per
+    degenerate case. A flag is None where no instance has it, so normal
+    instances pay nothing for it."""
 
-    Cross products are formed as ``h * (h * P)`` and ``D`` with the powers
-    first, so a zero power gives 0 however large its gain.
-    """
+    total: np.ndarray      # P
+    n1: np.ndarray
+    a: np.ndarray          # A
+    s_a: np.ndarray        # s / A (NaN where A = 0)
+    k_mac: np.ndarray      # D (P + n1) / A (NaN where A = 0)
+    s2_a: np.ndarray       # s^2 / A, as s (s / A) (NaN where A = 0)
+    total_n1: np.ndarray   # P / n1
+    g31: np.ndarray        # h31
+    p3: np.ndarray
+    q1: np.ndarray         # q + 1
+    inv_q1: np.ndarray     # 1 / (q + 1)
+    p3_q1: np.ndarray      # P3 / (q + 1)
+    inv_g31q1: np.ndarray  # 1 / (h31 (q + 1)) (NaN where h31 = 0)
+    mac_off: np.ndarray | None    # P = 0: the first term is 0
+    a_zero: np.ndarray | None     # A = 0: S1 carries no input
+    q_zero: np.ndarray | None     # q = 0: S1 of zero variance at t1 = inf
+    p2p_off: np.ndarray | None    # P3 = 0: the second term is 0
+    s2_zero: np.ndarray | None    # h31^2 P3 = 0: S2 of zero variance at t2 = inf
+    g31_zero: np.ndarray | None   # h31 = 0: S2 carries no input
+
+
+def _coeff_row(params: PimacParams) -> tuple:
+    # One instance's fields of _GenieCoeffs, as Python floats and bools.
+    # Cross products are formed as h * (h * P) and D with the powers first,
+    # so a zero power gives 0 however large its gain.
     g12, g22, g31 = params.h12, params.h22, params.h31
     p1, p2, p3 = params.p1_max, params.p2_max, params.p3_max
+    total = p1 + p2
     q = g12 * (g12 * p1) + g22 * (g22 * p2)
+    s = g12 * p1 + g22 * p2
     n1 = 1.0 + g31 * (g31 * p3)
     d = p1 * p2 * (g12 - g22) * (g12 - g22)
-    return p1 + p2, q, g12 * p1 + g22 * p2, n1, d, d + n1 * q, g31, p3
+    a = d + n1 * q
+    s_a, k_mac, s2_a = ((s / a, d * (total + n1) / a, s * (s / a)) if a != 0.0
+                        else (math.nan,) * 3)
+    q1 = q + 1.0
+    return (total, n1, a, s_a, k_mac, s2_a, total / n1, g31, p3, q1, 1.0 / q1,
+            p3 / q1, 1.0 / (g31 * q1) if g31 != 0.0 else math.nan,
+            not total > 0.0, a == 0.0, q == 0.0, not p3 > 0.0,
+            g31 * (g31 * p3) == 0.0, g31 == 0.0)
 
 
-def _genie_kernel(c: tuple, r1, r2, t1, t2) -> tuple[np.ndarray, np.ndarray]:
+_N_VALUES = 13  # leading float fields of _GenieCoeffs; the rest are flags
+
+
+def _genie_coeffs(rows) -> _GenieCoeffs:
+    """``_GenieCoeffs`` of the instances ``rows``, one row of each array per
+    instance. A batch of one keeps Python floats and bools, which broadcast
+    as (1, 1) arrays do, at a lower cost per numpy call."""
+    table = [_coeff_row(p) for p in rows]
+    if len(table) == 1:
+        return _GenieCoeffs(*table[0][:_N_VALUES],
+                            *(flag or None for flag in table[0][_N_VALUES:]))
+    values = np.array([r[:_N_VALUES] for r in table]).T[:, :, None]
+    flags = zip(*(r[_N_VALUES:] for r in table))
+    return _GenieCoeffs(*values, *(np.array(f)[:, None] if any(f) else None
+                                   for f in flags))
+
+
+def _genie_kernel(c: _GenieCoeffs, r1, r2, t1, t2) -> tuple[np.ndarray, np.ndarray]:
     """The genie bound's two terms ``I(X1,X2; Y1,S1)`` and ``I(X3; Y2,S2)``
-    in bits, at arrays of ``rho`` and ``t = 1/eta``.
+    in bits, at arrays of ``rho`` and ``t = 1/eta``, one row per instance.
 
-    ``c`` is ``_genie_coeffs(params)``. The ratios are the completed squares
-    of the module docstring, with its rules for degenerate cases. Callers
-    hold ``np.errstate(all="ignore")``: 0/0 and overflow are part of the
-    rules.
+    ``c`` is ``_genie_coeffs(rows)``, whose (m, 1) arrays broadcast against
+    the points. The ratios are the completed squares of the module
+    docstring; its rules for degenerate cases select, per instance, the
+    values that replace them. Callers hold ``np.errstate(all="ignore")``:
+    0/0 and overflow are part of the rules.
     """
-    total, q, s, n1, d, a, g31, p3 = c
+    den = c.n1 - r1 * r1
+    w = t1 - r1 * c.s_a
+    u = (c.a * w * w + c.k_mac) / den
+    x = np.empty((2,) + u.shape)  # both ratios, for one call of _bits
+    np.add(u, c.s2_a, out=x[0])
+    if c.a_zero is not None:  # q = s = D = 0: the ratio does not depend on t
+        np.copyto(x[0], c.total / den, where=c.a_zero)
+    if c.q_zero is not None:
+        np.copyto(x[0], c.total_n1, where=c.q_zero & np.isinf(t1))
+    w = c.g31 * t2 - r2 * c.inv_q1
+    np.multiply(c.q1 * w * w / (c.q1 - r2 * r2) + c.inv_q1, c.p3, out=x[1])
+    if c.s2_zero is not None:
+        np.copyto(x[1], c.p3_q1, where=c.s2_zero & np.isinf(t2))
+    mac, p2p = _bits(x)
     # An input group of zero power carries nothing.
-    mac = p2p = np.zeros(np.shape(r1))
-    if total > 0.0:
-        den = n1 - r1 * r1
-        if a == 0.0:  # q = s = D = 0: the ratio does not depend on t
-            x = total / den
-        else:
-            w = t1 - r1 * (s / a)
-            x = (a * w * w + d * (total + n1) / a) / den + s * (s / a)
-        if q == 0.0:
-            x = np.where(np.isinf(t1), total / n1, x)
-        mac = _bits(x)
-    if p3 > 0.0:
-        w = g31 * t2 - r2 * (1.0 / (q + 1.0))
-        x = ((q + 1.0) * w * w / (q + 1.0 - r2 * r2) + 1.0 / (q + 1.0)) * p3
-        if g31 * (g31 * p3) == 0.0:
-            x = np.where(np.isinf(t2), p3 / (q + 1.0), x)
-        p2p = _bits(x)
+    if c.mac_off is not None:
+        np.copyto(mac, 0.0, where=c.mac_off)
+    if c.p2p_off is not None:
+        np.copyto(p2p, 0.0, where=c.p2p_off)
     return mac, p2p
 
 
-def _t_star(c: tuple, r1, r2) -> tuple[np.ndarray, np.ndarray]:
-    """The best feasible ``t = 1/eta`` of each term at arrays of ``rho``.
+def _t_star(c: _GenieCoeffs, rho) -> tuple[np.ndarray, np.ndarray]:
+    """The best feasible ``t = 1/eta`` of each term at an array of points
+    ``(rho1, rho2)`` (last axis), one row per instance.
 
     Where a term's genie signal carries no input (``A = 0``, or ``h31 = 0``)
     it is best dropped: ``t* = inf``. Callers hold
     ``np.errstate(all="ignore")``; ``fmax`` skips the NaN of ``0 * inf``.
     """
-    _, q, s, _, _, a, g31, _ = c
-    t1 = t2 = np.full(np.shape(r1), math.inf)
-    if a != 0.0:
-        t1 = np.fmax(r1 * (s / a), 1.0 / np.sqrt(1.0 - r2 * r2))
-    if g31 != 0.0:
-        t2 = np.fmax(r2 * (1.0 / (g31 * (q + 1.0))), 1.0 / np.sqrt(1.0 - r1 * r1))
+    r1, r2 = rho[..., 0], rho[..., 1]
+    bound = 1.0 / np.sqrt(1.0 - rho * rho)  # 1/sqrt(1 - rho1^2), 1/sqrt(1 - rho2^2)
+    t1 = np.fmax(r1 * c.s_a, bound[..., 1])
+    if c.a_zero is not None:
+        t1 = np.where(c.a_zero, math.inf, t1)
+    t2 = np.fmax(r2 * c.inv_g31q1, bound[..., 0])
+    if c.g31_zero is not None:
+        t2 = np.where(c.g31_zero, math.inf, t2)
     return t1, t2
 
 
-def _genie_reduced(c: tuple, rho) -> np.ndarray:
-    """Genie bound minimized over the scalings, at each row ``(rho1, rho2)``."""
-    r1, r2 = rho[:, 0], rho[:, 1]
+def _genie_reduced(c: _GenieCoeffs, rho) -> np.ndarray:
+    """Genie bound minimized over the scalings, at each point ``(rho1, rho2)``
+    of the (m, n, 2) array ``rho``: an (m, n) array."""
     with np.errstate(all="ignore"):
-        mac, p2p = _genie_kernel(c, r1, r2, *_t_star(c, r1, r2))
+        mac, p2p = _genie_kernel(c, rho[..., 0], rho[..., 1], *_t_star(c, rho))
     return mac + p2p
 
 
@@ -225,10 +281,10 @@ def genie_bound_batch(params: PimacParams, points) -> np.ndarray:
     and their receiver's output and genie signal, with the degenerate cases
     and the ``EPS_DET`` rule of the module docstring.
     """
-    r1, r2, e1, e2 = np.asarray(points, dtype=float).T
+    r1, r2, e1, e2 = np.asarray(points, dtype=float).T[:, None]
     with np.errstate(all="ignore"):
-        mac, p2p = _genie_kernel(_genie_coeffs(params), r1, r2, 1.0 / e1, 1.0 / e2)
-    return mac + p2p
+        mac, p2p = _genie_kernel(_genie_coeffs([params]), r1, r2, 1.0 / e1, 1.0 / e2)
+    return (mac + p2p)[0]
 
 
 def genie_bound_objective(params: PimacParams, genie: GenieParams) -> float:
@@ -246,6 +302,27 @@ def _sign_canonical(params: PimacParams) -> PimacParams:
                        p2_max=params.p2_max, p3_max=params.p3_max)
 
 
+def _c_sigma_1_block(rows) -> list:
+    c = _genie_coeffs([_sign_canonical(p) for p in rows])
+    found = maximize_box(lambda rho: -_genie_reduced(c, rho), (0.0, 0.0), (1.0, 1.0),
+                         33, 1e-6, [()] * len(rows))
+    rho = np.array([(0.0, 0.0) if res is None else res.arg for res in found])
+    with np.errstate(all="ignore"):
+        t1, t2 = _t_star(c, rho[:, None])
+    return [None if res is None else
+            SchemeResult(sum_rate=-res.value,
+                         arg=GenieParams(*res.arg, 1.0 / e1, 1.0 / e2),
+                         diagnostics=res.diagnostics)
+            for res, e1, e2 in zip(found, t1[:, 0].tolist(), t2[:, 0].tolist())]
+
+
+def _c_sigma_1_batch(rows) -> list:
+    """``c_sigma_1`` of each instance of ``rows``, or None where it finds no
+    finite genie value. Each block of instances (``optimize._blocks``) makes
+    one kernel call per solver stage."""
+    return [res for block in _blocks(rows, 33 * 33) for res in _c_sigma_1_block(block)]
+
+
 def c_sigma_1(params: PimacParams) -> SchemeResult:
     """Genie bound minimized over the feasible correlations and scalings.
 
@@ -260,13 +337,9 @@ def c_sigma_1(params: PimacParams) -> SchemeResult:
     noise independent of everything, so neither is the result.
     A point where the kernel is ``+inf`` (the ``EPS_DET`` rule) is
     infeasible; if every grid point is, InfeasibleError is raised.
+    The code is that of ``_c_sigma_1_batch``, for a batch of one.
     """
-    c = _genie_coeffs(_sign_canonical(params))
-    res = maximize_box(lambda rho: -_genie_reduced(c, rho), (0.0, 0.0), (1.0, 1.0),
-                       33, 1e-6)
-    r1, r2 = res.arg
-    with np.errstate(all="ignore"):
-        t1, t2 = _t_star(c, np.array([r1]), np.array([r2]))
-    return SchemeResult(sum_rate=-res.value,
-                        arg=GenieParams(r1, r2, 1.0 / float(t1[0]), 1.0 / float(t2[0])),
-                        diagnostics=res.diagnostics)
+    (res,) = _c_sigma_1_block([params])
+    if res is None:
+        raise InfeasibleError("no seed or grid point has a finite objective value")
+    return res

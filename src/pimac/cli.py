@@ -21,7 +21,7 @@ from .experiments import (
     CSV_COLUMNS,
     CURVES,
     SweepConfig,
-    _evaluate_row,
+    _evaluate_rows,
     _row_cells,
     emit_csv,
     montecarlo_covariance_check,
@@ -71,7 +71,7 @@ def _cmd_sweep(opts) -> int:
 def _cmd_point(opts) -> int:
     params = PimacParams(h12=opts["h12"], h22=opts["h22"], h31=opts["h31"],
                          p1_max=opts["p1"], p2_max=opts["p2"], p3_max=opts["p3"])
-    cells = _row_cells(_evaluate_row(params, CURVES))
+    cells = _row_cells(_evaluate_rows([params], CURVES)[0])
     for name, cell in zip(CSV_COLUMNS[1:], cells[1:]):
         print(f"{name}={cell}")
     return 0

@@ -16,18 +16,18 @@ from .bounds import (
     EPS_DET,
     LN2,
     GenieParams,
+    _c_sigma_1_batch,
     _genie_coeffs,
     _genie_kernel,
-    c_sigma_1,
     c_sigma_2,
 )
-from .errors import ContractError, DomainError, InfeasibleError, InvalidRegimeError
+from .errors import ContractError, DomainError, InvalidRegimeError
 from .model import PimacParams
 from .schemes import (
-    pc_tin_sum_rate,
+    _pc_tin_batch,
+    _tdma_tin_batch,
     plain_tdma_sum_rate,
     sd_tin_sum_rate,
-    tdma_tin_sum_rate,
 )
 
 CURVES = ("sd_tin", "tdma_tin", "pc_tin", "tdma", "ub1", "ub2")
@@ -103,55 +103,63 @@ def classify_power_point(p_opt, budgets) -> str:
     return OTHER
 
 
-def _evaluate_row(params: PimacParams, curves) -> SweepRow:
-    """The requested curves at one instance, as the sweep row at ``h = h12``.
+def _evaluate_rows(rows, curves) -> list[SweepRow]:
+    """The requested curves at each instance of ``rows``, as the sweep rows at
+    ``h = h12``.
 
-    ``ub1`` and its genie point are left unavailable where ``c_sigma_1``
-    finds no finite genie value, and ``ub2`` where ``c_sigma_2`` rejects the
-    instance as outside its regime.
+    The genie bound, TDMA-TIN and PC-TIN take all the rows at once; the
+    closed forms take one row at a time. ``ub1`` and its genie point are
+    left unavailable on the rows where ``c_sigma_1`` finds no finite genie
+    value, and ``ub2`` where ``c_sigma_2`` rejects the instance as outside
+    its regime.
     """
-    values: dict = {}
+    values = [{} for _ in rows]
     if "sd_tin" in curves:
-        values["sd_tin"] = sd_tin_sum_rate(params).sum_rate
+        for v, params in zip(values, rows):
+            v["sd_tin"] = sd_tin_sum_rate(params).sum_rate
     if "tdma_tin" in curves:
-        res = tdma_tin_sum_rate(params)
-        values["tdma_tin"] = res.sum_rate
-        values["alpha_opt"] = res.arg.alpha
+        for v, res in zip(values, _tdma_tin_batch(rows)):
+            v["tdma_tin"] = res.sum_rate
+            v["alpha_opt"] = res.arg.alpha
     if "pc_tin" in curves:
-        res = pc_tin_sum_rate(params)
-        values["pc_tin"] = res.sum_rate
-        values["p_opt"] = res.arg.as_tuple()
-        values["regime"] = classify_power_point(
-            values["p_opt"], (params.p1_max, params.p2_max, params.p3_max))
+        for v, params, res in zip(values, rows, _pc_tin_batch(rows)):
+            v["pc_tin"] = res.sum_rate
+            v["p_opt"] = res.arg.as_tuple()
+            v["regime"] = classify_power_point(
+                v["p_opt"], (params.p1_max, params.p2_max, params.p3_max))
     if "tdma" in curves:
-        values["tdma"] = plain_tdma_sum_rate(params).sum_rate
+        for v, params in zip(values, rows):
+            v["tdma"] = plain_tdma_sum_rate(params).sum_rate
     if "ub1" in curves:
-        try:
-            res = c_sigma_1(params)
-            values["ub1"] = res.sum_rate
-            values["genie_opt"] = res.arg.as_tuple()
-        except InfeasibleError:
-            pass
+        for v, res in zip(values, _c_sigma_1_batch(rows)):
+            if res is not None:
+                v["ub1"] = res.sum_rate
+                v["genie_opt"] = res.arg.as_tuple()
     if "ub2" in curves:
-        try:
-            values["ub2"] = c_sigma_2(params)
-        except InvalidRegimeError:
-            pass
-    return SweepRow(h=params.h12, **values)
+        for v, params in zip(values, rows):
+            try:
+                v["ub2"] = c_sigma_2(params)
+            except InvalidRegimeError:
+                pass
+    return [SweepRow(h=params.h12, **v) for params, v in zip(rows, values)]
 
 
 def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
     """Evaluate the requested curves at ``cfg.steps`` equally spaced gains.
 
-    Each row is one instance with ``h12 = h31 = h``, evaluated exactly as
-    ``pimac point`` evaluates an instance. The closed-form upper bound column
-    is marked unavailable on rows where ``h^2 > 1``; everything else is
+    Each row is one instance with ``h12 = h31 = h``. The rows are evaluated
+    together, as ``pimac point`` evaluates a batch of one: each search
+    (the genie bound and TDMA-TIN) makes one objective call per solver
+    stage for a block of rows, and PC-TIN one for all rows, with results
+    bit-identical to the per-instance calls. The closed-form upper bound
+    column is marked unavailable on rows where ``h^2 > 1``, and ``ub1`` on
+    rows where the genie bound finds no finite value; everything else is
     defined for all gains.
     """
-    return [_evaluate_row(PimacParams(h12=h, h22=cfg.h22, h31=h, p1_max=cfg.p1,
-                                      p2_max=cfg.p2, p3_max=cfg.p3),
-                          cfg.which_curves)
+    rows = [PimacParams(h12=h, h22=cfg.h22, h31=h, p1_max=cfg.p1, p2_max=cfg.p2,
+                        p3_max=cfg.p3)
             for h in np.linspace(cfg.h_min, cfg.h_max, cfg.steps).tolist()]
+    return _evaluate_rows(rows, cfg.which_curves)
 
 
 def detect_pc_tin_regimes(rows):
@@ -241,17 +249,18 @@ def montecarlo_covariance_check(params: PimacParams, genie: GenieParams,
     m = _sampling_map(params, genie)
     cov = m @ np.cov(g, rowvar=False) @ m.T
     cov = 0.5 * (cov + cov.T)
-    point = np.array([[genie.rho1], [genie.rho2], [1.0 / genie.eta1], [1.0 / genie.eta2]])
+    point = np.array([[[genie.rho1]], [[genie.rho2]], [[1.0 / genie.eta1]],
+                      [[1.0 / genie.eta2]]])
     with np.errstate(all="ignore"):
-        mac, p2p = _genie_kernel(_genie_coeffs(params), *point)
+        mac, p2p = _genie_kernel(_genie_coeffs([params]), *point)
 
     # Log-det mutual information of the sampled groups, without the variables
     # of zero variance (a silent transmitter's row is exactly 0) and with the
     # kernel's EPS_DET rule.
     keep = np.diagonal(cov) != 0.0
     entries = []
-    for name, analytic, inputs, outputs in (("mac_rx1", float(mac[0]), (0, 1), (3, 4)),
-                                            ("p2p_rx2", float(p2p[0]), (2,), (5, 6))):
+    for name, analytic, inputs, outputs in (("mac_rx1", mac.item(), (0, 1), (3, 4)),
+                                            ("p2p_rx2", p2p.item(), (2,), (5, 6))):
         ia, ib = [i for i in inputs if keep[i]], [i for i in outputs if keep[i]]
         sampled = 0.0
         if ia and ib:

@@ -1,9 +1,10 @@
 """Deterministic derivative-free optimization.
 
 One solver backs the schemes and bounds: maximization of a vectorised
-objective on a 1- or 2-D box. Each of its stages is a single call of the
-objective: a uniform grid together with a set of mandatory seed points,
-then nested grids around the best points found so far. Each caller passes
+objective on a 1- or 2-D box, for a batch of instances at once. Each of its
+stages is a single call of the objective for the whole batch: a uniform
+grid together with each instance's mandatory seed points, then nested grids
+around each instance's best points found so far. Each caller passes
 its schedule directly: grid points per axis, the tolerance that fixes the
 number of nested levels, and the seeds. The returned value
 can never be worse than the objective at any seed. Tie-breaks are
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InfeasibleError, NumericError
+from .errors import DomainError, NumericError
 
 
 @dataclass(frozen=True)
@@ -42,83 +43,170 @@ _WINDOWS = {1: (65, np.linspace(0.0, 1.0, 65)),
             2: (9, np.linspace(0.0, 1.0, 9)[np.indices((9, 9)).reshape(2, -1).T])}
 _CENTRES = 3
 
+# Cap on the points of one objective call when callers cut a batch of
+# instances into blocks: 15 instances of the genie bound's 33 x 33 grid or
+# of TDMA-TIN's 1 025-point grid, which keeps the figure sweep's peak memory
+# within about 2 MB of what one instance at a time needs.
+_BLOCK_POINTS = 16_384
 
-def _values(f, pts) -> np.ndarray:
-    """One call of ``f`` on ``pts``. ``-inf`` marks an infeasible point; NaN
-    or ``+inf`` raises NumericError naming its point."""
+
+def _values(f, pts, feasible=None) -> np.ndarray:
+    """One call of ``f`` on the (m, n[, 2]) array ``pts``: an (m, n) array.
+    ``-inf`` marks an infeasible point. NaN or ``+inf`` raises NumericError
+    naming its point, except in the instances that ``feasible`` marks False,
+    whose values are not used."""
     values = np.asarray(f(pts), dtype=float)
-    if not values.max() < math.inf:  # NaN or +inf
-        i = int(np.flatnonzero(~(values < math.inf))[0])
-        x = pts[i].tolist()
-        raise NumericError(f"objective is not usable at "
-                           f"{x if pts.ndim == 1 else tuple(x)!r}: {values[i]!r}")
+    if values.shape != pts.shape[:2]:
+        raise DomainError(f"objective gave shape {values.shape} for points of "
+                          f"shape {pts.shape}")
+    if not np.maximum.reduce(values, axis=None) < math.inf:  # NaN or +inf
+        bad = ~(values < math.inf)
+        if feasible is not None:
+            bad &= feasible[:, None]
+        if bad.any():
+            i, j = np.argwhere(bad)[0].tolist()
+            x = pts[i, j].tolist()
+            raise NumericError(f"objective of instance {i} is not usable at "
+                               f"{x if pts.ndim == 2 else tuple(x)!r}: {values[i, j]!r}")
+        values = np.where(values < math.inf, values, -math.inf)
     return values
 
 
-@functools.lru_cache(maxsize=8)
-def _grid(box: tuple, n: int) -> np.ndarray:
+@functools.lru_cache(maxsize=16)
+def _grid(box: tuple, n: int, m: int) -> np.ndarray:
     """The uniform grid on ``box`` (one ``(lo, hi)`` pair per axis), one point
-    per row, built once per box and size."""
+    per row, as a read-only (m, n[, 2]) view for m instances."""
     if len(box) == 1:
         grid = np.linspace(*box[0], n)
     else:
         axes = [np.linspace(a, b, n) for a, b in box]
         grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(box))
-    grid.flags.writeable = False
-    return grid
+    return np.broadcast_to(grid, (m,) + grid.shape)
 
 
-def _ranked(pts, values, k) -> list:
-    """``(value, point)`` of the k best distinct points, ties to the
-    lexicographically smallest; a point is a float in 1-D and a tuple in 2-D."""
-    n = len(values)
-    cand = None
-    if pts.ndim == 2 and n > 3 * k:
-        # In 2-D, sort only the points at least as good as the 3k-th best
-        # value (ties included): they lead the full order and hold k distinct
-        # points unless one repeats more than 3 times (3 windows overlap it).
-        # In 1-D the grid and each window are sorted runs, cheap to sort whole.
-        cand = np.flatnonzero(values >= np.partition(values, n - 3 * k)[n - 3 * k])
-    while True:
-        p, v = (pts, values) if cand is None else (pts[cand], values[cand])
-        top: list = []
-        for i in np.lexsort(((p,) if p.ndim == 1 else (p[:, 1], p[:, 0])) + (-v,)):
-            x = float(p[i]) if p.ndim == 1 else tuple(p[i].tolist())
-            if not top or x != top[-1][1]:
-                top.append((float(v[i]), x))
-                if len(top) == k:
-                    return top
-        if cand is None:
-            return top
-        cand = None
+def _first_distinct(v, key, rows, k):
+    """The first k distinct points of each row of ``v`` and ``key`` (m, c),
+    sorted best first, so that equal points are adjacent. ``rows`` is
+    ``arange(m)[:, None]``.
+
+    Returns their values and keys (m, k), and the number of distinct points
+    of each row where some row has fewer than k (such a row is padded with
+    its best point), else None.
+    """
+    dup = np.zeros(v.shape, dtype=bool)  # the same point as the entry before
+    np.equal(key[:, 1:], key[:, :-1], out=dup[:, 1:])
+    if not any(dup[:, 1:k].ravel().tolist()):
+        return v[:, :k], key[:, :k], None
+    pick = dup.argsort(axis=1, kind="stable")[:, :k]  # the distinct entries first
+    if any(dup[rows, pick[:, k - 1:]].ravel().tolist()):
+        count = v.shape[1] - dup.sum(axis=1)
+        pick[np.arange(k) >= count[:, None]] = 0
+        return v[rows, pick], key[rows, pick], np.minimum(count, k)
+    return v[rows, pick], key[rows, pick], None
 
 
-def maximize_box(f, lo, hi, grid: int, tol: float, seeds=()) -> OptResult:
-    """Maximize the vectorised ``f`` on a 1- or 2-D box by a grid and nested grids.
+def _merge(count, i, count_i, m, k):
+    # The distinct-point counts after rows i were ranked again.
+    if count_i is None and count is None:
+        return None
+    count = np.full(m, k) if count is None else count
+    count[i] = k if count_i is None else count_i
+    return None if min(count.tolist()) >= k else count
 
-    With scalar ``lo`` and ``hi`` the box is the interval [lo, hi], ``f``
-    maps a 1-D array of arguments to their values and the argument returned
-    is a float. With two-element ``lo`` and ``hi`` the box is their
-    product, ``f`` maps an (n, 2) array of points to n values and the
-    argument returned is a tuple. Seeds have the shape of ``lo``.
 
-    The first call evaluates every point of ``seeds`` (each must lie in the
+def _sorted_top(key, values, rows, k, c):
+    """Each row's k best distinct points, ties to the smallest key, from a
+    sort of the whole row; only its first c entries are read unless they
+    hold fewer than k distinct points. Returns as ``_first_distinct``."""
+    order = np.lexsort((key, -values), axis=-1)[:, :c]
+    top_v, top_key, count = _first_distinct(values[rows, order], key[rows, order], rows, k)
+    n = values.shape[1]
+    if count is not None and c < n:
+        i = np.flatnonzero(count < k)
+        top_v[i], top_key[i], count_i = _sorted_top(key[i], values[i], rows[:len(i)], k, n)
+        count = _merge(count, i, count_i, len(values), k)
+    return top_v, top_key, count
+
+
+def _ranked(key, values, rows, k, whole):
+    """Each instance's k best distinct points, ties to the smallest key, as
+    ``_sorted_top``. A point's key is the point in 1-D and ``p0 + i p1`` in
+    2-D, which numpy orders lexicographically.
+
+    With k = 1 (the last stage) only the best value is needed, and the
+    smallest key that has it. With ``whole`` (in 1-D, where the grid and
+    each window are sorted runs, cheap to sort) each row is sorted whole.
+    Otherwise only the 3k best points of a row are sorted: they lead its
+    order and, unless one point repeats more than 3 times (3 windows
+    overlap it), hold k distinct points. The result is exact where they do
+    and where the best value left out is below the k-th distinct one; other
+    rows are sorted whole.
+    """
+    m, n = values.shape
+    c = 3 * k
+    if k == 1:
+        v = np.maximum.reduce(values, axis=1, keepdims=True)
+        return v, np.minimum.reduce(np.where(values == v, key, np.inf), axis=1,
+                                    keepdims=True), None
+    if whole or n <= c:
+        return _sorted_top(key, values, rows, k, c)
+    part = values.argpartition(n - c - 1, axis=1)[:, n - c - 1:]
+    v = values[rows, part]  # the best value left out, then the 3k best
+    top_v, top_key, count = _sorted_top(key[rows, part[:, 1:]], v[:, 1:], rows, k, c)
+    redo = top_v[:, k - 1] == v[:, 0]
+    if count is not None:
+        redo |= count < k
+    if any(redo.tolist()):
+        i = np.flatnonzero(redo)
+        top_v[i], top_key[i], count_i = _sorted_top(key[i], values[i], rows[:len(i)], k, c)
+        count = _merge(count, i, count_i, m, k)
+    return top_v, top_key, count
+
+
+def _blocks(rows, points: int) -> list:
+    """``rows`` cut into consecutive blocks of at most ``_BLOCK_POINTS //
+    points`` rows (at least one), for objectives of ``points`` per row."""
+    step = max(1, _BLOCK_POINTS // points)
+    return [rows[i:i + step] for i in range(0, len(rows), step)]
+
+
+def maximize_box(f, lo, hi, grid: int, tol: float, seeds=((),)) -> list:
+    """Maximize the vectorised ``f`` on a 1- or 2-D box by a grid and nested
+    grids, for a batch of instances at once.
+
+    ``seeds`` holds one sequence of seed points per instance, so the number
+    of instances m is its length; the default is one instance without
+    seeds. With scalar ``lo`` and ``hi`` the box is the interval [lo, hi],
+    a point is a float and ``f`` maps an (m, n) array of points, row i for
+    instance i, to their (m, n) values. With two-element ``lo`` and ``hi``
+    the box is their product, a point is a pair and ``f`` maps an
+    (m, n, 2) array to (m, n) values. Every stage is one call of ``f`` for
+    the whole batch; instances do not interact.
+
+    The first call evaluates each instance's seeds (each must lie in the
     box) together with a uniform grid of ``grid`` points per axis (at least
-    2). Each refinement level is one more call: a grid over plus or minus
-    one spacing of the previous level (cut to the box) around each of that
-    level's 3 best distinct points, with 65 points in 1-D and 9 per axis in
-    2-D, so the spacing shrinks 32-fold or 4-fold. Levels repeat until the
-    spacing is below ``tol`` (a positive real), so their number is fixed by
-    ``grid`` and ``tol`` before the first call. Every evaluated point is a
-    candidate, so the value is never below the objective at a seed; ties go
-    to the lexicographically smallest point.
+    2). An instance with fewer seeds than another has its list padded with
+    a grid point, which is not counted. Each refinement level is one more
+    call: a grid over plus or minus one spacing of the previous level (cut
+    to the box) around each of that level's 3 best distinct points of each
+    instance, with 65 points in 1-D and 9 per axis in 2-D, so the spacing
+    shrinks 32-fold or 4-fold. Levels repeat until the spacing is below
+    ``tol`` (a positive real), so their number is fixed by ``grid`` and
+    ``tol`` before the first call. Every evaluated point is a candidate, so
+    an instance's value is never below its objective at a seed; ties go to
+    the lexicographically smallest point.
 
-    A value of ``-inf`` marks an infeasible point; if every seed and grid
-    point has it, InfeasibleError is raised. NaN or ``+inf`` raises
-    NumericError. To minimize ``g``, pass ``-g``.
+    Returns one entry per instance: an OptResult whose argument is a float
+    in 1-D and a tuple in 2-D, or None where the instance is infeasible. A
+    value of ``-inf`` marks an infeasible point, and an instance is
+    infeasible when every one of its seeds and grid points has it; the
+    other instances of the batch are not affected. NaN or ``+inf`` at a
+    point of an instance that is not infeasible raises NumericError. To
+    minimize ``g``, pass ``-g``.
 
-    ``diagnostics`` reports ``evaluations``, their split by ``stages``
-    (``seeds``, ``grid`` and ``refine``) and the number of ``levels``.
+    ``diagnostics`` reports the instance's ``evaluations``, their split by
+    ``stages`` (``seeds``, ``grid`` and ``refine``) and the number of
+    ``levels``.
     """
     if grid < 2:
         raise DomainError(f"grid must be >= 2, got {grid!r}")
@@ -131,17 +219,20 @@ def maximize_box(f, lo, hi, grid: int, tol: float, seeds=()) -> OptResult:
             math.isfinite(a) and math.isfinite(b) and a < b for a, b in box):
         raise DomainError(f"need a 1- or 2-D box with finite lo < hi, got "
                           f"[{lo!r}, {hi!r}]")
-    seeds = np.array(seeds, dtype=float).reshape((-1,) + shape)
-    inside = ((seeds >= lo_a) & (seeds <= hi_a)).reshape(-1, len(box)).all(axis=1)
-    if not inside.all():
-        raise DomainError(f"seed {seeds[np.argmin(inside)].tolist()!r} lies outside "
-                          f"[{lo!r}, {hi!r}]")
+    n_seeds = [len(s) for s in seeds]
+    m, k_max = len(n_seeds), max(n_seeds, default=0)
+    if m == 0:
+        raise DomainError("need at least one instance, that is one entry of seeds")
+    pts = _grid(box, grid, m)
+    if k_max:
+        pad = [lo_a.tolist()]  # the first grid point
+        padded = np.array([list(s) + pad * (k_max - len(s)) for s in seeds], dtype=float)
+        for x in padded.reshape(m * k_max, -1).tolist():
+            if len(x) != len(box) or not all(a <= c <= b for c, (a, b) in zip(x, box)):
+                raise DomainError(f"seed {x!r} is not a point of [{lo!r}, {hi!r}]")
+        pts = np.concatenate((padded, pts), axis=1)
 
     per_axis, window = _WINDOWS[len(box)]
-    pts = _grid(box, grid)
-    if len(seeds):
-        pts = np.concatenate((seeds, pts))
-    stages = {"seeds": len(seeds), "grid": grid ** len(box), "refine": 0}
     spacing = (hi_a - lo_a) / (grid - 1)
     shrink = 2.0 / (per_axis - 1)
     # Count the levels: the spacing shrinks until below the tolerance.
@@ -149,22 +240,42 @@ def maximize_box(f, lo, hi, grid: int, tol: float, seeds=()) -> OptResult:
     while not step < tol:
         step, levels = step * shrink, levels + 1
 
-    top = _ranked(pts, _values(f, pts), _CENTRES)
-    if top[0][0] == -math.inf:
-        raise InfeasibleError("no seed or grid point has a finite objective value")
-    best = [top[0]]  # (value, point) of each level's best point
-    for _ in range(levels):
-        centres = np.array([x for _, x in top])
-        left = np.maximum(centres - spacing, lo_a)
-        width = np.minimum(centres + spacing, hi_a) - left
-        pts = np.minimum(left[:, None] + width[:, None] * window, hi_a).reshape((-1,) + shape)
-        stages["refine"] += len(pts)
+    # A point as one sortable number: itself in 1-D, p0 + i p1 in 2-D.
+    as_key = (lambda p: p) if shape == () else (lambda p: p.view(complex)[..., 0])
+    as_point = (lambda z: z) if shape == () else (
+        lambda z: z.view(float).reshape(z.shape + shape))
+    rows = np.arange(m)[:, None]
+    # The last stage needs its best point only.
+    centres = [_CENTRES] * levels + [1]
+    top_v, top, count = _ranked(as_key(pts), _values(f, pts), rows, centres[0], shape == ())
+    top_p = as_point(top)
+    feasible = top_v[:, 0] > -math.inf
+    if not any(feasible.tolist()):
+        return [None] * m
+    best = [(top_v[:, 0].tolist(), top_p[:, 0].tolist())]  # each level's best point
+    refine = 0  # refinement evaluations; per instance once one has < 3 centres
+    for k in centres[1:]:
+        refine = refine + (_CENTRES if count is None else count) * len(window)
+        left = np.maximum(top_p - spacing, lo_a)
+        width = np.minimum(top_p + spacing, hi_a) - left
+        pts = np.minimum(left[:, :, None, ...] + width[:, :, None, ...] * window,
+                         hi_a).reshape((m, -1) + shape)
         spacing = spacing * shrink
-        top = _ranked(pts, _values(f, pts), _CENTRES)
-        best.append(top[0])
+        top_v, top, count = _ranked(as_key(pts), _values(f, pts, feasible), rows, k,
+                                    shape == ())
+        top_p = as_point(top)
+        best.append((top_v[:, 0].tolist(), top_p[:, 0].tolist()))
 
-    value = max(v for v, _ in best)
-    arg = min(x for v, x in best if v == value)
-    return OptResult(arg=arg, value=value,
-                     diagnostics={"evaluations": sum(stages.values()),
-                                  "stages": stages, "levels": levels})
+    refine = refine.tolist() if isinstance(refine, np.ndarray) else [refine] * m
+    results = []
+    for i, ok in enumerate(feasible.tolist()):
+        if not ok:
+            results.append(None)
+            continue
+        value = max(vs[i] for vs, _ in best)
+        arg = min(xs[i] for vs, xs in best if vs[i] == value)
+        stages = {"seeds": n_seeds[i], "grid": grid ** len(box), "refine": refine[i]}
+        results.append(OptResult(arg=arg if shape == () else tuple(arg), value=value,
+                                 diagnostics={"evaluations": sum(stages.values()),
+                                              "stages": stages, "levels": levels}))
+    return results

@@ -23,7 +23,7 @@ from .model import (
     effective_noise_at_rx1,
     half_log,
 )
-from .optimize import maximize_box
+from .optimize import _blocks, maximize_box
 
 
 def _mac_slot(weight: float, power: float, noise: float) -> float:
@@ -47,8 +47,22 @@ def sd_tin_sum_rate(params: PimacParams) -> SchemeResult:
                         diagnostics={"evaluations": 1})
 
 
-def _tdma_parts(params: PimacParams, alphas) -> tuple[np.ndarray, np.ndarray]:
-    """MAC and point-to-point parts of TDMA-TIN at an array of shares.
+def _tdma_coeffs(rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """TDMA-TIN's per-instance constants for ``_tdma_parts``: the MAC users'
+    SNRs ``P/N`` and interference products ``h^2 P``, each (2, m, 1), and
+    ``P3``, (m, 1), with ``N = 1 + h31^2 P3``."""
+    table = []
+    for p in rows:
+        noise = effective_noise_at_rx1(p, p.p3_max)
+        table.append((p.p1_max / noise, p.p2_max / noise, p.h12 * (p.h12 * p.p1_max),
+                      p.h22 * (p.h22 * p.p2_max), p.p3_max))
+    c = np.array(table).T[:, :, None]
+    return c[0:2], c[2:4], c[4]
+
+
+def _tdma_parts(c: tuple, alphas) -> tuple[np.ndarray, np.ndarray]:
+    """MAC and point-to-point parts of TDMA-TIN at an (m, n) array of shares,
+    row i for instance i of ``c = _tdma_coeffs(rows)``.
 
     User 1's slot has weight ``w = alpha`` and user 2's ``w = 1 - alpha``.
     A slot adds ``w/2 log2(1 + P/(w N))`` to the MAC part, with
@@ -58,29 +72,28 @@ def _tdma_parts(params: PimacParams, alphas) -> tuple[np.ndarray, np.ndarray]:
     which stay finite for every finite input (an overflowed ``c = inf``
     gives the correct limit 0), and a slot of weight 0 adds its limit 0.
     """
+    snr, cross, p3 = c
     a = np.asarray(alphas, dtype=float)
-    noise = effective_noise_at_rx1(params, params.p3_max)
-    snr = np.array([[params.p1_max / noise], [params.p2_max / noise]])
-    cross = np.array([[params.h12 * (params.h12 * params.p1_max)],
-                      [params.h22 * (params.h22 * params.p2_max)]])
     w = np.empty((2,) + a.shape)
     w[0] = a
     np.subtract(1.0, a, out=w[1])
     s = np.maximum(w, 5e-324)  # w, but 5e-324 where w = 0 (its term is weighted by 0)
     mac = w * (np.log2(s + snr) - np.log2(s))
-    p2p = w * np.log2(1.0 + params.p3_max * s / (s + cross))
+    p2p = w * np.log2(1.0 + p3 * s / (s + cross))
     return 0.5 * (mac[0] + mac[1]), 0.5 * (p2p[0] + p2p[1])
 
 
 def alpha_star(params: PimacParams) -> TimeShare | None:
     """Share that maximizes the MAC part: ``P1 / (P1 + P2)``.
 
-    None when both MAC budgets are zero: then every share is optimal.
+    None when both MAC budgets are zero: then every share is optimal. Where
+    ``P1 + P2`` overflows, the share is taken as ``1 / (1 + P2/P1)``.
     """
-    total = params.p1_max + params.p2_max
+    p1, p2 = params.p1_max, params.p2_max
+    total = p1 + p2
     if total <= 0.0:
         return None
-    return TimeShare(params.p1_max / total)
+    return TimeShare(p1 / total if total < math.inf else 1.0 / (1.0 + p2 / p1))
 
 
 def alpha_prime(params: PimacParams) -> TimeShare | None:
@@ -106,6 +119,23 @@ def alpha_prime(params: PimacParams) -> TimeShare | None:
     return TimeShare(c1 / (c1 + c2))
 
 
+def _tdma_tin_block(rows) -> list:
+    seeds = [[share.alpha for share in (alpha_star(p), alpha_prime(p)) if share is not None]
+             for p in rows]
+    c = _tdma_coeffs(rows)
+    return [SchemeResult(sum_rate=res.value, arg=TimeShare(res.arg),
+                         diagnostics=res.diagnostics)
+            for res in maximize_box(lambda a: np.add(*_tdma_parts(c, a)), 0.0, 1.0,
+                                    1025, 1e-7, seeds)]
+
+
+def _tdma_tin_batch(rows) -> list:
+    """``tdma_tin_sum_rate`` of each instance of ``rows``. Each block of
+    instances (``optimize._blocks``) makes one kernel call per solver
+    stage."""
+    return [res for block in _blocks(rows, 1025 + 2) for res in _tdma_tin_block(block)]
+
+
 def tdma_tin_sum_rate(params: PimacParams) -> SchemeResult:
     """Best TDMA-TIN sum-rate over the time share.
 
@@ -114,14 +144,10 @@ def tdma_tin_sum_rate(params: PimacParams) -> SchemeResult:
     as seeds where they are defined; then nested 65-point grids around the
     3 best points down to a spacing below 1e-7. The result is therefore never
     below the full-power TIN sum-rate. The objective can have two interior
-    local maxima, so the search starts from a global grid.
+    local maxima, so the search starts from a global grid. The code is that
+    of ``_tdma_tin_batch``, for a batch of one.
     """
-    seeds = [share.alpha for share in (alpha_star(params), alpha_prime(params))
-             if share is not None]
-    res = maximize_box(lambda a: np.add(*_tdma_parts(params, a)), 0.0, 1.0,
-                       1025, 1e-7, seeds)
-    return SchemeResult(sum_rate=res.value, arg=TimeShare(res.arg),
-                        diagnostics=res.diagnostics)
+    return _tdma_tin_block([params])[0]
 
 
 def pc_tin_objective(params: PimacParams, alloc: PowerAllocation) -> float:
@@ -171,15 +197,32 @@ def pc_tin_sum_rate(params: PimacParams) -> SchemeResult:
     alone, ``half_log(P3)``). It does not dominate plain TDMA, which
     time-shares: at ``h12=1.076, h22=0.687, h31=0.738, P=(31.28, 0.628,
     18.36)`` PC-TIN gives 2.520 bits and plain TDMA 2.840.
+
+    The code is that of ``_pc_tin_batch``, for a batch of one.
     """
-    budgets = (params.p1_max, params.p2_max, params.p3_max)
-    vertices = [PowerAllocation(*v)
-                for v in itertools.product(*((0.0, float(b)) for b in budgets))]
-    # max() keeps the first of equal values: product order is lexicographic.
-    value, alloc = max(((pc_tin_objective(params, v), v) for v in vertices),
-                       key=lambda pair: pair[0])
-    return SchemeResult(sum_rate=value, arg=alloc,
-                        diagnostics={"evaluations": len(vertices)})
+    return _pc_tin_batch([params])[0]
+
+
+# The budget-box vertices as 0/1 factors of (P1, P2, P3), in lexicographic order.
+_VERTICES = np.array(list(itertools.product((0.0, 1.0), repeat=3)))
+
+
+def _pc_tin_batch(rows) -> list:
+    """``pc_tin_sum_rate`` of each instance of ``rows``: the 8 vertices of
+    every instance as one (m, 8) array. Each vertex value takes the float
+    operations of ``pc_tin_objective``, ``math.log2`` included."""
+    gains = np.array([(p.h12, p.h22, p.h31) for p in rows])[:, None, :]
+    alloc = np.array([(p.p1_max, p.p2_max, p.p3_max) for p in rows])[:, None, :] * _VERTICES
+    (h12, h22, h31), (p1, p2, p3) = np.moveaxis(gains, -1, 0), np.moveaxis(alloc, -1, 0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = 1.0 + np.stack(((p1 + p2) / (1.0 + h31 * (h31 * p3)),
+                            p3 / (1.0 + h12 * (h12 * p1) + h22 * (h22 * p2))))
+    log2 = np.reshape(list(map(math.log2, x.ravel().tolist())), x.shape)
+    values = 0.5 * log2[0] + 0.5 * log2[1]
+    best = np.argmax(values, axis=1)  # the first of equal values
+    rows_i = np.arange(len(best))
+    return [SchemeResult(sum_rate=v, arg=PowerAllocation(*a), diagnostics={"evaluations": 8})
+            for v, a in zip(values[rows_i, best].tolist(), alloc[rows_i, best].tolist())]
 
 
 def plain_tdma_sum_rate(params: PimacParams) -> SchemeResult:

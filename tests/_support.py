@@ -4,6 +4,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from pimac import PimacParams
+from pimac.schemes import _tdma_coeffs, _tdma_parts
 
 
 def _zero_or_log_uniform(low_exp, high_exp):
@@ -22,6 +23,13 @@ def figure3_params(h: float) -> PimacParams:
     """Sweep-convention instance: h12 = h31 = h, h22 = 0.2, P = 10."""
     return PimacParams(h12=h, h22=0.2, h31=h,
                        p1_max=10.0, p2_max=10.0, p3_max=10.0)
+
+
+def tdma_parts(params: PimacParams, alphas):
+    """TDMA-TIN's MAC and point-to-point parts of one instance at a 1-D
+    sequence of shares: the kernel for a batch of one."""
+    mac, p2p = _tdma_parts(_tdma_coeffs([params]), np.asarray(alphas, dtype=float)[None])
+    return mac[0], p2p[0]
 
 
 def draw_params(rng: np.random.Generator, gain_high: float = 2.0,

@@ -28,9 +28,9 @@ from pimac import (
     sd_tin_sum_rate,
     tdma_tin_sum_rate,
 )
-from pimac.schemes import _tdma_parts
+from pimac.schemes import _tdma_tin_batch
 
-from _support import draw_feasible_genie, draw_params
+from _support import draw_feasible_genie, draw_params, tdma_parts
 
 FULL_POWER = "FULL_POWER"
 USER1_SILENT = "USER1_SILENT"
@@ -50,9 +50,10 @@ def test_criterion_1_dominance():
     strict_violations = 0
     n_strict = 0
     dominance_violations = 0
-    for _ in range(n):
-        p = draw_params(rng)
-        gap = tdma_tin_sum_rate(p).sum_rate - sd_tin_sum_rate(p).sum_rate
+    # The draws in their usual order, through the batched search the sweep uses.
+    draws = [draw_params(rng) for _ in range(n)]
+    for p, tdma_tin in zip(draws, _tdma_tin_batch(draws)):
+        gap = tdma_tin.sum_rate - sd_tin_sum_rate(p).sum_rate
         if gap < -1e-12:
             dominance_violations += 1
         worst_gap = min(worst_gap, gap)
@@ -78,7 +79,7 @@ def test_criterion_2_equality_anchor():
         h31 = float(rng.uniform(0.0, 2.0))
         powers = 50.0 * (1.0 - rng.uniform(0.0, 1.0, 3))
         p = PimacParams(h12, h22, h31, *map(float, powers))
-        mac, p2p = _tdma_parts(p, [alpha_star(p).alpha])
+        mac, p2p = tdma_parts(p, [alpha_star(p).alpha])
         anchor = float(mac[0] + p2p[0])
         worst = max(worst, abs(anchor - sd_tin_sum_rate(p).sum_rate))
     _report(2, worst <= 1e-12, f"max |A(a*)+B(a*) - sd_tin| = {worst:.3e}")
@@ -93,7 +94,7 @@ def test_criterion_3_convexity_stationarity_minimizer():
     n_interior = 0
     for _ in range(1000):
         p = draw_params(rng)
-        _, b_vals = _tdma_parts(p, grid)
+        _, b_vals = tdma_parts(p, grid)
         # second central finite differences on the grid
         d2 = b_vals[2:] - 2.0 * b_vals[1:-1] + b_vals[:-2]
         worst_d2 = min(worst_d2, float(d2.min()))
@@ -106,7 +107,7 @@ def test_criterion_3_convexity_stationarity_minimizer():
         if 1e-3 <= ap <= 1.0 - 1e-3:
             n_interior += 1
             delta = 1e-4 * min(ap, 1.0 - ap)
-            _, (up, down) = _tdma_parts(p, [ap + delta, ap - delta])
+            _, (up, down) = tdma_parts(p, [ap + delta, ap - delta])
             worst_deriv = max(worst_deriv, abs((up - down) / (2.0 * delta)))
     ok = (worst_d2 >= -1e-9 and worst_deriv <= 1e-6
           and worst_minloc <= 1e-3 + 1e-12)

@@ -355,7 +355,7 @@ def test_closed_form_scalings_beat_any_feasible_eta(gains, powers, rho, fraction
     r1, r2 = rho
     eta = (fractions[0] * math.sqrt(1.0 - r2 * r2), fractions[1] * math.sqrt(1.0 - r1 * r1))
     at_eta = genie_bound_batch(p, [(r1, r2, *eta)])[0]
-    reduced = _genie_reduced(_genie_coeffs(p), np.array([[r1, r2]]))[0]
+    reduced = _genie_reduced(_genie_coeffs([p]), np.array([[[r1, r2]]]))[0, 0]
     assert at_eta >= reduced - 1e-12
 
 
@@ -366,11 +366,11 @@ def _dense_reduced_min(p, n):
     """Minimum of the reduced objective over an n x n grid of [0, 1]^2, and
     that minimum polished by two 201 x 201 grids over plus or minus one
     spacing around the best node (an interior optimum lies between nodes)."""
-    c = _genie_coeffs(_sign_canonical(p))
+    c = _genie_coeffs([_sign_canonical(p)])
 
     def grid_min(ax1, ax2):
         rho = np.stack(np.meshgrid(ax1, ax2, indexing="ij"), axis=-1).reshape(-1, 2)
-        values = _genie_reduced(c, rho)
+        values = _genie_reduced(c, rho[None])[0]
         i = int(np.argmin(values))
         return float(values[i]), rho[i]
 

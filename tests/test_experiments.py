@@ -8,17 +8,28 @@ from pimac import (
     ContractError,
     DomainError,
     GenieParams,
+    InfeasibleError,
+    InvalidRegimeError,
     PimacParams,
     SweepConfig,
     SweepRow,
+    c_sigma_1,
+    c_sigma_2,
     classify_power_point,
     detect_pc_tin_regimes,
     emit_csv,
     half_log,
     montecarlo_covariance_check,
+    pc_tin_sum_rate,
+    plain_tdma_sum_rate,
     render_csv,
     run_sweep,
+    sd_tin_sum_rate,
+    tdma_tin_sum_rate,
 )
+from pimac.bounds import _c_sigma_1_batch
+from pimac.experiments import CURVES, _evaluate_rows
+from pimac.schemes import _pc_tin_batch, _tdma_tin_batch
 
 from _support import draw_feasible_genie, draw_params
 
@@ -72,6 +83,82 @@ def test_sweep_zero_gain_row_values():
     assert row.sd_tin == pytest.approx(expected_sd, abs=1e-12)
     assert row.pc_tin == pytest.approx(expected_sd, abs=1e-9)
     assert row.regime == "FULL_POWER"
+
+
+def _row_from_public_calls(params):
+    """The sweep row of one instance, from the per-instance public calls."""
+    tdma_tin, pc_tin = tdma_tin_sum_rate(params), pc_tin_sum_rate(params)
+    values = dict(sd_tin=sd_tin_sum_rate(params).sum_rate, tdma_tin=tdma_tin.sum_rate,
+                  alpha_opt=tdma_tin.arg.alpha, pc_tin=pc_tin.sum_rate,
+                  p_opt=pc_tin.arg.as_tuple(),
+                  regime=classify_power_point(pc_tin.arg.as_tuple(), (
+                      params.p1_max, params.p2_max, params.p3_max)),
+                  tdma=plain_tdma_sum_rate(params).sum_rate)
+    try:
+        ub1 = c_sigma_1(params)
+        values.update(ub1=ub1.sum_rate, genie_opt=ub1.arg.as_tuple())
+    except InfeasibleError:
+        pass
+    try:
+        values["ub2"] = c_sigma_2(params)
+    except InvalidRegimeError:
+        pass
+    return SweepRow(h=params.h12, **values)
+
+
+def _public_or_none(call, params):
+    try:
+        return call(params)
+    except InfeasibleError:
+        return None
+
+
+def test_batched_rows_equal_per_instance_calls():
+    # One batch of 20 rows, more than one block of the searches: h = 0
+    # (h31 = 0, so t2* = inf), a zero-power instance, h = 1e160 (where the
+    # genie bound finds no finite value) and 17 figure rows.
+    rows = [PimacParams(0.0, 0.2, 0.0, 10.0, 10.0, 10.0),
+            PimacParams(0.5, 0.2, 0.5, 0.0, 0.0, 0.0),
+            PimacParams(1e160, 0.2, 1e160, 10.0, 10.0, 10.0)]
+    rows += [PimacParams(h, 0.2, h, 10.0, 10.0, 10.0)
+             for h in np.linspace(0.05, 1.0, 17).tolist()]
+    got = _evaluate_rows(rows, CURVES)
+    assert got == [_row_from_public_calls(p) for p in rows]
+    assert [row.ub1 is None for row in got] == [False, False, True] + [False] * 17
+    # Values, arguments and evaluation counts, compared with ==.
+    for batch, call in ((_tdma_tin_batch, tdma_tin_sum_rate), (_pc_tin_batch, pc_tin_sum_rate),
+                        (_c_sigma_1_batch, c_sigma_1)):
+        assert batch(rows) == [_public_or_none(call, p) for p in rows]
+    # run_sweep over the same kind of rows.
+    for cfg in (SweepConfig(h_min=0.0, h_max=1e160, steps=3, h22=0.2, p1=10, p2=10, p3=10),
+                SweepConfig(h_min=0.0, h_max=1.0, steps=3, h22=0.2, p1=0, p2=0, p3=0)):
+        assert run_sweep(cfg) == [_row_from_public_calls(PimacParams(
+            h, cfg.h22, h, cfg.p1, cfg.p2, cfg.p3))
+            for h in np.linspace(cfg.h_min, cfg.h_max, cfg.steps).tolist()]
+
+
+# TDMA-TIN (value, share) and the genie bound (value, rho1, rho2) on figure
+# rows, frozen bit for bit: any change in which points the searches visit or
+# how they rank and break ties shows here.
+_FROZEN_SEARCHES = {
+    0.1: (3.6164199407886004, 0.5400519967079163, 3.6369320261758697, 0.15772533416748047,
+          0.13956832885742188),
+    0.37: (2.803486255603735, 0.2631308138370514, 2.972124482667515, 0.38399457931518555,
+           0.4732551574707031),
+    0.53: (2.4901963061989605, 0.0878562331199646, 3.0524681247506864, 0.2281484603881836,
+           0.3031754493713379),
+    0.9: (2.071603142643366, 0.03579878807067871, 3.7081089540480345, 0.07809257507324219,
+          0.10305643081665039),
+}
+
+
+def test_figure_rows_match_frozen_search_results():
+    rows = run_sweep(SweepConfig(h_min=0.0, h_max=1.0, steps=101, h22=0.2, p1=10, p2=10,
+                                 p3=10, which_curves=("tdma_tin", "ub1")))
+    for h, (tdma_tin, alpha, ub1, rho1, rho2) in _FROZEN_SEARCHES.items():
+        (row,) = [r for r in rows if r.h == h]
+        assert (row.tdma_tin, row.alpha_opt, row.ub1) == (tdma_tin, alpha, ub1)
+        assert row.genie_opt[:2] == (rho1, rho2)
 
 
 def test_classify_power_point():

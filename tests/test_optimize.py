@@ -5,24 +5,23 @@ import pytest
 
 from pimac import (
     DomainError,
-    InfeasibleError,
     NumericError,
     maximize_box,
 )
-from pimac.schemes import _tdma_parts
+from pimac.schemes import _tdma_coeffs, _tdma_parts
 
 from _support import figure3_params
 from oracle_tools import dense_tdma_objective
 
 
 def test_scalar_quadratic_argument_within_tolerance():
-    res = maximize_box(lambda x: -(x - 0.3) ** 2, 0.0, 1.0, 65, 1e-6)
+    (res,) = maximize_box(lambda x: -(x - 0.3) ** 2, 0.0, 1.0, 65, 1e-6)
     assert abs(res.arg - 0.3) <= 1e-6
     assert res.diagnostics["evaluations"] > 65
 
 
 def test_scalar_boundary_maximum_with_seed():
-    res = maximize_box(lambda x: x, 0.0, 1.0, 8, 1e-6, seeds=(1.0,))
+    (res,) = maximize_box(lambda x: x, 0.0, 1.0, 8, 1e-6, seeds=[(1.0,)])
     assert res.arg == 1.0
     assert res.value == 1.0
 
@@ -36,7 +35,8 @@ def test_scalar_interior_peak_at_unit_gain():
     oracle_value = float(np.max(values))
     assert abs(oracle_value - 1.9998298574551758) <= 1e-11  # frozen from oracle
 
-    res = maximize_box(lambda a: np.add(*_tdma_parts(params, a)), 0.0, 1.0, 1025, 1e-6)
+    c = _tdma_coeffs([params])
+    (res,) = maximize_box(lambda a: np.add(*_tdma_parts(c, a)), 0.0, 1.0, 1025, 1e-6)
     assert res.value >= oracle_value - 1e-12
     assert abs(res.value - oracle_value) <= 1e-9
     assert abs(res.arg - oracle_arg) <= 1e-3
@@ -48,7 +48,7 @@ def test_scalar_seed_dominance_is_exact():
         return np.sin(37.0 * x) - 0.2 * x
 
     seeds = (0.17, 0.5, 0.93)
-    res = maximize_box(jagged, 0.0, 1.0, 9, 1e-6, seeds=seeds)
+    (res,) = maximize_box(jagged, 0.0, 1.0, 9, 1e-6, seeds=[seeds])
     for s in seeds:
         assert res.value >= jagged(s)
 
@@ -57,7 +57,7 @@ def test_scalar_rejects_bad_interval_and_seed():
     with pytest.raises(DomainError):
         maximize_box(lambda x: x, 1.0, 0.0, 101, 1e-6)
     with pytest.raises(DomainError):
-        maximize_box(lambda x: x, 0.0, 1.0, 101, 1e-6, seeds=(2.0,))
+        maximize_box(lambda x: x, 0.0, 1.0, 101, 1e-6, seeds=[(2.0,)])
 
 
 def test_scalar_non_finite_objective_identifies_point():
@@ -79,7 +79,8 @@ def test_scalar_stop_reasons_and_stage_counts():
         (0.1, (), 0),
     )
     for tol, seeds, levels in cases:
-        diag = maximize_box(peak, 0.0, 1.0, 65, tol, seeds).diagnostics
+        (res,) = maximize_box(peak, 0.0, 1.0, 65, tol, [seeds])
+        diag = res.diagnostics
         assert set(diag) == {"evaluations", "stages", "levels"}
         assert diag["levels"] == levels
         assert diag["stages"] == {"seeds": len(seeds), "grid": 65,
@@ -88,24 +89,60 @@ def test_scalar_stop_reasons_and_stage_counts():
 
 
 def test_scalar_ties_go_to_smallest_argument():
-    res = maximize_box(lambda x: np.zeros_like(x), -1.0, 1.0, 9, 1e-6, seeds=(0.5,))
+    (res,) = maximize_box(lambda x: np.zeros_like(x), -1.0, 1.0, 9, 1e-6, seeds=[(0.5,)])
     assert (res.arg, res.value) == (-1.0, 0.0)
-    plateau = maximize_box(lambda x: np.minimum(x, 0.25), 0.0, 1.0, 9, 1e-6)
+    (plateau,) = maximize_box(lambda x: np.minimum(x, 0.25), 0.0, 1.0, 9, 1e-6)
     assert plateau.arg == 0.25 and plateau.value == 0.25
+
+
+def test_refinement_centres_are_distinct_points():
+    # 0.5 is the best grid point, evaluated three times (two seeds and the
+    # grid). The windows go around the 3 best distinct points, 0.5, 0.25 and
+    # 1.0, and only the one around 1.0 reaches the spike at 0.9.
+    def f(x):
+        base = np.interp(x, [0.0, 0.25, 0.5, 0.75, 1.0], [0.0, 2.0, 3.0, 0.0, 1.0])
+        return np.where(np.abs(x - 0.9) < 0.01, 10.0, base)
+
+    (res,) = maximize_box(f, 0.0, 1.0, 5, 0.01, [(0.5, 0.5)])
+    assert res.value == 10.0 and abs(res.arg - 0.9) < 0.01
+    assert res.diagnostics["stages"] == {"seeds": 2, "grid": 5, "refine": 3 * 65}
+
+
+def test_batch_instances_rank_and_fail_on_their_own():
+    # Three instances in one batch, with 0, 2 and 1 seeds: a plateau, which
+    # ties every point from 0.25 up and so goes to 0.25; an instance that is
+    # -inf everywhere; and one whose only good point is its seed.
+    rows = (lambda x: np.minimum(x, 0.25),
+            lambda x: np.full(x.shape, -math.inf),
+            lambda x: np.where(x == 0.37, 1.0, 0.0))
+    seeds = [(), (0.5, 0.9), (0.37,)]
+
+    def batch(x):
+        return np.stack([row(x[i]) for i, row in enumerate(rows)])
+
+    plateau, infeasible, seeded = maximize_box(batch, 0.0, 1.0, 9, 1e-6, seeds)
+    assert (plateau.arg, plateau.value) == (0.25, 0.25)
+    assert infeasible is None
+    assert (seeded.arg, seeded.value) == (0.37, 1.0)
+    # Padded seeds are not counted.
+    assert [r.diagnostics["stages"]["seeds"] for r in (plateau, seeded)] == [0, 1]
+    # Each instance gets what it gets alone.
+    alone = [maximize_box(row, 0.0, 1.0, 9, 1e-6, [s])[0] for row, s in zip(rows, seeds)]
+    assert alone == [plateau, None, seeded]
 
 
 # The 2-D tests minimize g by maximizing -g, as the genie bound does.
 def _bowl(p):
-    return (p[:, 0] - 0.3) ** 2 + 2.0 * (p[:, 1] + 0.45) ** 2
+    return (p[..., 0] - 0.3) ** 2 + 2.0 * (p[..., 1] + 0.45) ** 2
 
 
 def _in_disk(g):
-    return lambda p: np.where(p[:, 0] ** 2 + p[:, 1] ** 2 <= 1.0, -g(p), -math.inf)
+    return lambda p: np.where(p[..., 0] ** 2 + p[..., 1] ** 2 <= 1.0, -g(p), -math.inf)
 
 
 def test_minimize_unit_disk_quadratic():
-    res = maximize_box(_in_disk(_bowl), (-1.0, -1.0), (1.0, 1.0), 17, 1e-8,
-                       seeds=((0.5, 0.5),))
+    (res,) = maximize_box(_in_disk(_bowl), (-1.0, -1.0), (1.0, 1.0), 17, 1e-8,
+                          seeds=[((0.5, 0.5),)])
     assert isinstance(res.arg, tuple) and len(res.arg) == 2
     assert abs(res.arg[0] - 0.3) <= 1e-8 and abs(res.arg[1] + 0.45) <= 1e-8
     assert -res.value <= 1e-15
@@ -114,27 +151,27 @@ def test_minimize_unit_disk_quadratic():
 def test_minimize_skips_infinite_plateau():
     # Only a pocket is feasible; its best point is the corner nearest (0.9, 0.9).
     def pocket(p):
-        inside = (np.abs(p[:, 0]) <= 0.3) & (np.abs(p[:, 1]) <= 0.3)
-        return np.where(inside, (p[:, 0] - 0.9) ** 2 + (p[:, 1] - 0.9) ** 2, math.inf)
+        inside = (np.abs(p[..., 0]) <= 0.3) & (np.abs(p[..., 1]) <= 0.3)
+        return np.where(inside, (p[..., 0] - 0.9) ** 2 + (p[..., 1] - 0.9) ** 2, math.inf)
 
-    res = maximize_box(lambda p: -pocket(p), (-1.0, -1.0), (1.0, 1.0), 21, 1e-9,
-                       seeds=((0.0, 0.0),))
+    (res,) = maximize_box(lambda p: -pocket(p), (-1.0, -1.0), (1.0, 1.0), 21, 1e-9,
+                          seeds=[((0.0, 0.0),)])
     assert math.isfinite(res.value)
     assert abs(res.arg[0] - 0.3) <= 1e-9 and abs(res.arg[1] - 0.3) <= 1e-9
 
 
 def test_minimize_infeasible_when_everything_is_infinite():
-    with pytest.raises(InfeasibleError):
-        maximize_box(lambda p: np.full(len(p), -math.inf), (0.0, 0.0), (1.0, 1.0),
-                     5, 1e-6, seeds=((0.0, 0.0),))
-    with pytest.raises(InfeasibleError):
-        maximize_box(lambda x: np.full(len(x), -math.inf), 0.0, 1.0, 101, 1e-6)
+    # An instance whose every seed and grid point is infeasible has no result.
+    assert maximize_box(lambda p: np.full(p.shape[:-1], -math.inf), (0.0, 0.0),
+                        (1.0, 1.0), 5, 1e-6, seeds=[((0.0, 0.0),)]) == [None]
+    assert maximize_box(lambda x: np.full(x.shape, -math.inf), 0.0, 1.0, 101,
+                        1e-6) == [None]
 
 
 def test_minimize_rejects_infeasible_seed():
     with pytest.raises(DomainError):
         maximize_box(_in_disk(_bowl), (-1.0, -1.0), (1.0, 1.0), 101, 1e-6,
-                     seeds=((2.0, 2.0),))
+                     seeds=[((2.0, 2.0),)])
     for lo, hi in (((0.0, 1.0), (1.0, 1.0)), ((0.0,) * 3, (1.0,) * 3),
                    ((0.0, 0.0), (1.0, math.inf)), ((0.0, 0.0), 1.0)):
         with pytest.raises(DomainError):
@@ -143,10 +180,10 @@ def test_minimize_rejects_infeasible_seed():
 
 def test_minimize_determinism():
     def f(p):
-        return -(np.cos(3 * p[:, 0]) + (p[:, 1] - 0.2) ** 2)
+        return -(np.cos(3 * p[..., 0]) + (p[..., 1] - 0.2) ** 2)
 
-    a = maximize_box(f, (-1.0, -1.0), (1.0, 1.0), 21, 1e-6, seeds=((0.0, 0.0),))
-    b = maximize_box(f, (-1.0, -1.0), (1.0, 1.0), 21, 1e-6, seeds=((0.0, 0.0),))
+    a = maximize_box(f, (-1.0, -1.0), (1.0, 1.0), 21, 1e-6, seeds=[((0.0, 0.0),)])
+    b = maximize_box(f, (-1.0, -1.0), (1.0, 1.0), 21, 1e-6, seeds=[((0.0, 0.0),)])
     assert a == b
 
 
@@ -158,8 +195,9 @@ def test_minimize_stop_reasons_and_stage_counts():
         (0.5, (), 0),
     )
     for tol, seeds, levels in cases:
-        diag = maximize_box(lambda p: -_bowl(p), (-1.0, -1.0), (1.0, 1.0), 17, tol,
-                            seeds).diagnostics
+        (res,) = maximize_box(lambda p: -_bowl(p), (-1.0, -1.0), (1.0, 1.0), 17, tol,
+                              [seeds])
+        diag = res.diagnostics
         assert set(diag) == {"evaluations", "stages", "levels"}
         assert diag["levels"] == levels
         assert diag["stages"] == {"seeds": len(seeds), "grid": 17 * 17,
@@ -170,19 +208,19 @@ def test_minimize_stop_reasons_and_stage_counts():
 def test_box_nan_or_plus_infinity_identifies_point():
     for bad in (math.nan, math.inf):
         def f(p):
-            return np.where(p[:, 0] + p[:, 1] > 1.5, bad, 0.0)
+            return np.where(p[..., 0] + p[..., 1] > 1.5, bad, 0.0)
 
         with pytest.raises(NumericError, match=r"\(0\.75, 1\.0\)"):
             maximize_box(f, (0.0, 0.0), (1.0, 1.0), 5, 1e-6)
 
 
 def test_box_ties_go_to_lexicographically_smallest_point():
-    res = maximize_box(lambda p: np.zeros(len(p)), (-1.0, -1.0), (1.0, 1.0), 5, 1e-6,
-                       seeds=((0.5, 0.5),))
+    (res,) = maximize_box(lambda p: np.zeros(p.shape[:-1]), (-1.0, -1.0), (1.0, 1.0), 5,
+                          1e-6, seeds=[((0.5, 0.5),)])
     assert (res.arg, res.value) == ((-1.0, -1.0), 0.0)
     # A ridge along p0 = 0.25: every point on it ties, the smallest p1 wins.
-    ridge = maximize_box(lambda p: np.minimum(p[:, 0], 0.25), (0.0, 0.0), (1.0, 1.0),
-                         9, 1e-6)
+    (ridge,) = maximize_box(lambda p: np.minimum(p[..., 0], 0.25), (0.0, 0.0),
+                            (1.0, 1.0), 9, 1e-6)
     assert ridge.arg == (0.25, 0.0) and ridge.value == 0.25
 
 

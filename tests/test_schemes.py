@@ -22,9 +22,8 @@ from pimac import (
     sd_tin_sum_rate,
     tdma_tin_sum_rate,
 )
-from pimac.schemes import _tdma_parts
 
-from _support import WIDE_GAIN, WIDE_POWER, draw_params, figure3_params
+from _support import WIDE_GAIN, WIDE_POWER, draw_params, figure3_params, tdma_parts
 from oracle_tools import (
     dense_pc_grid_max,
     dense_tdma_objective,
@@ -52,8 +51,8 @@ PLAIN_TDMA_P10 = 2.4770981551934376
 def test_sd_tin_region_frozen_values():
     # The region's corner rates are TDMA-TIN's MAC part at the endpoint
     # shares (r1, r2) and at alpha* (r12), and its P2P part at alpha' (r3).
-    (r1, r2, r12), _ = _tdma_parts(CANON, [1.0, 0.0, alpha_star(CANON).alpha])
-    _, (r3,) = _tdma_parts(CANON, [alpha_prime(CANON).alpha])
+    (r1, r2, r12), _ = tdma_parts(CANON, [1.0, 0.0, alpha_star(CANON).alpha])
+    _, (r3,) = tdma_parts(CANON, [alpha_prime(CANON).alpha])
     assert r1 == pytest.approx(CANON_R1, abs=1e-14)
     assert r2 == pytest.approx(CANON_R1, abs=1e-14)
     assert r12 == pytest.approx(CANON_R12, abs=1e-14)
@@ -65,14 +64,14 @@ def test_sd_tin_region_frozen_values():
 def test_sd_tin_region_trivial_cases():
     # Without interference the P2P part is half_log(P3) at every share.
     zero_gain = PimacParams(0, 0, 0, 10, 10, 10)
-    (r1,), (r3,) = _tdma_parts(zero_gain, [1.0])
+    (r1,), (r3,) = tdma_parts(zero_gain, [1.0])
     assert r1 == half_log(10.0)
     assert r3 == half_log(10.0)
     assert sd_tin_sum_rate(zero_gain).sum_rate == half_log(20.0) + half_log(10.0)
 
     # With both MAC budgets zero alpha* is undefined and every MAC rate is 0.
     silent_mac = PimacParams(0.7, -1.2, 0.4, 0.0, 0.0, 10.0)
-    (r1, r2), (r3, _) = _tdma_parts(silent_mac, [1.0, 0.0])
+    (r1, r2), (r3, _) = tdma_parts(silent_mac, [1.0, 0.0])
     assert r1 == 0.0
     assert r2 == 0.0
     assert r3 == half_log(10.0)
@@ -98,8 +97,8 @@ def test_sd_tin_matches_oracle_on_random_draws():
         p = draw_params(rng)
         r1, r2, r12, r3 = (float(r) for r in sd_region_mp(
             p.h12, p.h22, p.h31, p.p1_max, p.p2_max, p.p3_max))
-        mac, _ = _tdma_parts(p, [1.0, 0.0, alpha_star(p).alpha])
-        _, (b_prime,) = _tdma_parts(p, [alpha_prime(p).alpha])
+        mac, _ = tdma_parts(p, [1.0, 0.0, alpha_star(p).alpha])
+        _, (b_prime,) = tdma_parts(p, [alpha_prime(p).alpha])
         assert mac[0] == pytest.approx(r1, abs=1e-12)
         assert mac[1] == pytest.approx(r2, abs=1e-12)
         assert mac[2] == pytest.approx(r12, abs=1e-12)
@@ -109,29 +108,17 @@ def test_sd_tin_matches_oracle_on_random_draws():
 
 
 def test_tdma_components_frozen_values():
-    (a_half,), (b_half,) = _tdma_parts(CANON, [0.5])
+    (a_half,), (b_half,) = tdma_parts(CANON, [0.5])
     assert a_half == pytest.approx(CANON_A_HALF, abs=1e-14)
     assert b_half == pytest.approx(CANON_B_HALF, abs=1e-14)
 
-    _, (b_prime,) = _tdma_parts(CANON, [alpha_prime(CANON).alpha])
+    _, (b_prime,) = tdma_parts(CANON, [alpha_prime(CANON).alpha])
     assert b_prime == pytest.approx(CANON_R3, abs=1e-12)
 
-    (a_zero, a_one), (b_zero, _) = _tdma_parts(CANON, [0.0, 1.0])
+    (a_zero, a_one), (b_zero, _) = tdma_parts(CANON, [0.0, 1.0])
     assert a_zero == pytest.approx(CANON_R1, abs=1e-14)
     assert a_one == pytest.approx(CANON_R1, abs=1e-14)
     assert b_zero == pytest.approx(CANON_B_ZERO, abs=1e-14)
-
-
-def test_tdma_components_match_oracle_on_random_draws():
-    rng = np.random.default_rng(4)
-    for _ in range(25):
-        p = draw_params(rng)
-        a = float(rng.uniform(0.0, 1.0))
-        (mac,), (p2p,) = _tdma_parts(p, [a])
-        a_mp, b_mp = tdma_components_mp(p.h12, p.h22, p.h31, p.p1_max,
-                                        p.p2_max, p.p3_max, a)
-        assert mac == pytest.approx(float(a_mp), abs=1e-12)
-        assert p2p == pytest.approx(float(b_mp), abs=1e-12)
 
 
 def test_tdma_kernel_matches_oracle():
@@ -142,7 +129,7 @@ def test_tdma_kernel_matches_oracle():
     for _ in range(25):
         p = draw_params(rng)
         alphas = np.concatenate((edges, rng.uniform(0.0, 1.0, 8)))
-        mac, p2p = _tdma_parts(p, alphas)
+        mac, p2p = tdma_parts(p, alphas)
         for a, got_mac, got_p2p in zip(alphas, mac, p2p):
             a_mp, b_mp = tdma_components_mp(p.h12, p.h22, p.h31, p.p1_max,
                                             p.p2_max, p.p3_max, float(a))
@@ -155,6 +142,11 @@ def test_alpha_star():
     assert alpha_star(PimacParams(0, 0, 0, 7, 7, 0)).alpha == 0.5
     assert alpha_star(PimacParams(0, 0, 0, 10, 0, 0)).alpha == 1.0
     assert alpha_star(PimacParams(0.5, 0.5, 0.5, 0.0, 0.0, 10.0)) is None
+    # P1 + P2 overflows to inf: the share is still 1/2, not 1e308 / inf = 0.
+    assert alpha_star(PimacParams(0, 0, 0, 1e308, 1e308, 1.0)).alpha == 0.5
+    # The sum 1.1e308 is finite; it rounds, so the share is 10/11 to one ulp.
+    assert alpha_star(PimacParams(0, 0, 0, 1e308, 1e307, 1.0)).alpha == pytest.approx(
+        10 / 11, rel=2.0 ** -52)
 
 
 def test_alpha_prime():
@@ -166,7 +158,7 @@ def test_alpha_prime():
 
 def test_tdma_tin_dominates_value_at_alpha_star():
     res = tdma_tin_sum_rate(CANON)
-    (anchor,) = np.add(*_tdma_parts(CANON, [alpha_star(CANON).alpha]))
+    (anchor,) = np.add(*tdma_parts(CANON, [alpha_star(CANON).alpha]))
     assert anchor == pytest.approx(CANON_A_HALF + CANON_B_HALF, abs=1e-14)
     assert res.sum_rate >= anchor
     assert res.sum_rate >= CANON_SD - 1e-12
@@ -183,7 +175,7 @@ def test_tdma_tin_equality_when_interference_profile_matches():
     # shares coincide, so the objective at that share equals the full-power
     # TIN rate (the maximum may still exceed it).
     p = PimacParams(0.8, -0.8, 0.6, 7.0, 7.0, 12.0)
-    (anchor,) = np.add(*_tdma_parts(p, [alpha_star(p).alpha]))
+    (anchor,) = np.add(*tdma_parts(p, [alpha_star(p).alpha]))
     assert anchor == pytest.approx(sd_tin_sum_rate(p).sum_rate, abs=1e-12)
     assert tdma_tin_sum_rate(p).sum_rate >= anchor
 
@@ -312,7 +304,7 @@ def test_tdma_tin_over_extreme_range(gains, powers):
         res = tdma_tin_sum_rate(p)
         seeds = [0.0, 1.0] + [share.alpha for share in (alpha_star(p), alpha_prime(p))
                               if share is not None]
-        at_seeds = np.add(*_tdma_parts(p, seeds))
+        at_seeds = np.add(*tdma_parts(p, seeds))
     v = res.sum_rate
     assert math.isfinite(v)
     assert 0.0 <= res.arg.alpha <= 1.0
@@ -429,10 +421,10 @@ def test_mac_part_is_maximized_at_alpha_star():
     grid = np.linspace(0.0, 1.0, 501)
     for _ in range(20):
         p = draw_params(rng)
-        (a_star,), _ = _tdma_parts(p, [alpha_star(p).alpha])
+        (a_star,), _ = tdma_parts(p, [alpha_star(p).alpha])
         noise = effective_noise_at_rx1(p, p.p3_max)
         assert a_star == pytest.approx(half_log((p.p1_max + p.p2_max) / noise), abs=1e-12)
-        a_vals, _ = _tdma_parts(p, grid)
+        a_vals, _ = tdma_parts(p, grid)
         assert max(a_vals) <= a_star + 1e-12
 
 
