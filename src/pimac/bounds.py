@@ -306,6 +306,8 @@ def _c_sigma_1_block(rows) -> list:
     c = _genie_coeffs([_sign_canonical(p) for p in rows])
     found = maximize_box(lambda rho: -_genie_reduced(c, rho), (0.0, 0.0), (1.0, 1.0),
                          33, 1e-6, [()] * len(rows))
+    if all(res is None for res in found):
+        return found
     rho = np.array([(0.0, 0.0) if res is None else res.arg for res in found])
     with np.errstate(all="ignore"):
         t1, t2 = _t_star(c, rho[:, None])

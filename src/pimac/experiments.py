@@ -24,8 +24,8 @@ from .bounds import (
 from .errors import ContractError, DomainError, InvalidRegimeError
 from .model import PimacParams
 from .schemes import (
-    _pc_tin_batch,
     _tdma_tin_batch,
+    pc_tin_sum_rate,
     plain_tdma_sum_rate,
     sd_tin_sum_rate,
 )
@@ -107,7 +107,7 @@ def _evaluate_rows(rows, curves) -> list[SweepRow]:
     """The requested curves at each instance of ``rows``, as the sweep rows at
     ``h = h12``.
 
-    The genie bound, TDMA-TIN and PC-TIN take all the rows at once; the
+    The genie bound and TDMA-TIN take all the rows at once; PC-TIN and the
     closed forms take one row at a time. ``ub1`` and its genie point are
     left unavailable on the rows where ``c_sigma_1`` finds no finite genie
     value, and ``ub2`` where ``c_sigma_2`` rejects the instance as outside
@@ -122,7 +122,8 @@ def _evaluate_rows(rows, curves) -> list[SweepRow]:
             v["tdma_tin"] = res.sum_rate
             v["alpha_opt"] = res.arg.alpha
     if "pc_tin" in curves:
-        for v, params, res in zip(values, rows, _pc_tin_batch(rows)):
+        for v, params in zip(values, rows):
+            res = pc_tin_sum_rate(params)
             v["pc_tin"] = res.sum_rate
             v["p_opt"] = res.arg.as_tuple()
             v["regime"] = classify_power_point(
@@ -150,8 +151,8 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
     Each row is one instance with ``h12 = h31 = h``. The rows are evaluated
     together, as ``pimac point`` evaluates a batch of one: each search
     (the genie bound and TDMA-TIN) makes one objective call per solver
-    stage for a block of rows, and PC-TIN one for all rows, with results
-    bit-identical to the per-instance calls. The closed-form upper bound
+    stage for a block of rows, with results bit-identical to the
+    per-instance calls. The closed-form upper bound
     column is marked unavailable on rows where ``h^2 > 1``, and ``ub1`` on
     rows where the genie bound finds no finite value; everything else is
     defined for all gains.

@@ -84,83 +84,95 @@ def _grid(box: tuple, n: int, m: int) -> np.ndarray:
     return np.broadcast_to(grid, (m,) + grid.shape)
 
 
-def _first_distinct(v, key, rows, k):
-    """The first k distinct points of each row of ``v`` and ``key`` (m, c),
-    sorted best first, so that equal points are adjacent. ``rows`` is
-    ``arange(m)[:, None]``.
+def _ranked_one(pts, values, k) -> list:
+    """``(value, point)`` of the k best distinct points of one instance, ties
+    to the lexicographically smallest; a point is a float in 1-D and a tuple
+    in 2-D. ``pts`` is (n[, 2]) and ``values`` (n,)."""
+    n = len(values)
+    cand = None
+    if pts.ndim == 2 and n > 3 * k:
+        # In 2-D, sort only the points at least as good as the 3k-th best
+        # value (ties included): they lead the full order and hold k distinct
+        # points unless one repeats more than 3 times (3 windows overlap it).
+        # In 1-D the grid and each window are sorted runs, cheap to sort whole.
+        cand = np.flatnonzero(values >= np.partition(values, n - 3 * k)[n - 3 * k])
+    while True:
+        p, v = (pts, values) if cand is None else (pts[cand], values[cand])
+        top: list = []
+        for i in np.lexsort(((p,) if p.ndim == 1 else (p[:, 1], p[:, 0])) + (-v,)):
+            x = float(p[i]) if p.ndim == 1 else tuple(p[i].tolist())
+            if not top or x != top[-1][1]:
+                top.append((float(v[i]), x))
+                if len(top) == k:
+                    return top
+        if cand is None:
+            return top
+        cand = None
 
-    Returns their values and keys (m, k), and the number of distinct points
-    of each row where some row has fewer than k (such a row is padded with
-    its best point), else None.
-    """
+
+def _first_distinct(v, key, k):
+    """The first k distinct points of each row of ``v`` and ``key`` (m, c),
+    sorted best first, so that equal points are adjacent: their values and
+    keys (m, k), and the number of them in each row (m,). A row with fewer
+    than k is padded with repeats of them."""
     dup = np.zeros(v.shape, dtype=bool)  # the same point as the entry before
     np.equal(key[:, 1:], key[:, :-1], out=dup[:, 1:])
+    count = np.full(len(v), k)
     if not any(dup[:, 1:k].ravel().tolist()):
-        return v[:, :k], key[:, :k], None
+        return v[:, :k], key[:, :k], count
+    rows = np.arange(len(v))[:, None]
     pick = dup.argsort(axis=1, kind="stable")[:, :k]  # the distinct entries first
-    if any(dup[rows, pick[:, k - 1:]].ravel().tolist()):
-        count = v.shape[1] - dup.sum(axis=1)
-        pick[np.arange(k) >= count[:, None]] = 0
-        return v[rows, pick], key[rows, pick], np.minimum(count, k)
-    return v[rows, pick], key[rows, pick], None
+    if any(dup[rows, pick[:, -1:]].ravel().tolist()):  # some row has fewer than k
+        count = np.minimum(v.shape[1] - dup.sum(axis=1), k)
+    return v[rows, pick], key[rows, pick], count
 
 
-def _merge(count, i, count_i, m, k):
-    # The distinct-point counts after rows i were ranked again.
-    if count_i is None and count is None:
-        return None
-    count = np.full(m, k) if count is None else count
-    count[i] = k if count_i is None else count_i
-    return None if min(count.tolist()) >= k else count
+def _ranked(pts, values, k):
+    """Each row's k best distinct points, ties to the lexicographically
+    smallest, for m instances at once: their values (m, k) and points
+    (m, k[, 2]) of the (m, n[, 2]) ``pts``, and their number in each row
+    (m,); a row with fewer than k is padded with repeats of them.
 
-
-def _sorted_top(key, values, rows, k, c):
-    """Each row's k best distinct points, ties to the smallest key, from a
-    sort of the whole row; only its first c entries are read unless they
-    hold fewer than k distinct points. Returns as ``_first_distinct``."""
-    order = np.lexsort((key, -values), axis=-1)[:, :c]
-    top_v, top_key, count = _first_distinct(values[rows, order], key[rows, order], rows, k)
-    n = values.shape[1]
-    if count is not None and c < n:
-        i = np.flatnonzero(count < k)
-        top_v[i], top_key[i], count_i = _sorted_top(key[i], values[i], rows[:len(i)], k, n)
-        count = _merge(count, i, count_i, len(values), k)
-    return top_v, top_key, count
-
-
-def _ranked(key, values, rows, k, whole):
-    """Each instance's k best distinct points, ties to the smallest key, as
-    ``_sorted_top``. A point's key is the point in 1-D and ``p0 + i p1`` in
-    2-D, which numpy orders lexicographically.
-
-    With k = 1 (the last stage) only the best value is needed, and the
-    smallest key that has it. With ``whole`` (in 1-D, where the grid and
-    each window are sorted runs, cheap to sort) each row is sorted whole.
-    Otherwise only the 3k best points of a row are sorted: they lead its
-    order and, unless one point repeats more than 3 times (3 windows
-    overlap it), hold k distinct points. The result is exact where they do
-    and where the best value left out is below the k-th distinct one; other
-    rows are sorted whole.
+    Points are ranked by one key each: the point in 1-D and ``p0 + i p1``
+    in 2-D, which numpy orders lexicographically. With k = 1 (the last
+    stage) only the best value is needed, and the smallest key that has it.
+    Otherwise the 3k first points of each row's order are read: they hold
+    k distinct points unless one point repeats more than 3 times (3 windows
+    overlap it). In 1-D, where the grid and each window are sorted runs,
+    cheap to sort, rows are sorted whole; in 2-D only the 3k best values of
+    a row are sorted, which is exact where the best value left out is below
+    the k-th distinct one. A row where either shortcut fails is sorted and
+    read whole.
     """
-    m, n = values.shape
-    c = 3 * k
+    (m, n), whole = values.shape, pts.ndim == 2
+    key = pts if whole else pts.view(complex)[..., 0]
+    as_point = (lambda z: z) if whole else (lambda z: z.view(float).reshape(z.shape + (2,)))
     if k == 1:
         v = np.maximum.reduce(values, axis=1, keepdims=True)
-        return v, np.minimum.reduce(np.where(values == v, key, np.inf), axis=1,
-                                    keepdims=True), None
-    if whole or n <= c:
-        return _sorted_top(key, values, rows, k, c)
-    part = values.argpartition(n - c - 1, axis=1)[:, n - c - 1:]
-    v = values[rows, part]  # the best value left out, then the 3k best
-    top_v, top_key, count = _sorted_top(key[rows, part[:, 1:]], v[:, 1:], rows, k, c)
-    redo = top_v[:, k - 1] == v[:, 0]
-    if count is not None:
-        redo |= count < k
-    if any(redo.tolist()):
-        i = np.flatnonzero(redo)
-        top_v[i], top_key[i], count_i = _sorted_top(key[i], values[i], rows[:len(i)], k, c)
-        count = _merge(count, i, count_i, m, k)
-    return top_v, top_key, count
+        return v, as_point(np.minimum.reduce(np.where(values == v, key, np.inf), axis=1,
+                                             keepdims=True)), np.ones(m, dtype=int)
+    k = min(k, n)  # a row of fewer than k points has only those
+    rows, c = np.arange(m)[:, None], 3 * k
+    cand_v, cand_key, cut = values, key, None
+    if not whole and n > c:
+        part = values.argpartition(n - c - 1, axis=1)[:, n - c - 1:]
+        cut = values[rows, part[:, :1]]  # the best value left out
+        cand_v, cand_key = values[rows, part[:, 1:]], key[rows, part[:, 1:]]
+    order = np.lexsort((cand_key, -cand_v), axis=-1)[:, :c]
+    top_v, top_key, count = _first_distinct(cand_v[rows, order], cand_key[rows, order], k)
+    redo = count < k
+    if cut is not None:
+        redo |= top_v[:, k - 1] == cut[:, 0]
+    i = np.flatnonzero(redo)
+    for width in (c, n):  # rows sorted whole: their first 3k points, then all
+        if not i.size:
+            break
+        order = np.lexsort((key[i], -values[i]), axis=-1)[:, :width]
+        r = rows[:len(i)]
+        top_v[i], top_key[i], count[i] = _first_distinct(values[i][r, order],
+                                                         key[i][r, order], k)
+        i = i[count[i] < k]
+    return top_v, as_point(top_key), count
 
 
 def _blocks(rows, points: int) -> list:
@@ -194,7 +206,9 @@ def maximize_box(f, lo, hi, grid: int, tol: float, seeds=((),)) -> list:
     ``tol`` (a positive real), so their number is fixed by ``grid`` and
     ``tol`` before the first call. Every evaluated point is a candidate, so
     an instance's value is never below its objective at a seed; ties go to
-    the lexicographically smallest point.
+    the lexicographically smallest point. A batch of one is ranked by a
+    walk over its sorted points, which costs fewer numpy calls; a larger
+    batch is ranked in array form, with the same results.
 
     Returns one entry per instance: an OptResult whose argument is a float
     in 1-D and a tuple in 2-D, or None where the instance is infeasible. A
@@ -227,9 +241,10 @@ def maximize_box(f, lo, hi, grid: int, tol: float, seeds=((),)) -> list:
     if k_max:
         pad = [lo_a.tolist()]  # the first grid point
         padded = np.array([list(s) + pad * (k_max - len(s)) for s in seeds], dtype=float)
-        for x in padded.reshape(m * k_max, -1).tolist():
-            if len(x) != len(box) or not all(a <= c <= b for c, (a, b) in zip(x, box)):
-                raise DomainError(f"seed {x!r} is not a point of [{lo!r}, {hi!r}]")
+        flat = padded.reshape(m * k_max, -1)
+        if flat.shape[1] != len(box) or not all(
+                a <= min(xs) and max(xs) <= b for (a, b), xs in zip(box, flat.T.tolist())):
+            raise DomainError(f"seeds {seeds!r} are not all points of [{lo!r}, {hi!r}]")
         pts = np.concatenate((padded, pts), axis=1)
 
     per_axis, window = _WINDOWS[len(box)]
@@ -240,42 +255,45 @@ def maximize_box(f, lo, hi, grid: int, tol: float, seeds=((),)) -> list:
     while not step < tol:
         step, levels = step * shrink, levels + 1
 
-    # A point as one sortable number: itself in 1-D, p0 + i p1 in 2-D.
-    as_key = (lambda p: p) if shape == () else (lambda p: p.view(complex)[..., 0])
-    as_point = (lambda z: z) if shape == () else (
-        lambda z: z.view(float).reshape(z.shape + shape))
-    rows = np.arange(m)[:, None]
     # The last stage needs its best point only.
     centres = [_CENTRES] * levels + [1]
-    top_v, top, count = _ranked(as_key(pts), _values(f, pts), rows, centres[0], shape == ())
-    top_p = as_point(top)
-    feasible = top_v[:, 0] > -math.inf
-    if not any(feasible.tolist()):
-        return [None] * m
-    best = [(top_v[:, 0].tolist(), top_p[:, 0].tolist())]  # each level's best point
-    refine = 0  # refinement evaluations; per instance once one has < 3 centres
-    for k in centres[1:]:
-        refine = refine + (_CENTRES if count is None else count) * len(window)
-        left = np.maximum(top_p - spacing, lo_a)
-        width = np.minimum(top_p + spacing, hi_a) - left
-        pts = np.minimum(left[:, :, None, ...] + width[:, :, None, ...] * window,
-                         hi_a).reshape((m, -1) + shape)
-        spacing = spacing * shrink
-        top_v, top, count = _ranked(as_key(pts), _values(f, pts, feasible), rows, k,
-                                    shape == ())
-        top_p = as_point(top)
-        best.append((top_v[:, 0].tolist(), top_p[:, 0].tolist()))
+    best = [[] for _ in range(m)]  # each instance's (value, point) per stage
+    mask = None  # which instances are feasible, once one of them is not
+    refine = 0  # refinement evaluations: one count, or one per instance
+    for stage, k in enumerate(centres):
+        if stage:
+            refine = refine + count * len(window)
+            left = np.maximum(top_p - spacing, lo_a)
+            width = np.minimum(top_p + spacing, hi_a) - left
+            pts = np.minimum(left[:, :, None, ...] + width[:, :, None, ...] * window,
+                             hi_a).reshape((m, -1) + shape)
+            spacing = spacing * shrink
+        values = _values(f, pts, mask)
+        if m == 1:  # the scalar walk costs fewer numpy calls than the array form
+            top = _ranked_one(pts[0], values[0], k)
+            best[0].append(top[0])
+            top_p, count = np.array([[x for _, x in top]]), len(top)
+        else:
+            top_v, top_p, count = _ranked(pts, values, k)
+            for b, v, x in zip(best, top_v[:, 0].tolist(), top_p[:, 0].tolist()):
+                b.append((v, x if shape == () else tuple(x)))
+        if not stage:
+            feasible = [b[0][0] > -math.inf for b in best]
+            if not any(feasible):
+                return [None] * m
+            if not all(feasible):
+                mask = np.array(feasible)
 
     refine = refine.tolist() if isinstance(refine, np.ndarray) else [refine] * m
     results = []
-    for i, ok in enumerate(feasible.tolist()):
+    for b, ok, n, r in zip(best, feasible, n_seeds, refine):
         if not ok:
             results.append(None)
             continue
-        value = max(vs[i] for vs, _ in best)
-        arg = min(xs[i] for vs, xs in best if vs[i] == value)
-        stages = {"seeds": n_seeds[i], "grid": grid ** len(box), "refine": refine[i]}
-        results.append(OptResult(arg=arg if shape == () else tuple(arg), value=value,
+        value = max(v for v, _ in b)
+        arg = min(x for v, x in b if v == value)
+        stages = {"seeds": n, "grid": grid ** len(box), "refine": r}
+        results.append(OptResult(arg=arg, value=value,
                                  diagnostics={"evaluations": sum(stages.values()),
                                               "stages": stages, "levels": levels}))
     return results

@@ -197,32 +197,15 @@ def pc_tin_sum_rate(params: PimacParams) -> SchemeResult:
     alone, ``half_log(P3)``). It does not dominate plain TDMA, which
     time-shares: at ``h12=1.076, h22=0.687, h31=0.738, P=(31.28, 0.628,
     18.36)`` PC-TIN gives 2.520 bits and plain TDMA 2.840.
-
-    The code is that of ``_pc_tin_batch``, for a batch of one.
     """
-    return _pc_tin_batch([params])[0]
-
-
-# The budget-box vertices as 0/1 factors of (P1, P2, P3), in lexicographic order.
-_VERTICES = np.array(list(itertools.product((0.0, 1.0), repeat=3)))
-
-
-def _pc_tin_batch(rows) -> list:
-    """``pc_tin_sum_rate`` of each instance of ``rows``: the 8 vertices of
-    every instance as one (m, 8) array. Each vertex value takes the float
-    operations of ``pc_tin_objective``, ``math.log2`` included."""
-    gains = np.array([(p.h12, p.h22, p.h31) for p in rows])[:, None, :]
-    alloc = np.array([(p.p1_max, p.p2_max, p.p3_max) for p in rows])[:, None, :] * _VERTICES
-    (h12, h22, h31), (p1, p2, p3) = np.moveaxis(gains, -1, 0), np.moveaxis(alloc, -1, 0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        x = 1.0 + np.stack(((p1 + p2) / (1.0 + h31 * (h31 * p3)),
-                            p3 / (1.0 + h12 * (h12 * p1) + h22 * (h22 * p2))))
-    log2 = np.reshape(list(map(math.log2, x.ravel().tolist())), x.shape)
-    values = 0.5 * log2[0] + 0.5 * log2[1]
-    best = np.argmax(values, axis=1)  # the first of equal values
-    rows_i = np.arange(len(best))
-    return [SchemeResult(sum_rate=v, arg=PowerAllocation(*a), diagnostics={"evaluations": 8})
-            for v, a in zip(values[rows_i, best].tolist(), alloc[rows_i, best].tolist())]
+    budgets = (params.p1_max, params.p2_max, params.p3_max)
+    vertices = [PowerAllocation(*v)
+                for v in itertools.product(*((0.0, float(b)) for b in budgets))]
+    # max() keeps the first of equal values: product order is lexicographic.
+    value, alloc = max(((pc_tin_objective(params, v), v) for v in vertices),
+                       key=lambda pair: pair[0])
+    return SchemeResult(sum_rate=value, arg=alloc,
+                        diagnostics={"evaluations": len(vertices)})
 
 
 def plain_tdma_sum_rate(params: PimacParams) -> SchemeResult:

@@ -29,7 +29,7 @@ from pimac import (
 )
 from pimac.bounds import _c_sigma_1_batch
 from pimac.experiments import CURVES, _evaluate_rows
-from pimac.schemes import _pc_tin_batch, _tdma_tin_batch
+from pimac.schemes import _tdma_tin_batch
 
 from _support import draw_feasible_genie, draw_params
 
@@ -126,8 +126,7 @@ def test_batched_rows_equal_per_instance_calls():
     assert got == [_row_from_public_calls(p) for p in rows]
     assert [row.ub1 is None for row in got] == [False, False, True] + [False] * 17
     # Values, arguments and evaluation counts, compared with ==.
-    for batch, call in ((_tdma_tin_batch, tdma_tin_sum_rate), (_pc_tin_batch, pc_tin_sum_rate),
-                        (_c_sigma_1_batch, c_sigma_1)):
+    for batch, call in ((_tdma_tin_batch, tdma_tin_sum_rate), (_c_sigma_1_batch, c_sigma_1)):
         assert batch(rows) == [_public_or_none(call, p) for p in rows]
     # run_sweep over the same kind of rows.
     for cfg in (SweepConfig(h_min=0.0, h_max=1e160, steps=3, h22=0.2, p1=10, p2=10, p3=10),

@@ -95,15 +95,18 @@ def test_scalar_ties_go_to_smallest_argument():
     assert plateau.arg == 0.25 and plateau.value == 0.25
 
 
+def _spike(x):
+    # 0.5 is the best grid point of a 5-point grid; only a window around
+    # 1.0 reaches the spike at 0.9.
+    base = np.interp(x, [0.0, 0.25, 0.5, 0.75, 1.0], [0.0, 2.0, 3.0, 0.0, 1.0])
+    return np.where(np.abs(x - 0.9) < 0.01, 10.0, base)
+
+
 def test_refinement_centres_are_distinct_points():
     # 0.5 is the best grid point, evaluated three times (two seeds and the
     # grid). The windows go around the 3 best distinct points, 0.5, 0.25 and
     # 1.0, and only the one around 1.0 reaches the spike at 0.9.
-    def f(x):
-        base = np.interp(x, [0.0, 0.25, 0.5, 0.75, 1.0], [0.0, 2.0, 3.0, 0.0, 1.0])
-        return np.where(np.abs(x - 0.9) < 0.01, 10.0, base)
-
-    (res,) = maximize_box(f, 0.0, 1.0, 5, 0.01, [(0.5, 0.5)])
+    (res,) = maximize_box(_spike, 0.0, 1.0, 5, 0.01, [(0.5, 0.5)])
     assert res.value == 10.0 and abs(res.arg - 0.9) < 0.01
     assert res.diagnostics["stages"] == {"seeds": 2, "grid": 5, "refine": 3 * 65}
 
@@ -129,6 +132,36 @@ def test_batch_instances_rank_and_fail_on_their_own():
     # Each instance gets what it gets alone.
     alone = [maximize_box(row, 0.0, 1.0, 9, 1e-6, [s])[0] for row, s in zip(rows, seeds)]
     assert alone == [plateau, None, seeded]
+
+
+
+def test_batch_ranking_equals_the_walk_of_one_instance():
+    # A batch of one walks its sorted points; a larger batch ranks all rows
+    # in array form. Both give the same results on each case: ties
+    # everywhere, a plateau, a ridge whose ties cross the 3k-th best value
+    # in 2-D, one point repeated 9 times at the top, a grid of 2 points
+    # (fewer than 3 distinct, with and without a seed on one of them), and
+    # an infeasible region.
+    cases = (
+        (lambda x: np.zeros_like(x), -1.0, 1.0, 9, (0.5,)),
+        (lambda x: np.minimum(x, 0.25), 0.0, 1.0, 9, ()),
+        (_spike, 0.0, 1.0, 5, (0.5, 0.5)),
+        (lambda x: np.where(x == 0.5, 1.0, 0.0), 0.0, 1.0, 5, (0.5,) * 8),
+        (lambda x: -(x - 0.3) ** 2, 0.0, 1.0, 2, ()),
+        (lambda x: -(x - 0.3) ** 2, 0.0, 1.0, 2, (0.0,)),
+        (lambda p: np.zeros(p.shape[:-1]), (-1.0, -1.0), (1.0, 1.0), 5, ((0.5, 0.5),)),
+        (lambda p: np.minimum(p[..., 0], 0.25), (0.0, 0.0), (1.0, 1.0), 9, ()),
+        (lambda p: np.where(p[..., 0] == 0.5, 1.0, 0.0), (0.0, 0.0), (1.0, 1.0), 5,
+         ((0.5, 0.0),) * 9),
+        (_in_disk(_bowl), (-1.0, -1.0), (1.0, 1.0), 17, ((0.5, 0.5),)),
+    )
+    for f, lo, hi, grid, seeds in cases:
+        alone = maximize_box(f, lo, hi, grid, 1e-6, [seeds])
+        assert alone[0] is not None
+        # The same instance twice, the second time without seeds.
+        both = maximize_box(lambda p: np.stack([f(p[0]), f(p[1])]), lo, hi, grid, 1e-6,
+                            [seeds, ()])
+        assert both == alone + maximize_box(f, lo, hi, grid, 1e-6)
 
 
 # The 2-D tests minimize g by maximizing -g, as the genie bound does.
