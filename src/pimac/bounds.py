@@ -77,7 +77,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConstraintError, InfeasibleError, InvalidRegimeError
-from .model import PimacParams, SchemeResult, half_log
+from .model import PimacParams, SchemeResult, _half_log_sum, half_log
 from .optimize import _blocks, maximize_box
 
 LN2 = math.log(2.0)
@@ -136,16 +136,22 @@ def c_sigma_2(params: PimacParams) -> float:
     if params.h31 * params.h31 > 1.0:
         raise InvalidRegimeError(
             f"bound requires h31^2 <= 1, got h31={params.h31!r}")
-    mac = half_log((params.p1_max + params.p2_max)
-                   / (1.0 + params.h31 * (params.h31 * params.p3_max)))
+    mac = _half_log_sum((params.p1_max, params.p2_max),
+                        1.0 + params.h31 * (params.h31 * params.p3_max))
     return mac + half_log(params.p3_max)
 
 
 def _bits(x):
     """``0.5*log2(1 + x)`` for a ratio ``x >= 0``, or ``+inf`` where
     ``1 + x`` reaches ``1/EPS_DET`` or ``x`` is NaN (0/0 of a noiseless
-    genie, or overflow)."""
-    return np.where(x < 1.0 / EPS_DET - 1.0, np.log1p(x) * (0.5 / LN2), np.inf)
+    genie, or overflow). Computed in place: ``x`` is overwritten and
+    returned."""
+    infinite = x < 1.0 / EPS_DET - 1.0
+    np.logical_not(infinite, out=infinite)  # at the limit, or NaN
+    np.log1p(x, out=x)
+    x *= 0.5 / LN2
+    np.copyto(x, math.inf, where=infinite)
+    return x
 
 
 class _GenieCoeffs(NamedTuple):
@@ -218,25 +224,42 @@ def _genie_kernel(c: _GenieCoeffs, r1, r2, t1, t2) -> tuple[np.ndarray, np.ndarr
     in bits, at arrays of ``rho`` and ``t = 1/eta``, one row per instance.
 
     ``c`` is ``_genie_coeffs(rows)``, whose (m, 1) arrays broadcast against
-    the points. The ratios are the completed squares of the module
-    docstring; its rules for degenerate cases select, per instance, the
-    values that replace them. Callers hold ``np.errstate(all="ignore")``:
-    0/0 and overflow are part of the rules.
+    the points; ``r1`` and ``r2`` may hold one row shared by all instances.
+    The ratios are the completed squares of the module docstring; its rules
+    for degenerate cases select, per instance, the values that replace them.
+    They are computed in place, in an (m, n) scratch block and the
+    (2, m, n) result whose rows are returned, with the association order
+    fixed: ``((A w) w + k) / (n1 - rho1^2) + s^2/A``
+    and ``(((q+1) w) w / (q + 1 - rho2^2) + 1/(q+1)) P3``. Besides the
+    masks of degenerate cases, only ``rho^2`` is a temporary, of one row
+    where ``rho`` is shared. Callers hold
+    ``np.errstate(all="ignore")``: 0/0 and overflow are part of the rules.
     """
-    den = c.n1 - r1 * r1
-    w = t1 - r1 * c.s_a
-    u = (c.a * w * w + c.k_mac) / den
-    x = np.empty((2,) + u.shape)  # both ratios, for one call of _bits
-    np.add(u, c.s2_a, out=x[0])
+    w = np.multiply(r1, c.s_a)
+    np.subtract(t1, w, out=w)
+    x = np.empty((2,) + w.shape)  # both ratios, for one call of _bits
+    mac, p2p = x
+    np.multiply(c.a, w, out=mac)
+    mac *= w
+    mac += c.k_mac
+    den = np.subtract(c.n1, r1 * r1, out=w)
+    mac /= den
+    mac += c.s2_a
     if c.a_zero is not None:  # q = s = D = 0: the ratio does not depend on t
-        np.copyto(x[0], c.total / den, where=c.a_zero)
+        np.divide(c.total, den, out=mac, where=c.a_zero)
     if c.q_zero is not None:
-        np.copyto(x[0], c.total_n1, where=c.q_zero & np.isinf(t1))
-    w = c.g31 * t2 - r2 * c.inv_q1
-    np.multiply(c.q1 * w * w / (c.q1 - r2 * r2) + c.inv_q1, c.p3, out=x[1])
+        np.copyto(mac, c.total_n1, where=c.q_zero & np.isinf(t1))
+    np.multiply(c.g31, t2, out=w)
+    np.multiply(r2, c.inv_q1, out=p2p)
+    w -= p2p
+    np.multiply(c.q1, w, out=p2p)
+    p2p *= w
+    p2p /= np.subtract(c.q1, r2 * r2, out=w)
+    p2p += c.inv_q1
+    p2p *= c.p3
     if c.s2_zero is not None:
-        np.copyto(x[1], c.p3_q1, where=c.s2_zero & np.isinf(t2))
-    mac, p2p = _bits(x)
+        np.copyto(p2p, c.p3_q1, where=c.s2_zero & np.isinf(t2))
+    _bits(x)
     # An input group of zero power carries nothing.
     if c.mac_off is not None:
         np.copyto(mac, 0.0, where=c.mac_off)
@@ -247,29 +270,45 @@ def _genie_kernel(c: _GenieCoeffs, r1, r2, t1, t2) -> tuple[np.ndarray, np.ndarr
 
 def _t_star(c: _GenieCoeffs, rho) -> tuple[np.ndarray, np.ndarray]:
     """The best feasible ``t = 1/eta`` of each term at an array of points
-    ``(rho1, rho2)`` (last axis), one row per instance.
+    ``(rho1, rho2)`` (last axis), one row per instance, or one row shared
+    by all instances.
 
     Where a term's genie signal carries no input (``A = 0``, or ``h31 = 0``)
-    it is best dropped: ``t* = inf``. Callers hold
-    ``np.errstate(all="ignore")``; ``fmax`` skips the NaN of ``0 * inf``.
+    it is best dropped: ``t* = inf``. The bounds ``1/sqrt(1 - rho^2)``
+    depend on ``rho`` alone, so a shared row computes them once. Callers
+    hold ``np.errstate(all="ignore")``; ``fmax`` skips the NaN of
+    ``0 * inf``.
     """
-    r1, r2 = rho[..., 0], rho[..., 1]
-    bound = 1.0 / np.sqrt(1.0 - rho * rho)  # 1/sqrt(1 - rho1^2), 1/sqrt(1 - rho2^2)
-    t1 = np.fmax(r1 * c.s_a, bound[..., 1])
+    bound = np.multiply(rho, rho)
+    np.subtract(1.0, bound, out=bound)
+    np.sqrt(bound, out=bound)
+    np.divide(1.0, bound, out=bound)  # 1/sqrt(1 - rho1^2), 1/sqrt(1 - rho2^2)
+    t1 = np.multiply(rho[..., 0], c.s_a)
+    np.fmax(t1, bound[..., 1], out=t1)
     if c.a_zero is not None:
-        t1 = np.where(c.a_zero, math.inf, t1)
-    t2 = np.fmax(r2 * c.inv_g31q1, bound[..., 0])
+        np.copyto(t1, math.inf, where=c.a_zero)
+    t2 = np.multiply(rho[..., 1], c.inv_g31q1)
+    np.fmax(t2, bound[..., 0], out=t2)
     if c.g31_zero is not None:
-        t2 = np.where(c.g31_zero, math.inf, t2)
+        np.copyto(t2, math.inf, where=c.g31_zero)
     return t1, t2
 
 
 def _genie_reduced(c: _GenieCoeffs, rho) -> np.ndarray:
     """Genie bound minimized over the scalings, at each point ``(rho1, rho2)``
-    of the (m, n, 2) array ``rho``: an (m, n) array."""
+    of the (m, n, 2) array ``rho``: an (m, n) array, the sum of the two
+    terms formed in the kernel's result buffer.
+
+    Where ``rho`` has stride 0 on the instance axis (the shared grid of
+    ``optimize._grid``), its ``rho``-only terms (``rho^2`` and
+    ``1/sqrt(1 - rho^2)``) are computed on one row, which the instances'
+    coefficients broadcast against.
+    """
+    if rho.strides[0] == 0:
+        rho = rho[:1]
     with np.errstate(all="ignore"):
         mac, p2p = _genie_kernel(c, rho[..., 0], rho[..., 1], *_t_star(c, rho))
-    return mac + p2p
+        return np.add(mac, p2p, out=mac)
 
 
 def genie_bound_batch(params: PimacParams, points) -> np.ndarray:
@@ -284,7 +323,7 @@ def genie_bound_batch(params: PimacParams, points) -> np.ndarray:
     r1, r2, e1, e2 = np.asarray(points, dtype=float).T[:, None]
     with np.errstate(all="ignore"):
         mac, p2p = _genie_kernel(_genie_coeffs([params]), r1, r2, 1.0 / e1, 1.0 / e2)
-    return (mac + p2p)[0]
+    return np.add(mac, p2p, out=mac)[0]
 
 
 def genie_bound_objective(params: PimacParams, genie: GenieParams) -> float:
@@ -304,8 +343,12 @@ def _sign_canonical(params: PimacParams) -> PimacParams:
 
 def _c_sigma_1_block(rows) -> list:
     c = _genie_coeffs([_sign_canonical(p) for p in rows])
-    found = maximize_box(lambda rho: -_genie_reduced(c, rho), (0.0, 0.0), (1.0, 1.0),
-                         33, 1e-6, [()] * len(rows))
+
+    def objective(rho):
+        value = _genie_reduced(c, rho)
+        return np.negative(value, out=value)
+
+    found = maximize_box(objective, (0.0, 0.0), (1.0, 1.0), 33, 1e-6, [()] * len(rows))
     if all(res is None for res in found):
         return found
     rho = np.array([(0.0, 0.0) if res is None else res.arg for res in found])

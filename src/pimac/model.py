@@ -115,6 +115,23 @@ def half_log(x: float) -> float:
     return 0.5 * math.log2(1.0 + x)
 
 
+def _half_log_sum(powers, noise: float = 1.0) -> float:
+    """``half_log(sum(powers) / noise)`` for finite powers ``>= 0`` and
+    ``noise >= 1`` (``inf`` included), also where the sum overflows to
+    ``inf``. There the quarters of the powers, whose sum ``Q`` is finite,
+    give ``0.5 log2(1 + 4Q/noise) = 1 + 0.5 log2(1/4 + Q/noise)``. Every sum
+    that does not overflow takes the plain form."""
+    total = 0.0
+    for p in powers:
+        total += p
+    if total < math.inf:
+        return half_log(total / noise)
+    quarters = 0.0
+    for p in powers:
+        quarters += 0.25 * p
+    return 1.0 + 0.5 * math.log2(0.25 + quarters / noise)
+
+
 def effective_noise_at_rx1(params: PimacParams, p3: float) -> float:
     """Noise-plus-interference power at the MAC receiver: ``1 + h31**2 * p3``."""
     _require_finite("p3", p3)

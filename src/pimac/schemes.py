@@ -20,6 +20,7 @@ from .model import (
     PowerAllocation,
     SchemeResult,
     TimeShare,
+    _half_log_sum,
     effective_noise_at_rx1,
     half_log,
 )
@@ -42,7 +43,7 @@ def sd_tin_sum_rate(params: PimacParams) -> SchemeResult:
     noise = effective_noise_at_rx1(params, params.p3_max)
     p2p_noise = (1.0 + params.h12 * (params.h12 * params.p1_max)
                  + params.h22 * (params.h22 * params.p2_max))
-    return SchemeResult(sum_rate=half_log((params.p1_max + params.p2_max) / noise)
+    return SchemeResult(sum_rate=_half_log_sum((params.p1_max, params.p2_max), noise)
                         + half_log(params.p3_max / p2p_noise),
                         diagnostics={"evaluations": 1})
 
@@ -71,6 +72,9 @@ def _tdma_parts(c: tuple, alphas) -> tuple[np.ndarray, np.ndarray]:
     as ``w/2 (log2(w + P/N) - log2 w)`` and ``w/2 log2(1 + P3 w/(w + c))``,
     which stay finite for every finite input (an overflowed ``c = inf``
     gives the correct limit 0), and a slot of weight 0 adds its limit 0.
+    Every operation writes into one of four (2, m, n) buffers the kernel
+    owns, in that association order; each part is its buffer's first row,
+    where the halved sum of the two slots is formed in place.
     """
     snr, cross, p3 = c
     a = np.asarray(alphas, dtype=float)
@@ -78,9 +82,21 @@ def _tdma_parts(c: tuple, alphas) -> tuple[np.ndarray, np.ndarray]:
     w[0] = a
     np.subtract(1.0, a, out=w[1])
     s = np.maximum(w, 5e-324)  # w, but 5e-324 where w = 0 (its term is weighted by 0)
-    mac = w * (np.log2(s + snr) - np.log2(s))
-    p2p = w * np.log2(1.0 + p3 * s / (s + cross))
-    return 0.5 * (mac[0] + mac[1]), 0.5 * (p2p[0] + p2p[1])
+    mac = np.add(s, snr)
+    np.log2(mac, out=mac)
+    t = np.log2(s)
+    mac -= t
+    mac *= w
+    np.add(s, cross, out=t)
+    s *= p3
+    s /= t
+    s += 1.0
+    p2p = np.log2(s, out=s)
+    p2p *= w
+    for part in (mac, p2p):
+        np.add(part[0], part[1], out=part[0])
+        part[0] *= 0.5
+    return mac[0], p2p[0]
 
 
 def alpha_star(params: PimacParams) -> TimeShare | None:
@@ -123,10 +139,14 @@ def _tdma_tin_block(rows) -> list:
     seeds = [[share.alpha for share in (alpha_star(p), alpha_prime(p)) if share is not None]
              for p in rows]
     c = _tdma_coeffs(rows)
+
+    def objective(alphas):
+        mac, p2p = _tdma_parts(c, alphas)
+        return np.add(mac, p2p, out=mac)
+
     return [SchemeResult(sum_rate=res.value, arg=TimeShare(res.arg),
                          diagnostics=res.diagnostics)
-            for res in maximize_box(lambda a: np.add(*_tdma_parts(c, a)), 0.0, 1.0,
-                                    1025, 1e-7, seeds)]
+            for res in maximize_box(objective, 0.0, 1.0, 1025, 1e-7, seeds)]
 
 
 def _tdma_tin_batch(rows) -> list:
@@ -150,16 +170,21 @@ def tdma_tin_sum_rate(params: PimacParams) -> SchemeResult:
     return _tdma_tin_block([params])[0]
 
 
+def _tin_value(params: PimacParams, p1: float, p2: float, p3: float) -> float:
+    # Full-power TIN's formula at the powers (p1, p2, p3).
+    mac = _half_log_sum((p1, p2), 1.0 + params.h31 * (params.h31 * p3))
+    p2p = half_log(p3 / (1.0 + params.h12 * (params.h12 * p1)
+                         + params.h22 * (params.h22 * p2)))
+    return mac + p2p
+
+
 def pc_tin_objective(params: PimacParams, alloc: PowerAllocation) -> float:
     """Sum-rate of full-power TIN evaluated at an arbitrary allocation."""
     budgets = (params.p1_max, params.p2_max, params.p3_max)
     for value, budget, name in zip(alloc.as_tuple(), budgets, ("p1", "p2", "p3")):
         if value > budget:
             raise ConstraintError(f"{name}={value!r} exceeds its budget {budget!r}")
-    mac = half_log((alloc.p1 + alloc.p2) / (1.0 + params.h31 * (params.h31 * alloc.p3)))
-    p2p = half_log(alloc.p3 / (1.0 + params.h12 * (params.h12 * alloc.p1)
-                               + params.h22 * (params.h22 * alloc.p2)))
-    return mac + p2p
+    return _tin_value(params, *alloc.as_tuple())
 
 
 def pc_tin_sum_rate(params: PimacParams) -> SchemeResult:
@@ -199,12 +224,11 @@ def pc_tin_sum_rate(params: PimacParams) -> SchemeResult:
     18.36)`` PC-TIN gives 2.520 bits and plain TDMA 2.840.
     """
     budgets = (params.p1_max, params.p2_max, params.p3_max)
-    vertices = [PowerAllocation(*v)
-                for v in itertools.product(*((0.0, float(b)) for b in budgets))]
+    vertices = list(itertools.product(*((0.0, float(b)) for b in budgets)))
     # max() keeps the first of equal values: product order is lexicographic.
-    value, alloc = max(((pc_tin_objective(params, v), v) for v in vertices),
-                       key=lambda pair: pair[0])
-    return SchemeResult(sum_rate=value, arg=alloc,
+    value, vertex = max(((_tin_value(params, *v), v) for v in vertices),
+                        key=lambda pair: pair[0])
+    return SchemeResult(sum_rate=value, arg=PowerAllocation(*vertex),
                         diagnostics={"evaluations": len(vertices)})
 
 
@@ -214,10 +238,18 @@ def plain_tdma_sum_rate(params: PimacParams) -> SchemeResult:
     The optimal share is ``(P1+P2) / (P1+P2+P3)`` in closed form, where the
     achieved sum-rate collapses to ``half_log(P1+P2+P3)``. With all budgets
     zero every share gives the limit 0; the share returned is 0.0, the
-    smallest.
+    smallest. Where ``P1+P2+P3`` overflows, the slots' powers would too:
+    the share is then taken from the quarters of the budgets and the value
+    in its closed form.
     """
     mac_power = params.p1_max + params.p2_max
     total = mac_power + params.p3_max
+    if total == math.inf:
+        quarter = 0.25 * params.p1_max + 0.25 * params.p2_max
+        return SchemeResult(
+            sum_rate=_half_log_sum((params.p1_max, params.p2_max, params.p3_max)),
+            arg=TimeShare(quarter / (quarter + 0.25 * params.p3_max)),
+            diagnostics={"evaluations": 1})
     alpha = mac_power / total if total > 0.0 else 0.0
     value = (_mac_slot(alpha, mac_power, 1.0)
              + _mac_slot(1.0 - alpha, params.p3_max, 1.0))

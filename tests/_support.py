@@ -19,6 +19,29 @@ WIDE_GAIN = st.builds(lambda m, sign: sign * m, _zero_or_log_uniform(-3, 150),
 WIDE_POWER = _zero_or_log_uniform(-300, 200)
 
 
+# Fifteen instances for the kernels' bit-identity tests, one row each of
+# every degenerate case: A = 0 (and q = 0), h31 = 0, P3 = 0, P1 = P2 = 0, all
+# powers 0, D = 0, gains of 1e150, powers of 1e200 and of 1e-300, an
+# overflowed cross product, signed gains, and ordinary rows.
+KERNEL_ROWS = [PimacParams(*row) for row in (
+    (0.5, 0.2, 0.5, 10.0, 10.0, 10.0),
+    (0.2, 0.2, 0.2, 10.0, 10.0, 10.0),
+    (0.0, 0.0, 0.5, 10.0, 10.0, 10.0),
+    (0.0, 0.2, 0.5, 10.0, 0.0, 10.0),
+    (0.5, 0.2, 0.0, 10.0, 10.0, 10.0),
+    (0.5, 0.2, 0.5, 10.0, 10.0, 0.0),
+    (0.5, 0.2, 0.5, 0.0, 0.0, 10.0),
+    (0.5, 0.2, 0.5, 0.0, 0.0, 0.0),
+    (1e150, 1e150, 1e150, 10.0, 10.0, 10.0),
+    (0.5, 0.2, 0.5, 1e200, 1e200, 1e200),
+    (1e150, 0.2, 1e150, 1e200, 1e-300, 1e200),
+    (0.5, 0.2, 0.5, 1e-300, 1e-300, 1e-300),
+    (-1.3, 0.7, -0.9, 3.0, 40.0, 0.5),
+    (2.0, 1e120, 0.3, 5.0, 1e100, 20.0),
+    (0.9, 0.0, 1.0, 25.0, 5.0, 0.01),
+)]
+
+
 def figure3_params(h: float) -> PimacParams:
     """Sweep-convention instance: h12 = h31 = h, h22 = 0.2, P = 10."""
     return PimacParams(h12=h, h22=0.2, h31=h,
@@ -30,6 +53,13 @@ def tdma_parts(params: PimacParams, alphas):
     sequence of shares: the kernel for a batch of one."""
     mac, p2p = _tdma_parts(_tdma_coeffs([params]), np.asarray(alphas, dtype=float)[None])
     return mac[0], p2p[0]
+
+
+def same_bits(got, want) -> bool:
+    """Equal shapes and equal bytes: bit-identical arrays, NaN and signed
+    zeros included."""
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def draw_params(rng: np.random.Generator, gain_high: float = 2.0,

@@ -3,7 +3,10 @@
 High-precision evaluation goes through mpmath at 40 digits; maximizations
 are cross-checked with dense numpy grids; the genie bound against log-det
 mutual informations of a covariance built from the linear channel map. These
-routines deliberately do not call into the package's own code.
+routines deliberately do not call into the package's own code. The
+expression forms of the two search kernels at the end take the package's
+coefficient tables as inputs only: they are the references that the
+in-place kernels must equal bit for bit.
 """
 
 import math
@@ -141,3 +144,63 @@ def mutual_info_bits(cov, group_a, group_b):
     if ld_ab <= math.log(1e-12) + ld_a + ld_b:
         return math.inf
     return max(0.5 * (ld_a + ld_b - ld_ab) / math.log(2.0), 0.0)
+
+
+# Expression forms of the search kernels: every operation allocates its
+# result, in the association order that the in-place kernels keep. ``c`` is
+# ``pimac.bounds._genie_coeffs(rows)`` or ``pimac.schemes._tdma_coeffs(rows)``.
+
+def bits_ref(x):
+    return np.where(x < 1.0 / 1e-12 - 1.0, np.log1p(x) * (0.5 / math.log(2.0)), np.inf)
+
+
+def genie_kernel_ref(c, r1, r2, t1, t2):
+    den = c.n1 - r1 * r1
+    w = t1 - r1 * c.s_a
+    u = (c.a * w * w + c.k_mac) / den
+    x = np.empty((2,) + u.shape)
+    np.add(u, c.s2_a, out=x[0])
+    if c.a_zero is not None:
+        np.copyto(x[0], c.total / den, where=c.a_zero)
+    if c.q_zero is not None:
+        np.copyto(x[0], c.total_n1, where=c.q_zero & np.isinf(t1))
+    w = c.g31 * t2 - r2 * c.inv_q1
+    np.multiply(c.q1 * w * w / (c.q1 - r2 * r2) + c.inv_q1, c.p3, out=x[1])
+    if c.s2_zero is not None:
+        np.copyto(x[1], c.p3_q1, where=c.s2_zero & np.isinf(t2))
+    mac, p2p = bits_ref(x)
+    if c.mac_off is not None:
+        np.copyto(mac, 0.0, where=c.mac_off)
+    if c.p2p_off is not None:
+        np.copyto(p2p, 0.0, where=c.p2p_off)
+    return mac, p2p
+
+
+def t_star_ref(c, rho):
+    r1, r2 = rho[..., 0], rho[..., 1]
+    bound = 1.0 / np.sqrt(1.0 - rho * rho)
+    t1 = np.fmax(r1 * c.s_a, bound[..., 1])
+    if c.a_zero is not None:
+        t1 = np.where(c.a_zero, math.inf, t1)
+    t2 = np.fmax(r2 * c.inv_g31q1, bound[..., 0])
+    if c.g31_zero is not None:
+        t2 = np.where(c.g31_zero, math.inf, t2)
+    return t1, t2
+
+
+def genie_reduced_ref(c, rho):
+    with np.errstate(all="ignore"):
+        mac, p2p = genie_kernel_ref(c, rho[..., 0], rho[..., 1], *t_star_ref(c, rho))
+    return mac + p2p
+
+
+def tdma_parts_ref(c, alphas):
+    snr, cross, p3 = c
+    a = np.asarray(alphas, dtype=float)
+    w = np.empty((2,) + a.shape)
+    w[0] = a
+    np.subtract(1.0, a, out=w[1])
+    s = np.maximum(w, 5e-324)
+    mac = w * (np.log2(s + snr) - np.log2(s))
+    p2p = w * np.log2(1.0 + p3 * s / (s + cross))
+    return 0.5 * (mac[0] + mac[1]), 0.5 * (p2p[0] + p2p[1])

@@ -24,18 +24,22 @@ from pimac import (
 )
 from pimac.bounds import (
     _genie_coeffs,
+    _genie_kernel,
     _genie_reduced,
     _sign_canonical,
     genie_bound_batch,
 )
 from pimac.experiments import _sampling_map
+from pimac.optimize import _grid
 
 from _support import (
+    KERNEL_ROWS,
     WIDE_GAIN,
     WIDE_POWER,
     draw_feasible_genie,
     draw_params,
     figure3_params,
+    same_bits,
 )
 from oracle_tools import (
     MAC_INPUTS,
@@ -44,6 +48,8 @@ from oracle_tools import (
     RX2_OUTPUTS,
     genie_independent,
     genie_joint_cov,
+    genie_kernel_ref,
+    genie_reduced_ref,
     mutual_info_bits,
 )
 
@@ -187,6 +193,29 @@ def test_genie_objective_zero_gain_value():
     expected = half_log(20.0) + half_log(10.0)
     got = genie_bound_objective(p, GenieParams(0.0, 0.0, 1.0, 1.0))
     assert got == pytest.approx(expected, abs=1e-12)
+
+
+def test_genie_kernel_equals_expression_form():
+    # The in-place kernel, its scalings and the sum of its terms equal the
+    # expression form bit for bit: on the shared 33 x 33 grid (stride 0 over
+    # instances) and on per-instance windows, for a batch of 15 rows holding
+    # every degenerate case and for each row alone, and at scalings t = 1/eta
+    # from 1 to inf, as genie_bound_batch and the Monte-Carlo check use it.
+    rng = np.random.default_rng(13)
+    for rows in [KERNEL_ROWS] + [[p] for p in KERNEL_ROWS]:
+        c, m = _genie_coeffs(rows), len(rows)
+        windows = rng.uniform(0.0, 1.0, (m, 243, 2))
+        windows[:, :3] = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
+        for rho in (_grid(((0.0, 1.0), (0.0, 1.0)), 33, m), windows):
+            assert same_bits(_genie_reduced(c, rho), genie_reduced_ref(c, rho))
+        r1, r2 = windows[..., 0], windows[..., 1]
+        with np.errstate(all="ignore"):
+            t1 = 1.0 / (rng.uniform(0.0, 1.0, r1.shape) * np.sqrt(1.0 - r2 * r2))
+            t2 = 1.0 / (rng.uniform(0.0, 1.0, r1.shape) * np.sqrt(1.0 - r1 * r1))
+            t1[:, 3:6], t2[:, 6:9] = math.inf, math.inf
+            got = _genie_kernel(c, r1, r2, t1, t2)
+            want = genie_kernel_ref(c, r1, r2, t1, t2)
+        assert all(same_bits(g, w) for g, w in zip(got, want))
 
 
 def test_genie_objective_validity_over_random_draws():

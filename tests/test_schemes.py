@@ -2,6 +2,7 @@ import itertools
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -22,14 +23,25 @@ from pimac import (
     sd_tin_sum_rate,
     tdma_tin_sum_rate,
 )
+from pimac.schemes import _tdma_coeffs, _tdma_parts
 
-from _support import WIDE_GAIN, WIDE_POWER, draw_params, figure3_params, tdma_parts
+from _support import (
+    KERNEL_ROWS,
+    WIDE_GAIN,
+    WIDE_POWER,
+    draw_params,
+    figure3_params,
+    same_bits,
+    tdma_parts,
+)
 from oracle_tools import (
     dense_pc_grid_max,
     dense_tdma_objective,
+    half_log_mp,
     pc_objective_mp,
     sd_region_mp,
     tdma_components_mp,
+    tdma_parts_ref,
 )
 
 # Canonical instance used by most hand-checked values below.
@@ -135,6 +147,22 @@ def test_tdma_kernel_matches_oracle():
                                             p.p2_max, p.p3_max, float(a))
             assert got_mac == pytest.approx(float(a_mp), abs=1e-12)
             assert got_p2p == pytest.approx(float(b_mp), abs=1e-12)
+
+
+def test_tdma_kernel_equals_expression_form():
+    # The in-place kernel equals the expression form bit for bit, for a batch
+    # of 15 rows holding every degenerate case and for each row alone, at the
+    # shares 0 and 1, each row's seeds (alpha*, alpha') and random shares.
+    rng = np.random.default_rng(17)
+    seeds = [[s.alpha if s is not None else 0.5 for s in (alpha_star(p), alpha_prime(p))]
+             for p in KERNEL_ROWS]
+    alphas = np.hstack((np.tile([0.0, 1.0], (len(KERNEL_ROWS), 1)), seeds,
+                        rng.uniform(0.0, 1.0, (len(KERNEL_ROWS), 61))))
+    for c, a in [(_tdma_coeffs(KERNEL_ROWS), alphas)] + [
+            (_tdma_coeffs([p]), row[None]) for p, row in zip(KERNEL_ROWS, alphas)]:
+        with np.errstate(all="ignore"):
+            got, want = _tdma_parts(c, a), tdma_parts_ref(c, a)
+        assert all(same_bits(g, w) for g, w in zip(got, want))
 
 
 def test_alpha_star():
@@ -258,12 +286,18 @@ def test_pc_tin_dominates_sd_and_plain_tdma():
             assert pc >= pc_tin_objective(p, vertex) - 1e-12
 
 
+# P1 + P2 overflows to inf while every budget is finite.
+_SUM_OVERFLOWS = ((0.5, 0.2, 0.5), (1e308, 1e308, 10.0))
+
+
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(gains=st.tuples(WIDE_GAIN, WIDE_GAIN, WIDE_GAIN),
        powers=st.tuples(WIDE_POWER, WIDE_POWER, WIDE_POWER))
+@example(*_SUM_OVERFLOWS)
 def test_pc_tin_vertex_over_extreme_range(gains, powers):
-    # Gains up to 1e150 and powers from 1e-300 to 1e200: the result is a
-    # finite box vertex, no grid point beats it, and nothing overflows.
+    # Gains up to 1e150 and powers from 1e-300 to 1e200, and budgets whose
+    # sum overflows: the result is a finite box vertex whose value matches
+    # mpmath, no grid point beats it, and nothing overflows.
     p = PimacParams(*gains, *powers)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -271,9 +305,12 @@ def test_pc_tin_vertex_over_extreme_range(gains, powers):
     assert math.isfinite(res.sum_rate)
     assert res.arg.as_tuple() in set(itertools.product(*((0.0, b) for b in powers)))
     assert res.diagnostics == {"evaluations": 8}
+    assert res.sum_rate == pytest.approx(
+        float(pc_objective_mp(*gains, *res.arg.as_tuple())), rel=1e-12, abs=1e-12)
     with np.errstate(over="ignore"):
         _, oracle = dense_pc_grid_max(p, 21)
-    assert res.sum_rate >= oracle - 1e-12 * max(1.0, abs(res.sum_rate))
+    if math.isfinite(oracle):  # float64 grid sums of 1e308 overflow
+        assert res.sum_rate >= oracle - 1e-12 * max(1.0, abs(res.sum_rate))
 
 
 # genie_wide's extreme panel, point 300: alpha' = 1.3e-257, where the plain
@@ -318,14 +355,19 @@ def test_tdma_tin_over_extreme_range(gains, powers):
 @given(gains=st.tuples(WIDE_GAIN, WIDE_GAIN, WIDE_GAIN),
        powers=st.tuples(WIDE_POWER, WIDE_POWER, WIDE_POWER))
 @example((0.5, 0.2, 0.5), (0.0, 0.0, 0.0))
+@example(*_SUM_OVERFLOWS)
+@example((0.5, 0.2, 0.5), (1e308, 0.0, 1e308))
 def test_closed_forms_over_extreme_range(gains, powers):
-    # Gains up to 1e150 and powers from 1e-300 to 1e200, and all powers
-    # zero: SD-TIN, plain TDMA and, in its regime, the closed-form bound
-    # return finite values, and the bound is above both schemes.
+    # Gains up to 1e150 and powers from 1e-300 to 1e200, all powers zero, and
+    # budgets whose sums overflow: SD-TIN, plain TDMA and, in its regime, the
+    # closed-form bound return finite values, plain TDMA equals its closed
+    # form half_log(P1+P2+P3), and the bound is above both schemes.
     p = PimacParams(*gains, *powers)
     sd = sd_tin_sum_rate(p).sum_rate
     tdma = plain_tdma_sum_rate(p).sum_rate
     assert math.isfinite(sd) and math.isfinite(tdma)
+    assert tdma == pytest.approx(float(half_log_mp(sum(map(mp.mpf, powers)))),
+                                 rel=1e-12, abs=1e-12)
     if p.h31 * p.h31 <= 1.0:
         ub2 = c_sigma_2(p)
         assert math.isfinite(ub2)
