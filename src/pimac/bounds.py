@@ -229,11 +229,11 @@ def _genie_kernel(c: _GenieCoeffs, r1, r2, t1, t2) -> tuple[np.ndarray, np.ndarr
     for degenerate cases select, per instance, the values that replace them.
     They are computed in place, in an (m, n) scratch block and the
     (2, m, n) result whose rows are returned, with the association order
-    fixed: ``((A w) w + k) / (n1 - rho1^2) + s^2/A``
-    and ``(((q+1) w) w / (q + 1 - rho2^2) + 1/(q+1)) P3``. Besides the
-    masks of degenerate cases, only ``rho^2`` is a temporary, of one row
-    where ``rho`` is shared. Callers hold
-    ``np.errstate(all="ignore")``: 0/0 and overflow are part of the rules.
+    fixed: ``((A w) w + k) / (n1 - rho1^2) + s^2/A`` and
+    ``(((q+1) w) w / (q + 1 - rho2^2) + 1/(q+1)) P3``. Besides the masks of
+    degenerate cases, only ``rho^2`` is a temporary, of one row where
+    ``rho`` is shared. Callers hold ``np.errstate(all="ignore")``: 0/0 and
+    overflow are part of the rules.
     """
     w = np.multiply(r1, c.s_a)
     np.subtract(t1, w, out=w)
