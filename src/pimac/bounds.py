@@ -219,30 +219,30 @@ def _genie_coeffs(rows) -> _GenieCoeffs:
                                    for f in flags))
 
 
-def _genie_kernel(c: _GenieCoeffs, r1, r2, t1, t2) -> tuple[np.ndarray, np.ndarray]:
+def _genie_kernel(c: _GenieCoeffs, rho, rho_sq, r1_s, t1, t2) -> tuple[np.ndarray, np.ndarray]:
     """The genie bound's two terms ``I(X1,X2; Y1,S1)`` and ``I(X3; Y2,S2)``
-    in bits, at arrays of ``rho`` and ``t = 1/eta``, one row per instance.
+    in bits, at arrays of points ``rho`` (last axis) and of ``t = 1/eta``,
+    one row per instance, given ``rho_sq = rho^2`` and ``r1_s = rho1 s/A``,
+    which ``_t_star`` computes once for both.
 
     ``c`` is ``_genie_coeffs(rows)``, whose (m, 1) arrays broadcast against
-    the points; ``r1`` and ``r2`` may hold one row shared by all instances.
-    The ratios are the completed squares of the module docstring; its rules
-    for degenerate cases select, per instance, the values that replace them.
-    They are computed in place, in an (m, n) scratch block and the
-    (2, m, n) result whose rows are returned, with the association order
-    fixed: ``((A w) w + k) / (n1 - rho1^2) + s^2/A`` and
-    ``(((q+1) w) w / (q + 1 - rho2^2) + 1/(q+1)) P3``. Besides the masks of
-    degenerate cases, only ``rho^2`` is a temporary, of one row where
-    ``rho`` is shared. Callers hold ``np.errstate(all="ignore")``: 0/0 and
-    overflow are part of the rules.
+    the points; ``rho`` may hold one row shared by all instances. The ratios
+    are the completed squares of the module docstring; its rules for
+    degenerate cases select, per instance, the values that replace them.
+    They are computed in place, in an (m, n) scratch block and the (2, m, n)
+    result whose rows are returned, with the association order fixed:
+    ``((A w) w + k) / (n1 - rho1^2) + s^2/A`` and
+    ``(((q+1) w) w / (q + 1 - rho2^2) + 1/(q+1)) P3``. Callers hold
+    ``np.errstate(all="ignore")``, once per search: 0/0 and overflow are
+    part of the rules.
     """
-    w = np.multiply(r1, c.s_a)
-    np.subtract(t1, w, out=w)
+    w = np.subtract(t1, r1_s)
     x = np.empty((2,) + w.shape)  # both ratios, for one call of _bits
     mac, p2p = x
     np.multiply(c.a, w, out=mac)
     mac *= w
     mac += c.k_mac
-    den = np.subtract(c.n1, r1 * r1, out=w)
+    den = np.subtract(c.n1, rho_sq[..., 0], out=w)
     mac /= den
     mac += c.s2_a
     if c.a_zero is not None:  # q = s = D = 0: the ratio does not depend on t
@@ -250,11 +250,11 @@ def _genie_kernel(c: _GenieCoeffs, r1, r2, t1, t2) -> tuple[np.ndarray, np.ndarr
     if c.q_zero is not None:
         np.copyto(mac, c.total_n1, where=c.q_zero & np.isinf(t1))
     np.multiply(c.g31, t2, out=w)
-    np.multiply(r2, c.inv_q1, out=p2p)
+    np.multiply(rho[..., 1], c.inv_q1, out=p2p)
     w -= p2p
     np.multiply(c.q1, w, out=p2p)
     p2p *= w
-    p2p /= np.subtract(c.q1, r2 * r2, out=w)
+    p2p /= np.subtract(c.q1, rho_sq[..., 1], out=w)
     p2p += c.inv_q1
     p2p *= c.p3
     if c.s2_zero is not None:
@@ -268,36 +268,37 @@ def _genie_kernel(c: _GenieCoeffs, r1, r2, t1, t2) -> tuple[np.ndarray, np.ndarr
     return mac, p2p
 
 
-def _t_star(c: _GenieCoeffs, rho) -> tuple[np.ndarray, np.ndarray]:
+def _t_star(c: _GenieCoeffs, rho) -> tuple[np.ndarray, ...]:
     """The best feasible ``t = 1/eta`` of each term at an array of points
     ``(rho1, rho2)`` (last axis), one row per instance, or one row shared
-    by all instances.
+    by all instances, and the products ``rho^2`` and ``rho1 s/A`` for the kernel.
 
     Where a term's genie signal carries no input (``A = 0``, or ``h31 = 0``)
     it is best dropped: ``t* = inf``. The bounds ``1/sqrt(1 - rho^2)``
     depend on ``rho`` alone, so a shared row computes them once. Callers
-    hold ``np.errstate(all="ignore")``; ``fmax`` skips the NaN of
-    ``0 * inf``.
+    hold ``np.errstate(all="ignore")``, once per search; ``fmax`` skips the
+    NaN of ``0 * inf``.
     """
-    bound = np.multiply(rho, rho)
-    np.subtract(1.0, bound, out=bound)
+    rho_sq = np.multiply(rho, rho)
+    r1_s = np.multiply(rho[..., 0], c.s_a)
+    bound = np.subtract(1.0, rho_sq)
     np.sqrt(bound, out=bound)
     np.divide(1.0, bound, out=bound)  # 1/sqrt(1 - rho1^2), 1/sqrt(1 - rho2^2)
-    t1 = np.multiply(rho[..., 0], c.s_a)
-    np.fmax(t1, bound[..., 1], out=t1)
+    t1 = np.fmax(r1_s, bound[..., 1])
     if c.a_zero is not None:
         np.copyto(t1, math.inf, where=c.a_zero)
     t2 = np.multiply(rho[..., 1], c.inv_g31q1)
     np.fmax(t2, bound[..., 0], out=t2)
     if c.g31_zero is not None:
         np.copyto(t2, math.inf, where=c.g31_zero)
-    return t1, t2
+    return t1, t2, rho_sq, r1_s
 
 
-def _genie_reduced(c: _GenieCoeffs, rho) -> np.ndarray:
+def _genie_sum(c: _GenieCoeffs, rho) -> np.ndarray:
     """Genie bound minimized over the scalings, at each point ``(rho1, rho2)``
     of the (m, n, 2) array ``rho``: an (m, n) array, the sum of the two
-    terms formed in the kernel's result buffer.
+    terms formed in the kernel's result buffer: the search's objective, run
+    in the search's ``np.errstate``.
 
     Where ``rho`` has stride 0 on the instance axis (the shared grid of
     ``optimize._grid``), its ``rho``-only terms (``rho^2`` and
@@ -306,9 +307,15 @@ def _genie_reduced(c: _GenieCoeffs, rho) -> np.ndarray:
     """
     if rho.strides[0] == 0:
         rho = rho[:1]
+    t1, t2, rho_sq, r1_s = _t_star(c, rho)
+    mac, p2p = _genie_kernel(c, rho, rho_sq, r1_s, t1, t2)
+    return np.add(mac, p2p, out=mac)
+
+
+def _genie_reduced(c: _GenieCoeffs, rho) -> np.ndarray:
+    """``_genie_sum`` in its own ``np.errstate``."""
     with np.errstate(all="ignore"):
-        mac, p2p = _genie_kernel(c, rho[..., 0], rho[..., 1], *_t_star(c, rho))
-        return np.add(mac, p2p, out=mac)
+        return _genie_sum(c, rho)
 
 
 def genie_bound_batch(params: PimacParams, points) -> np.ndarray:
@@ -320,9 +327,11 @@ def genie_bound_batch(params: PimacParams, points) -> np.ndarray:
     and their receiver's output and genie signal, with the degenerate cases
     and the ``EPS_DET`` rule of the module docstring.
     """
-    r1, r2, e1, e2 = np.asarray(points, dtype=float).T[:, None]
+    genie, c = np.asarray(points, dtype=float)[None], _genie_coeffs([params])
+    rho = genie[..., :2]
     with np.errstate(all="ignore"):
-        mac, p2p = _genie_kernel(_genie_coeffs([params]), r1, r2, 1.0 / e1, 1.0 / e2)
+        mac, p2p = _genie_kernel(c, rho, rho * rho, rho[..., 0] * c.s_a,
+                                 1.0 / genie[..., 2], 1.0 / genie[..., 3])
     return np.add(mac, p2p, out=mac)[0]
 
 
@@ -345,15 +354,15 @@ def _c_sigma_1_block(rows) -> list:
     c = _genie_coeffs([_sign_canonical(p) for p in rows])
 
     def objective(rho):
-        value = _genie_reduced(c, rho)
+        value = _genie_sum(c, rho)
         return np.negative(value, out=value)
 
-    found = maximize_box(objective, (0.0, 0.0), (1.0, 1.0), 33, 1e-6, [()] * len(rows))
-    if all(res is None for res in found):
-        return found
-    rho = np.array([(0.0, 0.0) if res is None else res.arg for res in found])
-    with np.errstate(all="ignore"):
-        t1, t2 = _t_star(c, rho[:, None])
+    with np.errstate(all="ignore"):  # once per search, not per stage
+        found = maximize_box(objective, (0.0, 0.0), (1.0, 1.0), 33, 1e-6, [()] * len(rows))
+        if all(res is None for res in found):
+            return found
+        rho = np.array([(0.0, 0.0) if res is None else res.arg for res in found])
+        t1, t2 = _t_star(c, rho[:, None])[:2]
     return [None if res is None else
             SchemeResult(sum_rate=-res.value,
                          arg=GenieParams(*res.arg, 1.0 / e1, 1.0 / e2),

@@ -250,10 +250,10 @@ def montecarlo_covariance_check(params: PimacParams, genie: GenieParams,
     m = _sampling_map(params, genie)
     cov = m @ np.cov(g, rowvar=False) @ m.T
     cov = 0.5 * (cov + cov.T)
-    point = np.array([[[genie.rho1]], [[genie.rho2]], [[1.0 / genie.eta1]],
-                      [[1.0 / genie.eta2]]])
+    rho, c = np.array([[[genie.rho1, genie.rho2]]]), _genie_coeffs([params])
     with np.errstate(all="ignore"):
-        mac, p2p = _genie_kernel(_genie_coeffs([params]), *point)
+        mac, p2p = _genie_kernel(c, rho, rho * rho, rho[..., 0] * c.s_a,
+                                 np.array([[1.0 / genie.eta1]]), np.array([[1.0 / genie.eta2]]))
 
     # Log-det mutual information of the sampled groups, without the variables
     # of zero variance (a silent transmitter's row is exactly 0) and with the

@@ -37,10 +37,9 @@ class OptResult:
 # A refinement level puts a grid over plus or minus one spacing of the
 # previous level around each of that level's 3 best points: 65 points in
 # 1-D and 9 per axis in 2-D, so the spacing shrinks 32-fold or 4-fold.
-# _WINDOWS[d] is (points per axis, that grid on the unit box, one point per
-# row, a point being a float in 1-D and a pair in 2-D).
-_WINDOWS = {1: (65, np.linspace(0.0, 1.0, 65)),
-            2: (9, np.linspace(0.0, 1.0, 9)[np.indices((9, 9)).reshape(2, -1).T])}
+# _WINDOWS[d] is that grid's points on the unit interval, per axis: a 2-D
+# window is the product of two such axes (see _windows).
+_WINDOWS = {1: np.linspace(0.0, 1.0, 65), 2: np.linspace(0.0, 1.0, 9)}
 _CENTRES = 3
 
 # Cap on the points of one objective call when callers cut a batch of
@@ -51,16 +50,17 @@ _CENTRES = 3
 _BLOCK_POINTS = 16_384
 
 
-def _values(f, pts, feasible=None) -> np.ndarray:
-    """One call of ``f`` on the (m, n[, 2]) array ``pts``: an (m, n) array.
-    ``-inf`` marks an infeasible point. NaN or ``+inf`` raises NumericError
-    naming its point, except in the instances that ``feasible`` marks False,
-    whose values are not used."""
+def _values(f, pts, feasible=None) -> tuple:
+    """One call of ``f`` on the (m, n[, 2]) array ``pts``: an (m, n) array,
+    and its largest value. ``-inf`` marks an infeasible point. NaN or
+    ``+inf`` raises NumericError naming its point, except in the instances
+    that ``feasible`` marks False, whose values are not used."""
     values = np.asarray(f(pts), dtype=float)
     if values.shape != pts.shape[:2]:
         raise DomainError(f"objective gave shape {values.shape} for points of "
                           f"shape {pts.shape}")
-    if not np.maximum.reduce(values, axis=None) < math.inf:  # NaN or +inf
+    peak = np.maximum.reduce(values, axis=None)
+    if not peak < math.inf:  # NaN or +inf
         bad = ~(values < math.inf)
         if feasible is not None:
             bad &= feasible[:, None]
@@ -70,7 +70,8 @@ def _values(f, pts, feasible=None) -> np.ndarray:
             raise NumericError(f"objective of instance {i} is not usable at "
                                f"{x if pts.ndim == 2 else tuple(x)!r}: {values[i, j]!r}")
         values = np.where(values < math.inf, values, -math.inf)
-    return values
+        peak = np.maximum.reduce(values, axis=None)
+    return values, peak
 
 
 @functools.lru_cache(maxsize=16)
@@ -88,27 +89,32 @@ def _grid(box: tuple, n: int, m: int) -> np.ndarray:
 def _ranked_one(pts, values, k) -> list:
     """``(value, point)`` of the k best distinct points of one instance, ties
     to the lexicographically smallest; a point is a float in 1-D and a tuple
-    in 2-D. ``pts`` is (n[, 2]) and ``values`` (n,)."""
-    n = len(values)
-    cand = None
-    if pts.ndim == 2 and n > 3 * k:
-        # In 2-D, sort only the points at least as good as the 3k-th best
-        # value (ties included): they lead the full order and hold k distinct
-        # points unless one repeats more than 3 times (3 windows overlap it).
-        # In 1-D the grid and each window are sorted runs, cheap to sort whole.
-        cand = np.flatnonzero(values >= np.partition(values, n - 3 * k)[n - 3 * k])
-    while True:
-        p, v = (pts, values) if cand is None else (pts[cand], values[cand])
+    in 2-D. ``pts`` is (n[, 2]) and ``values`` (n,). 2-D stages sort few
+    candidates by the rule of ``_ranked``; 1-D stages (sorted runs, cheap to
+    sort) and those where the rule fails walk their sorted points."""
+    n, c = len(values), 3 * k
+    p, v = pts, values
+    if pts.ndim == 2 and n > c:
+        part = values.argpartition(n - c - 1)[n - c - 1:]  # the 3k best, after the cut
         top: list = []
-        for i in np.lexsort(((p,) if p.ndim == 1 else (p[:, 1], p[:, 0])) + (-v,)):
-            x = float(p[i]) if p.ndim == 1 else tuple(p[i].tolist())
+        for neg, x in sorted(zip((-values[part[1:]]).tolist(), map(tuple, pts[part[1:]].tolist()))):
             if not top or x != top[-1][1]:
-                top.append((float(v[i]), x))
+                top.append((-neg, x))
                 if len(top) == k:
-                    return top
-        if cand is None:
+                    break
+        cut = values[part[0]]  # the best value left out
+        if len(top) == k and top[-1][0] > cut:
             return top
-        cand = None
+        if len(top) == k:  # a tie at the cut: walk every point at least as good
+            p, v = pts[values >= cut], values[values >= cut]
+    top = []
+    for i in np.lexsort(((p,) if p.ndim == 1 else (p[:, 1], p[:, 0])) + (-v,)):
+        x = float(p[i]) if p.ndim == 1 else tuple(p[i].tolist())
+        if not top or x != top[-1][1]:
+            top.append((float(v[i]), x))
+            if len(top) == k:
+                break
+    return top
 
 
 def _first_distinct(v, key, k):
@@ -176,6 +182,25 @@ def _ranked(pts, values, k):
     return top_v, as_point(top_key), count
 
 
+def _windows(top_p, spacing, lo, hi) -> np.ndarray:
+    """The (m, k n[, 2]) points of the windows around the centres ``top_p``
+    (m, k[, 2]): plus or minus ``spacing``, cut to ``[lo, hi]``. Each axis
+    is ``min(left + width t, hi)`` over the ``_WINDOWS`` points t, and a 2-D
+    window their product, written row-major into one C-ordered buffer."""
+    left = np.maximum(top_p - spacing, lo)
+    width = np.minimum(top_p + spacing, hi) - left
+    ax = np.multiply(width[..., None], _WINDOWS[top_p.ndim - 1])
+    ax += left[..., None]
+    np.minimum(ax, hi[..., None], out=ax)  # (m, k[, 2], n)
+    if top_p.ndim == 2:
+        return ax.reshape(len(ax), -1)
+    m, k, _, n = ax.shape
+    pts = np.empty((m, k, n, n, 2))
+    pts[..., 0] = ax[:, :, 0, :, None]
+    pts[..., 1] = ax[:, :, 1, None, :]
+    return pts.reshape(m, -1, 2)
+
+
 def _blocks(rows, points: int) -> list:
     """``rows`` cut into consecutive blocks of at most ``_BLOCK_POINTS //
     points`` rows (at least one), for objectives of ``points`` per row."""
@@ -207,9 +232,10 @@ def maximize_box(f, lo, hi, grid: int, tol: float, seeds=((),)) -> list:
     ``tol`` (a positive real), so their number is fixed by ``grid`` and
     ``tol`` before the first call. Every evaluated point is a candidate, so
     an instance's value is never below its objective at a seed; ties go to
-    the lexicographically smallest point. A batch of one is ranked by a
-    walk over its sorted points, which costs fewer numpy calls; a larger
-    batch is ranked in array form, with the same results.
+    the lexicographically smallest point. Windows are built per axis. A
+    batch of one is ranked in Python, 2-D stages from their few best
+    candidates, and a larger batch in array form, with the same results.
+    With no finite value on the grid the search stops before ranking.
 
     Returns one entry per instance: an OptResult whose argument is a float
     in 1-D and a tuple in 2-D, or None where the instance is infeasible. A
@@ -248,7 +274,7 @@ def maximize_box(f, lo, hi, grid: int, tol: float, seeds=((),)) -> list:
             raise DomainError(f"seeds {seeds!r} are not all points of [{lo!r}, {hi!r}]")
         pts = np.concatenate((padded, pts), axis=1)
 
-    per_axis, window = _WINDOWS[len(box)]
+    per_axis = len(_WINDOWS[len(box)])
     spacing = (hi_a - lo_a) / (grid - 1)
     shrink = 2.0 / (per_axis - 1)
     # Count the levels: the spacing shrinks until below the tolerance.
@@ -263,14 +289,13 @@ def maximize_box(f, lo, hi, grid: int, tol: float, seeds=((),)) -> list:
     refine = 0  # refinement evaluations: one count, or one per instance
     for stage, k in enumerate(centres):
         if stage:
-            refine = refine + count * len(window)
-            left = np.maximum(top_p - spacing, lo_a)
-            width = np.minimum(top_p + spacing, hi_a) - left
-            pts = np.minimum(left[:, :, None, ...] + width[:, :, None, ...] * window,
-                             hi_a).reshape((m, -1) + shape)
+            refine = refine + count * per_axis ** len(box)
+            pts = _windows(top_p, spacing, lo_a, hi_a)
             spacing = spacing * shrink
-        values = _values(f, pts, mask)
-        if m == 1:  # the scalar walk costs fewer numpy calls than the array form
+        values, peak = _values(f, pts, mask)
+        if not stage and not peak > -math.inf:
+            return [None] * m  # no instance is feasible: nothing to rank
+        if m == 1:  # ranking in Python costs fewer numpy calls than the array form
             top = _ranked_one(pts[0], values[0], k)
             best[0].append(top[0])
             top_p, count = np.array([[x for _, x in top]]), len(top)
@@ -280,8 +305,6 @@ def maximize_box(f, lo, hi, grid: int, tol: float, seeds=((),)) -> list:
                 b.append((v, x if shape == () else tuple(x)))
         if not stage:
             feasible = [b[0][0] > -math.inf for b in best]
-            if not any(feasible):
-                return [None] * m
             if not all(feasible):
                 mask = np.array(feasible)
 

@@ -6,7 +6,8 @@ mutual informations of a covariance built from the linear channel map. These
 routines deliberately do not call into the package's own code. The
 expression forms of the two search kernels at the end take the package's
 coefficient tables as inputs only: they are the references that the
-in-place kernels must equal bit for bit.
+in-place kernels must equal bit for bit. The expression form of the
+refinement windows is the reference of the solver's windows in the same way.
 """
 
 import math
@@ -144,6 +145,22 @@ def mutual_info_bits(cov, group_a, group_b):
     if ld_ab <= math.log(1e-12) + ld_a + ld_b:
         return math.inf
     return max(0.5 * (ld_a + ld_b - ld_ab) / math.log(2.0), 0.0)
+
+
+# The refinement windows as one expression over a table of the window's
+# points per dimension, (points, 2) in 2-D: the reference of
+# ``pimac.optimize._windows``, which builds a 2-D window from its two axes.
+WINDOWS_REF = {1: np.linspace(0.0, 1.0, 65),
+               2: np.linspace(0.0, 1.0, 9)[np.indices((9, 9)).reshape(2, -1).T]}
+
+
+def windows_ref(top_p, spacing, lo, hi):
+    shape = np.shape(lo)
+    left = np.maximum(top_p - spacing, lo)
+    width = np.minimum(top_p + spacing, hi) - left
+    window = WINDOWS_REF[1 if shape == () else 2]
+    return np.minimum(left[:, :, None, ...] + width[:, :, None, ...] * window,
+                      hi).reshape((len(top_p), -1) + shape)
 
 
 # Expression forms of the search kernels: every operation allocates its

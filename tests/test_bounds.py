@@ -26,6 +26,7 @@ from pimac.bounds import (
     _genie_coeffs,
     _genie_kernel,
     _genie_reduced,
+    _genie_sum,
     _sign_canonical,
     genie_bound_batch,
 )
@@ -196,26 +197,36 @@ def test_genie_objective_zero_gain_value():
 
 
 def test_genie_kernel_equals_expression_form():
-    # The in-place kernel, its scalings and the sum of its terms equal the
-    # expression form bit for bit: on the shared 33 x 33 grid (stride 0 over
-    # instances) and on per-instance windows, for a batch of 15 rows holding
-    # every degenerate case and for each row alone, and at scalings t = 1/eta
-    # from 1 to inf, as genie_bound_batch and the Monte-Carlo check use it.
+    # The search's objective (_genie_sum: the scalings and the kernel, with
+    # rho^2 and rho1 s/A computed once for both) equals the expression form
+    # bit for bit: on the shared 33 x 33 grid (stride 0 over instances) and
+    # on per-instance windows, for a batch of 15 rows holding every
+    # degenerate case and for each row alone. The kernel is also compared at
+    # scalings t = 1/eta from 1 to inf, and genie_bound_batch, whose path
+    # the Monte-Carlo check shares, row by row at eta from 0 to 1.
     rng = np.random.default_rng(13)
     for rows in [KERNEL_ROWS] + [[p] for p in KERNEL_ROWS]:
         c, m = _genie_coeffs(rows), len(rows)
         windows = rng.uniform(0.0, 1.0, (m, 243, 2))
         windows[:, :3] = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
         for rho in (_grid(((0.0, 1.0), (0.0, 1.0)), 33, m), windows):
-            assert same_bits(_genie_reduced(c, rho), genie_reduced_ref(c, rho))
+            with np.errstate(all="ignore"):
+                assert same_bits(_genie_sum(c, rho), genie_reduced_ref(c, rho))
         r1, r2 = windows[..., 0], windows[..., 1]
         with np.errstate(all="ignore"):
             t1 = 1.0 / (rng.uniform(0.0, 1.0, r1.shape) * np.sqrt(1.0 - r2 * r2))
             t2 = 1.0 / (rng.uniform(0.0, 1.0, r1.shape) * np.sqrt(1.0 - r1 * r1))
             t1[:, 3:6], t2[:, 6:9] = math.inf, math.inf
-            got = _genie_kernel(c, r1, r2, t1, t2)
+            got = _genie_kernel(c, windows, windows * windows, r1 * c.s_a, t1, t2)
             want = genie_kernel_ref(c, r1, r2, t1, t2)
         assert all(same_bits(g, w) for g, w in zip(got, want))
+    for p in KERNEL_ROWS:
+        genie = rng.uniform(0.0, 1.0, (60, 4))
+        genie[:3] = [(0.0, 0.0, 1.0, 1.0), (1.0, 0.0, 0.0, 1.0), (0.0, 1.0, 1.0, 0.0)]
+        r1, r2, e1, e2 = genie.T[:, None]
+        with np.errstate(all="ignore"):
+            mac, p2p = genie_kernel_ref(_genie_coeffs([p]), r1, r2, 1.0 / e1, 1.0 / e2)
+        assert same_bits(genie_bound_batch(p, genie), (mac + p2p)[0])
 
 
 def test_genie_objective_validity_over_random_draws():

@@ -160,6 +160,64 @@ def test_figure_rows_match_frozen_search_results():
         assert row.genie_opt[:2] == (rho1, rho2)
 
 
+# Searches with a batch of one (c_sigma_1, tdma_tin_sum_rate), frozen bit
+# for bit before the 2-D stages were ranked from candidates and their
+# windows built per axis (commit 620006d): value (float.hex), argument and
+# the seed count of the diagnostics. The instances are ROADMAP's two inputs
+# on which the genie bound raises, genie_wide seed 3 point 274 (a narrow
+# basin near rho = 0), genie_wide seed 2 point 436 (3 of the 1 089 grid
+# points finite, the rest -inf), h31 = 0, A = 0 (ties at every 2-D cut), a
+# gain of 1e150, the matched gain h = 0.2 (a plateau of equal values) and
+# zero powers (every value 0).
+_FROZEN_ONE = [
+    ((1e150, 0.2, 1e150, 10.0, 10.0, 10.0), None, ("0x1.8344bbe0c0108p+0", 0.0, 2)),
+    ((0.5, 0.2, 0.5, 1e200, 10.0, 10.0), None, ("0x1.4b4a048e7b3acp+8", 1.0, 2)),
+    ((0.019611952838597208, 0.08421319698694905, -0.18525852047786165, 11347975.492099306,
+      0.0056439956004705775, 0.006552031265274089),
+     ("0x1.76f9ced6d1ea8p+3",
+      (0.024860382080078125, 0.6145839691162109, 0.7888514086349622, 0.9996909329401926)),
+     ("0x1.76f841ae98d79p+3", 0.999999999502643, 2)),
+    ((691.3648855703752, 0.01827095848657556, -573.2753264057374, 2.200776373921615e-05,
+      12017.749452163156, 3041361.265213577),
+     ("0x1.5e8e73d36e321p+4", (0.0, 0.0001125335693359375, 0.9999999936680979, 1.0)),
+     ("0x1.336004a8c4c62p+3", 0.0, 2)),
+    ((0.5, 0.2, 0.0, 10.0, 10.0, 10.0),
+     ("0x1.b340344376304p+1", (0.23116159439086914, 0.0, 1.0, 0.0)),
+     ("0x1.a9b6aa0e26428p+1", 0.16678425669670105, 2)),
+    ((0.0, 0.0, 0.5, 10.0, 10.0, 10.0),
+     ("0x1.8d3a0222be68cp+1", (0.0, 0.5, 0.0, 1.0)), ("0x1.8d3a0222be68cp+1", 0.5, 1)),
+    ((0.5, 1e150, 0.5, 10.0, 1e-300, 10.0),
+     ("0x1.7051f24567034p+1",
+      (0.20368671417236328, 0.24786663055419922, 0.9687941646488732, 0.9790361190832879)),
+     ("0x1.f2917ec372fe0p+0", 1.0, 2)),
+    ((0.2, 0.2, 0.2, 10.0, 10.0, 10.0),
+     ("0x1.a965aa208f39cp+1",
+      (0.3023972511291504, 0.3776826858520508, 0.9259343428370492, 0.953181105424098)),
+     ("0x1.a965aa208f39cp+1", 0.5, 2)),
+    ((0.5, 0.2, 0.5, 0.0, 0.0, 0.0), ("0x0.0p+0", (0.0, 0.0, 0.0, 1.0)), ("0x0.0p+0", 0.0, 0)),
+]
+
+
+def _search_diagnostics(seeds, grid, refine, levels):
+    stages = {"seeds": seeds, "grid": grid, "refine": refine}
+    return {"evaluations": seeds + grid + refine, "stages": stages, "levels": levels}
+
+
+def test_batch_of_one_matches_frozen_search_results():
+    for point, ub1, (tdma_hex, alpha, seeds) in _FROZEN_ONE:
+        p = PimacParams(*point)
+        if ub1 is None:
+            with pytest.raises(InfeasibleError):
+                c_sigma_1(p)
+        else:
+            res = c_sigma_1(p)
+            assert (res.sum_rate.hex(), res.arg.as_tuple()) == ub1
+            assert res.diagnostics == _search_diagnostics(0, 33 * 33, 3 * 8 * 81, 8)
+        res = tdma_tin_sum_rate(p)
+        assert (res.sum_rate.hex(), res.arg.alpha) == (tdma_hex, alpha)
+        assert res.diagnostics == _search_diagnostics(seeds, 1025, 3 * 3 * 65, 3)
+
+
 def test_classify_power_point():
     assert classify_power_point((10, 10, 10), BUDGETS) == "FULL_POWER"
     assert classify_power_point((0.0, 10, 10), BUDGETS) == "USER1_SILENT"

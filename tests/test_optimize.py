@@ -8,10 +8,11 @@ from pimac import (
     NumericError,
     maximize_box,
 )
+from pimac.optimize import _windows
 from pimac.schemes import _tdma_coeffs, _tdma_parts
 
-from _support import figure3_params
-from oracle_tools import dense_tdma_objective
+from _support import figure3_params, same_bits
+from oracle_tools import dense_tdma_objective, windows_ref
 
 
 def test_scalar_quadratic_argument_within_tolerance():
@@ -171,6 +172,28 @@ def _bowl(p):
 
 def _in_disk(g):
     return lambda p: np.where(p[..., 0] ** 2 + p[..., 1] ** 2 <= 1.0, -g(p), -math.inf)
+
+
+def test_windows_equal_expression_form():
+    # The refinement windows, built per axis, equal the expression form over
+    # a table of window points byte for byte: 1-D and 2-D, one instance and
+    # 15, at the spacings of the first six levels, with four centres per
+    # instance: at lo, at hi, 0.9 spacings below hi and inside. The boxes
+    # straddle 0 with a small hi, where the first level's window around the
+    # third centre ends one ulp above hi before the clip.
+    rng = np.random.default_rng(21)
+    for lo, hi in ((-3.0, 0.1), ((-1.5, -2.5), (0.05, 0.15))):
+        lo, hi = np.array(lo), np.array(hi)
+        shrink = 1 / 32 if lo.ndim == 0 else 1 / 4
+        spacing = (hi - lo) / 32
+        for m in (1, 15):
+            centres = rng.uniform(lo, hi, (m, 4) + lo.shape)
+            centres[:, :3] = lo, hi, hi - 0.9 * spacing
+            level_spacing = spacing
+            for _ in range(6):
+                assert same_bits(_windows(centres, level_spacing, lo, hi),
+                                 windows_ref(centres, level_spacing, lo, hi))
+                level_spacing = level_spacing * shrink
 
 
 def test_minimize_unit_disk_quadratic():
