@@ -66,9 +66,10 @@ input (``A = 0``, i.e. ``q = s = D = 0``, for ``S1``; ``h31 = 0`` for
 ``S2``) only reveals receiver noise, which can only raise the bound, so it
 is best dropped: ``t* = inf``.
 
-``genie_bound_batch`` evaluates the kernel at ``t = 1/eta`` over arrays of
-genie points. ``montecarlo_covariance_check`` compares its two terms with
-mutual informations of a sampled covariance.
+``_genie_terms`` evaluates the kernel at ``t = 1/eta`` over arrays of
+genie points: ``genie_bound_batch`` sums its two terms, and
+``montecarlo_covariance_check`` compares them with mutual informations of a
+sampled covariance.
 """
 import math
 from dataclasses import dataclass
@@ -312,10 +313,18 @@ def _genie_sum(c: _GenieCoeffs, rho) -> np.ndarray:
     return np.add(mac, p2p, out=mac)
 
 
-def _genie_reduced(c: _GenieCoeffs, rho) -> np.ndarray:
-    """``_genie_sum`` in its own ``np.errstate``."""
+def _genie_terms(params: PimacParams, points) -> tuple[np.ndarray, np.ndarray]:
+    """The kernel's two terms ``I(X1,X2; Y1,S1)`` and ``I(X3; Y2,S2)`` in
+    bits at each row ``(rho1, rho2, eta1, eta2)`` of the (n, 4) ``points``,
+    taken at ``t = 1/eta``: two arrays of n values. The one entry for
+    explicit genie points, shared by ``genie_bound_batch`` and the
+    Monte-Carlo check."""
+    genie, c = np.asarray(points, dtype=float)[None], _genie_coeffs([params])
+    rho = genie[..., :2]
     with np.errstate(all="ignore"):
-        return _genie_sum(c, rho)
+        mac, p2p = _genie_kernel(c, rho, rho * rho, rho[..., 0] * c.s_a,
+                                 1.0 / genie[..., 2], 1.0 / genie[..., 3])
+    return mac[0], p2p[0]
 
 
 def genie_bound_batch(params: PimacParams, points) -> np.ndarray:
@@ -325,14 +334,10 @@ def genie_bound_batch(params: PimacParams, points) -> np.ndarray:
     (n, 4) array; returns n values in bits. Every feasible row gives a valid
     upper bound: the sum of the log-det mutual informations of the inputs
     and their receiver's output and genie signal, with the degenerate cases
-    and the ``EPS_DET`` rule of the module docstring.
+    of the module docstring and the ``EPS_DET`` rule of ``_bits``.
     """
-    genie, c = np.asarray(points, dtype=float)[None], _genie_coeffs([params])
-    rho = genie[..., :2]
-    with np.errstate(all="ignore"):
-        mac, p2p = _genie_kernel(c, rho, rho * rho, rho[..., 0] * c.s_a,
-                                 1.0 / genie[..., 2], 1.0 / genie[..., 3])
-    return np.add(mac, p2p, out=mac)[0]
+    mac, p2p = _genie_terms(params, points)
+    return np.add(mac, p2p, out=mac)
 
 
 def genie_bound_objective(params: PimacParams, genie: GenieParams) -> float:

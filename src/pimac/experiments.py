@@ -17,8 +17,7 @@ from .bounds import (
     LN2,
     GenieParams,
     _c_sigma_1_batch,
-    _genie_coeffs,
-    _genie_kernel,
+    _genie_terms,
     c_sigma_2,
 )
 from .errors import ContractError, DomainError, InvalidRegimeError
@@ -32,8 +31,7 @@ from .schemes import (
 
 CURVES = ("sd_tin", "tdma_tin", "pc_tin", "tdma", "ub1", "ub2")
 
-CSV_COLUMNS = ("h", "sd_tin", "tdma_tin", "pc_tin", "tdma", "ub1", "ub2",
-               "alpha_opt", "p1_opt", "p2_opt", "p3_opt",
+CSV_COLUMNS = ("h", *CURVES, "alpha_opt", "p1_opt", "p2_opt", "p3_opt",
                "rho1", "rho2", "eta1", "eta2", "regime")
 
 FULL_POWER = "FULL_POWER"
@@ -250,10 +248,7 @@ def montecarlo_covariance_check(params: PimacParams, genie: GenieParams,
     m = _sampling_map(params, genie)
     cov = m @ np.cov(g, rowvar=False) @ m.T
     cov = 0.5 * (cov + cov.T)
-    rho, c = np.array([[[genie.rho1, genie.rho2]]]), _genie_coeffs([params])
-    with np.errstate(all="ignore"):
-        mac, p2p = _genie_kernel(c, rho, rho * rho, rho[..., 0] * c.s_a,
-                                 np.array([[1.0 / genie.eta1]]), np.array([[1.0 / genie.eta2]]))
+    mac, p2p = _genie_terms(params, [genie.as_tuple()])
 
     # Log-det mutual information of the sampled groups, without the variables
     # of zero variance (a silent transmitter's row is exactly 0) and with the
@@ -292,9 +287,8 @@ def _row_cells(row: SweepRow) -> list[str]:
     p = row.p_opt if row.p_opt is not None else (None, None, None)
     g = row.genie_opt if row.genie_opt is not None else (None, None, None, None)
     return [_format_cell(v) for v in
-            (row.h, row.sd_tin, row.tdma_tin, row.pc_tin, row.tdma,
-             row.ub1, row.ub2, row.alpha_opt, p[0], p[1], p[2],
-             g[0], g[1], g[2], g[3], row.regime)]
+            (row.h, *(getattr(row, name) for name in CURVES), row.alpha_opt,
+             *p, *g, row.regime)]
 
 
 def render_csv(rows) -> str:

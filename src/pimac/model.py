@@ -31,7 +31,9 @@ class PimacParams:
     rate formulas only ever see ``h**2``. Powers are linear and
     noise-normalized; budgets of exactly zero are legal and simply remove
     the corresponding terms. All six are stored as Python floats, whose
-    overflow to ``inf`` is silent where a numpy scalar's would warn.
+    overflow to ``inf`` is silent where a numpy scalar's would warn, and
+    ``-0.0`` as ``+0.0``, so that a zero budget's share or vertex is never
+    printed as ``-0``.
     """
 
     h12: float
@@ -47,7 +49,7 @@ class PimacParams:
             _require_finite(name, value)
             if name.startswith("p") and value < 0.0:
                 raise DomainError(f"{name} must be >= 0, got {value!r}")
-            object.__setattr__(self, name, float(value))
+            object.__setattr__(self, name, float(value) + 0.0)
 
 
 @dataclass(frozen=True)

@@ -121,16 +121,14 @@ def _first_distinct(v, key, k):
     """The first k distinct points of each row of ``v`` and ``key`` (m, c),
     sorted best first, so that equal points are adjacent: their values and
     keys (m, k), and the number of them in each row (m,). A row with fewer
-    than k is padded with repeats of them."""
+    than k is padded with repeats of them. Every row is read through a
+    stable ``argsort`` of its duplicate flags: windows overlap, so most
+    rows of a refinement stage repeat a point among their first k."""
     dup = np.zeros(v.shape, dtype=bool)  # the same point as the entry before
     np.equal(key[:, 1:], key[:, :-1], out=dup[:, 1:])
-    count = np.full(len(v), k)
-    if not any(dup[:, 1:k].ravel().tolist()):
-        return v[:, :k], key[:, :k], count
     rows = np.arange(len(v))[:, None]
     pick = dup.argsort(axis=1, kind="stable")[:, :k]  # the distinct entries first
-    if any(dup[rows, pick[:, -1:]].ravel().tolist()):  # some row has fewer than k
-        count = np.minimum(v.shape[1] - dup.sum(axis=1), k)
+    count = np.minimum(v.shape[1] - dup.sum(axis=1), k)
     return v[rows, pick], key[rows, pick], count
 
 
@@ -148,8 +146,8 @@ def _ranked(pts, values, k):
     overlap it). In 1-D, where the grid and each window are sorted runs,
     cheap to sort, rows are sorted whole; in 2-D only the 3k best values of
     a row are sorted, which is exact where the best value left out is below
-    the k-th distinct one. A row where either shortcut fails is sorted and
-    read whole.
+    the k-th distinct one. The one fallback: a row where either shortcut
+    fails is sorted and read whole, once.
     """
     (m, n), whole = values.shape, pts.ndim == 2
     key = pts if whole else pts.view(complex)[..., 0]
@@ -171,14 +169,11 @@ def _ranked(pts, values, k):
     if cut is not None:
         redo |= top_v[:, k - 1] == cut[:, 0]
     i = np.flatnonzero(redo)
-    for width in (c, n):  # rows sorted whole: their first 3k points, then all
-        if not i.size:
-            break
-        order = np.lexsort((key[i], -values[i]), axis=-1)[:, :width]
+    if i.size:
+        order = np.lexsort((key[i], -values[i]), axis=-1)
         r = rows[:len(i)]
         top_v[i], top_key[i], count[i] = _first_distinct(values[i][r, order],
                                                          key[i][r, order], k)
-        i = i[count[i] < k]
     return top_v, as_point(top_key), count
 
 
@@ -249,8 +244,8 @@ def maximize_box(f, lo, hi, grid: int, tol: float, seeds=((),)) -> list:
     ``stages`` (``seeds``, ``grid`` and ``refine``) and the number of
     ``levels``.
     """
-    if grid < 2:
-        raise DomainError(f"grid must be >= 2, got {grid!r}")
+    if not (isinstance(grid, (int, np.integer)) and grid >= 2):
+        raise DomainError(f"grid must be an integer >= 2, got {grid!r}")
     if not (tol > 0.0 and math.isfinite(tol)):
         raise DomainError(f"tol must be a positive real, got {tol!r}")
     lo_a, hi_a = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)

@@ -38,13 +38,11 @@ def sd_tin_sum_rate(params: PimacParams) -> SchemeResult:
     """Full-power TIN sum-rate: the pooled MAC constraint plus the P2P rate.
 
     The MAC receiver sees noise ``1 + h31^2 P3``; the point-to-point
-    receiver sees noise ``1 + h12^2 P1 + h22^2 P2``.
+    receiver sees noise ``1 + h12^2 P1 + h22^2 P2``. This is PC-TIN's
+    objective at its full-power vertex ``(P1, P2, P3)``.
     """
-    noise = effective_noise_at_rx1(params, params.p3_max)
-    p2p_noise = (1.0 + params.h12 * (params.h12 * params.p1_max)
-                 + params.h22 * (params.h22 * params.p2_max))
-    return SchemeResult(sum_rate=_half_log_sum((params.p1_max, params.p2_max), noise)
-                        + half_log(params.p3_max / p2p_noise),
+    return SchemeResult(sum_rate=_tin_value(params, params.p1_max, params.p2_max,
+                                            params.p3_max),
                         diagnostics={"evaluations": 1})
 
 

@@ -8,12 +8,16 @@ expression forms of the two search kernels at the end take the package's
 coefficient tables as inputs only: they are the references that the
 in-place kernels must equal bit for bit. The expression form of the
 refinement windows is the reference of the solver's windows in the same way.
+``genie_reduced`` alone runs package code: the genie search's objective,
+outside the search that holds its ``np.errstate``.
 """
 
 import math
 
 import mpmath as mp
 import numpy as np
+
+from pimac.bounds import _genie_sum
 
 mp.mp.dps = 40
 
@@ -209,6 +213,13 @@ def genie_reduced_ref(c, rho):
     with np.errstate(all="ignore"):
         mac, p2p = genie_kernel_ref(c, rho[..., 0], rho[..., 1], *t_star_ref(c, rho))
     return mac + p2p
+
+
+def genie_reduced(c, rho):
+    """``pimac.bounds._genie_sum(c, rho)``, the genie bound minimized over
+    the scalings at each point ``rho``, in its own ``np.errstate``."""
+    with np.errstate(all="ignore"):
+        return _genie_sum(c, rho)
 
 
 def tdma_parts_ref(c, alphas):

@@ -53,6 +53,15 @@ def test_point_and_sweep_with_all_powers_zero(tmp_path, capsys):
     assert len(out.read_text().splitlines()) == 2
 
 
+def test_point_with_a_negative_zero_budget(capsys):
+    # A budget of -0 is the budget 0: the MAC-optimal share -0.0/10 would
+    # otherwise tie with the grid point 0.0 and print as alpha_opt=-0.
+    assert main(["point", "--h12", "0.5", "--h22", "0.2", "--h31", "0.5",
+                 "--p1", "-0", "--p2", "10", "--p3", "10"]) == 0
+    kv = _parse_kv(capsys.readouterr().out)
+    assert kv["alpha_opt"] == "0" and "-0" not in kv.values()
+
+
 def test_point_and_sweep_without_a_finite_genie_bound(tmp_path, capsys):
     # At h12 = h31 = 1e160 every genie point is discarded by the EPS_DET
     # rule: ub1 and its genie point are NA, and the other curves print.

@@ -18,6 +18,7 @@ from pimac import (
     classify_power_point,
     detect_pc_tin_regimes,
     emit_csv,
+    genie_bound_objective,
     half_log,
     montecarlo_covariance_check,
     pc_tin_sum_rate,
@@ -298,6 +299,19 @@ def test_montecarlo_degenerate_term_on_both_sides():
         assert (entry.analytic, entry.sampled, entry.gap) == (math.inf, math.inf, 0.0)
         (other,) = entries.values()
         assert math.isfinite(other.gap) and report.max_gap == other.gap
+
+
+def test_montecarlo_analytic_terms_sum_to_the_genie_bound():
+    # The report's analytic terms are the genie bound's two terms at the same
+    # genie: their sum is genie_bound_objective bit for bit, at the point of
+    # ``pimac validate`` and at random draws.
+    rng = np.random.default_rng(21)
+    cases = [(PimacParams(0.5, 0.2, 0.5, 10.0, 10.0, 10.0), GenieParams(0.0, 0.0, 1.0, 1.0))]
+    cases += [(draw_params(rng), GenieParams(*draw_feasible_genie(rng))) for _ in range(20)]
+    for params, genie in cases:
+        report = montecarlo_covariance_check(params, genie, 100, seed=0)
+        mac, p2p = (e.analytic for e in report.entries)
+        assert mac + p2p == genie_bound_objective(params, genie)
 
 
 def test_montecarlo_gap_shrinks_reasonably():

@@ -61,6 +61,9 @@ def test_params_validation():
         PimacParams(math.inf, 0.2, 0.5, 10, 10, 10)
     # negative gains are fine, zero budgets are fine
     PimacParams(-0.5, 0.2, -1.5, 0.0, 0.0, 0.0)
+    # -0.0 is stored as +0.0
+    signed_zeros = PimacParams(-0.0, 0.2, -0.0, -0.0, 10.0, -0.0)
+    assert all(math.copysign(1.0, v) == 1.0 for v in dataclasses.astuple(signed_zeros))
 
 
 def _outcome(quantity, params):

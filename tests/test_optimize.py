@@ -281,7 +281,10 @@ def test_box_ties_go_to_lexicographically_smallest_point():
 
 
 def test_opt_config_validation():
-    with pytest.raises(DomainError):
-        maximize_box(lambda x: x, 0.0, 1.0, 1, 1e-6)
+    # A grid that is not an integer >= 2 is a DomainError, not numpy's
+    # TypeError from linspace.
+    for grid in (1, 2.5, 33.0):
+        with pytest.raises(DomainError):
+            maximize_box(lambda x: x, 0.0, 1.0, grid, 1e-6)
     with pytest.raises(DomainError):
         maximize_box(lambda x: x, 0.0, 1.0, 101, 0.0)

@@ -360,10 +360,12 @@ def test_tdma_tin_over_extreme_range(gains, powers):
 def test_closed_forms_over_extreme_range(gains, powers):
     # Gains up to 1e150 and powers from 1e-300 to 1e200, all powers zero, and
     # budgets whose sums overflow: SD-TIN, plain TDMA and, in its regime, the
-    # closed-form bound return finite values, plain TDMA equals its closed
+    # closed-form bound return finite values, SD-TIN is PC-TIN's objective
+    # at the full-power vertex bit for bit, plain TDMA equals its closed
     # form half_log(P1+P2+P3), and the bound is above both schemes.
     p = PimacParams(*gains, *powers)
     sd = sd_tin_sum_rate(p).sum_rate
+    assert sd == pc_tin_objective(p, PowerAllocation(p.p1_max, p.p2_max, p.p3_max))
     tdma = plain_tdma_sum_rate(p).sum_rate
     assert math.isfinite(sd) and math.isfinite(tdma)
     assert tdma == pytest.approx(float(half_log_mp(sum(map(mp.mpf, powers)))),
