@@ -238,8 +238,10 @@ def montecarlo_covariance_check(params: PimacParams, genie: GenieParams,
     that ``c_sigma_1`` minimises. Deterministic for a given seed. Requires
     genie scalings above 0.05 so the sampled joint stays well conditioned.
     """
-    if n_samples < 2:
-        raise DomainError("n_samples must be >= 2")
+    if not (isinstance(n_samples, numbers.Integral) and n_samples >= 2):
+        raise DomainError(f"n_samples must be an integer >= 2, got {n_samples!r}")
+    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise DomainError(f"seed must be an integer >= 0, got {seed!r}")
     if not (genie.eta1 > 0.05 and genie.eta2 > 0.05):
         raise DomainError("genie scalings must exceed 0.05 for a stable estimate")
 

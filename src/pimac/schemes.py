@@ -4,9 +4,11 @@ and plain TDMA between the MAC and the point-to-point user.
 All receivers treat whatever interference they see as extra Gaussian
 noise. The MAC receiver additionally decodes its two users successively,
 so its sum constraint is the single log term with both powers pooled.
-Each scheme returns a SchemeResult whose ``diagnostics`` count the
-objective ``evaluations``; TDMA-TIN adds the ``stages`` and ``levels`` of
-its grid search.
+Full-power TIN and plain TDMA are closed forms, PC-TIN compares the 8
+vertices of the budget box, and TDMA-TIN searches its time share. Each
+scheme returns a SchemeResult whose ``diagnostics`` count the formula's
+``evaluations``; TDMA-TIN adds the ``stages`` and ``levels`` of its grid
+search.
 """
 
 import itertools
@@ -25,13 +27,6 @@ from .model import (
     half_log,
 )
 from .optimize import _blocks, maximize_box
-
-
-def _mac_slot(weight: float, power: float, noise: float) -> float:
-    # weight * half_log((power/weight)/noise); continuous limit 0 at weight=0.
-    if weight == 0.0:
-        return 0.0
-    return 0.5 * weight * math.log2(1.0 + power / (weight * noise))
 
 
 def sd_tin_sum_rate(params: PimacParams) -> SchemeResult:
@@ -231,25 +226,18 @@ def pc_tin_sum_rate(params: PimacParams) -> SchemeResult:
 
 
 def plain_tdma_sum_rate(params: PimacParams) -> SchemeResult:
-    """TDMA between the MAC pair and the point-to-point user.
+    """TDMA between the MAC pair and the point-to-point user, in closed form.
 
-    The optimal share is ``(P1+P2) / (P1+P2+P3)`` in closed form, where the
-    achieved sum-rate collapses to ``half_log(P1+P2+P3)``. With all budgets
-    zero every share gives the limit 0; the share returned is 0.0, the
-    smallest. Where ``P1+P2+P3`` overflows, the slots' powers would too:
-    the share is then taken from the quarters of the budgets and the value
-    in its closed form.
+    At the optimal share ``(P1+P2) / (P1+P2+P3)`` the sum-rate is
+    ``half_log(P1+P2+P3)``, which ``_half_log_sum`` evaluates also where the
+    sum overflows; there the share is taken from the quarters of the
+    budgets. With all budgets zero every share gives the limit 0; the share
+    returned is 0.0, the smallest.
     """
-    mac_power = params.p1_max + params.p2_max
-    total = mac_power + params.p3_max
-    if total == math.inf:
-        quarter = 0.25 * params.p1_max + 0.25 * params.p2_max
-        return SchemeResult(
-            sum_rate=_half_log_sum((params.p1_max, params.p2_max, params.p3_max)),
-            arg=TimeShare(quarter / (quarter + 0.25 * params.p3_max)),
-            diagnostics={"evaluations": 1})
-    alpha = mac_power / total if total > 0.0 else 0.0
-    value = (_mac_slot(alpha, mac_power, 1.0)
-             + _mac_slot(1.0 - alpha, params.p3_max, 1.0))
-    return SchemeResult(sum_rate=value, arg=TimeShare(alpha),
+    p1, p2, p3 = params.p1_max, params.p2_max, params.p3_max
+    value = _half_log_sum((p1, p2, p3))
+    if p1 + p2 + p3 == math.inf:
+        p1, p2, p3 = 0.25 * p1, 0.25 * p2, 0.25 * p3
+    total = p1 + p2 + p3
+    return SchemeResult(sum_rate=value, arg=TimeShare((p1 + p2) / total if total > 0.0 else 0.0),
                         diagnostics={"evaluations": 1})

@@ -321,6 +321,37 @@ def test_c_sigma_1_near_tight_at_matched_gain():
     assert res.sum_rate - sd <= 0.02
 
 
+def _log_uniform(low_exp, high_exp):
+    # The exponent is drawn through a unit float: hypothesis draws those
+    # nearly uniformly, but an exponent range's own "nice" values (0 among
+    # them) in about half of the examples.
+    return st.floats(0.0, 1.0).map(lambda u: 10.0 ** (low_exp + (high_exp - low_exp) * u))
+
+
+_MATCHED_GAIN = _log_uniform(-3.0, math.log10(1.6))
+_MATCHED_POWER = _log_uniform(-2.0, 4.0)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(g=_MATCHED_GAIN, sign=st.sampled_from((1.0, -1.0)), h31=_MATCHED_GAIN,
+       powers=st.tuples(_MATCHED_POWER, _MATCHED_POWER, _MATCHED_POWER))
+def test_c_sigma_1_is_sd_tin_in_the_noisy_interference_regime(g, sign, h31, powers):
+    # On the matched line h12 = +-h22 = g the MAC pair acts as one user of
+    # power P1 + P2, and the network is a two-user interference channel.
+    # Where h31 (1 + g^2 (P1+P2)) + g (1 + h31^2 P3) <= 1, TIN achieves its
+    # sum capacity (Shang, Kramer and Chen; Motahari and Khandani;
+    # Annapureddy and Veeravalli; IEEE Trans. IT 2009), so the genie bound
+    # equals SD-TIN there; outside it the bound is strictly above SD-TIN.
+    p1, p2, p3 = powers
+    p = PimacParams(g, sign * g, h31, p1, p2, p3)
+    bound = c_sigma_1(p).sum_rate
+    sd = sd_tin_sum_rate(p).sum_rate
+    if h31 * (1.0 + g * g * (p1 + p2)) + g * (1.0 + h31 * h31 * p3) <= 1.0:
+        assert abs(bound - sd) <= 1e-12
+    else:
+        assert bound > sd
+
+
 _SIGNED_GAIN = st.builds(lambda e, sign: sign * 10.0 ** e, st.floats(-3.0, 3.0),
                         st.sampled_from((1.0, -1.0)))
 _POWER = st.floats(-6.0, 8.0).map(lambda e: 10.0 ** e)

@@ -272,6 +272,15 @@ def test_montecarlo_determinism_and_precondition():
     with pytest.raises(DomainError):
         montecarlo_covariance_check(params, GenieParams(0.0, 0.0, 0.01, 1.0),
                                     1000, seed=0)
+    # n_samples is an integer >= 2 and seed an integer >= 0, as
+    # SweepConfig.steps: a float count is not truncated, and numpy's own
+    # TypeError or ValueError does not escape.
+    for n_samples, seed in ((2.9, 0), (2.0, 0), (1, 0), (math.nan, 0),
+                            (100, 1.5), (100, 1.0), (100, -1), (100, None)):
+        with pytest.raises(DomainError):
+            montecarlo_covariance_check(params, genie, n_samples, seed)
+    small = montecarlo_covariance_check(params, genie, np.int64(2), np.int64(0))
+    assert (small.n_samples, small.seed) == (2, 0)
 
 
 def test_montecarlo_silent_transmitters():

@@ -23,6 +23,7 @@ from pimac import (
     sd_tin_sum_rate,
     tdma_tin_sum_rate,
 )
+from pimac.model import _half_log_sum
 from pimac.schemes import _tdma_coeffs, _tdma_parts
 
 from _support import (
@@ -357,16 +358,20 @@ def test_tdma_tin_over_extreme_range(gains, powers):
 @example((0.5, 0.2, 0.5), (0.0, 0.0, 0.0))
 @example(*_SUM_OVERFLOWS)
 @example((0.5, 0.2, 0.5), (1e308, 0.0, 1e308))
+@example((0.5, 0.2, 0.5), (1e308, 1e308, 1e308))
+@example((0.0, 0.0, 0.0), (10.0 ** 0.5, 10.0 ** 0.5, 10.0 ** 0.5))
 def test_closed_forms_over_extreme_range(gains, powers):
     # Gains up to 1e150 and powers from 1e-300 to 1e200, all powers zero, and
     # budgets whose sums overflow: SD-TIN, plain TDMA and, in its regime, the
     # closed-form bound return finite values, SD-TIN is PC-TIN's objective
-    # at the full-power vertex bit for bit, plain TDMA equals its closed
-    # form half_log(P1+P2+P3), and the bound is above both schemes.
+    # at the full-power vertex and plain TDMA is _half_log_sum((P1, P2, P3)),
+    # both bit for bit, plain TDMA equals its closed form half_log(P1+P2+P3),
+    # and the bound is above both schemes.
     p = PimacParams(*gains, *powers)
     sd = sd_tin_sum_rate(p).sum_rate
     assert sd == pc_tin_objective(p, PowerAllocation(p.p1_max, p.p2_max, p.p3_max))
     tdma = plain_tdma_sum_rate(p).sum_rate
+    assert tdma == _half_log_sum((p.p1_max, p.p2_max, p.p3_max))
     assert math.isfinite(sd) and math.isfinite(tdma)
     assert tdma == pytest.approx(float(half_log_mp(sum(map(mp.mpf, powers)))),
                                  rel=1e-12, abs=1e-12)
@@ -429,6 +434,15 @@ def test_plain_tdma_examples():
     assert res.arg.alpha == pytest.approx(2.0 / 3.0, abs=1e-15)
     assert res.sum_rate == pytest.approx(PLAIN_TDMA_P10, abs=1e-14)
 
+    # Shares frozen in hex: (P1+P2)/(P1+P2+P3), from the quarters of the
+    # budgets where that sum overflows.
+    for powers, share in (((10.0, 10.0, 10.0), "0x1.5555555555555p-1"),
+                          ((1.3, 2.7e-3, 4.1e2), "0x1.9f2366271d414p-9"),
+                          ((1e308, 1e308, 1e308), "0x1.5555555555555p-1"),
+                          ((1.5e308, 3e307, 1e308), "0x1.4924924924925p-1"),
+                          ((1e-300, 1e-300, 1e200), "0x0.0p+0")):
+        assert plain_tdma_sum_rate(PimacParams(0.5, 0.2, 0.5, *powers)).arg.alpha.hex() == share
+
     only_p2p = plain_tdma_sum_rate(PimacParams(0, 0, 0, 0, 0, 10))
     assert only_p2p.arg.alpha == 0.0
     assert only_p2p.sum_rate == half_log(10.0)
@@ -447,6 +461,7 @@ def test_plain_tdma_identity():
     for _ in range(50):
         p = draw_params(rng)
         res = plain_tdma_sum_rate(p)
+        assert res.sum_rate == _half_log_sum((p.p1_max, p.p2_max, p.p3_max))
         assert abs(res.sum_rate
                    - half_log(p.p1_max + p.p2_max + p.p3_max)) <= 1e-12
 
