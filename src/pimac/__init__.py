@@ -33,7 +33,6 @@ from .model import (
     effective_noise_at_rx1,
     half_log,
 )
-from .optimize import maximize_box
 from .schemes import (
     alpha_prime,
     alpha_star,
@@ -70,7 +69,6 @@ __all__ = [
     "emit_csv",
     "genie_bound_objective",
     "half_log",
-    "maximize_box",
     "montecarlo_covariance_check",
     "pc_tin_objective",
     "pc_tin_sum_rate",

@@ -127,7 +127,7 @@ def _half_log_sum(powers, noise: float = 1.0) -> float:
     for p in powers:
         total += p
     if total < math.inf:
-        return half_log(total / noise)
+        return 0.5 * math.log2(1.0 + total / noise)
     quarters = 0.0
     for p in powers:
         quarters += 0.25 * p

@@ -1,15 +1,15 @@
-"""Deterministic derivative-free optimization.
+"""Deterministic derivative-free search for the two quantities that need one.
 
-One solver backs the schemes and bounds: maximization of a vectorised
-objective on a 1- or 2-D box, for a batch of instances at once. Each of its
-stages is a single call of the objective for the whole batch: a uniform
-grid together with each instance's mandatory seed points, then nested grids
-around each instance's best points found so far. Each caller passes
-its schedule directly: grid points per axis, the tolerance that fixes the
-number of nested levels, and the seeds. The returned value
-can never be worse than the objective at any seed. Tie-breaks are
-lexicographic on the argument, which makes results reproducible across
-runs and platforms.
+TDMA-TIN's time share and the genie bound's correlations are each found by
+``maximize_box``: the maximum of a vectorised objective on ``[0, 1]`` or
+``[0, 1]^2``, for a batch of instances at once. Each of its stages is a
+single call of the objective for the whole batch: a uniform grid together
+with each instance's seed points, then nested grids around each instance's
+best points found so far. Each search passes its constant schedule (grid
+points per axis and the tolerance that fixes the number of nested levels)
+and its seeds. The returned value can never be worse than the objective at
+any seed. Tie-breaks are lexicographic on the argument, which makes results
+reproducible across runs and platforms.
 """
 
 import functools
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericError
+from .errors import NumericError
 
 
 @dataclass(frozen=True)
@@ -50,27 +50,17 @@ _CENTRES = 3
 _BLOCK_POINTS = 16_384
 
 
-def _values(f, pts, feasible=None) -> tuple:
+def _values(f, pts) -> tuple:
     """One call of ``f`` on the (m, n[, 2]) array ``pts``: an (m, n) array,
-    and its largest value. ``-inf`` marks an infeasible point. NaN or
-    ``+inf`` raises NumericError naming its point, except in the instances
-    that ``feasible`` marks False, whose values are not used."""
-    values = np.asarray(f(pts), dtype=float)
-    if values.shape != pts.shape[:2]:
-        raise DomainError(f"objective gave shape {values.shape} for points of "
-                          f"shape {pts.shape}")
+    and its largest value. ``-inf`` marks an infeasible point; NaN or
+    ``+inf`` raises NumericError naming its point."""
+    values = f(pts)
     peak = np.maximum.reduce(values, axis=None)
     if not peak < math.inf:  # NaN or +inf
-        bad = ~(values < math.inf)
-        if feasible is not None:
-            bad &= feasible[:, None]
-        if bad.any():
-            i, j = np.argwhere(bad)[0].tolist()
-            x = pts[i, j].tolist()
-            raise NumericError(f"objective of instance {i} is not usable at "
-                               f"{x if pts.ndim == 2 else tuple(x)!r}: {values[i, j]!r}")
-        values = np.where(values < math.inf, values, -math.inf)
-        peak = np.maximum.reduce(values, axis=None)
+        i, j = np.argwhere(~(values < math.inf))[0].tolist()
+        x = pts[i, j].tolist()
+        raise NumericError(f"objective of instance {i} is not usable at "
+                           f"{x if pts.ndim == 2 else tuple(x)!r}: {values[i, j]!r}")
     return values, peak
 
 
@@ -156,7 +146,6 @@ def _ranked(pts, values, k):
         v = np.maximum.reduce(values, axis=1, keepdims=True)
         return v, as_point(np.minimum.reduce(np.where(values == v, key, np.inf), axis=1,
                                              keepdims=True)), np.ones(m, dtype=int)
-    k = min(k, n)  # a row of fewer than k points has only those
     rows, c = np.arange(m)[:, None], 3 * k
     cand_v, cand_key, cut = values, key, None
     if not whole and n > c:
@@ -205,28 +194,30 @@ def _blocks(rows, points: int) -> list:
 
 def maximize_box(f, lo, hi, grid: int, tol: float, seeds=((),)) -> list:
     """Maximize the vectorised ``f`` on a 1- or 2-D box by a grid and nested
-    grids, for a batch of instances at once.
+    grids, for a batch of instances at once: TDMA-TIN's time share on
+    ``[0, 1]`` (``grid`` 1 025, ``tol`` 1e-7, its shares as seeds) and the
+    genie bound's correlations on ``[0, 1]^2`` (33 and 1e-6, no seeds).
 
     ``seeds`` holds one sequence of seed points per instance, so the number
-    of instances m is its length; the default is one instance without
-    seeds. With scalar ``lo`` and ``hi`` the box is the interval [lo, hi],
-    a point is a float and ``f`` maps an (m, n) array of points, row i for
-    instance i, to their (m, n) values. With two-element ``lo`` and ``hi``
-    the box is their product, a point is a pair and ``f`` maps an
-    (m, n, 2) array to (m, n) values. Every stage is one call of ``f`` for
-    the whole batch; instances do not interact.
+    m of instances is its length. ``lo`` and ``hi`` are floats in 1-D and
+    pairs in 2-D. A point is then a float or a pair, and ``f`` maps an
+    (m, n) or (m, n, 2) array of points, row i for instance i, to their
+    (m, n) values. Every stage is one call of ``f`` for the whole batch;
+    instances do not interact. The arguments are the two searches'
+    constants and seeds, so none of them is checked: the box is ordered,
+    ``grid`` is an integer of at least 2, ``tol`` is positive and every
+    seed is a point of the box.
 
-    The first call evaluates each instance's seeds (each must lie in the
-    box) together with a uniform grid of ``grid`` points per axis (at least
-    2). An instance with fewer seeds than another has its list padded with
-    a grid point, which is not counted. Each refinement level is one more
-    call: a grid over plus or minus one spacing of the previous level (cut
-    to the box) around each of that level's 3 best distinct points of each
-    instance, with 65 points in 1-D and 9 per axis in 2-D, so the spacing
-    shrinks 32-fold or 4-fold. Levels repeat until the spacing is below
-    ``tol`` (a positive real), so their number is fixed by ``grid`` and
-    ``tol`` before the first call. Every evaluated point is a candidate, so
-    an instance's value is never below its objective at a seed; ties go to
+    The first call evaluates each instance's seeds together with a uniform
+    grid of ``grid`` points per axis. An instance with fewer seeds than
+    another has its list padded with a grid point, which is not counted.
+    Each refinement level is one more call: a grid over plus or minus one
+    spacing of the previous level (cut to the box) around each of that
+    level's 3 best distinct points of each instance, with 65 points in 1-D
+    and 9 per axis in 2-D, so the spacing shrinks 32-fold or 4-fold. Levels
+    repeat until the spacing is below ``tol``, so their number is fixed
+    before the first call. Every evaluated point is a candidate, so an
+    instance's value is never below its objective at a seed; ties go to
     the lexicographically smallest point. Windows are built per axis. A
     batch of one is ranked in Python, 2-D stages from their few best
     candidates, and a larger batch in array form, with the same results.
@@ -236,37 +227,21 @@ def maximize_box(f, lo, hi, grid: int, tol: float, seeds=((),)) -> list:
     in 1-D and a tuple in 2-D, or None where the instance is infeasible. A
     value of ``-inf`` marks an infeasible point, and an instance is
     infeasible when every one of its seeds and grid points has it; the
-    other instances of the batch are not affected. NaN or ``+inf`` at a
-    point of an instance that is not infeasible raises NumericError. To
-    minimize ``g``, pass ``-g``.
+    other instances of the batch are not affected. NaN or ``+inf`` at any
+    point raises NumericError. To minimize ``g``, pass ``-g``.
 
     ``diagnostics`` reports the instance's ``evaluations``, their split by
     ``stages`` (``seeds``, ``grid`` and ``refine``) and the number of
     ``levels``.
     """
-    if not (isinstance(grid, (int, np.integer)) and grid >= 2):
-        raise DomainError(f"grid must be an integer >= 2, got {grid!r}")
-    if not (tol > 0.0 and math.isfinite(tol)):
-        raise DomainError(f"tol must be a positive real, got {tol!r}")
     lo_a, hi_a = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    shape = lo_a.shape
     box = tuple(zip(lo_a.ravel().tolist(), hi_a.ravel().tolist()))
-    if shape not in ((), (2,)) or hi_a.shape != shape or not all(
-            math.isfinite(a) and math.isfinite(b) and a < b for a, b in box):
-        raise DomainError(f"need a 1- or 2-D box with finite lo < hi, got "
-                          f"[{lo!r}, {hi!r}]")
     n_seeds = [len(s) for s in seeds]
-    m, k_max = len(n_seeds), max(n_seeds, default=0)
-    if m == 0:
-        raise DomainError("need at least one instance, that is one entry of seeds")
+    m, k_max = len(n_seeds), max(n_seeds)
     pts = _grid(box, grid, m)
     if k_max:
         pad = [lo_a.tolist()]  # the first grid point
         padded = np.array([list(s) + pad * (k_max - len(s)) for s in seeds], dtype=float)
-        flat = padded.reshape(m * k_max, -1)
-        if flat.shape[1] != len(box) or not all(
-                a <= min(xs) and max(xs) <= b for (a, b), xs in zip(box, flat.T.tolist())):
-            raise DomainError(f"seeds {seeds!r} are not all points of [{lo!r}, {hi!r}]")
         pts = np.concatenate((padded, pts), axis=1)
 
     per_axis = len(_WINDOWS[len(box)])
@@ -280,14 +255,13 @@ def maximize_box(f, lo, hi, grid: int, tol: float, seeds=((),)) -> list:
     # The last stage needs its best point only.
     centres = [_CENTRES] * levels + [1]
     best = [[] for _ in range(m)]  # each instance's (value, point) per stage
-    mask = None  # which instances are feasible, once one of them is not
     refine = 0  # refinement evaluations: one count, or one per instance
     for stage, k in enumerate(centres):
         if stage:
             refine = refine + count * per_axis ** len(box)
             pts = _windows(top_p, spacing, lo_a, hi_a)
             spacing = spacing * shrink
-        values, peak = _values(f, pts, mask)
+        values, peak = _values(f, pts)
         if not stage and not peak > -math.inf:
             return [None] * m  # no instance is feasible: nothing to rank
         if m == 1:  # ranking in Python costs fewer numpy calls than the array form
@@ -297,16 +271,12 @@ def maximize_box(f, lo, hi, grid: int, tol: float, seeds=((),)) -> list:
         else:
             top_v, top_p, count = _ranked(pts, values, k)
             for b, v, x in zip(best, top_v[:, 0].tolist(), top_p[:, 0].tolist()):
-                b.append((v, x if shape == () else tuple(x)))
-        if not stage:
-            feasible = [b[0][0] > -math.inf for b in best]
-            if not all(feasible):
-                mask = np.array(feasible)
+                b.append((v, x if lo_a.ndim == 0 else tuple(x)))
 
     refine = refine.tolist() if isinstance(refine, np.ndarray) else [refine] * m
     results = []
-    for b, ok, n, r in zip(best, feasible, n_seeds, refine):
-        if not ok:
+    for b, n, r in zip(best, n_seeds, refine):
+        if not b[0][0] > -math.inf:  # no finite seed or grid value
             results.append(None)
             continue
         value = max(v for v, _ in b)

@@ -39,6 +39,7 @@ from _support import (
     draw_feasible_genie,
     draw_params,
     figure3_params,
+    log_uniform,
     same_bits,
 )
 from oracle_tools import (
@@ -321,15 +322,8 @@ def test_c_sigma_1_near_tight_at_matched_gain():
     assert res.sum_rate - sd <= 0.02
 
 
-def _log_uniform(low_exp, high_exp):
-    # The exponent is drawn through a unit float: hypothesis draws those
-    # nearly uniformly, but an exponent range's own "nice" values (0 among
-    # them) in about half of the examples.
-    return st.floats(0.0, 1.0).map(lambda u: 10.0 ** (low_exp + (high_exp - low_exp) * u))
-
-
-_MATCHED_GAIN = _log_uniform(-3.0, math.log10(1.6))
-_MATCHED_POWER = _log_uniform(-2.0, 4.0)
+_MATCHED_GAIN = log_uniform(-3.0, math.log10(1.6))
+_MATCHED_POWER = log_uniform(-2.0, 4.0)
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
@@ -352,9 +346,9 @@ def test_c_sigma_1_is_sd_tin_in_the_noisy_interference_regime(g, sign, h31, powe
         assert bound > sd
 
 
-_SIGNED_GAIN = st.builds(lambda e, sign: sign * 10.0 ** e, st.floats(-3.0, 3.0),
+_SIGNED_GAIN = st.builds(lambda g, sign: sign * g, log_uniform(-3.0, 3.0),
                         st.sampled_from((1.0, -1.0)))
-_POWER = st.floats(-6.0, 8.0).map(lambda e: 10.0 ** e)
+_POWER = log_uniform(-6.0, 8.0)
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
@@ -408,7 +402,7 @@ def test_c_sigma_1_sign_canonicalization():
         assert c_sigma_1(flip).sum_rate == base
 
 
-_GAIN = st.one_of(st.just(0.0), st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e))
+_GAIN = st.one_of(st.just(0.0), log_uniform(-3.0, 3.0))
 _POWER_OR_ZERO = st.one_of(st.just(0.0), _POWER)
 _UNIT = st.floats(-1.0, 1.0)
 _FRACTION = st.floats(0.0, 1.0, exclude_min=True)

@@ -2,16 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pimac import (
-    DomainError,
-    NumericError,
-    maximize_box,
-)
-from pimac.optimize import _windows
+from pimac import NumericError, PimacParams
+from pimac.bounds import _genie_coeffs, _genie_sum, _sign_canonical
+from pimac.optimize import _grid, _windows, maximize_box
 from pimac.schemes import _tdma_coeffs, _tdma_parts
 
-from _support import figure3_params, same_bits
+from _support import KERNEL_ROWS, WIDE_GAIN, WIDE_POWER, figure3_params, same_bits
 from oracle_tools import dense_tdma_objective, windows_ref
 
 
@@ -52,13 +51,6 @@ def test_scalar_seed_dominance_is_exact():
     (res,) = maximize_box(jagged, 0.0, 1.0, 9, 1e-6, seeds=[seeds])
     for s in seeds:
         assert res.value >= jagged(s)
-
-
-def test_scalar_rejects_bad_interval_and_seed():
-    with pytest.raises(DomainError):
-        maximize_box(lambda x: x, 1.0, 0.0, 101, 1e-6)
-    with pytest.raises(DomainError):
-        maximize_box(lambda x: x, 0.0, 1.0, 101, 1e-6, seeds=[(2.0,)])
 
 
 def test_scalar_non_finite_objective_identifies_point():
@@ -224,16 +216,6 @@ def test_minimize_infeasible_when_everything_is_infinite():
                         1e-6) == [None]
 
 
-def test_minimize_rejects_infeasible_seed():
-    with pytest.raises(DomainError):
-        maximize_box(_in_disk(_bowl), (-1.0, -1.0), (1.0, 1.0), 101, 1e-6,
-                     seeds=[((2.0, 2.0),)])
-    for lo, hi in (((0.0, 1.0), (1.0, 1.0)), ((0.0,) * 3, (1.0,) * 3),
-                   ((0.0, 0.0), (1.0, math.inf)), ((0.0, 0.0), 1.0)):
-        with pytest.raises(DomainError):
-            maximize_box(_in_disk(_bowl), lo, hi, 101, 1e-6)
-
-
 def test_minimize_determinism():
     def f(p):
         return -(np.cos(3 * p[..., 0]) + (p[..., 1] - 0.2) ** 2)
@@ -280,11 +262,29 @@ def test_box_ties_go_to_lexicographically_smallest_point():
     assert ridge.arg == (0.25, 0.0) and ridge.value == 0.25
 
 
-def test_opt_config_validation():
-    # A grid that is not an integer >= 2 is a DomainError, not numpy's
-    # TypeError from linspace.
-    for grid in (1, 2.5, 33.0):
-        with pytest.raises(DomainError):
-            maximize_box(lambda x: x, 0.0, 1.0, grid, 1e-6)
-    with pytest.raises(DomainError):
-        maximize_box(lambda x: x, 0.0, 1.0, 101, 0.0)
+_UNIT = st.floats(0.0, 1.0)
+
+
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(rows=st.lists(st.builds(PimacParams, WIDE_GAIN, WIDE_GAIN, WIDE_GAIN,
+                               WIDE_POWER, WIDE_POWER, WIDE_POWER), min_size=1, max_size=15),
+       rho=st.lists(st.tuples(_UNIT, _UNIT), min_size=1, max_size=32),
+       alphas=st.lists(_UNIT, min_size=1, max_size=32))
+def test_search_objectives_are_never_nan_or_plus_infinity(rows, rho, alphas):
+    # maximize_box raises on NaN or +inf at any point of any instance. Its two
+    # objectives never give either: the genie bound (the search minimizes it,
+    # sign-canonical as c_sigma_1 evaluates it) lies in [0, +inf] on the 33 x
+    # 33 start grid and at any point of [0, 1]^2, and TDMA-TIN's sum is finite
+    # on its 1 025-point grid and at any share. Wide draws with exact zeros,
+    # and the kernel rows' degenerate cases.
+    rows = KERNEL_ROWS + rows
+    m = len(rows)
+    genie = _genie_coeffs([_sign_canonical(p) for p in rows])
+    with np.errstate(all="ignore"):
+        for pts in (_grid(((0.0, 1.0), (0.0, 1.0)), 33, m),
+                    np.repeat(np.array(rho)[None], m, axis=0)):
+            bound = _genie_sum(genie, pts)
+            assert not np.isnan(bound).any() and (bound >= 0.0).all()
+    tdma = _tdma_coeffs(rows)
+    for shares in (_grid(((0.0, 1.0),), 1025, m), np.repeat(np.array(alphas)[None], m, axis=0)):
+        assert np.isfinite(np.add(*_tdma_parts(tdma, shares))).all()

@@ -1,13 +1,13 @@
 import pimac
 
-# The 32 public names.
+# The 31 public names.
 PUBLIC = {
     "ConstraintError", "ContractError", "DomainError", "GenieParams",
     "InfeasibleError", "InvalidRegimeError", "NumericError", "PimacParams",
     "PowerAllocation", "SchemeResult", "SweepConfig", "SweepRow", "TimeShare",
     "alpha_prime", "alpha_star", "c_sigma_1", "c_sigma_2",
     "classify_power_point", "detect_pc_tin_regimes", "effective_noise_at_rx1",
-    "emit_csv", "genie_bound_objective", "half_log", "maximize_box",
+    "emit_csv", "genie_bound_objective", "half_log",
     "montecarlo_covariance_check", "pc_tin_objective", "pc_tin_sum_rate",
     "plain_tdma_sum_rate", "render_csv", "run_sweep", "sd_tin_sum_rate",
     "tdma_tin_sum_rate",
