@@ -363,7 +363,7 @@ def _c_sigma_1_block(rows) -> list:
         return np.negative(value, out=value)
 
     with np.errstate(all="ignore"):  # once per search, not per stage
-        found = maximize_box(objective, (0.0, 0.0), (1.0, 1.0), 33, 1e-6, [()] * len(rows))
+        found = maximize_box(objective, 2, 33, 1e-6, [()] * len(rows))
         if all(res is None for res in found):
             return found
         rho = np.array([(0.0, 0.0) if res is None else res.arg for res in found])

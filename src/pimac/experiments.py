@@ -232,11 +232,12 @@ def montecarlo_covariance_check(params: PimacParams, genie: GenieParams,
                                 n_samples: int, seed: int) -> CovarianceCheckReport:
     """Validate the genie kernel's two terms by direct sampling.
 
-    Draws the inputs and correlated noise pairs, forms the sample covariance
-    of all seven variables, and compares its mutual informations
-    ``I(X1,X2; Y1,S1)`` and ``I(X3; Y2,S2)`` with the terms of the kernel
-    that ``c_sigma_1`` minimises. Deterministic for a given seed. Requires
-    genie scalings above 0.05 so the sampled joint stays well conditioned.
+    Draws the sample covariance of ``n_samples`` draws of the inputs and
+    correlated noise pairs, all seven variables, and compares its mutual
+    informations ``I(X1,X2; Y1,S1)`` and ``I(X3; Y2,S2)`` with the terms of
+    the kernel that ``c_sigma_1`` minimises. Deterministic for a given
+    seed. Requires genie scalings above 0.05 so the sampled joint stays
+    well conditioned.
     """
     if not (isinstance(n_samples, numbers.Integral) and n_samples >= 2):
         raise DomainError(f"n_samples must be an integer >= 2, got {n_samples!r}")
@@ -245,10 +246,18 @@ def montecarlo_covariance_check(params: PimacParams, genie: GenieParams,
     if not (genie.eta1 > 0.05 and genie.eta2 > 0.05):
         raise DomainError("genie scalings must exceed 0.05 for a stable estimate")
 
+    # The sample covariance of n_samples draws of g ~ N(0, I_7) is W_7(dof, I)
+    # / dof. Bartlett's decomposition draws it exactly as A A^T / dof, with A
+    # lower triangular, sqrt(chi2(dof - i)) on its diagonal and N(0, 1) below
+    # it; for dof < 7 the columns from dof on are 0 (rank dof).
     rng = np.random.default_rng(seed)
-    g = rng.standard_normal((int(n_samples), 7))
+    dof = int(n_samples) - 1
+    rank = min(dof, 7)
+    a = np.zeros((7, 7))
+    a[:, :rank] = np.tril(rng.standard_normal((7, rank)), -1)
+    a[range(rank), range(rank)] = np.sqrt(rng.chisquare(dof - np.arange(rank)))
     m = _sampling_map(params, genie)
-    cov = m @ np.cov(g, rowvar=False) @ m.T
+    cov = m @ (a @ a.T / dof) @ m.T
     cov = 0.5 * (cov + cov.T)
     mac, p2p = _genie_terms(params, [genie.as_tuple()])
 
@@ -263,9 +272,9 @@ def montecarlo_covariance_check(params: PimacParams, genie: GenieParams,
         sampled = 0.0
         if ia and ib:
             ld_a, ld_b, ld_ab = (np.linalg.slogdet(cov[np.ix_(k, k)])[1] for k in (ia, ib, ia + ib))
-            sampled = max(0.5 * (ld_a + ld_b - ld_ab) / LN2, 0.0)
-            if ld_ab <= math.log(EPS_DET) + ld_a + ld_b:
-                sampled = math.inf
+            # The rule first: 7 or fewer samples are singular, with -inf log-determinants.
+            sampled = (math.inf if ld_ab <= math.log(EPS_DET) + ld_a + ld_b
+                       else max(0.5 * (ld_a + ld_b - ld_ab) / LN2, 0.0))
         # Two equal infinities (a degenerate term on both sides) agree.
         gap = 0.0 if analytic == sampled else abs(analytic - sampled)
         entries.append(MiCheckEntry(name=name, analytic=analytic, sampled=sampled, gap=gap))

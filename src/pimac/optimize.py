@@ -65,14 +65,12 @@ def _values(f, pts) -> tuple:
 
 
 @functools.lru_cache(maxsize=16)
-def _grid(box: tuple, n: int, m: int) -> np.ndarray:
-    """The uniform grid on ``box`` (one ``(lo, hi)`` pair per axis), one point
+def _grid(dim: int, n: int, m: int) -> np.ndarray:
+    """The uniform grid of n points per axis on ``[0, 1]^dim``, one point
     per row, as a read-only (m, n[, 2]) view for m instances."""
-    if len(box) == 1:
-        grid = np.linspace(*box[0], n)
-    else:
-        axes = [np.linspace(a, b, n) for a, b in box]
-        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(box))
+    grid = np.linspace(0.0, 1.0, n)
+    if dim == 2:
+        grid = np.stack(np.meshgrid(grid, grid, indexing="ij"), axis=-1).reshape(-1, 2)
     return np.broadcast_to(grid, (m,) + grid.shape)
 
 
@@ -166,16 +164,23 @@ def _ranked(pts, values, k):
     return top_v, as_point(top_key), count
 
 
-def _windows(top_p, spacing, lo, hi) -> np.ndarray:
+def _windows(top_p, spacing) -> np.ndarray:
     """The (m, k n[, 2]) points of the windows around the centres ``top_p``
-    (m, k[, 2]): plus or minus ``spacing``, cut to ``[lo, hi]``. Each axis
-    is ``min(left + width t, hi)`` over the ``_WINDOWS`` points t, and a 2-D
-    window their product, written row-major into one C-ordered buffer."""
-    left = np.maximum(top_p - spacing, lo)
-    width = np.minimum(top_p + spacing, hi) - left
+    (m, k[, 2]): plus or minus ``spacing``, cut to ``[0, 1]``. Each axis is
+    ``left + width t`` over the ``_WINDOWS`` points t, and a 2-D window
+    their product, written row-major into one C-ordered buffer.
+
+    No point exceeds 1, so the axes need no upper clip. With
+    ``left = max(c - s, 0)``, ``r = min(c + s, 1)``, ``width`` the rounded
+    ``r - left`` and t <= 1, the rounded ``width t`` is at most ``width``.
+    Where ``left >= r/2`` the subtraction is exact (Sterbenz), so
+    ``left + width = r <= 1``. Otherwise ``left < 1/2``, ``width`` exceeds
+    ``r - left`` by at most half an ulp of a number below 1, and the exact
+    sum is below ``1 + 2^-53``, which rounds to at most 1."""
+    left = np.maximum(top_p - spacing, 0.0)
+    width = np.minimum(top_p + spacing, 1.0) - left
     ax = np.multiply(width[..., None], _WINDOWS[top_p.ndim - 1])
-    ax += left[..., None]
-    np.minimum(ax, hi[..., None], out=ax)  # (m, k[, 2], n)
+    ax += left[..., None]  # (m, k[, 2], n)
     if top_p.ndim == 2:
         return ax.reshape(len(ax), -1)
     m, k, _, n = ax.shape
@@ -192,27 +197,27 @@ def _blocks(rows, points: int) -> list:
     return [rows[i:i + step] for i in range(0, len(rows), step)]
 
 
-def maximize_box(f, lo, hi, grid: int, tol: float, seeds=((),)) -> list:
-    """Maximize the vectorised ``f`` on a 1- or 2-D box by a grid and nested
-    grids, for a batch of instances at once: TDMA-TIN's time share on
-    ``[0, 1]`` (``grid`` 1 025, ``tol`` 1e-7, its shares as seeds) and the
-    genie bound's correlations on ``[0, 1]^2`` (33 and 1e-6, no seeds).
+def maximize_box(f, dim: int, grid: int, tol: float, seeds=((),)) -> list:
+    """Maximize the vectorised ``f`` on the unit cube ``[0, 1]^dim`` by a
+    grid and nested grids, for a batch of instances at once: TDMA-TIN's
+    time share on ``[0, 1]`` (``dim`` 1, ``grid`` 1 025, ``tol`` 1e-7, its
+    shares as seeds) and the genie bound's correlations on ``[0, 1]^2``
+    (2, 33 and 1e-6, no seeds).
 
     ``seeds`` holds one sequence of seed points per instance, so the number
-    m of instances is its length. ``lo`` and ``hi`` are floats in 1-D and
-    pairs in 2-D. A point is then a float or a pair, and ``f`` maps an
-    (m, n) or (m, n, 2) array of points, row i for instance i, to their
-    (m, n) values. Every stage is one call of ``f`` for the whole batch;
-    instances do not interact. The arguments are the two searches'
-    constants and seeds, so none of them is checked: the box is ordered,
-    ``grid`` is an integer of at least 2, ``tol`` is positive and every
-    seed is a point of the box.
+    m of instances is its length. A point is a float in 1-D and a pair in
+    2-D, and ``f`` maps an (m, n) or (m, n, 2) array of points, row i for
+    instance i, to their (m, n) values. Every stage is one call of ``f``
+    for the whole batch; instances do not interact. The arguments are the
+    two searches' constants and seeds, so none of them is checked: ``dim``
+    is 1 or 2, ``grid`` is an integer of at least 2, ``tol`` is positive
+    and every seed is a point of the cube.
 
     The first call evaluates each instance's seeds together with a uniform
     grid of ``grid`` points per axis. An instance with fewer seeds than
     another has its list padded with a grid point, which is not counted.
     Each refinement level is one more call: a grid over plus or minus one
-    spacing of the previous level (cut to the box) around each of that
+    spacing of the previous level (cut to the cube) around each of that
     level's 3 best distinct points of each instance, with 65 points in 1-D
     and 9 per axis in 2-D, so the spacing shrinks 32-fold or 4-fold. Levels
     repeat until the spacing is below ``tol``, so their number is fixed
@@ -234,21 +239,19 @@ def maximize_box(f, lo, hi, grid: int, tol: float, seeds=((),)) -> list:
     ``stages`` (``seeds``, ``grid`` and ``refine``) and the number of
     ``levels``.
     """
-    lo_a, hi_a = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    box = tuple(zip(lo_a.ravel().tolist(), hi_a.ravel().tolist()))
     n_seeds = [len(s) for s in seeds]
     m, k_max = len(n_seeds), max(n_seeds)
-    pts = _grid(box, grid, m)
+    pts = _grid(dim, grid, m)
     if k_max:
-        pad = [lo_a.tolist()]  # the first grid point
+        pad = [pts[0, 0].tolist()]  # the first grid point
         padded = np.array([list(s) + pad * (k_max - len(s)) for s in seeds], dtype=float)
         pts = np.concatenate((padded, pts), axis=1)
 
-    per_axis = len(_WINDOWS[len(box)])
-    spacing = (hi_a - lo_a) / (grid - 1)
+    per_axis = len(_WINDOWS[dim])
+    spacing = 1 / (grid - 1)
     shrink = 2.0 / (per_axis - 1)
     # Count the levels: the spacing shrinks until below the tolerance.
-    step, levels = max((b - a) / (grid - 1) for a, b in box), 0
+    step, levels = spacing, 0
     while not step < tol:
         step, levels = step * shrink, levels + 1
 
@@ -258,8 +261,8 @@ def maximize_box(f, lo, hi, grid: int, tol: float, seeds=((),)) -> list:
     refine = 0  # refinement evaluations: one count, or one per instance
     for stage, k in enumerate(centres):
         if stage:
-            refine = refine + count * per_axis ** len(box)
-            pts = _windows(top_p, spacing, lo_a, hi_a)
+            refine = refine + count * per_axis ** dim
+            pts = _windows(top_p, spacing)
             spacing = spacing * shrink
         values, peak = _values(f, pts)
         if not stage and not peak > -math.inf:
@@ -271,7 +274,7 @@ def maximize_box(f, lo, hi, grid: int, tol: float, seeds=((),)) -> list:
         else:
             top_v, top_p, count = _ranked(pts, values, k)
             for b, v, x in zip(best, top_v[:, 0].tolist(), top_p[:, 0].tolist()):
-                b.append((v, x if lo_a.ndim == 0 else tuple(x)))
+                b.append((v, x if dim == 1 else tuple(x)))
 
     refine = refine.tolist() if isinstance(refine, np.ndarray) else [refine] * m
     results = []
@@ -281,7 +284,7 @@ def maximize_box(f, lo, hi, grid: int, tol: float, seeds=((),)) -> list:
             continue
         value = max(v for v, _ in b)
         arg = min(x for v, x in b if v == value)
-        stages = {"seeds": n, "grid": grid ** len(box), "refine": r}
+        stages = {"seeds": n, "grid": grid ** dim, "refine": r}
         results.append(OptResult(arg=arg, value=value,
                                  diagnostics={"evaluations": sum(stages.values()),
                                               "stages": stages, "levels": levels}))

@@ -139,7 +139,7 @@ def _tdma_tin_block(rows) -> list:
 
     return [SchemeResult(sum_rate=res.value, arg=TimeShare(res.arg),
                          diagnostics=res.diagnostics)
-            for res in maximize_box(objective, 0.0, 1.0, 1025, 1e-7, seeds)]
+            for res in maximize_box(objective, 1, 1025, 1e-7, seeds)]
 
 
 def _tdma_tin_batch(rows) -> list:

@@ -210,7 +210,7 @@ def test_genie_kernel_equals_expression_form():
         c, m = _genie_coeffs(rows), len(rows)
         windows = rng.uniform(0.0, 1.0, (m, 243, 2))
         windows[:, :3] = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
-        for rho in (_grid(((0.0, 1.0), (0.0, 1.0)), 33, m), windows):
+        for rho in (_grid(2, 33, m), windows):
             with np.errstate(all="ignore"):
                 assert same_bits(_genie_sum(c, rho), genie_reduced_ref(c, rho))
         r1, r2 = windows[..., 0], windows[..., 1]

@@ -157,9 +157,9 @@ def test_missing_config_file_is_io_error(capsys):
 # Frozen stdout of ``pimac validate --seed 7 --samples 20000``.
 VALIDATE_GOLDEN = (
     "generator=numpy PCG64 (numpy.random.default_rng)\nseed=7\nsamples=20000\n"
-    "mac_rx1: analytic=1.80355946 sampled=1.8189151 gap=0.0154\n"
-    "p2p_rx2: analytic=1.30014708 sampled=1.30034191 gap=0.000195\n"
-    "max_gap=0.0154\nsample_min_eigenvalue=0.228\n")
+    "mac_rx1: analytic=1.80355946 sampled=1.8114301 gap=0.00787\n"
+    "p2p_rx2: analytic=1.30014708 sampled=1.31115818 gap=0.011\n"
+    "max_gap=0.011\nsample_min_eigenvalue=0.227\n")
 
 
 def test_validate_reports_gaps(capsys):
