@@ -79,7 +79,7 @@ import numpy as np
 
 from .errors import ConstraintError, InfeasibleError, InvalidRegimeError
 from .model import PimacParams, SchemeResult, _half_log_sum, half_log
-from .optimize import _blocks, maximize_box
+from .optimize import _WORK, _blocks, maximize_box
 
 LN2 = math.log(2.0)
 
@@ -142,12 +142,14 @@ def c_sigma_2(params: PimacParams) -> float:
     return mac + half_log(params.p3_max)
 
 
-def _bits(x):
+def _bits(x, infinite=None):
     """``0.5*log2(1 + x)`` for a ratio ``x >= 0``, or ``+inf`` where
     ``1 + x`` reaches ``1/EPS_DET`` or ``x`` is NaN (0/0 of a noiseless
     genie, or overflow). Computed in place: ``x`` is overwritten and
-    returned."""
-    infinite = x < 1.0 / EPS_DET - 1.0
+    returned. The mask of those points is written into ``infinite``, a
+    boolean array of the shape of ``x`` from the workspace, or into a new
+    array if it is None."""
+    infinite = np.less(x, 1.0 / EPS_DET - 1.0, out=infinite)
     np.logical_not(infinite, out=infinite)  # at the limit, or NaN
     np.log1p(x, out=x)
     x *= 0.5 / LN2
@@ -182,11 +184,13 @@ class _GenieCoeffs(NamedTuple):
     g31_zero: np.ndarray | None   # h31 = 0: S2 carries no input
 
 
-def _coeff_row(params: PimacParams) -> tuple:
+def _coeff_row(params: PimacParams, signed: bool) -> tuple:
     # One instance's fields of _GenieCoeffs, as Python floats and bools.
     # Cross products are formed as h * (h * P) and D with the powers first,
     # so a zero power gives 0 however large its gain.
     g12, g22, g31 = params.h12, params.h22, params.h31
+    if not signed:
+        g12, g22, g31 = abs(g12), abs(g22), abs(g31)
     p1, p2, p3 = params.p1_max, params.p2_max, params.p3_max
     total = p1 + p2
     q = g12 * (g12 * p1) + g22 * (g22 * p2)
@@ -206,11 +210,18 @@ def _coeff_row(params: PimacParams) -> tuple:
 _N_VALUES = 13  # leading float fields of _GenieCoeffs; the rest are flags
 
 
-def _genie_coeffs(rows) -> _GenieCoeffs:
+def _genie_coeffs(rows, signed: bool = False) -> _GenieCoeffs:
     """``_GenieCoeffs`` of the instances ``rows``, one row of each array per
     instance. A batch of one keeps Python floats and bools, which broadcast
-    as (1, 1) arrays do, at a lower cost per numpy call."""
-    table = [_coeff_row(p) for p in rows]
+    as (1, 1) arrays do, at a lower cost per numpy call.
+
+    The gains are taken by absolute value: negating a gain leaves the
+    channel's capacity unchanged (a receiver can negate the affected
+    codebook), so the search runs on the nonnegative-gain equivalent, and
+    its value is bit-identical under per-gain sign flips. With ``signed``
+    they keep their signs, as the kernel at an explicit genie point of the
+    signed channel needs (``_genie_terms``)."""
+    table = [_coeff_row(p, signed) for p in rows]
     if len(table) == 1:
         return _GenieCoeffs(*table[0][:_N_VALUES],
                             *(flag or None for flag in table[0][_N_VALUES:]))
@@ -220,7 +231,8 @@ def _genie_coeffs(rows) -> _GenieCoeffs:
                                    for f in flags))
 
 
-def _genie_kernel(c: _GenieCoeffs, rho, rho_sq, r1_s, t1, t2) -> tuple[np.ndarray, np.ndarray]:
+def _genie_kernel(c: _GenieCoeffs, rho, rho_sq, r1_s, t1, t2,
+                  work=None) -> tuple[np.ndarray, np.ndarray]:
     """The genie bound's two terms ``I(X1,X2; Y1,S1)`` and ``I(X3; Y2,S2)``
     in bits, at arrays of points ``rho`` (last axis) and of ``t = 1/eta``,
     one row per instance, given ``rho_sq = rho^2`` and ``r1_s = rho1 s/A``,
@@ -230,15 +242,24 @@ def _genie_kernel(c: _GenieCoeffs, rho, rho_sq, r1_s, t1, t2) -> tuple[np.ndarra
     the points; ``rho`` may hold one row shared by all instances. The ratios
     are the completed squares of the module docstring; its rules for
     degenerate cases select, per instance, the values that replace them.
-    They are computed in place, in an (m, n) scratch block and the (2, m, n)
-    result whose rows are returned, with the association order fixed:
-    ``((A w) w + k) / (n1 - rho1^2) + s^2/A`` and
-    ``(((q+1) w) w / (q + 1 - rho2^2) + 1/(q+1)) P3``. Callers hold
-    ``np.errstate(all="ignore")``, once per search: 0/0 and overflow are
-    part of the rules.
+    They are computed in place, in an (m, n) scratch array ``w`` and the
+    (2, m, n) ratio array whose rows are returned, with the association
+    order fixed: ``((A w) w + k) / (n1 - rho1^2) + s^2/A`` and
+    ``(((q+1) w) w / (q + 1 - rho2^2) + 1/(q+1)) P3``. Given the
+    ``optimize._Workspace`` ``work`` (a batch of instances), these arrays
+    and ``_bits``' mask are its views of the shape of ``t1``, so the
+    returned rows are views into it too; without it (a batch of one) they
+    are new. Callers hold ``np.errstate(all="ignore")``, once per search:
+    0/0 and overflow are part of the rules.
     """
-    w = np.subtract(t1, r1_s)
-    x = np.empty((2,) + w.shape)  # both ratios, for one call of _bits
+    if work is None:
+        w = np.subtract(t1, r1_s)
+        x = np.empty((2,) + w.shape)  # both ratios, for one call of _bits
+        infinite = None
+    else:
+        shape = (2,) + t1.shape
+        w = np.subtract(t1, r1_s, out=work.take("w", t1.shape))
+        x, infinite = work.take("ratios", shape), work.take("infinite", shape, bool)
     mac, p2p = x
     np.multiply(c.a, w, out=mac)
     mac *= w
@@ -260,7 +281,7 @@ def _genie_kernel(c: _GenieCoeffs, rho, rho_sq, r1_s, t1, t2) -> tuple[np.ndarra
     p2p *= c.p3
     if c.s2_zero is not None:
         np.copyto(p2p, c.p3_q1, where=c.s2_zero & np.isinf(t2))
-    _bits(x)
+    _bits(x, infinite)
     # An input group of zero power carries nothing.
     if c.mac_off is not None:
         np.copyto(mac, 0.0, where=c.mac_off)
@@ -269,37 +290,44 @@ def _genie_kernel(c: _GenieCoeffs, rho, rho_sq, r1_s, t1, t2) -> tuple[np.ndarra
     return mac, p2p
 
 
-def _t_star(c: _GenieCoeffs, rho) -> tuple[np.ndarray, ...]:
+def _t_star(c: _GenieCoeffs, rho, work=None) -> tuple[np.ndarray, ...]:
     """The best feasible ``t = 1/eta`` of each term at an array of points
     ``(rho1, rho2)`` (last axis), one row per instance, or one row shared
     by all instances, and the products ``rho^2`` and ``rho1 s/A`` for the kernel.
 
     Where a term's genie signal carries no input (``A = 0``, or ``h31 = 0``)
     it is best dropped: ``t* = inf``. The bounds ``1/sqrt(1 - rho^2)``
-    depend on ``rho`` alone, so a shared row computes them once. Callers
-    hold ``np.errstate(all="ignore")``, once per search; ``fmax`` skips the
-    NaN of ``0 * inf``.
+    depend on ``rho`` alone, so a shared row computes them once. Given the
+    ``optimize._Workspace`` ``work`` (a batch of instances), ``t1``, ``t2``
+    and ``rho1 s/A``, each (m, n), are its views; without it they are new.
+    Callers hold ``np.errstate(all="ignore")``, once per search; ``fmax``
+    skips the NaN of ``0 * inf``.
     """
+    r1_s = t1 = t2 = None
+    if work is not None:
+        shape = (len(c.s_a), rho.shape[1])
+        r1_s, t1, t2 = (work.take(role, shape) for role in ("r1_s", "t1", "t2"))
     rho_sq = np.multiply(rho, rho)
-    r1_s = np.multiply(rho[..., 0], c.s_a)
+    r1_s = np.multiply(rho[..., 0], c.s_a, out=r1_s)
     bound = np.subtract(1.0, rho_sq)
     np.sqrt(bound, out=bound)
     np.divide(1.0, bound, out=bound)  # 1/sqrt(1 - rho1^2), 1/sqrt(1 - rho2^2)
-    t1 = np.fmax(r1_s, bound[..., 1])
+    t1 = np.fmax(r1_s, bound[..., 1], out=t1)
     if c.a_zero is not None:
         np.copyto(t1, math.inf, where=c.a_zero)
-    t2 = np.multiply(rho[..., 1], c.inv_g31q1)
+    t2 = np.multiply(rho[..., 1], c.inv_g31q1, out=t2)
     np.fmax(t2, bound[..., 0], out=t2)
     if c.g31_zero is not None:
         np.copyto(t2, math.inf, where=c.g31_zero)
     return t1, t2, rho_sq, r1_s
 
 
-def _genie_sum(c: _GenieCoeffs, rho) -> np.ndarray:
+def _genie_sum(c: _GenieCoeffs, rho, work=None) -> np.ndarray:
     """Genie bound minimized over the scalings, at each point ``(rho1, rho2)``
     of the (m, n, 2) array ``rho``: an (m, n) array, the sum of the two
-    terms formed in the kernel's result buffer: the search's objective, run
-    in the search's ``np.errstate``.
+    terms formed in the kernel's ratio array: the search's objective, run
+    in the search's ``np.errstate``. With the workspace ``work``, that
+    array is a view into it, valid until the next call.
 
     Where ``rho`` has stride 0 on the instance axis (the shared grid of
     ``optimize._grid``), its ``rho``-only terms (``rho^2`` and
@@ -308,8 +336,8 @@ def _genie_sum(c: _GenieCoeffs, rho) -> np.ndarray:
     """
     if rho.strides[0] == 0:
         rho = rho[:1]
-    t1, t2, rho_sq, r1_s = _t_star(c, rho)
-    mac, p2p = _genie_kernel(c, rho, rho_sq, r1_s, t1, t2)
+    t1, t2, rho_sq, r1_s = _t_star(c, rho, work)
+    mac, p2p = _genie_kernel(c, rho, rho_sq, r1_s, t1, t2, work)
     return np.add(mac, p2p, out=mac)
 
 
@@ -319,7 +347,7 @@ def _genie_terms(params: PimacParams, points) -> tuple[np.ndarray, np.ndarray]:
     taken at ``t = 1/eta``: two arrays of n values. The one entry for
     explicit genie points, shared by ``genie_bound_batch`` and the
     Monte-Carlo check."""
-    genie, c = np.asarray(points, dtype=float)[None], _genie_coeffs([params])
+    genie, c = np.asarray(points, dtype=float)[None], _genie_coeffs([params], signed=True)
     rho = genie[..., :2]
     with np.errstate(all="ignore"):
         mac, p2p = _genie_kernel(c, rho, rho * rho, rho[..., 0] * c.s_a,
@@ -345,21 +373,12 @@ def genie_bound_objective(params: PimacParams, genie: GenieParams) -> float:
     return float(genie_bound_batch(params, [genie.as_tuple()])[0])
 
 
-def _sign_canonical(params: PimacParams) -> PimacParams:
-    # Negating any gain leaves the channel capacity unchanged (a receiver
-    # can negate the affected codebook), so the bound is evaluated on the
-    # nonnegative-gain equivalent. This also makes the minimized value
-    # bit-identical under per-gain sign flips.
-    return PimacParams(h12=abs(params.h12), h22=abs(params.h22),
-                       h31=abs(params.h31), p1_max=params.p1_max,
-                       p2_max=params.p2_max, p3_max=params.p3_max)
-
-
 def _c_sigma_1_block(rows) -> list:
-    c = _genie_coeffs([_sign_canonical(p) for p in rows])
+    c = _genie_coeffs(rows)
+    work = _WORK if len(rows) > 1 else None
 
     def objective(rho):
-        value = _genie_sum(c, rho)
+        value = _genie_sum(c, rho, work)
         return np.negative(value, out=value)
 
     with np.errstate(all="ignore"):  # once per search, not per stage

@@ -236,11 +236,12 @@ def montecarlo_covariance_check(params: PimacParams, genie: GenieParams,
     correlated noise pairs, all seven variables, and compares its mutual
     informations ``I(X1,X2; Y1,S1)`` and ``I(X3; Y2,S2)`` with the terms of
     the kernel that ``c_sigma_1`` minimises. Deterministic for a given
-    seed. Requires genie scalings above 0.05 so the sampled joint stays
-    well conditioned.
+    seed. Requires at least 8 samples, below which the sample covariance of
+    the 7 variables is singular, and genie scalings above 0.05 so the
+    sampled joint stays well conditioned.
     """
-    if not (isinstance(n_samples, numbers.Integral) and n_samples >= 2):
-        raise DomainError(f"n_samples must be an integer >= 2, got {n_samples!r}")
+    if not (isinstance(n_samples, numbers.Integral) and n_samples >= 8):
+        raise DomainError(f"n_samples must be an integer >= 8, got {n_samples!r}")
     if not (isinstance(seed, numbers.Integral) and seed >= 0):
         raise DomainError(f"seed must be an integer >= 0, got {seed!r}")
     if not (genie.eta1 > 0.05 and genie.eta2 > 0.05):
@@ -249,13 +250,11 @@ def montecarlo_covariance_check(params: PimacParams, genie: GenieParams,
     # The sample covariance of n_samples draws of g ~ N(0, I_7) is W_7(dof, I)
     # / dof. Bartlett's decomposition draws it exactly as A A^T / dof, with A
     # lower triangular, sqrt(chi2(dof - i)) on its diagonal and N(0, 1) below
-    # it; for dof < 7 the columns from dof on are 0 (rank dof).
+    # it.
     rng = np.random.default_rng(seed)
     dof = int(n_samples) - 1
-    rank = min(dof, 7)
-    a = np.zeros((7, 7))
-    a[:, :rank] = np.tril(rng.standard_normal((7, rank)), -1)
-    a[range(rank), range(rank)] = np.sqrt(rng.chisquare(dof - np.arange(rank)))
+    a = np.tril(rng.standard_normal((7, 7)), -1)
+    a[range(7), range(7)] = np.sqrt(rng.chisquare(dof - np.arange(7)))
     m = _sampling_map(params, genie)
     cov = m @ (a @ a.T / dof) @ m.T
     cov = 0.5 * (cov + cov.T)
@@ -272,7 +271,6 @@ def montecarlo_covariance_check(params: PimacParams, genie: GenieParams,
         sampled = 0.0
         if ia and ib:
             ld_a, ld_b, ld_ab = (np.linalg.slogdet(cov[np.ix_(k, k)])[1] for k in (ia, ib, ia + ib))
-            # The rule first: 7 or fewer samples are singular, with -inf log-determinants.
             sampled = (math.inf if ld_ab <= math.log(EPS_DET) + ld_a + ld_b
                        else max(0.5 * (ld_a + ld_b - ld_ab) / LN2, 0.0))
         # Two equal infinities (a degenerate term on both sides) agree.

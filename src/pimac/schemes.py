@@ -26,7 +26,7 @@ from .model import (
     effective_noise_at_rx1,
     half_log,
 )
-from .optimize import _blocks, maximize_box
+from .optimize import _WORK, _blocks, maximize_box
 
 
 def sd_tin_sum_rate(params: PimacParams) -> SchemeResult:
@@ -54,7 +54,7 @@ def _tdma_coeffs(rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return c[0:2], c[2:4], c[4]
 
 
-def _tdma_parts(c: tuple, alphas) -> tuple[np.ndarray, np.ndarray]:
+def _tdma_parts(c: tuple, alphas, work=None) -> tuple[np.ndarray, np.ndarray]:
     """MAC and point-to-point parts of TDMA-TIN at an (m, n) array of shares,
     row i for instance i of ``c = _tdma_coeffs(rows)``.
 
@@ -65,19 +65,26 @@ def _tdma_parts(c: tuple, alphas) -> tuple[np.ndarray, np.ndarray]:
     as ``w/2 (log2(w + P/N) - log2 w)`` and ``w/2 log2(1 + P3 w/(w + c))``,
     which stay finite for every finite input (an overflowed ``c = inf``
     gives the correct limit 0), and a slot of weight 0 adds its limit 0.
-    Every operation writes into one of four (2, m, n) buffers the kernel
-    owns, in that association order; each part is its buffer's first row,
-    where the halved sum of the two slots is formed in place.
+    Every operation writes into one of four (2, m, n) arrays, in that
+    association order; each part is its array's first row, where the
+    halved sum of the two slots is formed in place. Given the
+    ``optimize._Workspace`` ``work`` (a batch of instances), the four are
+    its views, so the returned rows are views into it too; without it (a
+    batch of one) they are new.
     """
     snr, cross, p3 = c
     a = np.asarray(alphas, dtype=float)
-    w = np.empty((2,) + a.shape)
+    shape = (2,) + a.shape
+    if work is None:
+        w, s, mac, t = np.empty(shape), None, None, None
+    else:
+        w, s, mac, t = (work.take(role, shape) for role in ("shares", "floored", "mac", "scratch"))
     w[0] = a
     np.subtract(1.0, a, out=w[1])
-    s = np.maximum(w, 5e-324)  # w, but 5e-324 where w = 0 (its term is weighted by 0)
-    mac = np.add(s, snr)
+    s = np.maximum(w, 5e-324, out=s)  # w, but 5e-324 where w = 0 (its term is weighted by 0)
+    mac = np.add(s, snr, out=mac)
     np.log2(mac, out=mac)
-    t = np.log2(s)
+    t = np.log2(s, out=t)
     mac -= t
     mac *= w
     np.add(s, cross, out=t)
@@ -132,9 +139,10 @@ def _tdma_tin_block(rows) -> list:
     seeds = [[share.alpha for share in (alpha_star(p), alpha_prime(p)) if share is not None]
              for p in rows]
     c = _tdma_coeffs(rows)
+    work = _WORK if len(rows) > 1 else None
 
     def objective(alphas):
-        mac, p2p = _tdma_parts(c, alphas)
+        mac, p2p = _tdma_parts(c, alphas, work)
         return np.add(mac, p2p, out=mac)
 
     return [SchemeResult(sum_rate=res.value, arg=TimeShare(res.arg),

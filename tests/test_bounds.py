@@ -26,7 +26,6 @@ from pimac.bounds import (
     _genie_coeffs,
     _genie_kernel,
     _genie_sum,
-    _sign_canonical,
     genie_bound_batch,
 )
 from pimac.experiments import _sampling_map
@@ -226,7 +225,8 @@ def test_genie_kernel_equals_expression_form():
         genie[:3] = [(0.0, 0.0, 1.0, 1.0), (1.0, 0.0, 0.0, 1.0), (0.0, 1.0, 1.0, 0.0)]
         r1, r2, e1, e2 = genie.T[:, None]
         with np.errstate(all="ignore"):
-            mac, p2p = genie_kernel_ref(_genie_coeffs([p]), r1, r2, 1.0 / e1, 1.0 / e2)
+            mac, p2p = genie_kernel_ref(_genie_coeffs([p], signed=True), r1, r2,
+                                        1.0 / e1, 1.0 / e2)
         assert same_bits(genie_bound_batch(p, genie), (mac + p2p)[0])
 
 
@@ -431,7 +431,7 @@ def _dense_reduced_min(p, n):
     """Minimum of the reduced objective over an n x n grid of [0, 1]^2, and
     that minimum polished by two 201 x 201 grids over plus or minus one
     spacing around the best node (an interior optimum lies between nodes)."""
-    c = _genie_coeffs([_sign_canonical(p)])
+    c = _genie_coeffs([p])
 
     def grid_min(ax1, ax2):
         rho = np.stack(np.meshgrid(ax1, ax2, indexing="ij"), axis=-1).reshape(-1, 2)

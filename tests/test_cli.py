@@ -175,6 +175,14 @@ def test_domain_error_exit_code(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_validate_rejects_fewer_than_8_samples(capsys):
+    rc = main(["validate", "--samples", "7"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "n_samples must be an integer >= 8, got 7" in captured.err
+
+
 # Frozen stdout of ``pimac point``: every digit and every line is pinned.
 POINT_GOLDEN = [
     (["--h12", "0.2", "--h31", "0.2"] + FIGURE,
