@@ -79,15 +79,16 @@ import numpy as np
 
 from .errors import ConstraintError, InfeasibleError, InvalidRegimeError
 from .model import PimacParams, SchemeResult, _half_log_sum, half_log
-from .optimize import _WORK, _blocks, maximize_box
+from .optimize import _WORK, _blocks, _columns, maximize_box
 
 LN2 = math.log(2.0)
 
 # Degeneracy rule: a mutual-information term whose ratio ``1 + x`` in
-# ``_bits`` reaches 1/EPS_DET = 1e12 is reported as +inf, as for a noiseless
-# genie. That is every term of 0.5*log2(1e12) ~ 19.93 bits or more,
-# degenerate or not: at high SNR all genie points can be discarded, and
-# c_sigma_1 then raises InfeasibleError.
+# ``_bits`` (or its determinant ratio in ``_logdet_bits``) reaches
+# 1/EPS_DET = 1e12 is reported as +inf, as for a noiseless genie. That is
+# every term of 0.5*log2(1e12) ~ 19.93 bits or more, degenerate or not: at
+# high SNR all genie points can be discarded, and c_sigma_1 then raises
+# InfeasibleError.
 EPS_DET = 1e-12
 
 # Validation slack: boundary points built as eta = sqrt(1 - rho^2) may
@@ -142,19 +143,27 @@ def c_sigma_2(params: PimacParams) -> float:
     return mac + half_log(params.p3_max)
 
 
-def _bits(x, infinite=None):
+def _bits(x):
     """``0.5*log2(1 + x)`` for a ratio ``x >= 0``, or ``+inf`` where
     ``1 + x`` reaches ``1/EPS_DET`` or ``x`` is NaN (0/0 of a noiseless
-    genie, or overflow). Computed in place: ``x`` is overwritten and
-    returned. The mask of those points is written into ``infinite``, a
-    boolean array of the shape of ``x`` from the workspace, or into a new
-    array if it is None."""
-    infinite = np.less(x, 1.0 / EPS_DET - 1.0, out=infinite)
+    genie, or overflow). Computed in place: ``x``, an (..., m, n) array, is
+    overwritten and returned. The mask of those points is a workspace
+    array."""
+    infinite = np.less(x, 1.0 / EPS_DET - 1.0, out=_WORK.take("infinite", x.shape, bool))
     np.logical_not(infinite, out=infinite)  # at the limit, or NaN
     np.log1p(x, out=x)
     x *= 0.5 / LN2
     np.copyto(x, math.inf, where=infinite)
     return x
+
+
+def _logdet_bits(ld_a, ld_b, ld_ab) -> float:
+    """``I(A; B)`` in bits from the natural log-determinants of the
+    covariances of ``A``, ``B`` and ``(A, B)``, under the rule of ``_bits``:
+    ``+inf`` where ``det A det B / det(A, B)`` reaches ``1/EPS_DET``. For
+    the Monte-Carlo check of the kernel's terms."""
+    return (math.inf if ld_ab <= math.log(EPS_DET) + ld_a + ld_b
+            else max(0.5 * (ld_a + ld_b - ld_ab) / LN2, 0.0))
 
 
 class _GenieCoeffs(NamedTuple):
@@ -212,8 +221,7 @@ _N_VALUES = 13  # leading float fields of _GenieCoeffs; the rest are flags
 
 def _genie_coeffs(rows, signed: bool = False) -> _GenieCoeffs:
     """``_GenieCoeffs`` of the instances ``rows``, one row of each array per
-    instance. A batch of one keeps Python floats and bools, which broadcast
-    as (1, 1) arrays do, at a lower cost per numpy call.
+    instance (``optimize._columns``: Python floats and bools for one).
 
     The gains are taken by absolute value: negating a gain leaves the
     channel's capacity unchanged (a receiver can negate the affected
@@ -221,18 +229,11 @@ def _genie_coeffs(rows, signed: bool = False) -> _GenieCoeffs:
     its value is bit-identical under per-gain sign flips. With ``signed``
     they keep their signs, as the kernel at an explicit genie point of the
     signed channel needs (``_genie_terms``)."""
-    table = [_coeff_row(p, signed) for p in rows]
-    if len(table) == 1:
-        return _GenieCoeffs(*table[0][:_N_VALUES],
-                            *(flag or None for flag in table[0][_N_VALUES:]))
-    values = np.array([r[:_N_VALUES] for r in table]).T[:, :, None]
-    flags = zip(*(r[_N_VALUES:] for r in table))
-    return _GenieCoeffs(*values, *(np.array(f)[:, None] if any(f) else None
-                                   for f in flags))
+    return _GenieCoeffs(*_columns([_coeff_row(p, signed) for p in rows], _N_VALUES))
 
 
 def _genie_kernel(c: _GenieCoeffs, rho, rho_sq, r1_s, t1, t2,
-                  work=None) -> tuple[np.ndarray, np.ndarray]:
+                  arrays) -> tuple[np.ndarray, np.ndarray]:
     """The genie bound's two terms ``I(X1,X2; Y1,S1)`` and ``I(X3; Y2,S2)``
     in bits, at arrays of points ``rho`` (last axis) and of ``t = 1/eta``,
     one row per instance, given ``rho_sq = rho^2`` and ``r1_s = rho1 s/A``,
@@ -242,25 +243,17 @@ def _genie_kernel(c: _GenieCoeffs, rho, rho_sq, r1_s, t1, t2,
     the points; ``rho`` may hold one row shared by all instances. The ratios
     are the completed squares of the module docstring; its rules for
     degenerate cases select, per instance, the values that replace them.
-    They are computed in place, in an (m, n) scratch array ``w`` and the
-    (2, m, n) ratio array whose rows are returned, with the association
-    order fixed: ``((A w) w + k) / (n1 - rho1^2) + s^2/A`` and
-    ``(((q+1) w) w / (q + 1 - rho2^2) + 1/(q+1)) P3``. Given the
-    ``optimize._Workspace`` ``work`` (a batch of instances), these arrays
-    and ``_bits``' mask are its views of the shape of ``t1``, so the
-    returned rows are views into it too; without it (a batch of one) they
-    are new. Callers hold ``np.errstate(all="ignore")``, once per search:
+    They are computed in place, with the association order fixed:
+    ``((A w) w + k) / (n1 - rho1^2) + s^2/A`` and
+    ``(((q+1) w) w / (q + 1 - rho2^2) + 1/(q+1)) P3``, in the last three
+    (m, n) rows of the kernel's (6, m, n) work block ``arrays``
+    (``_genie_sum``): a scratch row ``w`` and the two ratio rows, which are
+    returned. Callers hold ``np.errstate(all="ignore")``, once per search:
     0/0 and overflow are part of the rules.
     """
-    if work is None:
-        w = np.subtract(t1, r1_s)
-        x = np.empty((2,) + w.shape)  # both ratios, for one call of _bits
-        infinite = None
-    else:
-        shape = (2,) + t1.shape
-        w = np.subtract(t1, r1_s, out=work.take("w", t1.shape))
-        x, infinite = work.take("ratios", shape), work.take("infinite", shape, bool)
-    mac, p2p = x
+    w, x = arrays[3], arrays[4:]  # x: both ratios, for one call of _bits
+    mac, p2p = x[0], x[1]
+    np.subtract(t1, r1_s, out=w)
     np.multiply(c.a, w, out=mac)
     mac *= w
     mac += c.k_mac
@@ -281,7 +274,7 @@ def _genie_kernel(c: _GenieCoeffs, rho, rho_sq, r1_s, t1, t2,
     p2p *= c.p3
     if c.s2_zero is not None:
         np.copyto(p2p, c.p3_q1, where=c.s2_zero & np.isinf(t2))
-    _bits(x, infinite)
+    _bits(x)
     # An input group of zero power carries nothing.
     if c.mac_off is not None:
         np.copyto(mac, 0.0, where=c.mac_off)
@@ -290,68 +283,68 @@ def _genie_kernel(c: _GenieCoeffs, rho, rho_sq, r1_s, t1, t2,
     return mac, p2p
 
 
-def _t_star(c: _GenieCoeffs, rho, work=None) -> tuple[np.ndarray, ...]:
+def _t_star(c: _GenieCoeffs, rho, arrays) -> tuple[np.ndarray, ...]:
     """The best feasible ``t = 1/eta`` of each term at an array of points
     ``(rho1, rho2)`` (last axis), one row per instance, or one row shared
-    by all instances, and the products ``rho^2`` and ``rho1 s/A`` for the kernel.
+    by all instances, and the products ``rho^2`` and ``rho1 s/A`` for the
+    kernel. ``t1``, ``t2`` and ``rho1 s/A`` are written into the first
+    three (m, n) rows of ``arrays``, the kernel's work block.
 
     Where a term's genie signal carries no input (``A = 0``, or ``h31 = 0``)
     it is best dropped: ``t* = inf``. The bounds ``1/sqrt(1 - rho^2)``
-    depend on ``rho`` alone, so a shared row computes them once. Given the
-    ``optimize._Workspace`` ``work`` (a batch of instances), ``t1``, ``t2``
-    and ``rho1 s/A``, each (m, n), are its views; without it they are new.
-    Callers hold ``np.errstate(all="ignore")``, once per search; ``fmax``
-    skips the NaN of ``0 * inf``.
+    depend on ``rho`` alone, so a shared row computes them once. Callers
+    hold ``np.errstate(all="ignore")``, once per search; ``fmax`` skips the
+    NaN of ``0 * inf``.
     """
-    r1_s = t1 = t2 = None
-    if work is not None:
-        shape = (len(c.s_a), rho.shape[1])
-        r1_s, t1, t2 = (work.take(role, shape) for role in ("r1_s", "t1", "t2"))
     rho_sq = np.multiply(rho, rho)
-    r1_s = np.multiply(rho[..., 0], c.s_a, out=r1_s)
+    r1_s = np.multiply(rho[..., 0], c.s_a, out=arrays[2])
     bound = np.subtract(1.0, rho_sq)
     np.sqrt(bound, out=bound)
     np.divide(1.0, bound, out=bound)  # 1/sqrt(1 - rho1^2), 1/sqrt(1 - rho2^2)
-    t1 = np.fmax(r1_s, bound[..., 1], out=t1)
+    t1 = np.fmax(r1_s, bound[..., 1], out=arrays[0])
     if c.a_zero is not None:
         np.copyto(t1, math.inf, where=c.a_zero)
-    t2 = np.multiply(rho[..., 1], c.inv_g31q1, out=t2)
+    t2 = np.multiply(rho[..., 1], c.inv_g31q1, out=arrays[1])
     np.fmax(t2, bound[..., 0], out=t2)
     if c.g31_zero is not None:
         np.copyto(t2, math.inf, where=c.g31_zero)
     return t1, t2, rho_sq, r1_s
 
 
-def _genie_sum(c: _GenieCoeffs, rho, work=None) -> np.ndarray:
+def _genie_sum(c: _GenieCoeffs, rho) -> np.ndarray:
     """Genie bound minimized over the scalings, at each point ``(rho1, rho2)``
     of the (m, n, 2) array ``rho``: an (m, n) array, the sum of the two
-    terms formed in the kernel's ratio array: the search's objective, run
-    in the search's ``np.errstate``. With the workspace ``work``, that
-    array is a view into it, valid until the next call.
+    terms formed in the kernel's work block, which is taken from the
+    workspace (a view, valid until the next call, or a new array for one
+    instance): the search's objective, run in the search's ``np.errstate``.
 
     Where ``rho`` has stride 0 on the instance axis (the shared grid of
     ``optimize._grid``), its ``rho``-only terms (``rho^2`` and
     ``1/sqrt(1 - rho^2)``) are computed on one row, which the instances'
     coefficients broadcast against.
     """
+    arrays = _WORK.take("genie", (6,) + rho.shape[:2])
     if rho.strides[0] == 0:
         rho = rho[:1]
-    t1, t2, rho_sq, r1_s = _t_star(c, rho, work)
-    mac, p2p = _genie_kernel(c, rho, rho_sq, r1_s, t1, t2, work)
+    t1, t2, rho_sq, r1_s = _t_star(c, rho, arrays)
+    mac, p2p = _genie_kernel(c, rho, rho_sq, r1_s, t1, t2, arrays)
     return np.add(mac, p2p, out=mac)
 
 
 def _genie_terms(params: PimacParams, points) -> tuple[np.ndarray, np.ndarray]:
     """The kernel's two terms ``I(X1,X2; Y1,S1)`` and ``I(X3; Y2,S2)`` in
     bits at each row ``(rho1, rho2, eta1, eta2)`` of the (n, 4) ``points``,
-    taken at ``t = 1/eta``: two arrays of n values. The one entry for
-    explicit genie points, shared by ``genie_bound_batch`` and the
-    Monte-Carlo check."""
+    taken at ``t = 1/eta``: two new arrays of n values, since one instance
+    takes a new work block. The one entry for explicit genie points,
+    shared by ``genie_bound_batch`` and the Monte-Carlo check."""
     genie, c = np.asarray(points, dtype=float)[None], _genie_coeffs([params], signed=True)
     rho = genie[..., :2]
+    arrays = _WORK.take("genie", (6,) + genie.shape[:2])
     with np.errstate(all="ignore"):
-        mac, p2p = _genie_kernel(c, rho, rho * rho, rho[..., 0] * c.s_a,
-                                 1.0 / genie[..., 2], 1.0 / genie[..., 3])
+        t1 = np.divide(1.0, genie[..., 2], out=arrays[0])
+        t2 = np.divide(1.0, genie[..., 3], out=arrays[1])
+        r1_s = np.multiply(rho[..., 0], c.s_a, out=arrays[2])
+        mac, p2p = _genie_kernel(c, rho, rho * rho, r1_s, t1, t2, arrays)
     return mac[0], p2p[0]
 
 
@@ -373,32 +366,39 @@ def genie_bound_objective(params: PimacParams, genie: GenieParams) -> float:
     return float(genie_bound_batch(params, [genie.as_tuple()])[0])
 
 
-def _c_sigma_1_block(rows) -> list:
-    c = _genie_coeffs(rows)
-    work = _WORK if len(rows) > 1 else None
-
-    def objective(rho):
-        value = _genie_sum(c, rho, work)
-        return np.negative(value, out=value)
-
-    with np.errstate(all="ignore"):  # once per search, not per stage
-        found = maximize_box(objective, 2, 33, 1e-6, [()] * len(rows))
-        if all(res is None for res in found):
-            return found
-        rho = np.array([(0.0, 0.0) if res is None else res.arg for res in found])
-        t1, t2 = _t_star(c, rho[:, None])[:2]
-    return [None if res is None else
-            SchemeResult(sum_rate=-res.value,
-                         arg=GenieParams(*res.arg, 1.0 / e1, 1.0 / e2),
-                         diagnostics=res.diagnostics)
-            for res, e1, e2 in zip(found, t1[:, 0].tolist(), t2[:, 0].tolist())]
+def _signed_rho(p: PimacParams, rho1: float, rho2: float) -> tuple[float, float]:
+    # The search's point of the nonnegative-gain equivalent, as the signed
+    # channel's point of the same value where one exists (see c_sigma_1):
+    # rho1 negated where s < 0, rho2 where h31 < 0, and + 0.0 for no -0.0.
+    # The signs come from the gains, so no product can overflow.
+    if p.p1_max > 0.0 and p.p2_max > 0.0 and min(p.h12, p.h22) < 0.0 < max(p.h12, p.h22):
+        return rho1, rho2
+    return (-rho1 + 0.0 if p.h12 < 0.0 < p.p1_max or p.h22 < 0.0 < p.p2_max else rho1,
+            -rho2 + 0.0 if p.h31 < 0.0 else rho2)
 
 
 def _c_sigma_1_batch(rows) -> list:
     """``c_sigma_1`` of each instance of ``rows``, or None where it finds no
     finite genie value. Each block of instances (``optimize._blocks``) makes
     one kernel call per solver stage."""
-    return [res for block in _blocks(rows, 33 * 33) for res in _c_sigma_1_block(block)]
+    results = []
+    for block in _blocks(rows, 33 * 33):
+        c = _genie_coeffs(block)
+
+        def objective(rho):
+            value = _genie_sum(c, rho)
+            return np.negative(value, out=value)
+
+        with np.errstate(all="ignore"):  # once per search, not per stage
+            found = maximize_box(objective, 2, 33, 1e-6, [()] * len(block))
+            rho = np.array([(0.0, 0.0) if res is None else res.arg for res in found])
+            t1, t2 = _t_star(c, rho[:, None], _WORK.take("genie", (3, len(block), 1)))[:2]
+        results += [None if res is None else
+                    SchemeResult(sum_rate=-res.value,
+                                 arg=GenieParams(*_signed_rho(p, *res.arg), 1.0 / e1, 1.0 / e2),
+                                 diagnostics=res.diagnostics)
+                    for res, p, e1, e2 in zip(found, block, t1[:, 0].tolist(), t2[:, 0].tolist())]
+    return results
 
 
 def c_sigma_1(params: PimacParams) -> SchemeResult:
@@ -416,8 +416,18 @@ def c_sigma_1(params: PimacParams) -> SchemeResult:
     A point where the kernel is ``+inf`` (the ``EPS_DET`` rule) is
     infeasible; if every grid point is, InfeasibleError is raised.
     The code is that of ``_c_sigma_1_batch``, for a batch of one.
+
+    With signed gains the returned genie point is that of the signed
+    channel where one has the value found: wherever ``P1 P2 h12 h22 >= 0``,
+    ``rho1`` is negated where ``s = h12 P1 + h22 P2 < 0`` and ``rho2`` where
+    ``h31 < 0``, so that ``genie_bound_objective(params, arg)`` reproduces
+    the value. Where the MAC gains have mixed signs and both powers are
+    positive, no signed point does, because ``D = P1 P2 (h12 - h22)^2``
+    differs from the equivalent's; the point returned is then the
+    equivalent's. Whether the value bounds that signed channel at all is
+    open (ROADMAP item 13).
     """
-    (res,) = _c_sigma_1_block([params])
+    (res,) = _c_sigma_1_batch([params])
     if res is None:
         raise InfeasibleError("no seed or grid point has a finite objective value")
     return res

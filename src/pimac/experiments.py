@@ -13,11 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import (
-    EPS_DET,
-    LN2,
     GenieParams,
     _c_sigma_1_batch,
     _genie_terms,
+    _logdet_bits,
     c_sigma_2,
 )
 from .errors import ContractError, DomainError, InvalidRegimeError
@@ -261,8 +260,8 @@ def montecarlo_covariance_check(params: PimacParams, genie: GenieParams,
     mac, p2p = _genie_terms(params, [genie.as_tuple()])
 
     # Log-det mutual information of the sampled groups, without the variables
-    # of zero variance (a silent transmitter's row is exactly 0) and with the
-    # kernel's EPS_DET rule.
+    # of zero variance (a silent transmitter's row is exactly 0) and under the
+    # kernel's rule for degenerate terms.
     keep = np.diagonal(cov) != 0.0
     entries = []
     for name, analytic, inputs, outputs in (("mac_rx1", mac.item(), (0, 1), (3, 4)),
@@ -270,9 +269,8 @@ def montecarlo_covariance_check(params: PimacParams, genie: GenieParams,
         ia, ib = [i for i in inputs if keep[i]], [i for i in outputs if keep[i]]
         sampled = 0.0
         if ia and ib:
-            ld_a, ld_b, ld_ab = (np.linalg.slogdet(cov[np.ix_(k, k)])[1] for k in (ia, ib, ia + ib))
-            sampled = (math.inf if ld_ab <= math.log(EPS_DET) + ld_a + ld_b
-                       else max(0.5 * (ld_a + ld_b - ld_ab) / LN2, 0.0))
+            sampled = _logdet_bits(*(np.linalg.slogdet(cov[np.ix_(k, k)])[1]
+                                     for k in (ia, ib, ia + ib)))
         # Two equal infinities (a degenerate term on both sides) agree.
         gap = 0.0 if analytic == sampled else abs(analytic - sampled)
         entries.append(MiCheckEntry(name=name, analytic=analytic, sampled=sampled, gap=gap))

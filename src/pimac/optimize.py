@@ -46,10 +46,12 @@ _CENTRES = 3
 # Cap on the points of one objective call when callers cut a batch of
 # instances into blocks: 15 instances of the genie bound's 33 x 33 grid or
 # of TDMA-TIN's 1 025-point grid. The work arrays of both searches, sized
-# for such a block (_Workspace), hold 1 867 776 bytes (1.78 MiB) per thread
-# that has run a batch. A warm figure sweep then allocates at most 0.45 MiB
-# more (tracemalloc peak), against 1.21 MiB when every block allocated its
-# own arrays; one instance at a time takes 0.12 MiB.
+# for such a block (_Workspace), are three roles: the genie kernel's 6
+# float rows (786 432 bytes) and 2 mask rows (32 768), and TDMA-TIN's 8
+# float rows (1 048 576), 1 867 776 bytes (1.78 MiB) in all per thread that
+# has run a batch. A warm figure sweep then allocates at most 0.45 MiB more
+# (tracemalloc peak), against 1.21 MiB when every block allocated its own
+# arrays; the same rows one instance at a time take 0.12 MiB.
 _BLOCK_POINTS = 16_384
 
 
@@ -58,21 +60,25 @@ class _Workspace(threading.local):
     block and one call to the next, so that a sweep does not free and
     re-fault about 1 MB per block.
 
-    A role names one array of a kernel. Its buffer is flat and sized for a
-    full block, an (..., m, n) array with ``m n = _BLOCK_POINTS`` (it grows
-    if a call needs more), and ``take`` returns a C-ordered view of its
-    leading elements, so a shorter block or a refinement stage uses its
-    front. Every kernel writes a view before reading it, and no view
-    outlives the objective call that took it: the searches return Python
-    floats. A batch of one takes no workspace: its arrays are small enough
-    for the allocator to reuse without page faults, and ``take`` would only
-    add Python work per array.
+    Every kernel takes its arrays here, one block per role: a role names
+    the work array of one kernel. Its buffer is flat and sized for a full
+    block, an (..., m, n) array with ``m n = _BLOCK_POINTS`` (it grows if a
+    call needs more), and ``take`` returns a C-ordered view of its leading
+    elements, so a shorter block or a refinement stage uses its front.
+    Every kernel writes a view before reading it, and no view outlives the
+    objective call that took it: the searches return Python floats. For
+    one instance (``m = 1``) ``take`` returns a new array instead, the
+    kernels' only rule that depends on the batch size: such arrays are
+    small enough for the allocator to reuse without page faults, and a
+    kernel may return one to a caller that keeps it (``genie_bound_batch``).
     """
 
     def __init__(self):
         self.buffers = {}
 
     def take(self, role: str, shape: tuple, dtype=float) -> np.ndarray:
+        if shape[-2] == 1:
+            return np.empty(shape, dtype)
         size = math.prod(shape)
         buf = self.buffers.get(role)
         if buf is None or buf.size < size:
@@ -229,6 +235,20 @@ def _blocks(rows, points: int) -> list:
     points`` rows (at least one), for objectives of ``points`` per row."""
     step = max(1, _BLOCK_POINTS // points)
     return [rows[i:i + step] for i in range(0, len(rows), step)]
+
+
+def _columns(table, n_values: int) -> list:
+    """An objective's per-instance constants, from one tuple per instance
+    in ``table``: its first ``n_values`` entries as (m, 1) float arrays and
+    the rest, flags, as (m, 1) masks, or None where no instance sets the
+    flag, so that the objective skips it. A batch of one keeps Python
+    floats and bools, which broadcast as (1, 1) arrays do, at a lower cost
+    per numpy call."""
+    if len(table) == 1:
+        return [*table[0][:n_values], *(flag or None for flag in table[0][n_values:])]
+    values = np.array([r[:n_values] for r in table]).T[:, :, None]
+    flags = zip(*(r[n_values:] for r in table))
+    return [*values, *(np.array(f)[:, None] if any(f) else None for f in flags)]
 
 
 def maximize_box(f, dim: int, grid: int, tol: float, seeds=((),)) -> list:

@@ -54,7 +54,7 @@ def _tdma_coeffs(rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return c[0:2], c[2:4], c[4]
 
 
-def _tdma_parts(c: tuple, alphas, work=None) -> tuple[np.ndarray, np.ndarray]:
+def _tdma_parts(c: tuple, alphas) -> tuple[np.ndarray, np.ndarray]:
     """MAC and point-to-point parts of TDMA-TIN at an (m, n) array of shares,
     row i for instance i of ``c = _tdma_coeffs(rows)``.
 
@@ -65,26 +65,22 @@ def _tdma_parts(c: tuple, alphas, work=None) -> tuple[np.ndarray, np.ndarray]:
     as ``w/2 (log2(w + P/N) - log2 w)`` and ``w/2 log2(1 + P3 w/(w + c))``,
     which stay finite for every finite input (an overflowed ``c = inf``
     gives the correct limit 0), and a slot of weight 0 adds its limit 0.
-    Every operation writes into one of four (2, m, n) arrays, in that
-    association order; each part is its array's first row, where the
-    halved sum of the two slots is formed in place. Given the
-    ``optimize._Workspace`` ``work`` (a batch of instances), the four are
-    its views, so the returned rows are views into it too; without it (a
-    batch of one) they are new.
+    Every operation writes into one of the four (2, m, n) rows of the
+    kernel's work block, taken from the workspace, in that association
+    order; each part is its array's first row, where the halved sum of the
+    two slots is formed in place. The returned rows are views into the
+    block: valid until the next call, or new arrays for one instance.
     """
     snr, cross, p3 = c
     a = np.asarray(alphas, dtype=float)
-    shape = (2,) + a.shape
-    if work is None:
-        w, s, mac, t = np.empty(shape), None, None, None
-    else:
-        w, s, mac, t = (work.take(role, shape) for role in ("shares", "floored", "mac", "scratch"))
+    block = _WORK.take("tdma", (4, 2) + a.shape)
+    w, s, mac, t = block[0], block[1], block[2], block[3]
     w[0] = a
     np.subtract(1.0, a, out=w[1])
-    s = np.maximum(w, 5e-324, out=s)  # w, but 5e-324 where w = 0 (its term is weighted by 0)
-    mac = np.add(s, snr, out=mac)
+    np.maximum(w, 5e-324, out=s)  # w, but 5e-324 where w = 0 (its term is weighted by 0)
+    np.add(s, snr, out=mac)
     np.log2(mac, out=mac)
-    t = np.log2(s, out=t)
+    np.log2(s, out=t)
     mac -= t
     mac *= w
     np.add(s, cross, out=t)
@@ -135,26 +131,24 @@ def alpha_prime(params: PimacParams) -> TimeShare | None:
     return TimeShare(c1 / (c1 + c2))
 
 
-def _tdma_tin_block(rows) -> list:
-    seeds = [[share.alpha for share in (alpha_star(p), alpha_prime(p)) if share is not None]
-             for p in rows]
-    c = _tdma_coeffs(rows)
-    work = _WORK if len(rows) > 1 else None
-
-    def objective(alphas):
-        mac, p2p = _tdma_parts(c, alphas, work)
-        return np.add(mac, p2p, out=mac)
-
-    return [SchemeResult(sum_rate=res.value, arg=TimeShare(res.arg),
-                         diagnostics=res.diagnostics)
-            for res in maximize_box(objective, 1, 1025, 1e-7, seeds)]
-
-
 def _tdma_tin_batch(rows) -> list:
     """``tdma_tin_sum_rate`` of each instance of ``rows``. Each block of
     instances (``optimize._blocks``) makes one kernel call per solver
     stage."""
-    return [res for block in _blocks(rows, 1025 + 2) for res in _tdma_tin_block(block)]
+    results = []
+    for block in _blocks(rows, 1025 + 2):
+        c = _tdma_coeffs(block)
+
+        def objective(alphas):
+            mac, p2p = _tdma_parts(c, alphas)
+            return np.add(mac, p2p, out=mac)
+
+        seeds = [[share.alpha for share in (alpha_star(p), alpha_prime(p)) if share is not None]
+                 for p in block]
+        results += [SchemeResult(sum_rate=res.value, arg=TimeShare(res.arg),
+                                 diagnostics=res.diagnostics)
+                    for res in maximize_box(objective, 1, 1025, 1e-7, seeds)]
+    return results
 
 
 def tdma_tin_sum_rate(params: PimacParams) -> SchemeResult:
@@ -168,7 +162,7 @@ def tdma_tin_sum_rate(params: PimacParams) -> SchemeResult:
     local maxima, so the search starts from a global grid. The code is that
     of ``_tdma_tin_batch``, for a batch of one.
     """
-    return _tdma_tin_block([params])[0]
+    return _tdma_tin_batch([params])[0]
 
 
 def _tin_value(params: PimacParams, p1: float, p2: float, p3: float) -> float:

@@ -288,3 +288,20 @@ def test_search_objectives_are_never_nan_or_plus_infinity(rows, rho, alphas):
     tdma = _tdma_coeffs(rows)
     for shares in (_grid(1, 1025, m), np.repeat(np.array(alphas)[None], m, axis=0)):
         assert np.isfinite(np.add(*_tdma_parts(tdma, shares))).all()
+
+
+def test_kernels_of_one_instance_return_new_arrays():
+    # The work arrays of a batch of one are new arrays, not views of the
+    # per-thread workspace, so a first result outlives a second call.
+    p = figure3_params(0.5)
+    genie, tdma = _genie_coeffs([p]), _tdma_coeffs([p])
+    rho, alphas = _grid(2, 33, 1), _grid(1, 1025, 1)
+    with np.errstate(all="ignore"):
+        first = _genie_sum(genie, rho)
+        want = first.copy()
+        _genie_sum(genie, 0.5 * rho)
+    assert same_bits(first, want)
+    first = _tdma_parts(tdma, alphas)
+    want = [part.copy() for part in first]
+    _tdma_parts(tdma, 0.5 * alphas)
+    assert all(same_bits(g, w) for g, w in zip(first, want))
