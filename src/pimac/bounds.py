@@ -147,13 +147,13 @@ def _bits(x):
     """``0.5*log2(1 + x)`` for a ratio ``x >= 0``, or ``+inf`` where
     ``1 + x`` reaches ``1/EPS_DET`` or ``x`` is NaN (0/0 of a noiseless
     genie, or overflow). Computed in place: ``x``, an (..., m, n) array, is
-    overwritten and returned. The mask of those points is a workspace
-    array."""
-    infinite = np.less(x, 1.0 / EPS_DET - 1.0, out=_WORK.take("infinite", x.shape, bool))
-    np.logical_not(infinite, out=infinite)  # at the limit, or NaN
+    overwritten and returned. Those points are set to ``+inf`` first, which
+    ``log1p`` keeps, only where the largest ratio reaches the limit or is
+    NaN."""
+    if not np.maximum.reduce(x, axis=None) < 1.0 / EPS_DET - 1.0:  # a term at the limit, or NaN
+        x[~(x < 1.0 / EPS_DET - 1.0)] = math.inf
     np.log1p(x, out=x)
     x *= 0.5 / LN2
-    np.copyto(x, math.inf, where=infinite)
     return x
 
 
@@ -288,7 +288,9 @@ def _t_star(c: _GenieCoeffs, rho, arrays) -> tuple[np.ndarray, ...]:
     ``(rho1, rho2)`` (last axis), one row per instance, or one row shared
     by all instances, and the products ``rho^2`` and ``rho1 s/A`` for the
     kernel. ``t1``, ``t2`` and ``rho1 s/A`` are written into the first
-    three (m, n) rows of ``arrays``, the kernel's work block.
+    three (m, n) rows of ``arrays``, the kernel's work block, and the
+    bounds ``1/sqrt(1 - rho^2)`` into the next two, which the kernel
+    overwrites.
 
     Where a term's genie signal carries no input (``A = 0``, or ``h31 = 0``)
     it is best dropped: ``t* = inf``. The bounds ``1/sqrt(1 - rho^2)``
@@ -298,14 +300,14 @@ def _t_star(c: _GenieCoeffs, rho, arrays) -> tuple[np.ndarray, ...]:
     """
     rho_sq = np.multiply(rho, rho)
     r1_s = np.multiply(rho[..., 0], c.s_a, out=arrays[2])
-    bound = np.subtract(1.0, rho_sq)
+    bound = np.subtract(1.0, rho_sq.transpose(2, 0, 1), out=arrays[3:5, :len(rho)])
     np.sqrt(bound, out=bound)
     np.divide(1.0, bound, out=bound)  # 1/sqrt(1 - rho1^2), 1/sqrt(1 - rho2^2)
-    t1 = np.fmax(r1_s, bound[..., 1], out=arrays[0])
+    t1 = np.fmax(r1_s, bound[1], out=arrays[0])
     if c.a_zero is not None:
         np.copyto(t1, math.inf, where=c.a_zero)
     t2 = np.multiply(rho[..., 1], c.inv_g31q1, out=arrays[1])
-    np.fmax(t2, bound[..., 0], out=t2)
+    np.fmax(t2, bound[0], out=t2)
     if c.g31_zero is not None:
         np.copyto(t2, math.inf, where=c.g31_zero)
     return t1, t2, rho_sq, r1_s
@@ -323,7 +325,7 @@ def _genie_sum(c: _GenieCoeffs, rho) -> np.ndarray:
     ``1/sqrt(1 - rho^2)``) are computed on one row, which the instances'
     coefficients broadcast against.
     """
-    arrays = _WORK.take("genie", (6,) + rho.shape[:2])
+    arrays = _WORK.take("kernel", (6,) + rho.shape[:2])
     if rho.strides[0] == 0:
         rho = rho[:1]
     t1, t2, rho_sq, r1_s = _t_star(c, rho, arrays)
@@ -339,7 +341,7 @@ def _genie_terms(params: PimacParams, points) -> tuple[np.ndarray, np.ndarray]:
     shared by ``genie_bound_batch`` and the Monte-Carlo check."""
     genie, c = np.asarray(points, dtype=float)[None], _genie_coeffs([params], signed=True)
     rho = genie[..., :2]
-    arrays = _WORK.take("genie", (6,) + genie.shape[:2])
+    arrays = _WORK.take("kernel", (6,) + genie.shape[:2])
     with np.errstate(all="ignore"):
         t1 = np.divide(1.0, genie[..., 2], out=arrays[0])
         t2 = np.divide(1.0, genie[..., 3], out=arrays[1])
@@ -380,9 +382,9 @@ def _signed_rho(p: PimacParams, rho1: float, rho2: float) -> tuple[float, float]
 def _c_sigma_1_batch(rows) -> list:
     """``c_sigma_1`` of each instance of ``rows``, or None where it finds no
     finite genie value. Each block of instances (``optimize._blocks``) makes
-    one kernel call per solver stage."""
+    one kernel call per refinement stage, and its grid stage a few."""
     results = []
-    for block in _blocks(rows, 33 * 33):
+    for block in _blocks(rows, 2):
         c = _genie_coeffs(block)
 
         def objective(rho):
@@ -392,7 +394,7 @@ def _c_sigma_1_batch(rows) -> list:
         with np.errstate(all="ignore"):  # once per search, not per stage
             found = maximize_box(objective, 2, 33, 1e-6, [()] * len(block))
             rho = np.array([(0.0, 0.0) if res is None else res.arg for res in found])
-            t1, t2 = _t_star(c, rho[:, None], _WORK.take("genie", (3, len(block), 1)))[:2]
+            t1, t2 = _t_star(c, rho[:, None], _WORK.take("kernel", (5, len(block), 1)))[:2]
         results += [None if res is None else
                     SchemeResult(sum_rate=-res.value,
                                  arg=GenieParams(*_signed_rho(p, *res.arg), 1.0 / e1, 1.0 / e2),

@@ -43,34 +43,40 @@ class OptResult:
 _WINDOWS = {1: np.linspace(0.0, 1.0, 65), 2: np.linspace(0.0, 1.0, 9)}
 _CENTRES = 3
 
-# Cap on the points of one objective call when callers cut a batch of
-# instances into blocks: 15 instances of the genie bound's 33 x 33 grid or
-# of TDMA-TIN's 1 025-point grid. The work arrays of both searches, sized
-# for such a block (_Workspace), are three roles: the genie kernel's 6
-# float rows (786 432 bytes) and 2 mask rows (32 768), and TDMA-TIN's 8
-# float rows (1 048 576), 1 867 776 bytes (1.78 MiB) in all per thread that
-# has run a batch. A warm figure sweep then allocates at most 0.45 MiB more
-# (tracemalloc peak), against 1.21 MiB when every block allocated its own
-# arrays; the same rows one instance at a time take 0.12 MiB.
+# Cap on the points of one objective call. Callers cut a batch of
+# instances into blocks whose refinement stages are one call each
+# (_blocks): 84 instances of TDMA-TIN's three 65-point windows or 67 of the
+# genie bound's three 9 x 9 windows. Their grid stages, 1 027 and 1 089
+# points per instance, are evaluated in calls of at most this many points
+# (_values). The work arrays of both searches (_Workspace) are four roles
+# per thread that has run a batch: the kernel's work block (the genie
+# kernel's 6 float rows or TDMA-TIN's 8, 1 048 576 bytes), and a stage's
+# points, its values when its calls are cut, and the copy of them that
+# _ranked partitions (690 144 bytes each, for TDMA-TIN's 84 x 1 027 grid
+# stage): 3 119 008 bytes (2.97 MiB) in all. A warm figure sweep then
+# allocates at most 0.43 MiB more (tracemalloc peak).
 _BLOCK_POINTS = 16_384
+_BLOCK_ROWS = {dim: _BLOCK_POINTS // (_CENTRES * len(w) ** dim) for dim, w in _WINDOWS.items()}
 
 
 class _Workspace(threading.local):
     """The batched searches' work arrays, one set per thread, kept from one
     block and one call to the next, so that a sweep does not free and
-    re-fault about 1 MB per block.
+    re-fault about 3 MB per block.
 
-    Every kernel takes its arrays here, one block per role: a role names
-    the work array of one kernel. Its buffer is flat and sized for a full
-    block, an (..., m, n) array with ``m n = _BLOCK_POINTS`` (it grows if a
-    call needs more), and ``take`` returns a C-ordered view of its leading
-    elements, so a shorter block or a refinement stage uses its front.
-    Every kernel writes a view before reading it, and no view outlives the
-    objective call that took it: the searches return Python floats. For
-    one instance (``m = 1``) ``take`` returns a new array instead, the
-    kernels' only rule that depends on the batch size: such arrays are
-    small enough for the allocator to reuse without page faults, and a
-    kernel may return one to a caller that keeps it (``genie_bound_batch``).
+    A role names one use: the work block of the objective's kernel (one
+    kernel runs at a time), and a stage's points (``_points``), values
+    (``_values``) and partition copy (``_ranked``). Its buffer is flat and
+    sized for a full block, an (..., m, n) array with ``m n =
+    _BLOCK_POINTS`` (it grows if a call needs more), and ``take`` returns a
+    C-ordered view of its leading elements, so a shorter block or a
+    refinement stage uses its front. Every view is written before it is
+    read, and none outlives the search that took it: the searches return
+    Python floats. For one instance (``m = 1``) ``take`` returns a new
+    array instead, and a search leaves its stages' points for numpy to
+    allocate: such arrays are small enough for the allocator to reuse
+    without page faults, and a kernel may return one to a caller that
+    keeps it (``genie_bound_batch``).
     """
 
     def __init__(self):
@@ -90,11 +96,18 @@ class _Workspace(threading.local):
 _WORK = _Workspace()
 
 
-def _values(f, pts) -> tuple:
-    """One call of ``f`` on the (m, n[, 2]) array ``pts``: an (m, n) array,
-    and its largest value. ``-inf`` marks an infeasible point; NaN or
-    ``+inf`` raises NumericError naming its point."""
-    values = f(pts)
+def _values(f, pts, step: int) -> tuple:
+    """``f`` at the (m, n[, 2]) array ``pts``: an (m, n) array, and its
+    largest value. A stage of more than ``step`` points per instance (the
+    grid stage of a full block) is evaluated in calls on ``step`` columns at
+    a time, into one workspace array. ``-inf`` marks an infeasible point;
+    NaN or ``+inf`` raises NumericError naming its point."""
+    if pts.shape[1] <= step:
+        values = f(pts)
+    else:
+        values = _WORK.take("values", pts.shape[:2])
+        for j in range(0, pts.shape[1], step):
+            values[:, j:j + step] = f(pts[:, j:j + step])
     peak = np.maximum.reduce(values, axis=None)
     if not peak < math.inf:  # NaN or +inf
         i, j = np.argwhere(~(values < math.inf))[0].tolist()
@@ -117,98 +130,90 @@ def _grid(dim: int, n: int, m: int) -> np.ndarray:
 def _ranked_one(pts, values, k) -> list:
     """``(value, point)`` of the k best distinct points of one instance, ties
     to the lexicographically smallest; a point is a float in 1-D and a tuple
-    in 2-D. ``pts`` is (n[, 2]) and ``values`` (n,). 2-D stages sort few
-    candidates by the rule of ``_ranked``; 1-D stages (sorted runs, cheap to
-    sort) and those where the rule fails walk their sorted points."""
+    in 2-D. ``pts`` is (n[, 2]) and ``values`` (n,). A 2-D stage sorts its
+    3k best candidates, which is exact where the best value left out (the
+    cut) is below the k-th distinct one. Where it ties the cut, the stage
+    walks every point at least as good as the cut in sorted order, and on a
+    plateau, where the best candidate ties the cut, it does so without the
+    sort. 1-D stages (sorted runs, cheap to sort) and those with fewer than
+    k distinct points at or above the cut walk all their points."""
     n, c = len(values), 3 * k
     p, v = pts, values
     if pts.ndim == 2 and n > c:
         part = values.argpartition(n - c - 1)[n - c - 1:]  # the 3k best, after the cut
-        top: list = []
-        for neg, x in sorted(zip((-values[part[1:]]).tolist(), map(tuple, pts[part[1:]].tolist()))):
-            if not top or x != top[-1][1]:
-                top.append((-neg, x))
-                if len(top) == k:
-                    break
         cut = values[part[0]]  # the best value left out
-        if len(top) == k and top[-1][0] > cut:
+        neg = (-values[part[1:]]).tolist()
+        if -min(neg) > cut:
+            top: list = []
+            for neg, x in sorted(zip(neg, map(tuple, pts[part[1:]].tolist()))):
+                if not top or x != top[-1][1]:
+                    top.append((-neg, x))
+                    if len(top) == k:
+                        break
+            if len(top) == k and top[-1][0] > cut:
+                return top
+        p, v = pts[values >= cut], values[values >= cut]
+    while True:  # the points at or above the cut, then all points if needed
+        top = []
+        for i in np.lexsort(((p,) if p.ndim == 1 else (p[:, 1], p[:, 0])) + (-v,)):
+            x = float(p[i]) if p.ndim == 1 else tuple(p[i].tolist())
+            if not top or x != top[-1][1]:
+                top.append((float(v[i]), x))
+                if len(top) == k:
+                    return top
+        if len(v) == n:
             return top
-        if len(top) == k:  # a tie at the cut: walk every point at least as good
-            p, v = pts[values >= cut], values[values >= cut]
-    top = []
-    for i in np.lexsort(((p,) if p.ndim == 1 else (p[:, 1], p[:, 0])) + (-v,)):
-        x = float(p[i]) if p.ndim == 1 else tuple(p[i].tolist())
-        if not top or x != top[-1][1]:
-            top.append((float(v[i]), x))
-            if len(top) == k:
-                break
-    return top
-
-
-def _first_distinct(v, key, k):
-    """The first k distinct points of each row of ``v`` and ``key`` (m, c),
-    sorted best first, so that equal points are adjacent: their values and
-    keys (m, k), and the number of them in each row (m,). A row with fewer
-    than k is padded with repeats of them. Every row is read through a
-    stable ``argsort`` of its duplicate flags: windows overlap, so most
-    rows of a refinement stage repeat a point among their first k."""
-    dup = np.zeros(v.shape, dtype=bool)  # the same point as the entry before
-    np.equal(key[:, 1:], key[:, :-1], out=dup[:, 1:])
-    rows = np.arange(len(v))[:, None]
-    pick = dup.argsort(axis=1, kind="stable")[:, :k]  # the distinct entries first
-    count = np.minimum(v.shape[1] - dup.sum(axis=1), k)
-    return v[rows, pick], key[rows, pick], count
+        p, v = pts, values
 
 
 def _ranked(pts, values, k):
     """Each row's k best distinct points, ties to the lexicographically
     smallest, for m instances at once: their values (m, k) and points
     (m, k[, 2]) of the (m, n[, 2]) ``pts``, and their number in each row
-    (m,); a row with fewer than k is padded with repeats of them.
+    (m,); a row with fewer than k is padded with repeats of its last one.
 
     Points are ranked by one key each: the point in 1-D and ``p0 + i p1``
-    in 2-D, which numpy orders lexicographically. With k = 1 (the last
-    stage) only the best value is needed, and the smallest key that has it.
-    Otherwise the 3k first points of each row's order are read: they hold
-    k distinct points unless one point repeats more than 3 times (3 windows
-    overlap it). In 1-D, where the grid and each window are sorted runs,
-    cheap to sort, rows are sorted whole; in 2-D only the 3k best values of
-    a row are sorted, which is exact where the best value left out is below
-    the k-th distinct one. The one fallback: a row where either shortcut
-    fails is sorted and read whole, once.
+    in 2-D, which numpy orders lexicographically. Each row's 3k-th best
+    value is found by a values-only partition, in a workspace copy of
+    ``values``, and every point at least that good is a candidate: the
+    candidates come first in the row's order, ties included, and hold k
+    distinct points unless one point repeats more than 3 times (3 windows
+    overlap it). The candidates of all rows are sorted once, as one flat
+    array, by (row, -value, key), and each row's first k distinct ones are
+    read. The one fallback: a row with fewer than k distinct candidates is
+    ranked again from all its points.
     """
-    (m, n), whole = values.shape, pts.ndim == 2
-    key = pts if whole else pts.view(complex)[..., 0]
-    as_point = (lambda z: z) if whole else (lambda z: z.view(float).reshape(z.shape + (2,)))
-    if k == 1:
-        v = np.maximum.reduce(values, axis=1, keepdims=True)
-        return v, as_point(np.minimum.reduce(np.where(values == v, key, np.inf), axis=1,
-                                             keepdims=True)), np.ones(m, dtype=int)
-    rows, c = np.arange(m)[:, None], 3 * k
-    cand_v, cand_key, cut = values, key, None
-    if not whole and n > c:
-        part = values.argpartition(n - c - 1, axis=1)[:, n - c - 1:]
-        cut = values[rows, part[:, :1]]  # the best value left out
-        cand_v, cand_key = values[rows, part[:, 1:]], key[rows, part[:, 1:]]
-    order = np.lexsort((cand_key, -cand_v), axis=-1)[:, :c]
-    top_v, top_key, count = _first_distinct(cand_v[rows, order], cand_key[rows, order], k)
-    redo = count < k
-    if cut is not None:
-        redo |= top_v[:, k - 1] == cut[:, 0]
-    i = np.flatnonzero(redo)
-    if i.size:
-        order = np.lexsort((key[i], -values[i]), axis=-1)
-        r = rows[:len(i)]
-        top_v[i], top_key[i], count[i] = _first_distinct(values[i][r, order],
-                                                         key[i][r, order], k)
-    return top_v, as_point(top_key), count
+    (m, n), scalar = values.shape, pts.ndim == 2
+    key = pts if scalar else pts.view(complex)[..., 0]
+    within = np.ones((m, n), dtype=bool)
+    if n > 3 * k:
+        part = _WORK.take("partition", (m, n))
+        np.copyto(part, values)
+        part.partition(n - 3 * k, axis=1)
+        np.greater_equal(values, part[:, n - 3 * k, None], out=within)
+    while True:
+        r, j = np.divmod(np.flatnonzero(within), n)
+        v, z = values[r, j], key[r, j]
+        order = np.lexsort((z, -v, r))
+        r, v, z = r[order], v[order], z[order]
+        # The distinct entries, row by row, best first: not the entry before.
+        first = np.flatnonzero(np.concatenate(([True], (z[1:] != z[:-1]) | (r[1:] != r[:-1]))))
+        found = np.bincount(r[first], minlength=m)
+        count = np.minimum(found, k)  # padded with repeats of the last one
+        pick = first[(np.cumsum(found) - found)[:, None]
+                     + np.minimum(np.arange(k), count[:, None] - 1)]
+        redo = count < k
+        if not redo.any() or within[redo].all():
+            return v[pick], z[pick] if scalar else z[pick].view(float).reshape(m, k, 2), count
+        within[redo] = True
 
 
-def _windows(top_p, spacing) -> np.ndarray:
+def _windows(top_p, spacing, out=None) -> np.ndarray:
     """The (m, k n[, 2]) points of the windows around the centres ``top_p``
     (m, k[, 2]): plus or minus ``spacing``, cut to ``[0, 1]``. Each axis is
     ``left + width t`` over the ``_WINDOWS`` points t, and a 2-D window
-    their product, written row-major into one C-ordered buffer.
+    their product, written row-major into one C-ordered buffer: ``out``,
+    an (m, k, n) or (m, k, n, n, 2) array, or a new one where it is None.
 
     No point exceeds 1, so the axes need no upper clip. With
     ``left = max(c - s, 0)``, ``r = min(c + s, 1)``, ``width`` the rounded
@@ -219,21 +224,30 @@ def _windows(top_p, spacing) -> np.ndarray:
     sum is below ``1 + 2^-53``, which rounds to at most 1."""
     left = np.maximum(top_p - spacing, 0.0)
     width = np.minimum(top_p + spacing, 1.0) - left
-    ax = np.multiply(width[..., None], _WINDOWS[top_p.ndim - 1])
+    ax = np.multiply(width[..., None], _WINDOWS[top_p.ndim - 1],
+                     out=out if top_p.ndim == 2 else None)
     ax += left[..., None]  # (m, k[, 2], n)
     if top_p.ndim == 2:
         return ax.reshape(len(ax), -1)
     m, k, _, n = ax.shape
-    pts = np.empty((m, k, n, n, 2))
+    pts = np.empty((m, k, n, n, 2)) if out is None else out
     pts[..., 0] = ax[:, :, 0, :, None]
     pts[..., 1] = ax[:, :, 1, None, :]
     return pts.reshape(m, -1, 2)
 
 
-def _blocks(rows, points: int) -> list:
-    """``rows`` cut into consecutive blocks of at most ``_BLOCK_POINTS //
-    points`` rows (at least one), for objectives of ``points`` per row."""
-    step = max(1, _BLOCK_POINTS // points)
+def _points(shape: tuple) -> np.ndarray:
+    """A workspace array of ``shape``, (m, ...) for m > 1 instances, for the
+    points of a stage. A batch of one passes numpy ``out=None`` instead,
+    which allocates at less cost per call."""
+    return _WORK.take("points", (shape[0], math.prod(shape[1:]))).reshape(shape)
+
+
+def _blocks(rows, dim: int) -> list:
+    """``rows`` cut into consecutive blocks whose refinement stages, of 3
+    windows per instance, are one objective call of at most
+    ``_BLOCK_POINTS`` points: 84 rows in 1-D and 67 in 2-D."""
+    step = _BLOCK_ROWS[dim]
     return [rows[i:i + step] for i in range(0, len(rows), step)]
 
 
@@ -261,13 +275,14 @@ def maximize_box(f, dim: int, grid: int, tol: float, seeds=((),)) -> list:
     ``seeds`` holds one sequence of seed points per instance, so the number
     m of instances is its length. A point is a float in 1-D and a pair in
     2-D, and ``f`` maps an (m, n) or (m, n, 2) array of points, row i for
-    instance i, to their (m, n) values. Every stage is one call of ``f``
-    for the whole batch; instances do not interact. The arguments are the
+    instance i, to their (m, n) values, each point's value on its own.
+    Every stage is one call of ``f`` for the whole batch (see below for
+    large stages); instances do not interact. The arguments are the
     two searches' constants and seeds, so none of them is checked: ``dim``
     is 1 or 2, ``grid`` is an integer of at least 2, ``tol`` is positive
     and every seed is a point of the cube.
 
-    The first call evaluates each instance's seeds together with a uniform
+    The first stage evaluates each instance's seeds together with a uniform
     grid of ``grid`` points per axis. An instance with fewer seeds than
     another has its list padded with a grid point, which is not counted.
     Each refinement level is one more call: a grid over plus or minus one
@@ -278,9 +293,15 @@ def maximize_box(f, dim: int, grid: int, tol: float, seeds=((),)) -> list:
     before the first call. Every evaluated point is a candidate, so an
     instance's value is never below its objective at a seed; ties go to
     the lexicographically smallest point. Windows are built per axis. A
-    batch of one is ranked in Python, 2-D stages from their few best
-    candidates, and a larger batch in array form, with the same results.
-    With no finite value on the grid the search stops before ranking.
+    stage of more than ``_BLOCK_POINTS`` points is evaluated in several
+    calls of ``f`` of at most that many, each on consecutive columns of
+    the points of all instances (``_values``), which gives the same values
+    as one call, since ``f`` treats every point on its own. A batch of one
+    is ranked in Python, 2-D stages from their few best candidates, and a
+    larger batch in array form (``_ranked``), with the same results; the
+    larger batch keeps its stages' points in workspace arrays, and its
+    stage bests as (m, stages) arrays, ranked once at the end. With no
+    finite value on the grid the search stops before ranking.
 
     Returns one entry per instance: an OptResult whose argument is a float
     in 1-D and a tuple in 2-D, or None where the instance is infeasible. A
@@ -299,45 +320,57 @@ def maximize_box(f, dim: int, grid: int, tol: float, seeds=((),)) -> list:
     if k_max:
         pad = [pts[0, 0].tolist()]  # the first grid point
         padded = np.array([list(s) + pad * (k_max - len(s)) for s in seeds], dtype=float)
-        pts = np.concatenate((padded, pts), axis=1)
+        pts = np.concatenate((padded, pts), axis=1, out=None if m == 1 else
+                             _points((m, k_max + pts.shape[1]) + pts.shape[2:]))
 
     per_axis = len(_WINDOWS[dim])
     spacing = 1 / (grid - 1)
     shrink = 2.0 / (per_axis - 1)
     # Count the levels: the spacing shrinks until below the tolerance.
-    step, levels = spacing, 0
-    while not step < tol:
-        step, levels = step * shrink, levels + 1
+    level, levels = spacing, 0
+    while not level < tol:
+        level, levels = level * shrink, levels + 1
 
+    step = max(1, _BLOCK_POINTS // m)  # points per instance in one call of f
     # The last stage needs its best point only.
     centres = [_CENTRES] * levels + [1]
-    best = [[] for _ in range(m)]  # each instance's (value, point) per stage
+    # Each stage's best value and point: in Python for a batch of one, as
+    # (m, stages[, 2]) arrays otherwise.
+    best = []
+    if m > 1:
+        best_v, best_p = np.empty((m, len(centres))), np.empty((m, len(centres), 2)[:dim + 1])
+    # The windows of every refinement stage, written into one work array
+    # (the grid stage's points, which it may overlap, are ranked by then).
+    out = None if m == 1 else _points((m, _CENTRES) + (per_axis,) * dim + (2,)[:dim - 1])
     refine = 0  # refinement evaluations: one count, or one per instance
     for stage, k in enumerate(centres):
         if stage:
             refine = refine + count * per_axis ** dim
-            pts = _windows(top_p, spacing)
+            pts = _windows(top_p, spacing, out)
             spacing = spacing * shrink
-        values, peak = _values(f, pts)
+        values, peak = _values(f, pts, step)
         if not stage and not peak > -math.inf:
             return [None] * m  # no instance is feasible: nothing to rank
         if m == 1:  # ranking in Python costs fewer numpy calls than the array form
             top = _ranked_one(pts[0], values[0], k)
-            best[0].append(top[0])
+            best.append(top[0])
             top_p, count = np.array([[x for _, x in top]]), len(top)
         else:
             top_v, top_p, count = _ranked(pts, values, k)
-            for b, v, x in zip(best, top_v[:, 0].tolist(), top_p[:, 0].tolist()):
-                b.append((v, x if dim == 1 else tuple(x)))
+            best_v[:, stage], best_p[:, stage] = top_v[:, 0], top_p[:, 0]
 
-    refine = refine.tolist() if isinstance(refine, np.ndarray) else [refine] * m
+    if m == 1:
+        value = max(v for v, _ in best)
+        found = [(best[0][0], value, min(x for v, x in best if v == value))]
+    else:  # the best stage of each instance, ranked as a stage of its own
+        value, arg = (a[:, 0].tolist() for a in _ranked(best_p, best_v, 1)[:2])
+        found = zip(best_v[:, 0].tolist(), value, map(tuple, arg) if dim > 1 else arg)
+    refine = [refine] if m == 1 else np.broadcast_to(refine, m).tolist()
     results = []
-    for b, n, r in zip(best, n_seeds, refine):
-        if not b[0][0] > -math.inf:  # no finite seed or grid value
+    for (grid_v, value, arg), n, r in zip(found, n_seeds, refine):
+        if not grid_v > -math.inf:  # no finite seed or grid value
             results.append(None)
             continue
-        value = max(v for v, _ in b)
-        arg = min(x for v, x in b if v == value)
         stages = {"seeds": n, "grid": grid ** dim, "refine": r}
         results.append(OptResult(arg=arg, value=value,
                                  diagnostics={"evaluations": sum(stages.values()),

@@ -73,7 +73,7 @@ def _tdma_parts(c: tuple, alphas) -> tuple[np.ndarray, np.ndarray]:
     """
     snr, cross, p3 = c
     a = np.asarray(alphas, dtype=float)
-    block = _WORK.take("tdma", (4, 2) + a.shape)
+    block = _WORK.take("kernel", (4, 2) + a.shape)
     w, s, mac, t = block[0], block[1], block[2], block[3]
     w[0] = a
     np.subtract(1.0, a, out=w[1])
@@ -133,10 +133,10 @@ def alpha_prime(params: PimacParams) -> TimeShare | None:
 
 def _tdma_tin_batch(rows) -> list:
     """``tdma_tin_sum_rate`` of each instance of ``rows``. Each block of
-    instances (``optimize._blocks``) makes one kernel call per solver
-    stage."""
+    instances (``optimize._blocks``) makes one kernel call per refinement
+    stage, and its grid stage a few."""
     results = []
-    for block in _blocks(rows, 1025 + 2):
+    for block in _blocks(rows, 1):
         c = _tdma_coeffs(block)
 
         def objective(alphas):

@@ -32,8 +32,10 @@ from pimac import (
     sd_tin_sum_rate,
     tdma_tin_sum_rate,
 )
+from pimac import bounds, schemes
 from pimac.bounds import _c_sigma_1_batch, genie_bound_batch
 from pimac.experiments import CURVES, _evaluate_rows
+from pimac.optimize import _BLOCK_POINTS
 from pimac.schemes import _tdma_tin_batch
 
 from _support import draw_feasible_genie, draw_params, same_bits
@@ -119,17 +121,19 @@ def _public_or_none(call, params):
 
 
 def test_batched_rows_equal_per_instance_calls():
-    # One batch of 20 rows, more than one block of the searches: h = 0
-    # (h31 = 0, so t2* = inf), a zero-power instance, h = 1e160 (where the
-    # genie bound finds no finite value) and 17 figure rows.
+    # One batch of 90 rows, two blocks of each search (84 + 6 rows of
+    # TDMA-TIN, 67 + 23 of the genie bound), whose first blocks' grid stages
+    # take several objective calls: h = 0 (h31 = 0, so t2* = inf), a
+    # zero-power instance, h = 1e160 (where the genie bound finds no finite
+    # value, inside a block of feasible rows) and 87 figure rows.
     rows = [PimacParams(0.0, 0.2, 0.0, 10.0, 10.0, 10.0),
             PimacParams(0.5, 0.2, 0.5, 0.0, 0.0, 0.0),
             PimacParams(1e160, 0.2, 1e160, 10.0, 10.0, 10.0)]
     rows += [PimacParams(h, 0.2, h, 10.0, 10.0, 10.0)
-             for h in np.linspace(0.05, 1.0, 17).tolist()]
+             for h in np.linspace(0.05, 1.0, 87).tolist()]
     got = _evaluate_rows(rows, CURVES)
     assert got == [_row_from_public_calls(p) for p in rows]
-    assert [row.ub1 is None for row in got] == [False, False, True] + [False] * 17
+    assert [row.ub1 is None for row in got] == [False, False, True] + [False] * 87
     # Values, arguments and evaluation counts, compared with ==.
     for batch, call in ((_tdma_tin_batch, tdma_tin_sum_rate), (_c_sigma_1_batch, c_sigma_1)):
         assert batch(rows) == [_public_or_none(call, p) for p in rows]
@@ -283,14 +287,41 @@ def test_warm_figure_sweep_allocates_little():
     assert peak <= 0.6 * 2 ** 20
 
 
+def test_figure_sweep_objective_calls_and_block_rows(monkeypatch):
+    # A cost guard that reads the same on any host: the (rows, points per
+    # row) of every kernel call of the 101-row figure sweep. Blocks are cut
+    # by the refinement stage, so each search's refinement calls cover
+    # 84 + 17 rows (TDMA-TIN, 195 points a row) and 67 + 34 rows (the genie
+    # bound, 243 points a row), and each block's grid stage (1 027 and 1 089
+    # points a row) takes calls of at most _BLOCK_POINTS points: 14 and 24
+    # calls in all, against 28 and 63 with blocks of 15 rows.
+    calls = {"tdma_tin": [], "ub1": []}
+
+    def counted(kernel, shapes):
+        def wrapper(c, pts):
+            shapes.append(pts.shape[:2])
+            return kernel(c, pts)
+        return wrapper
+
+    monkeypatch.setattr(schemes, "_tdma_parts", counted(schemes._tdma_parts, calls["tdma_tin"]))
+    monkeypatch.setattr(bounds, "_genie_sum", counted(bounds._genie_sum, calls["ub1"]))
+    run_sweep(SweepConfig(h_min=0.0, h_max=1.0, steps=101, h22=0.2, p1=10, p2=10, p3=10))
+    assert calls["tdma_tin"] == ([(84, 195)] * 5 + [(84, 52)] + [(84, 3 * 65)] * 3
+                                 + [(17, 963), (17, 64)] + [(17, 3 * 65)] * 3)
+    assert calls["ub1"] == ([(67, 244)] * 4 + [(67, 113)] + [(67, 3 * 81)] * 8
+                            + [(34, 481)] * 2 + [(34, 127)] + [(34, 3 * 81)] * 8)
+    assert all(m * n <= _BLOCK_POINTS for shapes in calls.values() for m, n in shapes)
+
+
 def test_genie_bound_batch_result_outlives_a_sweep():
     # No returned array is a view into the searches' work arrays: a later
-    # sweep of 31 rows (three blocks of each search) leaves it unchanged.
+    # sweep of 101 rows (two blocks of each search, their grid stages in
+    # several objective calls) leaves it unchanged.
     p = PimacParams(0.5, -0.2, 0.5, 10.0, 10.0, 10.0)
     got = genie_bound_batch(p, [(0.1, 0.2, 0.9, 0.8), (0.0, 0.0, 1.0, 1.0),
                                 (-0.3, 0.5, 0.7, 0.9)])
     want = got.copy()
-    run_sweep(SweepConfig(h_min=0.0, h_max=1.0, steps=31, h22=0.2, p1=10, p2=10, p3=10))
+    run_sweep(SweepConfig(h_min=0.0, h_max=1.0, steps=101, h22=0.2, p1=10, p2=10, p3=10))
     assert same_bits(got, want)
 
 

@@ -2,16 +2,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pimac import NumericError, PimacParams
 from pimac.bounds import _genie_coeffs, _genie_sum
-from pimac.optimize import _grid, _windows, maximize_box
+from pimac.optimize import _grid, _ranked, _windows, maximize_box
 from pimac.schemes import _tdma_coeffs, _tdma_parts
 
 from _support import KERNEL_ROWS, WIDE_GAIN, WIDE_POWER, figure3_params, same_bits
-from oracle_tools import dense_tdma_objective, windows_ref
+from oracle_tools import dense_tdma_objective, ranked_ref, windows_ref
 
 
 def test_scalar_quadratic_argument_within_tolerance():
@@ -154,6 +154,49 @@ def test_batch_ranking_equals_the_walk_of_one_instance():
         both = maximize_box(lambda p: np.stack([f(p[0]), f(p[1])]), dim, grid, 1e-6,
                             [seeds, ()])
         assert both == alone + maximize_box(f, dim, grid, 1e-6)
+
+
+@st.composite
+def _stages(draw):
+    # A stage of m instances whose n points come from a pool of a few: 1-D
+    # points i/16, 2-D points (i mod 4, i div 4)/4. Each instance gives each
+    # pool point one of four levels, -inf among them, so that plateaus,
+    # infeasible rows and points repeated up to n times occur.
+    dim, k = draw(st.sampled_from((1, 2))), draw(st.sampled_from((1, 2, 3)))
+    m, n, pool = draw(st.integers(1, 4)), draw(st.integers(1, 30)), draw(st.integers(1, 16))
+    points = [i / 16 if dim == 1 else (i % 4 / 4, i // 4 / 4) for i in range(pool)]
+    levels = st.sampled_from((-math.inf, 0.0, 0.5, 1.0))
+    pts, values = [], []
+    for _ in range(m):
+        level = draw(st.lists(levels, min_size=pool, max_size=pool))
+        index = draw(st.lists(st.integers(0, pool - 1), min_size=n, max_size=n))
+        pts.append([points[i] for i in index])
+        values.append([level[i] for i in index])
+    return np.array(pts), np.array(values), k
+
+
+def _plateau_and_repeats():
+    # 2-D, k = 3: a 5 x 5 grid whose line p0 = 0.5 ties at the top, with
+    # nine copies of one of its points ahead of it, and the same points
+    # -inf everywhere. The second example is 1-D rows of 2 points (fewer
+    # than 3k), one of them a plateau.
+    grid = _grid(2, 5, 1)[0]
+    pts = np.concatenate((np.tile([0.5, 0.0], (9, 1)), grid))
+    values = np.where(pts[:, 0] == 0.5, 1.0, 0.0)
+    return (np.array([pts, pts]), np.array([values, np.full(values.shape, -math.inf)]), 3)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(stage=_stages())
+@example(stage=_plateau_and_repeats())
+@example(stage=(np.array([[0.0, 1.0], [0.5, 0.5]]), np.array([[0.0, 0.0], [1.0, 1.0]]), 3))
+def test_batch_ranking_equals_a_whole_row_sort(stage):
+    # The batched ranking (a values-only partition, then one sort of the
+    # candidates of all rows) equals sorting every row whole by (-value,
+    # point) and taking its first k distinct points, padding included.
+    pts, values, k = stage
+    got, want = _ranked(pts, values, k), ranked_ref(pts, values, k)
+    assert all(same_bits(g, w.astype(g.dtype)) for g, w in zip(got, want))
 
 
 # The 2-D tests minimize g by maximizing -g, as the genie bound does.
