@@ -223,10 +223,11 @@ def _genie_coeffs(rows, signed: bool = False) -> _GenieCoeffs:
     """``_GenieCoeffs`` of the instances ``rows``, one row of each array per
     instance (``optimize._columns``: Python floats and bools for one).
 
-    The gains are taken by absolute value: negating a gain leaves the
-    channel's capacity unchanged (a receiver can negate the affected
-    codebook), so the search runs on the nonnegative-gain equivalent, and
-    its value is bit-identical under per-gain sign flips. With ``signed``
+    The gains are taken by absolute value, so the search runs on the
+    nonnegative-gain equivalent, and its value is bit-identical under
+    per-gain sign flips. Flipping the sign of ``h12`` or ``h22`` alone is
+    not a symmetry of the channel, so whether that value bounds the signed
+    channel is open (see ``c_sigma_1``). With ``signed``
     they keep their signs, as the kernel at an explicit genie point of the
     signed channel needs (``_genie_terms``)."""
     return _GenieCoeffs(*_columns([_coeff_row(p, signed) for p in rows], _N_VALUES))

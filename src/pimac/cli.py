@@ -38,6 +38,15 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
 
+    def _parse_optional(self, arg_string):
+        # A token that reads as a number is a value, whatever its sign or
+        # notation: argparse takes "-1e-3" or "-inf" for an option.
+        try:
+            float(arg_string)
+            return None
+        except ValueError:
+            return super()._parse_optional(arg_string)
+
 
 def _read_config_file(path) -> dict:
     values = {}

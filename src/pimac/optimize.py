@@ -48,13 +48,8 @@ _CENTRES = 3
 # (_blocks): 84 instances of TDMA-TIN's three 65-point windows or 67 of the
 # genie bound's three 9 x 9 windows. Their grid stages, 1 027 and 1 089
 # points per instance, are evaluated in calls of at most this many points
-# (_values). The work arrays of both searches (_Workspace) are four roles
-# per thread that has run a batch: the kernel's work block (the genie
-# kernel's 6 float rows or TDMA-TIN's 8, 1 048 576 bytes), and a stage's
-# points, its values when its calls are cut, and the copy of them that
-# _ranked partitions (690 144 bytes each, for TDMA-TIN's 84 x 1 027 grid
-# stage): 3 119 008 bytes (2.97 MiB) in all. A warm figure sweep then
-# allocates at most 0.43 MiB more (tracemalloc peak).
+# (_values), so the kernels' work arrays (_Workspace) stay at one block's
+# size: 2.97 MiB per thread that has run a batch of the figure sweep.
 _BLOCK_POINTS = 16_384
 _BLOCK_ROWS = {dim: _BLOCK_POINTS // (_CENTRES * len(w) ** dim) for dim, w in _WINDOWS.items()}
 
@@ -67,8 +62,7 @@ class _Workspace(threading.local):
     A role names one use: the work block of the objective's kernel (one
     kernel runs at a time), and a stage's points (``_points``), values
     (``_values``) and partition copy (``_ranked``). Its buffer is flat and
-    sized for a full block, an (..., m, n) array with ``m n =
-    _BLOCK_POINTS`` (it grows if a call needs more), and ``take`` returns a
+    as large as the largest call it has served, and ``take`` returns a
     C-ordered view of its leading elements, so a shorter block or a
     refinement stage uses its front. Every view is written before it is
     read, and none outlives the search that took it: the searches return
@@ -82,14 +76,13 @@ class _Workspace(threading.local):
     def __init__(self):
         self.buffers = {}
 
-    def take(self, role: str, shape: tuple, dtype=float) -> np.ndarray:
+    def take(self, role: str, shape: tuple) -> np.ndarray:
         if shape[-2] == 1:
-            return np.empty(shape, dtype)
+            return np.empty(shape)
         size = math.prod(shape)
         buf = self.buffers.get(role)
         if buf is None or buf.size < size:
-            full = _BLOCK_POINTS * math.prod(shape[:-2])
-            buf = self.buffers[role] = np.empty(max(size, full), dtype)
+            buf = self.buffers[role] = np.empty(size)
         return buf[:size].reshape(shape)
 
 
@@ -129,8 +122,9 @@ def _grid(dim: int, n: int, m: int) -> np.ndarray:
 
 def _ranked_one(pts, values, k) -> list:
     """``(value, point)`` of the k best distinct points of one instance, ties
-    to the lexicographically smallest; a point is a float in 1-D and a tuple
-    in 2-D. ``pts`` is (n[, 2]) and ``values`` (n,). A 2-D stage sorts its
+    to the lexicographically smallest, padded with repeats of the last one
+    where there are fewer; a point is a float in 1-D and a tuple in 2-D.
+    ``pts`` is (n[, 2]) and ``values`` (n,). A 2-D stage sorts its
     3k best candidates, which is exact where the best value left out (the
     cut) is below the k-th distinct one. Where it ties the cut, the stage
     walks every point at least as good as the cut in sorted order, and on a
@@ -162,15 +156,15 @@ def _ranked_one(pts, values, k) -> list:
                 if len(top) == k:
                     return top
         if len(v) == n:
-            return top
+            return top + top[-1:] * (k - len(top))
         p, v = pts, values
 
 
 def _ranked(pts, values, k):
     """Each row's k best distinct points, ties to the lexicographically
     smallest, for m instances at once: their values (m, k) and points
-    (m, k[, 2]) of the (m, n[, 2]) ``pts``, and their number in each row
-    (m,); a row with fewer than k is padded with repeats of its last one.
+    (m, k[, 2]) of the (m, n[, 2]) ``pts``; a row with fewer than k is
+    padded with repeats of its last one.
 
     Points are ranked by one key each: the point in 1-D and ``p0 + i p1``
     in 2-D, which numpy orders lexicographically. Each row's 3k-th best
@@ -199,12 +193,12 @@ def _ranked(pts, values, k):
         # The distinct entries, row by row, best first: not the entry before.
         first = np.flatnonzero(np.concatenate(([True], (z[1:] != z[:-1]) | (r[1:] != r[:-1]))))
         found = np.bincount(r[first], minlength=m)
-        count = np.minimum(found, k)  # padded with repeats of the last one
+        # Each row's first k of them, padded with repeats of its last one.
         pick = first[(np.cumsum(found) - found)[:, None]
-                     + np.minimum(np.arange(k), count[:, None] - 1)]
-        redo = count < k
+                     + np.minimum(np.arange(k), found[:, None] - 1)]
+        redo = found < k
         if not redo.any() or within[redo].all():
-            return v[pick], z[pick] if scalar else z[pick].view(float).reshape(m, k, 2), count
+            return v[pick], z[pick] if scalar else z[pick].view(float).reshape(m, k, 2)
         within[redo] = True
 
 
@@ -287,21 +281,22 @@ def maximize_box(f, dim: int, grid: int, tol: float, seeds=((),)) -> list:
     another has its list padded with a grid point, which is not counted.
     Each refinement level is one more call: a grid over plus or minus one
     spacing of the previous level (cut to the cube) around each of that
-    level's 3 best distinct points of each instance, with 65 points in 1-D
-    and 9 per axis in 2-D, so the spacing shrinks 32-fold or 4-fold. Levels
-    repeat until the spacing is below ``tol``, so their number is fixed
-    before the first call. Every evaluated point is a candidate, so an
-    instance's value is never below its objective at a seed; ties go to
-    the lexicographically smallest point. Windows are built per axis. A
-    stage of more than ``_BLOCK_POINTS`` points is evaluated in several
-    calls of ``f`` of at most that many, each on consecutive columns of
-    the points of all instances (``_values``), which gives the same values
-    as one call, since ``f`` treats every point on its own. A batch of one
-    is ranked in Python, 2-D stages from their few best candidates, and a
-    larger batch in array form (``_ranked``), with the same results; the
-    larger batch keeps its stages' points in workspace arrays, and its
-    stage bests as (m, stages) arrays, ranked once at the end. With no
-    finite value on the grid the search stops before ranking.
+    level's 3 best distinct points of each instance (its last one repeated
+    where it has fewer), with 65 points in 1-D and 9 per axis in 2-D, so the
+    spacing shrinks 32-fold or 4-fold. Levels repeat until the spacing is
+    below ``tol``, so their number is fixed before the first call. Every
+    evaluated point is a candidate, so an instance's value is never below
+    its objective at a seed; ties go to the lexicographically smallest
+    point. Windows are built per axis. A stage of more than
+    ``_BLOCK_POINTS`` points is evaluated in several calls of ``f`` of at
+    most that many, each on consecutive columns of the points of all
+    instances (``_values``), which gives the same values as one call, since
+    ``f`` treats every point on its own. A batch of one is ranked in Python,
+    2-D stages from their few best candidates, and a larger batch in array
+    form (``_ranked``), with the same results; the larger batch keeps its
+    stages' points in workspace arrays, and its stage bests as (m, stages)
+    arrays, ranked once at the end. With no finite value on the grid the
+    search stops before ranking.
 
     Returns one entry per instance: an OptResult whose argument is a float
     in 1-D and a tuple in 2-D, or None where the instance is infeasible. A
@@ -311,7 +306,8 @@ def maximize_box(f, dim: int, grid: int, tol: float, seeds=((),)) -> list:
     point raises NumericError. To minimize ``g``, pass ``-g``.
 
     ``diagnostics`` reports the instance's ``evaluations``, their split by
-    ``stages`` (``seeds``, ``grid`` and ``refine``) and the number of
+    ``stages`` (``seeds``, ``grid`` and ``refine``, which is ``levels``
+    times 3 windows of ``65`` or ``9 x 9`` points) and the number of
     ``levels``.
     """
     n_seeds = [len(s) for s in seeds]
@@ -324,12 +320,12 @@ def maximize_box(f, dim: int, grid: int, tol: float, seeds=((),)) -> list:
                              _points((m, k_max + pts.shape[1]) + pts.shape[2:]))
 
     per_axis = len(_WINDOWS[dim])
-    spacing = 1 / (grid - 1)
-    shrink = 2.0 / (per_axis - 1)
-    # Count the levels: the spacing shrinks until below the tolerance.
-    level, levels = spacing, 0
-    while not level < tol:
-        level, levels = level * shrink, levels + 1
+    # The grid's spacing, then each level's: it shrinks until below tol, and
+    # each level's windows span plus or minus the spacing before it.
+    spacings = [1 / (grid - 1)]
+    while not spacings[-1] < tol:
+        spacings.append(spacings[-1] * (2.0 / (per_axis - 1)))
+    levels = len(spacings) - 1
 
     step = max(1, _BLOCK_POINTS // m)  # points per instance in one call of f
     # The last stage needs its best point only.
@@ -342,37 +338,29 @@ def maximize_box(f, dim: int, grid: int, tol: float, seeds=((),)) -> list:
     # The windows of every refinement stage, written into one work array
     # (the grid stage's points, which it may overlap, are ranked by then).
     out = None if m == 1 else _points((m, _CENTRES) + (per_axis,) * dim + (2,)[:dim - 1])
-    refine = 0  # refinement evaluations: one count, or one per instance
     for stage, k in enumerate(centres):
         if stage:
-            refine = refine + count * per_axis ** dim
-            pts = _windows(top_p, spacing, out)
-            spacing = spacing * shrink
+            pts = _windows(top_p, spacings[stage - 1], out)
         values, peak = _values(f, pts, step)
         if not stage and not peak > -math.inf:
             return [None] * m  # no instance is feasible: nothing to rank
         if m == 1:  # ranking in Python costs fewer numpy calls than the array form
             top = _ranked_one(pts[0], values[0], k)
             best.append(top[0])
-            top_p, count = np.array([[x for _, x in top]]), len(top)
+            top_p = np.array([[x for _, x in top]])
         else:
-            top_v, top_p, count = _ranked(pts, values, k)
+            top_v, top_p = _ranked(pts, values, k)
             best_v[:, stage], best_p[:, stage] = top_v[:, 0], top_p[:, 0]
 
     if m == 1:
         value = max(v for v, _ in best)
         found = [(best[0][0], value, min(x for v, x in best if v == value))]
     else:  # the best stage of each instance, ranked as a stage of its own
-        value, arg = (a[:, 0].tolist() for a in _ranked(best_p, best_v, 1)[:2])
+        value, arg = (a[:, 0].tolist() for a in _ranked(best_p, best_v, 1))
         found = zip(best_v[:, 0].tolist(), value, map(tuple, arg) if dim > 1 else arg)
-    refine = [refine] if m == 1 else np.broadcast_to(refine, m).tolist()
-    results = []
-    for (grid_v, value, arg), n, r in zip(found, n_seeds, refine):
-        if not grid_v > -math.inf:  # no finite seed or grid value
-            results.append(None)
-            continue
-        stages = {"seeds": n, "grid": grid ** dim, "refine": r}
-        results.append(OptResult(arg=arg, value=value,
-                                 diagnostics={"evaluations": sum(stages.values()),
-                                              "stages": stages, "levels": levels}))
-    return results
+    refine = levels * _CENTRES * per_axis ** dim
+    # None where an instance has no finite seed or grid value
+    return [OptResult(arg=arg, value=value, diagnostics={
+                "evaluations": n + grid ** dim + refine,
+                "stages": {"seeds": n, "grid": grid ** dim, "refine": refine}, "levels": levels})
+            if grid_v > -math.inf else None for (grid_v, value, arg), n in zip(found, n_seeds)]

@@ -171,21 +171,20 @@ def ranked_ref(pts, values, k):
     """Each row's k best distinct points, the reference of
     ``pimac.optimize._ranked``: every row of the (m, n[, 2]) ``pts`` sorted
     whole by (-value, point), and its first k distinct points taken. Values
-    (m, k), points (m, k[, 2]) and their number in each row; a row with
-    fewer than k is padded with repeats of its last one. Equal points must
-    have equal values, as at the points of one objective."""
-    top_v, top_p, count = [], [], []
+    (m, k) and points (m, k[, 2]); a row with fewer than k is padded with
+    repeats of its last one. Equal points must have equal values, as at the
+    points of one objective."""
+    top_v, top_p = [], []
     for p, v in zip(pts.tolist(), values.tolist()):
         found = []
         for value, point in sorted(zip(v, p), key=lambda e: (-e[0], e[1])):
             if not found or point != found[-1][1]:
                 found.append((value, point))
         found = found[:k]
-        count.append(len(found))
         found += found[-1:] * (k - len(found))
         top_v.append([value for value, _ in found])
         top_p.append([point for _, point in found])
-    return np.array(top_v), np.array(top_p), np.array(count)
+    return np.array(top_v), np.array(top_p)
 
 
 # Expression forms of the search kernels: every operation allocates its

@@ -95,6 +95,12 @@ def test_genie_params_feasibility():
         GenieParams(0.8, 0.0, 1.0, 0.9)    # eta2^2 > 1 - rho1^2
     # the constraint pairing is crosswise: rho2 bounds eta1, rho1 bounds eta2
     GenieParams(0.9, 0.0, 1.0, 0.4)
+    for field in range(4):
+        for bad in (math.nan, math.inf, -math.inf):
+            fields = [0.0, 0.0, 0.5, 0.5]
+            fields[field] = bad
+            with pytest.raises(ConstraintError, match="must be finite"):
+                GenieParams(*fields)
 
 
 def test_joint_cov_zero_gain_structure():

@@ -149,6 +149,13 @@ def test_config_file_unknown_key(tmp_path, capsys):
     assert "unknown config" in capsys.readouterr().err
 
 
+def test_config_file_line_without_equals_sign(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("h-min = 0\nh-max 1\n")
+    assert main(["sweep", "--config", str(cfg)]) == 1
+    assert f"{cfg}:2: expected 'key = value'" in capsys.readouterr().err
+
+
 def test_missing_config_file_is_io_error(capsys):
     rc = main(["sweep", "--config", "/nonexistent/path.cfg"])
     assert rc == 2
@@ -173,6 +180,26 @@ def test_domain_error_exit_code(capsys):
                "--p1", "-1", "--p2", "10", "--p3", "10"])
     assert rc == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["-1e-3", "-1E+2", "-.5e-1"])
+def test_negative_value_in_exponent_form(value, capsys):
+    # argparse alone reads these tokens as options ("expected one argument"):
+    # after a flag they are its value, as in the "--flag=value" form.
+    rest = ["--h22", "0.2", "--h31", "0.5", "--p1", "10", "--p2", "10", "--p3", "10"]
+    assert main(["point", f"--h12={value}"] + rest) == 0
+    joined = capsys.readouterr().out
+    assert main(["point", "--h12", value] + rest) == 0
+    assert capsys.readouterr().out == joined != ""
+
+
+def test_negative_infinity_reaches_the_library_check(tmp_path, capsys):
+    assert main(["point", "--h12", "-inf", "--h31", "0.5"] + FIGURE) == 1
+    assert "h12 must be a finite real, got -inf" in capsys.readouterr().err
+    assert main(["sweep", "--h-min", "-inf", "--h-max", "1", "--steps", "2",
+                 "--out", str(tmp_path / "x.csv")] + FIGURE) == 1
+    assert "h_min and h_max must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_validate_rejects_fewer_than_8_samples(capsys):

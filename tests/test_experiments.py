@@ -52,6 +52,9 @@ def test_sweep_config_validation():
     with pytest.raises(DomainError):
         SweepConfig(h_min=0.0, h_max=1.0, steps=5, h22=0.2, p1=1, p2=1, p3=1,
                     which_curves=("sd_tin", "nope"))
+    for h_min, h_max in ((math.nan, 1.0), (-math.inf, 1.0), (0.0, math.inf), (0.0, math.nan)):
+        with pytest.raises(DomainError, match="must be finite"):
+            SweepConfig(h_min=h_min, h_max=h_max, steps=5, h22=0.2, p1=1, p2=1, p3=1)
 
 
 def test_small_sweep_rows():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from pimac import NumericError, PimacParams
 from pimac.bounds import _genie_coeffs, _genie_sum
-from pimac.optimize import _grid, _ranked, _windows, maximize_box
+from pimac.optimize import _grid, _ranked, _ranked_one, _windows, maximize_box
 from pimac.schemes import _tdma_coeffs, _tdma_parts
 
 from _support import KERNEL_ROWS, WIDE_GAIN, WIDE_POWER, figure3_params, same_bits
@@ -195,8 +195,57 @@ def test_batch_ranking_equals_a_whole_row_sort(stage):
     # candidates of all rows) equals sorting every row whole by (-value,
     # point) and taking its first k distinct points, padding included.
     pts, values, k = stage
-    got, want = _ranked(pts, values, k), ranked_ref(pts, values, k)
-    assert all(same_bits(g, w.astype(g.dtype)) for g, w in zip(got, want))
+    (got_v, got_p), (want_v, want_p) = _ranked(pts, values, k), ranked_ref(pts, values, k)
+    assert same_bits(got_v, want_v) and same_bits(got_p, want_p)
+
+
+def _repeats_above_distinct_points():
+    # 2-D, k = 3: ten copies of one point at 1.0 fill the 3k best and the
+    # cut, and five distinct points at 0.0 follow. The points at or above
+    # the cut hold one distinct point, so the walk goes over all points.
+    pts = np.concatenate((np.tile([0.5, 0.5], (10, 1)), [[i / 4, 0.0] for i in range(5)]))
+    return pts[None], np.where(np.arange(15) < 10, 1.0, 0.0)[None], 3
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(stage=_stages())
+@example(stage=_plateau_and_repeats())
+@example(stage=_repeats_above_distinct_points())
+@example(stage=(np.array([[0.0, 1.0], [0.5, 0.5]]), np.array([[0.0, 0.0], [1.0, 1.0]]), 3))
+def test_one_instance_ranking_equals_a_whole_row_sort(stage):
+    # The ranking of a batch of one (the 3k best candidates in 2-D, a walk
+    # over sorted points otherwise) equals the whole-row sort of each row,
+    # padding included: floats in 1-D and tuples in 2-D.
+    pts, values, k = stage
+    want_v, want_p = ranked_ref(pts, values, k)
+    for p, v, top_v, top_p in zip(pts, values, want_v.tolist(), want_p.tolist()):
+        want = [(x, y if p.ndim == 1 else tuple(y)) for x, y in zip(top_v, top_p)]
+        assert _ranked_one(p, v, k) == want
+
+
+def test_refinement_count_is_levels_times_three_windows():
+    # Every instance reports levels x 3 windows of 65 or 9 x 9 points as its
+    # refinement count, at batch sizes 1 and 3, and the objective receives
+    # exactly that many points per instance after the grid stage. A grid of
+    # 2 points has fewer than 3 distinct points: its last centre repeats.
+    cases = ((lambda x: -(x - 0.3) ** 2, 1, 2, 1e-4, 3),
+             (lambda x: -(x - 0.3) ** 2, 1, 65, 1e-4, 2),
+             (lambda p: -_bowl(p), 2, 17, 1e-4, 5))
+    for g, dim, grid, tol, levels in cases:
+        refine = levels * 3 * (65 if dim == 1 else 9 * 9)
+        for m in (1, 3):
+            shapes = []
+
+            def f(pts):
+                shapes.append(pts.shape[:2])
+                return g(pts)
+
+            results = maximize_box(f, dim, grid, tol, [()] * m)
+            assert [r.diagnostics["levels"] for r in results] == [levels] * m
+            assert [r.diagnostics["stages"]["refine"] for r in results] == [refine] * m
+            assert shapes[0] == (m, grid ** dim) and len(shapes) == levels + 1
+            assert sum(n for _, n in shapes[1:]) == refine
+            assert all(rows == m for rows, _ in shapes)
 
 
 # The 2-D tests minimize g by maximizing -g, as the genie bound does.
