@@ -168,9 +168,9 @@ def _logdet_bits(ld_a, ld_b, ld_ab) -> float:
 
 class _GenieCoeffs(NamedTuple):
     """The quantities of the module docstring for m instances, each an
-    (m, 1) array: the scalars, the ratios the kernel needs, and one flag per
-    degenerate case. A flag is None where no instance has it, so normal
-    instances pay nothing for it."""
+    (m, 1, 1, 1) array (``optimize._columns``): the scalars, the ratios the
+    kernel needs, and one flag per degenerate case. A flag is None where no
+    instance has it, so normal instances pay nothing for it."""
 
     total: np.ndarray      # P
     n1: np.ndarray
@@ -233,32 +233,67 @@ def _genie_coeffs(rows, signed: bool = False) -> _GenieCoeffs:
     return _GenieCoeffs(*_columns([_coeff_row(p, signed) for p in rows], _N_VALUES))
 
 
-def _genie_kernel(c: _GenieCoeffs, rho, rho_sq, r1_s, t1, t2,
+def _rho_terms(xy) -> tuple:
+    """``rho^2`` and ``1/sqrt(1 - rho^2)`` of both coordinates of the points
+    ``xy`` (see ``_genie_sum``), each as a pair: one call for both where
+    ``xy`` is one array of explicit points, one per axis otherwise."""
+    if isinstance(xy, np.ndarray):
+        sq = np.multiply(xy, xy)
+        b = np.subtract(1.0, sq)
+        np.sqrt(b, out=b)
+        return sq, np.divide(1.0, b, out=b)
+    sq = [np.multiply(v, v) for v in xy]
+    return sq, [np.divide(1.0, np.sqrt(np.subtract(1.0, v))) for v in sq]
+
+
+def _t1_star(c: _GenieCoeffs, r1_s, b) -> np.ndarray:
+    """The best feasible ``t1 = 1/eta1``, ``max(rho1 s/A, 1/sqrt(1 - rho2^2))``,
+    given ``r1_s = rho1 s/A`` and ``b = _rho_terms(xy)[1]``: a new array.
+    Where ``S1`` carries no input (``A = 0``) it is best dropped:
+    ``t* = inf``. ``fmax`` skips the NaN of ``0 * inf``."""
+    t1 = np.fmax(r1_s, b[1])
+    if c.a_zero is not None:
+        np.copyto(t1, math.inf, where=c.a_zero)
+    return t1
+
+
+def _t2_star(c: _GenieCoeffs, y, b, out=None) -> np.ndarray:
+    """The best feasible ``t2 = 1/eta2``, ``max(rho2 / (h31 (q+1)),
+    1/sqrt(1 - rho1^2))``, at points whose second coordinate is ``y``,
+    written into ``out`` (new where None); ``inf`` where ``h31 = 0``."""
+    t2 = np.fmax(np.multiply(y, c.inv_g31q1), b[0], out=out)
+    if c.g31_zero is not None:
+        np.copyto(t2, math.inf, where=c.g31_zero)
+    return t2
+
+
+def _genie_kernel(c: _GenieCoeffs, y, sq, w, t1, t2,
                   arrays) -> tuple[np.ndarray, np.ndarray]:
     """The genie bound's two terms ``I(X1,X2; Y1,S1)`` and ``I(X3; Y2,S2)``
-    in bits, at arrays of points ``rho`` (last axis) and of ``t = 1/eta``,
-    one row per instance, given ``rho_sq = rho^2`` and ``r1_s = rho1 s/A``,
-    which ``_t_star`` computes once for both.
+    in bits, at points whose second coordinate is ``y``, given
+    ``sq = (rho1^2, rho2^2)``, ``t2 = 1/eta2`` and ``w = t1 - rho1 s/A``
+    with ``t1 = 1/eta1``. ``t1`` itself is read only where ``q = 0``, and
+    may be None where no instance has that flag.
 
-    ``c`` is ``_genie_coeffs(rows)``, whose (m, 1) arrays broadcast against
-    the points; ``rho`` may hold one row shared by all instances. The ratios
-    are the completed squares of the module docstring; its rules for
-    degenerate cases select, per instance, the values that replace them.
-    They are computed in place, with the association order fixed:
-    ``((A w) w + k) / (n1 - rho1^2) + s^2/A`` and
-    ``(((q+1) w) w / (q + 1 - rho2^2) + 1/(q+1)) P3``, in the last three
-    (m, n) rows of the kernel's (6, m, n) work block ``arrays``
-    (``_genie_sum``): a scratch row ``w`` and the two ratio rows, which are
-    returned. Callers hold ``np.errstate(all="ignore")``, once per search:
-    0/0 and overflow are part of the rules.
+    ``c`` is ``_genie_coeffs(rows)``, whose arrays broadcast against the
+    coordinates, as do ``y``, ``sq``, ``w`` and ``t2``. The ratios are the
+    completed squares of the module docstring; its rules for degenerate
+    cases select, per instance, the values that replace them. Each term
+    that depends on one coordinate (the denominators and ``rho2/(q+1)``) is
+    formed on that coordinate's array. The ratios are computed in place,
+    with the association order fixed: ``((A w) w + k) / (n1 - rho1^2) +
+    s^2/A`` and ``(((q+1) w) w / (q + 1 - rho2^2) + 1/(q+1)) P3``, in the
+    kernel's (4, ...) work block ``arrays`` (``_genie_sum``): ``w`` in row
+    0, used as scratch, and the two ratio rows 2 and 3, which are returned.
+    Callers hold ``np.errstate(all="ignore")``, once per search: 0/0 and
+    overflow are part of the rules.
     """
-    w, x = arrays[3], arrays[4:]  # x: both ratios, for one call of _bits
+    x = arrays[2:]  # both ratios, for one call of _bits
     mac, p2p = x[0], x[1]
-    np.subtract(t1, r1_s, out=w)
     np.multiply(c.a, w, out=mac)
     mac *= w
     mac += c.k_mac
-    den = np.subtract(c.n1, rho_sq[..., 0], out=w)
+    den = np.subtract(c.n1, sq[0])
     mac /= den
     mac += c.s2_a
     if c.a_zero is not None:  # q = s = D = 0: the ratio does not depend on t
@@ -266,11 +301,10 @@ def _genie_kernel(c: _GenieCoeffs, rho, rho_sq, r1_s, t1, t2,
     if c.q_zero is not None:
         np.copyto(mac, c.total_n1, where=c.q_zero & np.isinf(t1))
     np.multiply(c.g31, t2, out=w)
-    np.multiply(rho[..., 1], c.inv_q1, out=p2p)
-    w -= p2p
+    w -= np.multiply(y, c.inv_q1)
     np.multiply(c.q1, w, out=p2p)
     p2p *= w
-    p2p /= np.subtract(c.q1, rho_sq[..., 1], out=w)
+    p2p /= np.subtract(c.q1, sq[1])
     p2p += c.inv_q1
     p2p *= c.p3
     if c.s2_zero is not None:
@@ -284,53 +318,35 @@ def _genie_kernel(c: _GenieCoeffs, rho, rho_sq, r1_s, t1, t2,
     return mac, p2p
 
 
-def _t_star(c: _GenieCoeffs, rho, arrays) -> tuple[np.ndarray, ...]:
-    """The best feasible ``t = 1/eta`` of each term at an array of points
-    ``(rho1, rho2)`` (last axis), one row per instance, or one row shared
-    by all instances, and the products ``rho^2`` and ``rho1 s/A`` for the
-    kernel. ``t1``, ``t2`` and ``rho1 s/A`` are written into the first
-    three (m, n) rows of ``arrays``, the kernel's work block, and the
-    bounds ``1/sqrt(1 - rho^2)`` into the next two, which the kernel
-    overwrites.
+def _genie_sum(c: _GenieCoeffs, xy) -> np.ndarray:
+    """Genie bound minimized over the scalings, at each point ``(rho1,
+    rho2)`` of ``xy``: the search's objective (``optimize.maximize_box``),
+    run in the search's ``np.errstate``. ``xy`` is a pair (x, y) of
+    coordinate arrays of four axes, instances first, that broadcast against
+    each other and against ``c``'s (m, 1, 1, 1) arrays: a batch's axes, as
+    a tuple, or one (2, m, n, 1, 1) array of explicit points' columns.
+    Returns the sum of the two terms, formed in the kernel's work block,
+    which is taken from the workspace (a view, valid until the next call,
+    or a new array for one instance), in the points' broadcast shape.
 
-    Where a term's genie signal carries no input (``A = 0``, or ``h31 = 0``)
-    it is best dropped: ``t* = inf``. The bounds ``1/sqrt(1 - rho^2)``
-    depend on ``rho`` alone, so a shared row computes them once. Callers
-    hold ``np.errstate(all="ignore")``, once per search; ``fmax`` skips the
-    NaN of ``0 * inf``.
+    The terms of one coordinate (``rho^2``, ``1/sqrt(1 - rho^2)``,
+    ``rho1 s/A``) are formed on its axis. The first term needs ``t1*`` only
+    through ``w = t1* - rho1 s/A = max(1/sqrt(1 - rho2^2) - rho1 s/A, 0)``,
+    which gives the same bits: ``np.maximum`` keeps a NaN, and where
+    ``rho1 s/A`` is ``+inf`` (w NaN as a difference, 0 as a maximum) the
+    ratio is ``+inf`` either way, through ``s^2/A = +inf``. So ``t1*`` is
+    formed only where the ``q = 0`` rule reads it.
     """
-    rho_sq = np.multiply(rho, rho)
-    r1_s = np.multiply(rho[..., 0], c.s_a, out=arrays[2])
-    bound = np.subtract(1.0, rho_sq.transpose(2, 0, 1), out=arrays[3:5, :len(rho)])
-    np.sqrt(bound, out=bound)
-    np.divide(1.0, bound, out=bound)  # 1/sqrt(1 - rho1^2), 1/sqrt(1 - rho2^2)
-    t1 = np.fmax(r1_s, bound[1], out=arrays[0])
-    if c.a_zero is not None:
-        np.copyto(t1, math.inf, where=c.a_zero)
-    t2 = np.multiply(rho[..., 1], c.inv_g31q1, out=arrays[1])
-    np.fmax(t2, bound[0], out=t2)
-    if c.g31_zero is not None:
-        np.copyto(t2, math.inf, where=c.g31_zero)
-    return t1, t2, rho_sq, r1_s
-
-
-def _genie_sum(c: _GenieCoeffs, rho) -> np.ndarray:
-    """Genie bound minimized over the scalings, at each point ``(rho1, rho2)``
-    of the (m, n, 2) array ``rho``: an (m, n) array, the sum of the two
-    terms formed in the kernel's work block, which is taken from the
-    workspace (a view, valid until the next call, or a new array for one
-    instance): the search's objective, run in the search's ``np.errstate``.
-
-    Where ``rho`` has stride 0 on the instance axis (the shared grid of
-    ``optimize._grid``), its ``rho``-only terms (``rho^2`` and
-    ``1/sqrt(1 - rho^2)``) are computed on one row, which the instances'
-    coefficients broadcast against.
-    """
-    arrays = _WORK.take("kernel", (6,) + rho.shape[:2])
-    if rho.strides[0] == 0:
-        rho = rho[:1]
-    t1, t2, rho_sq, r1_s = _t_star(c, rho, arrays)
-    mac, p2p = _genie_kernel(c, rho, rho_sq, r1_s, t1, t2, arrays)
+    x, y = xy[0], xy[1]
+    sq, b = _rho_terms(xy)
+    shape = x.shape if isinstance(xy, np.ndarray) else np.broadcast(c.a, x, y).shape
+    arrays = _WORK.take("kernel", (4, shape[0], math.prod(shape[1:]))).reshape((4,) + shape)
+    r1_s = np.multiply(x, c.s_a)
+    w = np.subtract(b[1], r1_s, out=arrays[0])
+    np.maximum(w, 0.0, out=w)
+    t1 = None if c.q_zero is None else _t1_star(c, r1_s, b)
+    t2 = _t2_star(c, y, b, out=arrays[1])
+    mac, p2p = _genie_kernel(c, y, sq, w, t1, t2, arrays)
     return np.add(mac, p2p, out=mac)
 
 
@@ -340,14 +356,14 @@ def _genie_terms(params: PimacParams, points) -> tuple[np.ndarray, np.ndarray]:
     taken at ``t = 1/eta``: two new arrays of n values, since one instance
     takes a new work block. The one entry for explicit genie points,
     shared by ``genie_bound_batch`` and the Monte-Carlo check."""
-    genie, c = np.asarray(points, dtype=float)[None], _genie_coeffs([params], signed=True)
-    rho = genie[..., :2]
-    arrays = _WORK.take("kernel", (6,) + genie.shape[:2])
+    genie, c = np.asarray(points, dtype=float).T[:, None], _genie_coeffs([params], signed=True)
+    rho = genie[:2]
+    arrays = _WORK.take("kernel", (4,) + rho.shape[1:])
     with np.errstate(all="ignore"):
-        t1 = np.divide(1.0, genie[..., 2], out=arrays[0])
-        t2 = np.divide(1.0, genie[..., 3], out=arrays[1])
-        r1_s = np.multiply(rho[..., 0], c.s_a, out=arrays[2])
-        mac, p2p = _genie_kernel(c, rho, rho * rho, r1_s, t1, t2, arrays)
+        t1 = np.divide(1.0, genie[2])
+        t2 = np.divide(1.0, genie[3], out=arrays[1])
+        w = np.subtract(t1, np.multiply(rho[0], c.s_a), out=arrays[0])
+        mac, p2p = _genie_kernel(c, rho[1], np.multiply(rho, rho), w, t1, t2, arrays)
     return mac[0], p2p[0]
 
 
@@ -388,19 +404,23 @@ def _c_sigma_1_batch(rows) -> list:
     for block in _blocks(rows, 2):
         c = _genie_coeffs(block)
 
-        def objective(rho):
-            value = _genie_sum(c, rho)
+        def objective(xy):
+            value = _genie_sum(c, xy)
             return np.negative(value, out=value)
 
         with np.errstate(all="ignore"):  # once per search, not per stage
             found = maximize_box(objective, 2, 33, 1e-6, [()] * len(block))
-            rho = np.array([(0.0, 0.0) if res is None else res.arg for res in found])
-            t1, t2 = _t_star(c, rho[:, None], _WORK.take("kernel", (5, len(block), 1)))[:2]
+            # The scalings at each instance's point, as (2, m, 1, 1, 1) columns.
+            xy = np.array([(0.0, 0.0) if res is None else res.arg for res in found]).T
+            xy = xy[..., None, None, None]
+            b = _rho_terms(xy)[1]
+            t1, t2 = _t1_star(c, np.multiply(xy[0], c.s_a), b), _t2_star(c, xy[1], b)
         results += [None if res is None else
                     SchemeResult(sum_rate=-res.value,
                                  arg=GenieParams(*_signed_rho(p, *res.arg), 1.0 / e1, 1.0 / e2),
                                  diagnostics=res.diagnostics)
-                    for res, p, e1, e2 in zip(found, block, t1[:, 0].tolist(), t2[:, 0].tolist())]
+                    for res, p, e1, e2 in zip(found, block, t1.ravel().tolist(),
+                                              t2.ravel().tolist())]
     return results
 
 

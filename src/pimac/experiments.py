@@ -41,6 +41,11 @@ OTHER = "OTHER"
 RNG_NAME = "numpy PCG64 (numpy.random.default_rng)"
 
 
+def _is_integer(value) -> bool:
+    # numbers.Integral admits bool, which is no count or seed.
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """Gain sweep specification: ``h12 = h31 = h`` over [h_min, h_max]."""
@@ -59,7 +64,7 @@ class SweepConfig:
             raise DomainError("h_min and h_max must be finite")
         if self.h_min > self.h_max:
             raise DomainError(f"h_min={self.h_min!r} exceeds h_max={self.h_max!r}")
-        if not (isinstance(self.steps, numbers.Integral) and self.steps >= 1):
+        if not (_is_integer(self.steps) and self.steps >= 1):
             raise DomainError(f"steps must be an integer >= 1, got {self.steps!r}")
         unknown = set(self.which_curves) - set(CURVES)
         if unknown:
@@ -166,13 +171,16 @@ def detect_pc_tin_regimes(rows):
     Returns ``[((h_start, h_end), label), ...]`` with interval boundaries
     at the midpoints between adjacent rows whose labels differ. Rows must
     be sorted by gain and carry the ``regime`` label of the power-control
-    curve.
+    curve; ContractError is raised otherwise.
     """
     if not rows:
         return []
-    for row in rows:
+    for i, row in enumerate(rows):
         if row.regime is None:
             raise ContractError(f"row at h={row.h!r} has no power-control regime")
+        if i and not row.h >= rows[i - 1].h:  # NaN is out of order too
+            raise ContractError(f"rows must be sorted by gain: h={row.h!r} "
+                                f"follows h={rows[i - 1].h!r}")
 
     intervals = []
     start = rows[0].h
@@ -239,9 +247,9 @@ def montecarlo_covariance_check(params: PimacParams, genie: GenieParams,
     the 7 variables is singular, and genie scalings above 0.05 so the
     sampled joint stays well conditioned.
     """
-    if not (isinstance(n_samples, numbers.Integral) and n_samples >= 8):
+    if not (_is_integer(n_samples) and n_samples >= 8):
         raise DomainError(f"n_samples must be an integer >= 8, got {n_samples!r}")
-    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+    if not (_is_integer(seed) and seed >= 0):
         raise DomainError(f"seed must be an integer >= 0, got {seed!r}")
     if not (genie.eta1 > 0.05 and genie.eta2 > 0.05):
         raise DomainError("genie scalings must exceed 0.05 for a stable estimate")

@@ -89,35 +89,66 @@ class _Workspace(threading.local):
 _WORK = _Workspace()
 
 
-def _values(f, pts, step: int) -> tuple:
-    """``f`` at the (m, n[, 2]) array ``pts``: an (m, n) array, and its
-    largest value. A stage of more than ``step`` points per instance (the
-    grid stage of a full block) is evaluated in calls on ``step`` columns at
-    a time, into one workspace array. ``-inf`` marks an infeasible point;
-    NaN or ``+inf`` raises NumericError naming its point."""
-    if pts.shape[1] <= step:
-        values = f(pts)
+def _values(f, pts, m: int, step: int) -> tuple:
+    """``f`` at the points ``pts`` of a stage of m instances: an (m, n) array
+    of values, and its largest value.
+
+    In 1-D ``pts`` is an (m, n) array, and ``f`` returns (m, n) values. In
+    2-D it is a pair (x, y) of coordinate arrays of four axes, instances
+    (m or 1) first, which broadcast against each other: one (2, m, n, 1, 1)
+    array of explicit points, or the tuple of a batch's axes
+    (``maximize_box``). ``f`` returns their values with an instance axis of
+    m, in the points' broadcast shape, read row-major per instance. A stage
+    of more than ``step`` points per instance (the grid stage of a full
+    block) is evaluated in calls of at most that many, cut along axis 1
+    (the points, or the grid's rows), into one workspace array. ``-inf``
+    marks an infeasible point; NaN or ``+inf`` raises NumericError naming
+    its point."""
+    scalar = isinstance(pts, np.ndarray) and pts.ndim == 2
+    if scalar:
+        n, width = pts.shape[1], 1
     else:
-        values = _WORK.take("values", pts.shape[:2])
-        for j in range(0, pts.shape[1], step):
-            values[:, j:j + step] = f(pts[:, j:j + step])
+        n, width = max(pts[0].shape[1], pts[1].shape[1]), pts[0].shape[2] * pts[1].shape[3]
+    if n * width <= step:
+        values = f(pts)
+        if not scalar:
+            values = values.reshape(m, -1)
+    else:
+        values = _WORK.take("values", (m, n * width))
+        rows = max(1, step // width)  # entries of axis 1 in one call
+        for j in range(0, n, rows):
+            part = (pts[:, j:j + rows] if scalar else
+                    tuple(a[:, j:j + rows] if a.shape[1] > 1 else a for a in pts))
+            values[:, j * width:(j + rows) * width] = f(part).reshape(m, -1)
     peak = np.maximum.reduce(values, axis=None)
     if not peak < math.inf:  # NaN or +inf
         i, j = np.argwhere(~(values < math.inf))[0].tolist()
-        x = pts[i, j].tolist()
+        x = _keys(pts, np.array([i * values.shape[1] + j]), values.shape[1])[1][0].item()
         raise NumericError(f"objective of instance {i} is not usable at "
-                           f"{x if pts.ndim == 2 else tuple(x)!r}: {values[i, j]!r}")
+                           f"{(x.real, x.imag) if isinstance(x, complex) else x!r}: "
+                           f"{values[i, j]!r}")
     return values, peak
 
 
 @functools.lru_cache(maxsize=16)
 def _grid(dim: int, n: int, m: int) -> np.ndarray:
-    """The uniform grid of n points per axis on ``[0, 1]^dim``, one point
-    per row, as a read-only (m, n[, 2]) view for m instances."""
+    """The uniform grid of n points per axis on ``[0, 1]^dim``, row-major,
+    as read-only explicit points for m instances (``_values``): an (m, n)
+    view in 1-D, and a (2, m, n^2, 1, 1) view in 2-D."""
     grid = np.linspace(0.0, 1.0, n)
-    if dim == 2:
-        grid = np.stack(np.meshgrid(grid, grid, indexing="ij"), axis=-1).reshape(-1, 2)
-    return np.broadcast_to(grid, (m,) + grid.shape)
+    if dim == 1:
+        return np.broadcast_to(grid, (m, n))
+    grid = np.stack(np.meshgrid(grid, grid, indexing="ij")).reshape(2, 1, -1, 1, 1)
+    return np.broadcast_to(grid, (2, m) + grid.shape[2:])
+
+
+@functools.lru_cache(maxsize=4)
+def _grid_axes(n: int) -> tuple:
+    """``_grid(2, n, m)`` as a batch's axes: n rows of n points each, the
+    read-only pair x (1, n, 1, 1) and y (1, 1, 1, n)."""
+    axis = np.linspace(0.0, 1.0, n)
+    axis.flags.writeable = False
+    return axis.reshape(1, n, 1, 1), axis.reshape(1, 1, 1, n)
 
 
 def _ranked_one(pts, values, k) -> list:
@@ -160,14 +191,42 @@ def _ranked_one(pts, values, k) -> list:
         p, v = pts, values
 
 
+def _keys(pts, flat, n: int) -> tuple:
+    """The row and the ranking key of each entry ``flat`` of a stage's
+    (m, n) values, whose points are ``pts`` (``_values``): the point in 1-D
+    and ``p0 + i p1`` in 2-D, which numpy orders lexicographically.
+
+    In 2-D each coordinate array is C-ordered and read at its flat index.
+    An entry is ``((r w1 + w) x2 + i) y3 + j`` for its instance r, its
+    window w (or explicit point, or grid row) on axis 1, and its indices i
+    and j on the x (m, w1, x2, 1) and y (m, w1, 1, y3) axes of its window.
+    An x shared by the instances (length 1 on axis 0) is read at that index
+    modulo its size, and a y of one row (the grid's) at j."""
+    if isinstance(pts, np.ndarray) and pts.ndim == 2:
+        r, j = np.divmod(flat, n)
+        return r, pts[r, j]
+    x, y = pts[0], pts[1]
+    cols = y.shape[3]
+    ix = flat // cols
+    if len(x) == 1:
+        ix %= x.size
+    iy = flat % cols
+    if y.size > cols:
+        iy += flat // (x.shape[2] * cols) * cols
+    z = np.empty(len(flat), complex)
+    z.real = x.reshape(-1)[ix]
+    z.imag = y.reshape(-1)[iy]
+    return flat // n, z
+
+
 def _ranked(pts, values, k):
     """Each row's k best distinct points, ties to the lexicographically
     smallest, for m instances at once: their values (m, k) and points
-    (m, k[, 2]) of the (m, n[, 2]) ``pts``; a row with fewer than k is
-    padded with repeats of its last one.
+    (m, k[, 2]), for the (m, n) ``values`` of a stage whose points are
+    ``pts`` (see ``_values``); a row with fewer than k is padded with
+    repeats of its last one.
 
-    Points are ranked by one key each: the point in 1-D and ``p0 + i p1``
-    in 2-D, which numpy orders lexicographically. Each row's 3k-th best
+    Points are ranked by one key each (``_keys``). Each row's 3k-th best
     value is found by a values-only partition, in a workspace copy of
     ``values``, and every point at least that good is a candidate: the
     candidates come first in the row's order, ties included, and hold k
@@ -177,8 +236,7 @@ def _ranked(pts, values, k):
     read. The one fallback: a row with fewer than k distinct candidates is
     ranked again from all its points.
     """
-    (m, n), scalar = values.shape, pts.ndim == 2
-    key = pts if scalar else pts.view(complex)[..., 0]
+    m, n = values.shape
     within = np.ones((m, n), dtype=bool)
     if n > 3 * k:
         part = _WORK.take("partition", (m, n))
@@ -186,8 +244,9 @@ def _ranked(pts, values, k):
         part.partition(n - 3 * k, axis=1)
         np.greater_equal(values, part[:, n - 3 * k, None], out=within)
     while True:
-        r, j = np.divmod(np.flatnonzero(within), n)
-        v, z = values[r, j], key[r, j]
+        flat = np.flatnonzero(within)
+        r, z = _keys(pts, flat, n)
+        v = values.reshape(-1)[flat]
         order = np.lexsort((z, -v, r))
         r, v, z = r[order], v[order], z[order]
         # The distinct entries, row by row, best first: not the entry before.
@@ -198,16 +257,19 @@ def _ranked(pts, values, k):
                      + np.minimum(np.arange(k), found[:, None] - 1)]
         redo = found < k
         if not redo.any() or within[redo].all():
-            return v[pick], z[pick] if scalar else z[pick].view(float).reshape(m, k, 2)
+            z = z[pick]
+            return v[pick], z if z.dtype != complex else z.view(float).reshape(m, k, 2)
         within[redo] = True
 
 
-def _windows(top_p, spacing, out=None) -> np.ndarray:
-    """The (m, k n[, 2]) points of the windows around the centres ``top_p``
-    (m, k[, 2]): plus or minus ``spacing``, cut to ``[0, 1]``. Each axis is
-    ``left + width t`` over the ``_WINDOWS`` points t, and a 2-D window
-    their product, written row-major into one C-ordered buffer: ``out``,
-    an (m, k, n) or (m, k, n, n, 2) array, or a new one where it is None.
+def _windows(top_p, spacing, out=None):
+    """The windows around the centres ``top_p`` (m, k[, 2]): plus or minus
+    ``spacing``, cut to ``[0, 1]``. Each axis is ``left + width t`` over the
+    ``_WINDOWS`` points t, written into ``out`` (an ([2, ]m, k, n) array) or
+    a new array where it is None. In 1-D they are the (m, k n) points. In
+    2-D, with ``out``, they are a batch's pair of axes, x (m, k, n, 1) and
+    y (m, k, 1, n); without, the explicit points of their products,
+    row-major, as one new (2, m, k n n, 1, 1) array (``_values``).
 
     No point exceeds 1, so the axes need no upper clip. With
     ``left = max(c - s, 0)``, ``r = min(c + s, 1)``, ``width`` the rounded
@@ -216,24 +278,26 @@ def _windows(top_p, spacing, out=None) -> np.ndarray:
     ``left + width = r <= 1``. Otherwise ``left < 1/2``, ``width`` exceeds
     ``r - left`` by at most half an ulp of a number below 1, and the exact
     sum is below ``1 + 2^-53``, which rounds to at most 1."""
-    left = np.maximum(top_p - spacing, 0.0)
-    width = np.minimum(top_p + spacing, 1.0) - left
-    ax = np.multiply(width[..., None], _WINDOWS[top_p.ndim - 1],
-                     out=out if top_p.ndim == 2 else None)
-    ax += left[..., None]  # (m, k[, 2], n)
+    centres = top_p if top_p.ndim == 2 else top_p.transpose(2, 0, 1)
+    left = np.maximum(centres - spacing, 0.0)
+    width = np.minimum(centres + spacing, 1.0) - left
+    ax = np.multiply(width[..., None], _WINDOWS[top_p.ndim - 1], out=out)
+    ax += left[..., None]  # ([2, ]m, k, n)
     if top_p.ndim == 2:
         return ax.reshape(len(ax), -1)
-    m, k, _, n = ax.shape
-    pts = np.empty((m, k, n, n, 2)) if out is None else out
-    pts[..., 0] = ax[:, :, 0, :, None]
-    pts[..., 1] = ax[:, :, 1, None, :]
-    return pts.reshape(m, -1, 2)
+    if out is not None:
+        return ax[0, ..., None], ax[1, :, :, None, :]
+    _, m, k, n = ax.shape
+    pts = np.empty((2, m, k, n, n))
+    pts[0] = ax[0, ..., None]
+    pts[1] = ax[1, :, :, None, :]
+    return pts.reshape(2, m, -1, 1, 1)
 
 
 def _points(shape: tuple) -> np.ndarray:
-    """A workspace array of ``shape``, (m, ...) for m > 1 instances, for the
-    points of a stage. A batch of one passes numpy ``out=None`` instead,
-    which allocates at less cost per call."""
+    """A workspace array of ``shape`` for the points of a stage of m > 1
+    instances. A batch of one passes numpy ``out=None`` instead, which
+    allocates at less cost per call."""
     return _WORK.take("points", (shape[0], math.prod(shape[1:]))).reshape(shape)
 
 
@@ -247,16 +311,17 @@ def _blocks(rows, dim: int) -> list:
 
 def _columns(table, n_values: int) -> list:
     """An objective's per-instance constants, from one tuple per instance
-    in ``table``: its first ``n_values`` entries as (m, 1) float arrays and
-    the rest, flags, as (m, 1) masks, or None where no instance sets the
-    flag, so that the objective skips it. A batch of one keeps Python
-    floats and bools, which broadcast as (1, 1) arrays do, at a lower cost
-    per numpy call."""
+    in ``table``: its first ``n_values`` entries as (m, 1, 1, 1) float
+    arrays and the rest, flags, as (m, 1, 1, 1) masks, or None where no
+    instance sets the flag, so that the objective skips it. They broadcast
+    against the four axes of a 2-D objective's points (``_values``). A batch
+    of one keeps Python floats and bools, which broadcast as such arrays
+    do, at a lower cost per numpy call."""
     if len(table) == 1:
         return [*table[0][:n_values], *(flag or None for flag in table[0][n_values:])]
-    values = np.array([r[:n_values] for r in table]).T[:, :, None]
+    values = np.array([r[:n_values] for r in table]).T[:, :, None, None, None]
     flags = zip(*(r[n_values:] for r in table))
-    return [*values, *(np.array(f)[:, None] if any(f) else None for f in flags)]
+    return [*values, *(np.array(f)[:, None, None, None] if any(f) else None for f in flags)]
 
 
 def maximize_box(f, dim: int, grid: int, tol: float, seeds=((),)) -> list:
@@ -268,13 +333,23 @@ def maximize_box(f, dim: int, grid: int, tol: float, seeds=((),)) -> list:
 
     ``seeds`` holds one sequence of seed points per instance, so the number
     m of instances is its length. A point is a float in 1-D and a pair in
-    2-D, and ``f`` maps an (m, n) or (m, n, 2) array of points, row i for
-    instance i, to their (m, n) values, each point's value on its own.
-    Every stage is one call of ``f`` for the whole batch (see below for
-    large stages); instances do not interact. The arguments are the
-    two searches' constants and seeds, so none of them is checked: ``dim``
-    is 1 or 2, ``grid`` is an integer of at least 2, ``tol`` is positive
-    and every seed is a point of the cube.
+    2-D. In 1-D ``f`` maps an (m, n) array of points, row i for instance i,
+    to their (m, n) values. In 2-D its one argument is a pair (x, y) of
+    coordinate arrays of four axes, instances first, which broadcast
+    against each other, and it returns the values at the points of their
+    product with an instance axis of m, read row-major per instance
+    (``_values``). A batch without seeds passes axes: its grid stage as the
+    grid's rows x (1, grid, 1, 1) against its columns y (1, 1, 1, grid),
+    shared by the instances, and each refinement stage as 3 windows per
+    instance, x (m, 3, 9, 1) against y (m, 3, 1, 9). A batch of one, whose
+    stages are bound by numpy's cost per call, and a first stage with
+    seeds pass their explicit points, as the columns x and y of one
+    (2, m, n, 1, 1) array. Each point's value is its own. Every stage is
+    one call of ``f`` for the whole batch (see below for large stages);
+    instances do not interact. The arguments are the two searches'
+    constants and seeds, so none of them is checked: ``dim`` is 1 or 2,
+    ``grid`` is an integer of at least 2, ``tol`` is positive and every
+    seed is a point of the cube.
 
     The first stage evaluates each instance's seeds together with a uniform
     grid of ``grid`` points per axis. An instance with fewer seeds than
@@ -289,14 +364,15 @@ def maximize_box(f, dim: int, grid: int, tol: float, seeds=((),)) -> list:
     its objective at a seed; ties go to the lexicographically smallest
     point. Windows are built per axis. A stage of more than
     ``_BLOCK_POINTS`` points is evaluated in several calls of ``f`` of at
-    most that many, each on consecutive columns of the points of all
+    most that many, each on consecutive points, or whole grid rows, of all
     instances (``_values``), which gives the same values as one call, since
     ``f`` treats every point on its own. A batch of one is ranked in Python,
     2-D stages from their few best candidates, and a larger batch in array
-    form (``_ranked``), with the same results; the larger batch keeps its
-    stages' points in workspace arrays, and its stage bests as (m, stages)
-    arrays, ranked once at the end. With no finite value on the grid the
-    search stops before ranking.
+    form (``_ranked``, which reads each candidate's coordinates from the
+    axes by index), with the same results; the larger batch keeps its
+    windows' axes and its seeded points in workspace arrays, and its stage
+    bests as (m, stages) arrays, ranked once at the end. With no finite
+    value on the grid the search stops before ranking.
 
     Returns one entry per instance: an OptResult whose argument is a float
     in 1-D and a tuple in 2-D, or None where the instance is infeasible. A
@@ -312,12 +388,17 @@ def maximize_box(f, dim: int, grid: int, tol: float, seeds=((),)) -> list:
     """
     n_seeds = [len(s) for s in seeds]
     m, k_max = len(n_seeds), max(n_seeds)
-    pts = _grid(dim, grid, m)
-    if k_max:
-        pad = [pts[0, 0].tolist()]  # the first grid point
+    if dim == 2 and m > 1 and not k_max:  # a batch evaluates its 2-D stages on their axes
+        pts = _grid_axes(grid)
+    else:
+        pts = _grid(dim, grid, m)
+    if k_max:  # explicit points: the seeds, then the grid
+        pad = [0.0 if dim == 1 else (0.0, 0.0)]  # the first grid point
         padded = np.array([list(s) + pad * (k_max - len(s)) for s in seeds], dtype=float)
-        pts = np.concatenate((padded, pts), axis=1, out=None if m == 1 else
-                             _points((m, k_max + pts.shape[1]) + pts.shape[2:]))
+        if dim == 2:
+            padded = padded.transpose(2, 0, 1)[..., None, None]
+        pts = np.concatenate((padded, pts), axis=dim, out=None if m == 1 else _points(
+            pts.shape[:dim] + (k_max + pts.shape[dim],) + pts.shape[dim + 1:]))
 
     per_axis = len(_WINDOWS[dim])
     # The grid's spacing, then each level's: it shrinks until below tol, and
@@ -337,15 +418,15 @@ def maximize_box(f, dim: int, grid: int, tol: float, seeds=((),)) -> list:
         best_v, best_p = np.empty((m, len(centres))), np.empty((m, len(centres), 2)[:dim + 1])
     # The windows of every refinement stage, written into one work array
     # (the grid stage's points, which it may overlap, are ranked by then).
-    out = None if m == 1 else _points((m, _CENTRES) + (per_axis,) * dim + (2,)[:dim - 1])
+    out = None if m == 1 else _points((2,)[:dim - 1] + (m, _CENTRES, per_axis))
     for stage, k in enumerate(centres):
         if stage:
             pts = _windows(top_p, spacings[stage - 1], out)
-        values, peak = _values(f, pts, step)
+        values, peak = _values(f, pts, m, step)
         if not stage and not peak > -math.inf:
             return [None] * m  # no instance is feasible: nothing to rank
         if m == 1:  # ranking in Python costs fewer numpy calls than the array form
-            top = _ranked_one(pts[0], values[0], k)
+            top = _ranked_one(pts[0] if dim == 1 else pts[:, 0, :, 0, 0].T, values[0], k)
             best.append(top[0])
             top_p = np.array([[x for _, x in top]])
         else:
@@ -356,7 +437,8 @@ def maximize_box(f, dim: int, grid: int, tol: float, seeds=((),)) -> list:
         value = max(v for v, _ in best)
         found = [(best[0][0], value, min(x for v, x in best if v == value))]
     else:  # the best stage of each instance, ranked as a stage of its own
-        value, arg = (a[:, 0].tolist() for a in _ranked(best_p, best_v, 1))
+        pts = best_p if dim == 1 else best_p.transpose(2, 0, 1)[..., None, None]
+        value, arg = (a[:, 0].tolist() for a in _ranked(pts, best_v, 1))
         found = zip(best_v[:, 0].tolist(), value, map(tuple, arg) if dim > 1 else arg)
     refine = levels * _CENTRES * per_axis ** dim
     # None where an instance has no finite seed or grid value

@@ -217,29 +217,32 @@ def genie_kernel_ref(c, r1, r2, t1, t2):
     return mac, p2p
 
 
-def t_star_ref(c, rho):
-    r1, r2 = rho[..., 0], rho[..., 1]
-    bound = 1.0 / np.sqrt(1.0 - rho * rho)
-    t1 = np.fmax(r1 * c.s_a, bound[..., 1])
+def t_star_ref(c, r1, r2):
+    bound1, bound2 = 1.0 / np.sqrt(1.0 - r1 * r1), 1.0 / np.sqrt(1.0 - r2 * r2)
+    t1 = np.fmax(r1 * c.s_a, bound2)
     if c.a_zero is not None:
         t1 = np.where(c.a_zero, math.inf, t1)
-    t2 = np.fmax(r2 * c.inv_g31q1, bound[..., 0])
+    t2 = np.fmax(r2 * c.inv_g31q1, bound1)
     if c.g31_zero is not None:
         t2 = np.where(c.g31_zero, math.inf, t2)
     return t1, t2
 
 
-def genie_reduced_ref(c, rho):
+def genie_reduced_ref(c, r1, r2):
+    """The reduced genie objective at the points of the coordinate arrays
+    ``r1`` and ``r2``, each of the points' full shape (m, n, ...) with four
+    axes, as ``c``'s arrays broadcast."""
     with np.errstate(all="ignore"):
-        mac, p2p = genie_kernel_ref(c, rho[..., 0], rho[..., 1], *t_star_ref(c, rho))
+        mac, p2p = genie_kernel_ref(c, r1, r2, *t_star_ref(c, r1, r2))
     return mac + p2p
 
 
 def genie_reduced(c, rho):
-    """``pimac.bounds._genie_sum(c, rho)``, the genie bound minimized over
-    the scalings at each point ``rho``, in its own ``np.errstate``."""
+    """``pimac.bounds._genie_sum(c, xy)``, the genie bound minimized over
+    the scalings, at each point of the (m, n, 2) array ``rho``, as an (m, n)
+    array, in its own ``np.errstate``."""
     with np.errstate(all="ignore"):
-        return _genie_sum(c, rho)
+        return _genie_sum(c, rho.transpose(2, 0, 1)[..., None, None]).reshape(rho.shape[:2])
 
 
 def tdma_parts_ref(c, alphas):

@@ -29,7 +29,7 @@ from pimac.bounds import (
     genie_bound_batch,
 )
 from pimac.experiments import _sampling_map
-from pimac.optimize import _grid
+from pimac.optimize import _grid, _grid_axes, _windows
 
 from _support import (
     KERNEL_ROWS,
@@ -204,27 +204,29 @@ def test_genie_objective_zero_gain_value():
 
 def test_genie_kernel_equals_expression_form():
     # The search's objective (_genie_sum: the scalings and the kernel, with
-    # rho^2 and rho1 s/A computed once for both) equals the expression form
-    # bit for bit: on the shared 33 x 33 grid (stride 0 over instances) and
-    # on per-instance windows, for a batch of 15 rows holding every
-    # degenerate case and for each row alone. The kernel is also compared at
-    # scalings t = 1/eta from 1 to inf, and genie_bound_batch, whose path
-    # the Monte-Carlo check shares, row by row at eta from 0 to 1.
+    # rho^2 and 1/sqrt(1 - rho^2) of both coordinates in one call) equals
+    # the expression form bit for bit at explicit points, given as their
+    # (2, m, n, 1, 1) columns: on the 33 x 33 grid (stride 0 over
+    # instances) and on per-instance windows, for a batch of 15 rows holding
+    # every degenerate case and for each row alone. The kernel is also
+    # compared at scalings t = 1/eta from 1 to inf, and genie_bound_batch,
+    # whose path the Monte-Carlo check shares, row by row at eta from 0 to 1.
     rng = np.random.default_rng(13)
     for rows in [KERNEL_ROWS] + [[p] for p in KERNEL_ROWS]:
         c, m = _genie_coeffs(rows), len(rows)
-        windows = rng.uniform(0.0, 1.0, (m, 243, 2))
-        windows[:, :3] = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
-        for rho in (_grid(2, 33, m), windows):
+        windows = rng.uniform(0.0, 1.0, (2, m, 243, 1, 1))
+        windows[:, :, :3, 0, 0] = np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]).T[:, None]
+        for xy in (_grid(2, 33, m), windows):
             with np.errstate(all="ignore"):
-                assert same_bits(_genie_sum(c, rho), genie_reduced_ref(c, rho))
-        r1, r2 = windows[..., 0], windows[..., 1]
+                assert same_bits(_genie_sum(c, xy), genie_reduced_ref(c, xy[0], xy[1]))
+        r1, r2 = windows
         with np.errstate(all="ignore"):
             t1 = 1.0 / (rng.uniform(0.0, 1.0, r1.shape) * np.sqrt(1.0 - r2 * r2))
             t2 = 1.0 / (rng.uniform(0.0, 1.0, r1.shape) * np.sqrt(1.0 - r1 * r1))
             t1[:, 3:6], t2[:, 6:9] = math.inf, math.inf
-            got = _genie_kernel(c, windows, windows * windows, r1 * c.s_a, t1, t2,
-                                np.empty((6,) + r1.shape))
+            arrays = np.empty((4,) + r1.shape)
+            w = np.subtract(t1, r1 * c.s_a, out=arrays[0])
+            got = _genie_kernel(c, r2, (r1 * r1, r2 * r2), w, t1, t2, arrays)
             want = genie_kernel_ref(c, r1, r2, t1, t2)
         assert all(same_bits(g, w) for g, w in zip(got, want))
     for p in KERNEL_ROWS:
@@ -235,6 +237,32 @@ def test_genie_kernel_equals_expression_form():
             mac, p2p = genie_kernel_ref(_genie_coeffs([p], signed=True), r1, r2,
                                         1.0 / e1, 1.0 / e2)
         assert same_bits(genie_bound_batch(p, genie), (mac + p2p)[0])
+
+
+def test_genie_objective_on_axes_equals_points():
+    # A batch evaluates the genie objective on its stages' axes: the shared
+    # 33-point grid, whole and cut into whole rows as the search cuts it
+    # for a block of 67 rows, and 3 windows of 9 x 9 per instance, around
+    # centres that put them against 0 and 1, at the first and the last
+    # level's spacing. Each call equals the objective at the same axes
+    # expanded into explicit points, and the expression form there, bit for
+    # bit, for the kernel rows (every degenerate case, gains of 1e150,
+    # powers of 1e200 and 1e-300) as a batch and one by one. The expression
+    # form pairs each one-coordinate term with its coordinate on its own.
+    gx, gy = _grid_axes(33)
+    centres = np.array([(0.0, 0.5), (1.0, 1.0), (0.99, 0.01)])
+    for rows in [KERNEL_ROWS] + [[p] for p in KERNEL_ROWS]:
+        c, m = _genie_coeffs(rows), len(rows)
+        stages = [(gx, gy)] + [(gx[:, j:j + 7], gy) for j in range(0, 33, 7)]
+        stages += [_windows(np.broadcast_to(centres, (m, 3, 2)), spacing, np.empty((2, m, 3, 9)))
+                   for spacing in (2.0 ** -5, 2.0 ** -19)]
+        for x, y in stages:
+            points = np.array(np.broadcast_arrays(x, y, np.empty((m, 1, 1, 1)))[:2])
+            with np.errstate(all="ignore"):
+                got = _genie_sum(c, (x, y)).copy()
+                want = _genie_sum(c, points)
+            assert got.shape == points.shape[1:]
+            assert same_bits(got, want) and same_bits(got, genie_reduced_ref(c, *points))
 
 
 def test_genie_objective_validity_over_random_draws():

@@ -46,7 +46,9 @@ BUDGETS = (10.0, 10.0, 10.0)
 def test_sweep_config_validation():
     with pytest.raises(DomainError):
         SweepConfig(h_min=1.0, h_max=0.0, steps=5, h22=0.2, p1=1, p2=1, p3=1)
-    for steps in (0, 2.5):
+    # A bool is no step count: numbers.Integral admits it, and True would
+    # sweep one row.
+    for steps in (0, 2.5, True, False):
         with pytest.raises(DomainError):
             SweepConfig(h_min=0.0, h_max=1.0, steps=steps, h22=0.2, p1=1, p2=1, p3=1)
     with pytest.raises(DomainError):
@@ -297,7 +299,10 @@ def test_figure_sweep_objective_calls_and_block_rows(monkeypatch):
     # 84 + 17 rows (TDMA-TIN, 195 points a row) and 67 + 34 rows (the genie
     # bound, 243 points a row), and each block's grid stage (1 027 and 1 089
     # points a row) takes calls of at most _BLOCK_POINTS points: 14 and 24
-    # calls in all, against 28 and 63 with blocks of 15 rows.
+    # calls in all, against 28 and 63 with blocks of 15 rows. The genie
+    # bound's grid is cut into whole rows of 33 points (7 and 14 rows a
+    # call), and its points per row are those of its values, since its
+    # calls pass axes.
     calls = {"tdma_tin": [], "ub1": []}
 
     def counted(kernel, shapes):
@@ -306,13 +311,20 @@ def test_figure_sweep_objective_calls_and_block_rows(monkeypatch):
             return kernel(c, pts)
         return wrapper
 
+    def counted_values(kernel, shapes):
+        def wrapper(c, xy):
+            values = kernel(c, xy)
+            shapes.append((len(values), values[0].size))
+            return values
+        return wrapper
+
     monkeypatch.setattr(schemes, "_tdma_parts", counted(schemes._tdma_parts, calls["tdma_tin"]))
-    monkeypatch.setattr(bounds, "_genie_sum", counted(bounds._genie_sum, calls["ub1"]))
+    monkeypatch.setattr(bounds, "_genie_sum", counted_values(bounds._genie_sum, calls["ub1"]))
     run_sweep(SweepConfig(h_min=0.0, h_max=1.0, steps=101, h22=0.2, p1=10, p2=10, p3=10))
     assert calls["tdma_tin"] == ([(84, 195)] * 5 + [(84, 52)] + [(84, 3 * 65)] * 3
                                  + [(17, 963), (17, 64)] + [(17, 3 * 65)] * 3)
-    assert calls["ub1"] == ([(67, 244)] * 4 + [(67, 113)] + [(67, 3 * 81)] * 8
-                            + [(34, 481)] * 2 + [(34, 127)] + [(34, 3 * 81)] * 8)
+    assert calls["ub1"] == ([(67, 7 * 33)] * 4 + [(67, 5 * 33)] + [(67, 3 * 81)] * 8
+                            + [(34, 14 * 33)] * 2 + [(34, 5 * 33)] + [(34, 3 * 81)] * 8)
     assert all(m * n <= _BLOCK_POINTS for shapes in calls.values() for m, n in shapes)
 
 
@@ -360,6 +372,22 @@ def test_detect_regimes_single_row_and_missing_arg():
         detect_pc_tin_regimes([SweepRow(h=0.0, p_opt=(10, 10, 10))])
 
 
+def test_detect_regimes_rejects_unsorted_rows():
+    # Rows out of gain order would merge into intervals that overlap or run
+    # backwards, ((0.5, 0.3), 'FULL_POWER') first here: they are refused.
+    rows = [_row(0.5, (10, 10, 10)), _row(0.1, (0, 10, 10)), _row(0.9, (10, 10, 10))]
+    with pytest.raises(ContractError, match="sorted by gain"):
+        detect_pc_tin_regimes(rows)
+    # A NaN gain has no place in the order, and would hide one that is out
+    # of it (0.1, then 0.05).
+    with pytest.raises(ContractError, match="sorted by gain"):
+        detect_pc_tin_regimes([_row(0.1, (10, 10, 10)), _row(math.nan, (0, 10, 10)),
+                               _row(0.05, (10, 10, 10))])
+    # Equal gains are in order.
+    assert detect_pc_tin_regimes([_row(0.1, (10, 10, 10)), _row(0.1, (0, 10, 10))]) == [
+        ((0.1, 0.1), "FULL_POWER"), ((0.1, 0.1), "USER1_SILENT")]
+
+
 def test_montecarlo_matches_known_value_with_zero_gains():
     params = PimacParams(0.0, 0.0, 0.0, 10.0, 10.0, 10.0)
     genie = GenieParams(0.0, 0.0, 1.0, 1.0)
@@ -383,10 +411,12 @@ def test_montecarlo_determinism_and_precondition():
                                     1000, seed=0)
     # n_samples is an integer >= 8 (fewer samples of the 7 variables have a
     # singular sample covariance) and seed an integer >= 0, as
-    # SweepConfig.steps: a float count is not truncated, and numpy's own
-    # TypeError or ValueError does not escape.
+    # SweepConfig.steps: a float count is not truncated, a bool is no seed
+    # (True would report seed 1), and numpy's own TypeError or ValueError
+    # does not escape.
     for n_samples, seed in ((8.9, 0), (8.0, 0), (7, 0), (2, 0), (1, 0), (math.nan, 0),
-                            (100, 1.5), (100, 1.0), (100, -1), (100, None)):
+                            (100, 1.5), (100, 1.0), (100, -1), (100, None),
+                            (100, True), (100, False), (True, 0)):
         with pytest.raises(DomainError):
             montecarlo_covariance_check(params, genie, n_samples, seed)
     small = montecarlo_covariance_check(params, genie, np.int64(8), np.int64(0))

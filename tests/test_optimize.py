@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from pimac import NumericError, PimacParams
 from pimac.bounds import _genie_coeffs, _genie_sum
-from pimac.optimize import _grid, _ranked, _ranked_one, _windows, maximize_box
+from pimac.optimize import _grid, _grid_axes, _ranked, _ranked_one, _windows, maximize_box
 from pimac.schemes import _tdma_coeffs, _tdma_parts
 
 from _support import KERNEL_ROWS, WIDE_GAIN, WIDE_POWER, figure3_params, same_bits
@@ -142,18 +142,21 @@ def test_batch_ranking_equals_the_walk_of_one_instance():
         (lambda x: np.where(x == 0.5, 1.0, 0.0), 1, 5, (0.5,) * 8),
         (lambda x: -(x - 0.3) ** 2, 1, 2, ()),
         (lambda x: -(x - 0.3) ** 2, 1, 2, (0.0,)),
-        (lambda p: np.zeros(p.shape[:-1]), 2, 5, ((0.75, 0.75),)),
-        (lambda p: np.minimum(p[..., 0], 0.25), 2, 9, ()),
-        (lambda p: np.where(p[..., 0] == 0.5, 1.0, 0.0), 2, 5, ((0.5, 0.0),) * 9),
-        (_in_disk(_bowl), 2, 17, ((0.75, 0.75),)),
+        (_pair(_zeros), 2, 5, ((0.75, 0.75),)),
+        (_pair(lambda x, y: np.minimum(x + 0.0 * y, 0.25)), 2, 9, ()),
+        (_pair(lambda x, y: np.where(x + 0.0 * y == 0.5, 1.0, 0.0)), 2, 5, ((0.5, 0.0),) * 9),
+        (_pair(_in_disk(_bowl)), 2, 17, ((0.75, 0.75),)),
     )
     for f, dim, grid, seeds in cases:
         alone = maximize_box(f, dim, grid, 1e-6, [seeds])
         assert alone[0] is not None
-        # The same instance twice, the second time without seeds.
-        both = maximize_box(lambda p: np.stack([f(p[0]), f(p[1])]), dim, grid, 1e-6,
-                            [seeds, ()])
-        assert both == alone + maximize_box(f, dim, grid, 1e-6)
+        # The same instance twice, the second time without seeds: its 2-D
+        # stages are explicit points, and without any seeds a batch's axes.
+        for both_seeds in ([seeds, ()], [(), ()]):
+            both = maximize_box(lambda p: np.stack([f(_instance(p, 0)), f(_instance(p, 1))]),
+                                dim, grid, 1e-6, both_seeds)
+            first = alone if both_seeds[0] else maximize_box(f, dim, grid, 1e-6)
+            assert both == first + maximize_box(f, dim, grid, 1e-6)
 
 
 @st.composite
@@ -180,7 +183,7 @@ def _plateau_and_repeats():
     # nine copies of one of its points ahead of it, and the same points
     # -inf everywhere. The second example is 1-D rows of 2 points (fewer
     # than 3k), one of them a plateau.
-    grid = _grid(2, 5, 1)[0]
+    grid = _grid(2, 5, 1)[:, 0, :, 0, 0].T
     pts = np.concatenate((np.tile([0.5, 0.0], (9, 1)), grid))
     values = np.where(pts[:, 0] == 0.5, 1.0, 0.0)
     return (np.array([pts, pts]), np.array([values, np.full(values.shape, -math.inf)]), 3)
@@ -195,7 +198,8 @@ def test_batch_ranking_equals_a_whole_row_sort(stage):
     # candidates of all rows) equals sorting every row whole by (-value,
     # point) and taking its first k distinct points, padding included.
     pts, values, k = stage
-    (got_v, got_p), (want_v, want_p) = _ranked(pts, values, k), ranked_ref(pts, values, k)
+    pair = pts if pts.ndim == 2 else pts.transpose(2, 0, 1)[..., None, None]
+    (got_v, got_p), (want_v, want_p) = _ranked(pair, values, k), ranked_ref(pts, values, k)
     assert same_bits(got_v, want_v) and same_bits(got_p, want_p)
 
 
@@ -230,15 +234,19 @@ def test_refinement_count_is_levels_times_three_windows():
     # 2 points has fewer than 3 distinct points: its last centre repeats.
     cases = ((lambda x: -(x - 0.3) ** 2, 1, 2, 1e-4, 3),
              (lambda x: -(x - 0.3) ** 2, 1, 65, 1e-4, 2),
-             (lambda p: -_bowl(p), 2, 17, 1e-4, 5))
+             (_pair(lambda x, y: -_bowl(x, y)), 2, 17, 1e-4, 5))
     for g, dim, grid, tol, levels in cases:
         refine = levels * 3 * (65 if dim == 1 else 9 * 9)
         for m in (1, 3):
             shapes = []
 
             def f(pts):
-                shapes.append(pts.shape[:2])
-                return g(pts)
+                # (instances, points per instance) of each call; in 2-D the
+                # instance axis comes from the objective's constants, as in
+                # the genie bound's, since a batch's grid axes are shared.
+                values = g(pts) if dim == 1 else g(pts) + np.zeros((m, 1, 1, 1))
+                shapes.append((len(values), values[0].size))
+                return values
 
             results = maximize_box(f, dim, grid, tol, [()] * m)
             assert [r.diagnostics["levels"] for r in results] == [levels] * m
@@ -248,15 +256,33 @@ def test_refinement_count_is_levels_times_three_windows():
             assert all(rows == m for rows, _ in shapes)
 
 
-# The 2-D tests minimize g by maximizing -g, as the genie bound does.
-def _bowl(p):
-    return (p[..., 0] - 0.65) ** 2 + 2.0 * (p[..., 1] - 0.275) ** 2
+# The 2-D objectives are functions g(x, y) of two coordinate arrays that
+# broadcast against each other, with values in their broadcast shape.
+# maximize_box passes the pair (x, y) as one argument (_pair). The tests
+# minimize g by maximizing -g, as the genie bound does.
+def _pair(g):
+    return lambda xy: g(*xy)
+
+
+def _instance(pts, i):
+    # Instance i's points of a stage: its row in 1-D, and in 2-D its
+    # coordinate arrays, whose instance axis may be shared (of length 1).
+    if isinstance(pts, np.ndarray) and pts.ndim == 2:
+        return pts[i]
+    return [a[min(i, len(a) - 1)] for a in pts]
+
+
+def _zeros(x, y):
+    return 0.0 * (x + y)
+
+
+def _bowl(x, y):
+    return (x - 0.65) ** 2 + 2.0 * (y - 0.275) ** 2
 
 
 def _in_disk(g):
     # Feasible on the disk inscribed in the unit square, -inf outside it.
-    return lambda p: np.where((p[..., 0] - 0.5) ** 2 + (p[..., 1] - 0.5) ** 2 <= 0.25,
-                              -g(p), -math.inf)
+    return lambda x, y: np.where((x - 0.5) ** 2 + (y - 0.5) ** 2 <= 0.25, -g(x, y), -math.inf)
 
 
 def test_windows_equal_expression_form():
@@ -280,13 +306,21 @@ def test_windows_equal_expression_form():
                 near_one = 1.0 - spacing * rng.uniform(0.0, 1.0, shape)
                 centres = np.concatenate((np.broadcast_to(edges, (m,) + edges.shape),
                                           rng.uniform(0.0, 1.0, shape), near_one), axis=1)
-                assert same_bits(_windows(centres, spacing),
-                                 windows_ref(centres, spacing, lo, hi))
+                want = windows_ref(centres, spacing, lo, hi)
+                got = _windows(centres, spacing)
+                if dim == 2:  # explicit points, as the columns (2, m, n, 1, 1)
+                    got = np.moveaxis(got[..., 0, 0], 0, -1)
+                    # A batch's axes, x (m, k, 9, 1) and y (m, k, 1, 9),
+                    # expand to the same points.
+                    axes = _windows(centres, spacing, np.empty((2,) + centres.shape[:2] + (9,)))
+                    expanded = np.stack(np.broadcast_arrays(*axes), axis=-1)
+                    assert same_bits(expanded.reshape(want.shape), want)
+                assert same_bits(got, want)
             spacing = spacing * shrink
 
 
 def test_minimize_unit_disk_quadratic():
-    (res,) = maximize_box(_in_disk(_bowl), 2, 17, 1e-8, seeds=[((0.75, 0.75),)])
+    (res,) = maximize_box(_pair(_in_disk(_bowl)), 2, 17, 1e-8, seeds=[((0.75, 0.75),)])
     assert isinstance(res.arg, tuple) and len(res.arg) == 2
     assert abs(res.arg[0] - 0.65) <= 1e-8 and abs(res.arg[1] - 0.275) <= 1e-8
     assert -res.value <= 1e-15
@@ -294,28 +328,28 @@ def test_minimize_unit_disk_quadratic():
 
 def test_minimize_skips_infinite_plateau():
     # Only a pocket is feasible; its best point is the corner nearest (0.95, 0.95).
-    def pocket(p):
-        inside = (np.abs(p[..., 0] - 0.5) <= 0.15) & (np.abs(p[..., 1] - 0.5) <= 0.15)
-        return np.where(inside, (p[..., 0] - 0.95) ** 2 + (p[..., 1] - 0.95) ** 2, math.inf)
+    def pocket(x, y):
+        inside = (np.abs(x - 0.5) <= 0.15) & (np.abs(y - 0.5) <= 0.15)
+        return np.where(inside, (x - 0.95) ** 2 + (y - 0.95) ** 2, math.inf)
 
-    (res,) = maximize_box(lambda p: -pocket(p), 2, 21, 1e-9, seeds=[((0.5, 0.5),)])
+    (res,) = maximize_box(_pair(lambda x, y: -pocket(x, y)), 2, 21, 1e-9, seeds=[((0.5, 0.5),)])
     assert math.isfinite(res.value)
     assert abs(res.arg[0] - 0.65) <= 1e-9 and abs(res.arg[1] - 0.65) <= 1e-9
 
 
 def test_minimize_infeasible_when_everything_is_infinite():
     # An instance whose every seed and grid point is infeasible has no result.
-    assert maximize_box(lambda p: np.full(p.shape[:-1], -math.inf), 2, 5, 1e-6,
+    assert maximize_box(_pair(lambda x, y: _zeros(x, y) - math.inf), 2, 5, 1e-6,
                         seeds=[((0.0, 0.0),)]) == [None]
     assert maximize_box(lambda x: np.full(x.shape, -math.inf), 1, 101, 1e-6) == [None]
 
 
 def test_minimize_determinism():
-    def f(p):
-        return -(np.cos(6 * p[..., 0] - 3) + (2 * p[..., 1] - 1.2) ** 2)
+    def f(x, y):
+        return -(np.cos(6 * x - 3) + (2 * y - 1.2) ** 2)
 
-    a = maximize_box(f, 2, 21, 1e-6, seeds=[((0.5, 0.5),)])
-    b = maximize_box(f, 2, 21, 1e-6, seeds=[((0.5, 0.5),)])
+    a = maximize_box(_pair(f), 2, 21, 1e-6, seeds=[((0.5, 0.5),)])
+    b = maximize_box(_pair(f), 2, 21, 1e-6, seeds=[((0.5, 0.5),)])
     assert a == b
 
 
@@ -327,7 +361,7 @@ def test_minimize_stop_reasons_and_stage_counts():
         (0.5, (), 0),
     )
     for tol, seeds, levels in cases:
-        (res,) = maximize_box(lambda p: -_bowl(p), 2, 17, tol, [seeds])
+        (res,) = maximize_box(_pair(lambda x, y: -_bowl(x, y)), 2, 17, tol, [seeds])
         diag = res.diagnostics
         assert set(diag) == {"evaluations", "stages", "levels"}
         assert diag["levels"] == levels
@@ -337,20 +371,26 @@ def test_minimize_stop_reasons_and_stage_counts():
 
 
 def test_box_nan_or_plus_infinity_identifies_point():
+    # One instance (explicit points) and the last of a batch of 3 (axes
+    # shared by the batch) are not usable where x + y > 1.5: the first such
+    # point in row-major order is named with its instance.
+    last = np.arange(3).reshape(3, 1, 1, 1) == 2
     for bad in (math.nan, math.inf):
-        def f(p):
-            return np.where(p[..., 0] + p[..., 1] > 1.5, bad, 0.0)
+        def f(x, y):
+            return np.where(x + y > 1.5, bad, 0.0)
 
-        with pytest.raises(NumericError, match=r"\(0\.75, 1\.0\)"):
-            maximize_box(f, 2, 5, 1e-6)
+        with pytest.raises(NumericError, match=r"instance 0 is not usable at \(0\.75, 1\.0\)"):
+            maximize_box(_pair(f), 2, 5, 1e-6)
+        with pytest.raises(NumericError, match=r"instance 2 is not usable at \(0\.75, 1\.0\)"):
+            maximize_box(_pair(lambda x, y: np.where(last, f(x, y), 0.0)), 2, 5, 1e-6,
+                         [()] * 3)
 
 
 def test_box_ties_go_to_lexicographically_smallest_point():
-    (res,) = maximize_box(lambda p: np.zeros(p.shape[:-1]), 2, 5, 1e-6,
-                          seeds=[((0.75, 0.75),)])
+    (res,) = maximize_box(_pair(_zeros), 2, 5, 1e-6, seeds=[((0.75, 0.75),)])
     assert (res.arg, res.value) == ((0.0, 0.0), 0.0)
     # A ridge along p0 = 0.25: every point on it ties, the smallest p1 wins.
-    (ridge,) = maximize_box(lambda p: np.minimum(p[..., 0], 0.25), 2, 9, 1e-6)
+    (ridge,) = maximize_box(_pair(lambda x, y: np.minimum(x + 0.0 * y, 0.25)), 2, 9, 1e-6)
     assert ridge.arg == (0.25, 0.0) and ridge.value == 0.25
 
 
@@ -373,8 +413,8 @@ def test_search_objectives_are_never_nan_or_plus_infinity(rows, rho, alphas):
     m = len(rows)
     genie = _genie_coeffs(rows)
     with np.errstate(all="ignore"):
-        for pts in (_grid(2, 33, m),
-                    np.repeat(np.array(rho)[None], m, axis=0)):
+        for pts in (_grid_axes(33), _grid(2, 33, m),
+                    np.repeat(np.array(rho).T[:, None], m, axis=1)[..., None, None]):
             bound = _genie_sum(genie, pts)
             assert not np.isnan(bound).any() and (bound >= 0.0).all()
     tdma = _tdma_coeffs(rows)
