@@ -233,22 +233,26 @@ def _genie_coeffs(rows, signed: bool = False) -> _GenieCoeffs:
     return _GenieCoeffs(*_columns([_coeff_row(p, signed) for p in rows], _N_VALUES))
 
 
-def _rho_terms(xy) -> tuple:
-    """``rho^2`` and ``1/sqrt(1 - rho^2)`` of both coordinates of the points
-    ``xy`` (see ``_genie_sum``), each as a pair: one call for both where
-    ``xy`` is one array of explicit points, one per axis otherwise."""
+def _rho_terms(c: _GenieCoeffs, xy) -> tuple:
+    """The broadcast shape of the points ``xy`` (see ``_genie_sum``) with
+    ``c``'s arrays, and ``rho^2`` and ``1/sqrt(1 - rho^2)`` of both
+    coordinates, each as a pair. They are formed in one call for both
+    coordinates where ``xy`` is one (2, ...) array of explicit points, as a
+    batch of one passes (one call per axis makes ``c_sigma_1`` 9% slower
+    per call, ROADMAP item 7), and on each axis otherwise."""
     if isinstance(xy, np.ndarray):
         sq = np.multiply(xy, xy)
         b = np.subtract(1.0, sq)
         np.sqrt(b, out=b)
-        return sq, np.divide(1.0, b, out=b)
+        return xy.shape[1:], sq, np.divide(1.0, b, out=b)
     sq = [np.multiply(v, v) for v in xy]
-    return sq, [np.divide(1.0, np.sqrt(np.subtract(1.0, v))) for v in sq]
+    return (np.broadcast(c.a, *xy).shape, sq,
+            [np.divide(1.0, np.sqrt(np.subtract(1.0, v))) for v in sq])
 
 
 def _t1_star(c: _GenieCoeffs, r1_s, b) -> np.ndarray:
     """The best feasible ``t1 = 1/eta1``, ``max(rho1 s/A, 1/sqrt(1 - rho2^2))``,
-    given ``r1_s = rho1 s/A`` and ``b = _rho_terms(xy)[1]``: a new array.
+    given ``r1_s = rho1 s/A`` and ``b = _rho_terms(c, xy)[2]``: a new array.
     Where ``S1`` carries no input (``A = 0``) it is best dropped:
     ``t* = inf``. ``fmax`` skips the NaN of ``0 * inf``."""
     t1 = np.fmax(r1_s, b[1])
@@ -338,8 +342,7 @@ def _genie_sum(c: _GenieCoeffs, xy) -> np.ndarray:
     formed only where the ``q = 0`` rule reads it.
     """
     x, y = xy[0], xy[1]
-    sq, b = _rho_terms(xy)
-    shape = x.shape if isinstance(xy, np.ndarray) else np.broadcast(c.a, x, y).shape
+    shape, sq, b = _rho_terms(c, xy)
     arrays = _WORK.take("kernel", (4, shape[0], math.prod(shape[1:]))).reshape((4,) + shape)
     r1_s = np.multiply(x, c.s_a)
     w = np.subtract(b[1], r1_s, out=arrays[0])
@@ -413,7 +416,7 @@ def _c_sigma_1_batch(rows) -> list:
             # The scalings at each instance's point, as (2, m, 1, 1, 1) columns.
             xy = np.array([(0.0, 0.0) if res is None else res.arg for res in found]).T
             xy = xy[..., None, None, None]
-            b = _rho_terms(xy)[1]
+            b = _rho_terms(c, xy)[2]
             t1, t2 = _t1_star(c, np.multiply(xy[0], c.s_a), b), _t2_star(c, xy[1], b)
         results += [None if res is None else
                     SchemeResult(sum_rate=-res.value,

@@ -97,8 +97,10 @@ def _values(f, pts, m: int, step: int) -> tuple:
     2-D it is a pair (x, y) of coordinate arrays of four axes, instances
     (m or 1) first, which broadcast against each other: one (2, m, n, 1, 1)
     array of explicit points, or the tuple of a batch's axes
-    (``maximize_box``). ``f`` returns their values with an instance axis of
-    m, in the points' broadcast shape, read row-major per instance. A stage
+    (``maximize_box``). ``f`` returns their values in the points' broadcast
+    shape, read row-major per instance, with an instance axis of m, or of 1
+    where they do not depend on the instance, which is broadcast to m
+    (``_per_instance``; any other length raises ValueError). A stage
     of more than ``step`` points per instance (the grid stage of a full
     block) is evaluated in calls of at most that many, cut along axis 1
     (the points, or the grid's rows), into one workspace array. ``-inf``
@@ -112,14 +114,14 @@ def _values(f, pts, m: int, step: int) -> tuple:
     if n * width <= step:
         values = f(pts)
         if not scalar:
-            values = values.reshape(m, -1)
+            values = _per_instance(values, m)
     else:
         values = _WORK.take("values", (m, n * width))
         rows = max(1, step // width)  # entries of axis 1 in one call
         for j in range(0, n, rows):
             part = (pts[:, j:j + rows] if scalar else
                     tuple(a[:, j:j + rows] if a.shape[1] > 1 else a for a in pts))
-            values[:, j * width:(j + rows) * width] = f(part).reshape(m, -1)
+            values[:, j * width:(j + rows) * width] = _per_instance(f(part), m)
     peak = np.maximum.reduce(values, axis=None)
     if not peak < math.inf:  # NaN or +inf
         i, j = np.argwhere(~(values < math.inf))[0].tolist()
@@ -128,6 +130,13 @@ def _values(f, pts, m: int, step: int) -> tuple:
                            f"{(x.real, x.imag) if isinstance(x, complex) else x!r}: "
                            f"{values[i, j]!r}")
     return values, peak
+
+
+def _per_instance(values, m: int) -> np.ndarray:
+    """An objective's values as m rows, one per instance, read row-major:
+    values with an instance axis of 1 are the same for every instance."""
+    values = values.reshape(len(values), -1)
+    return values if len(values) == m else np.broadcast_to(values, (m, values.shape[1]))
 
 
 @functools.lru_cache(maxsize=16)
@@ -337,8 +346,8 @@ def maximize_box(f, dim: int, grid: int, tol: float, seeds=((),)) -> list:
     to their (m, n) values. In 2-D its one argument is a pair (x, y) of
     coordinate arrays of four axes, instances first, which broadcast
     against each other, and it returns the values at the points of their
-    product with an instance axis of m, read row-major per instance
-    (``_values``). A batch without seeds passes axes: its grid stage as the
+    product, read row-major per instance, with an instance axis of m (or of
+    1 for values that do not depend on the instance; ``_values``). A batch without seeds passes axes: its grid stage as the
     grid's rows x (1, grid, 1, 1) against its columns y (1, 1, 1, grid),
     shared by the instances, and each refinement stage as 3 windows per
     instance, x (m, 3, 9, 1) against y (m, 3, 1, 9). A batch of one, whose

@@ -230,8 +230,10 @@ def test_one_instance_ranking_equals_a_whole_row_sort(stage):
 def test_refinement_count_is_levels_times_three_windows():
     # Every instance reports levels x 3 windows of 65 or 9 x 9 points as its
     # refinement count, at batch sizes 1 and 3, and the objective receives
-    # exactly that many points per instance after the grid stage. A grid of
-    # 2 points has fewer than 3 distinct points: its last centre repeats.
+    # exactly that many points per instance after the grid stage. Its points
+    # have an instance axis of 1 or m at the grid stage (a batch's 2-D grid
+    # axes are shared) and of m after it. A grid of 2 points has fewer than
+    # 3 distinct points: its last centre repeats.
     cases = ((lambda x: -(x - 0.3) ** 2, 1, 2, 1e-4, 3),
              (lambda x: -(x - 0.3) ** 2, 1, 65, 1e-4, 2),
              (_pair(lambda x, y: -_bowl(x, y)), 2, 17, 1e-4, 5))
@@ -241,19 +243,19 @@ def test_refinement_count_is_levels_times_three_windows():
             shapes = []
 
             def f(pts):
-                # (instances, points per instance) of each call; in 2-D the
-                # instance axis comes from the objective's constants, as in
-                # the genie bound's, since a batch's grid axes are shared.
-                values = g(pts) if dim == 1 else g(pts) + np.zeros((m, 1, 1, 1))
-                shapes.append((len(values), values[0].size))
+                # The instance axes of each call's points (its array in 1-D,
+                # x and y in 2-D) and its points per instance.
+                values = g(pts)
+                rows = {len(pts)} if dim == 1 else {len(a) for a in pts}
+                shapes.append((rows, values.size // len(values)))
                 return values
 
             results = maximize_box(f, dim, grid, tol, [()] * m)
             assert [r.diagnostics["levels"] for r in results] == [levels] * m
             assert [r.diagnostics["stages"]["refine"] for r in results] == [refine] * m
-            assert shapes[0] == (m, grid ** dim) and len(shapes) == levels + 1
+            assert shapes[0][1] == grid ** dim and len(shapes) == levels + 1
             assert sum(n for _, n in shapes[1:]) == refine
-            assert all(rows == m for rows, _ in shapes)
+            assert shapes[0][0] <= {1, m} and all(rows == {m} for rows, _ in shapes[1:])
 
 
 # The 2-D objectives are functions g(x, y) of two coordinate arrays that
@@ -384,6 +386,26 @@ def test_box_nan_or_plus_infinity_identifies_point():
         with pytest.raises(NumericError, match=r"instance 2 is not usable at \(0\.75, 1\.0\)"):
             maximize_box(_pair(lambda x, y: np.where(last, f(x, y), 0.0)), 2, 5, 1e-6,
                          [()] * 3)
+        # Values of the shared grid axes alone have an instance axis of 1.
+        with pytest.raises(NumericError, match=r"instance 0 is not usable at \(0\.75, 1\.0\)"):
+            maximize_box(_pair(f), 2, 5, 1e-6, [()] * 3)
+
+
+def test_batch_objective_without_instance_axis():
+    # An objective that does not depend on the instance returns values of
+    # instance axis 1 on the shared grid axes, which stand for every
+    # instance: batches of 3 (1 089 grid points, a multiple of 3) and of 20
+    # (grid stage cut into whole rows) find one instance's result for each,
+    # as the same objective with an instance axis of m does. Values of
+    # another instance axis length raise.
+    g = _pair(lambda x, y: -_bowl(x, y))
+    (one,) = maximize_box(g, 2, 33, 1e-6)
+    for m in (3, 20):
+        assert maximize_box(g, 2, 33, 1e-6, [()] * m) == [one] * m
+        assert maximize_box(lambda xy: g(xy) + np.zeros((m, 1, 1, 1)), 2, 33, 1e-6,
+                            [()] * m) == [one] * m
+        with pytest.raises(ValueError):
+            maximize_box(lambda xy: g(xy) + np.zeros((2, 1, 1, 1)), 2, 33, 1e-6, [()] * m)
 
 
 def test_box_ties_go_to_lexicographically_smallest_point():
