@@ -2,7 +2,7 @@
 
 Subcommands:
   pimac sweep    gain sweep to CSV (h12 = h31 = h, fixed h22)
-  pimac point    all six quantities at one parameter point, key=value lines
+  pimac point    every curve at one parameter point, key=value lines
   pimac validate Monte-Carlo covariance validation report
 
 Exit codes: 0 success, 1 domain/config errors, 2 I/O errors. Each option is

@@ -8,6 +8,7 @@ deterministic, so identical configurations yield byte-identical CSV files.
 
 import math
 import numbers
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,17 +29,48 @@ from .schemes import (
     sd_tin_sum_rate,
 )
 
-CURVES = ("sd_tin", "tdma_tin", "pc_tin", "tdma", "ub1", "ub2")
-
-CSV_COLUMNS = ("h", *CURVES, "alpha_opt", "p1_opt", "p2_opt", "p3_opt",
-               "rho1", "rho2", "eta1", "eta2", "regime")
-
 FULL_POWER = "FULL_POWER"
 USER1_SILENT = "USER1_SILENT"
 USER3_SILENT = "USER3_SILENT"
 OTHER = "OTHER"
 
 RNG_NAME = "numpy PCG64 (numpy.random.default_rng)"
+
+
+def _pc_tin(params):
+    res = pc_tin_sum_rate(params)
+    p_opt = res.arg.as_tuple()
+    return {"pc_tin": res.sum_rate, "p_opt": p_opt, "regime": classify_power_point(
+        p_opt, (params.p1_max, params.p2_max, params.p3_max))}
+
+
+def _ub2(params):
+    try:
+        return {"ub2": c_sigma_2(params)}
+    except InvalidRegimeError:
+        return {}
+
+
+# Each sweep curve, in column order: its kind ("scheme" or "bound") and its
+# batch function, which maps a list of instances to the SweepRow fields of
+# each and gives no fields where the curve is unavailable. The functions look
+# their callees up by module name when called, so a rebound name takes effect.
+_CURVE_TABLE = {
+    "sd_tin": ("scheme", lambda rows: [{"sd_tin": sd_tin_sum_rate(p).sum_rate} for p in rows]),
+    "tdma_tin": ("scheme", lambda rows: [
+        {"tdma_tin": res.sum_rate, "alpha_opt": res.arg.alpha} for res in _tdma_tin_batch(rows)]),
+    "pc_tin": ("scheme", lambda rows: [_pc_tin(p) for p in rows]),
+    "tdma": ("scheme", lambda rows: [{"tdma": plain_tdma_sum_rate(p).sum_rate} for p in rows]),
+    "ub1": ("bound", lambda rows: [
+        {} if res is None else {"ub1": res.sum_rate, "genie_opt": res.arg.as_tuple()}
+        for res in _c_sigma_1_batch(rows)]),
+    "ub2": ("bound", lambda rows: [_ub2(p) for p in rows]),
+}
+
+CURVES = tuple(_CURVE_TABLE)
+
+CSV_COLUMNS = ("h", *CURVES, "alpha_opt", "p1_opt", "p2_opt", "p3_opt",
+               "rho1", "rho2", "eta1", "eta2", "regime")
 
 
 def _is_integer(value) -> bool:
@@ -48,7 +80,11 @@ def _is_integer(value) -> bool:
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Gain sweep specification: ``h12 = h31 = h`` over [h_min, h_max]."""
+    """Gain sweep specification: ``h12 = h31 = h`` over [h_min, h_max].
+
+    ``which_curves`` is a collection of names from ``CURVES``, not a string,
+    and is kept as a tuple.
+    """
 
     h_min: float
     h_max: float
@@ -66,9 +102,12 @@ class SweepConfig:
             raise DomainError(f"h_min={self.h_min!r} exceeds h_max={self.h_max!r}")
         if not (_is_integer(self.steps) and self.steps >= 1):
             raise DomainError(f"steps must be an integer >= 1, got {self.steps!r}")
-        unknown = set(self.which_curves) - set(CURVES)
+        if isinstance(self.which_curves, str) or not isinstance(self.which_curves, Iterable):
+            raise DomainError(f"which_curves must be curve names, got {self.which_curves!r}")
+        object.__setattr__(self, "which_curves", tuple(self.which_curves))
+        unknown = [name for name in self.which_curves if name not in CURVES]
         if unknown:
-            raise DomainError(f"unknown curves: {sorted(unknown)!r}")
+            raise DomainError(f"unknown curves: {unknown!r}")
 
 
 @dataclass(frozen=True)
@@ -109,41 +148,16 @@ def _evaluate_rows(rows, curves) -> list[SweepRow]:
     """The requested curves at each instance of ``rows``, as the sweep rows at
     ``h = h12``.
 
-    The genie bound and TDMA-TIN take all the rows at once; PC-TIN and the
-    closed forms take one row at a time. ``ub1`` and its genie point are
-    left unavailable on the rows where ``c_sigma_1`` finds no finite genie
-    value, and ``ub2`` where ``c_sigma_2`` rejects the instance as outside
-    its regime.
+    Each requested curve's entry of ``_CURVE_TABLE``, in table order,
+    evaluates all the rows and leaves its curve unavailable where it has no
+    value. TDMA-TIN and the genie bound take the rows as one batch, the
+    others one row at a time.
     """
     values = [{} for _ in rows]
-    if "sd_tin" in curves:
-        for v, params in zip(values, rows):
-            v["sd_tin"] = sd_tin_sum_rate(params).sum_rate
-    if "tdma_tin" in curves:
-        for v, res in zip(values, _tdma_tin_batch(rows)):
-            v["tdma_tin"] = res.sum_rate
-            v["alpha_opt"] = res.arg.alpha
-    if "pc_tin" in curves:
-        for v, params in zip(values, rows):
-            res = pc_tin_sum_rate(params)
-            v["pc_tin"] = res.sum_rate
-            v["p_opt"] = res.arg.as_tuple()
-            v["regime"] = classify_power_point(
-                v["p_opt"], (params.p1_max, params.p2_max, params.p3_max))
-    if "tdma" in curves:
-        for v, params in zip(values, rows):
-            v["tdma"] = plain_tdma_sum_rate(params).sum_rate
-    if "ub1" in curves:
-        for v, res in zip(values, _c_sigma_1_batch(rows)):
-            if res is not None:
-                v["ub1"] = res.sum_rate
-                v["genie_opt"] = res.arg.as_tuple()
-    if "ub2" in curves:
-        for v, params in zip(values, rows):
-            try:
-                v["ub2"] = c_sigma_2(params)
-            except InvalidRegimeError:
-                pass
+    for name, (_, batch) in _CURVE_TABLE.items():
+        if name in curves:
+            for v, fields in zip(values, batch(rows)):
+                v.update(fields)
     return [SweepRow(h=params.h12, **v) for params, v in zip(rows, values)]
 
 
@@ -308,9 +322,7 @@ def _row_cells(row: SweepRow) -> list[str]:
 
 def render_csv(rows) -> str:
     """CSV text for a list of rows: fixed column order, 9 significant digits."""
-    lines = [",".join(CSV_COLUMNS)]
-    for row in rows:
-        lines.append(",".join(_row_cells(row)))
+    lines = [",".join(CSV_COLUMNS), *(",".join(_row_cells(row)) for row in rows)]
     return "\n".join(lines) + "\n"
 
 

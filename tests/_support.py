@@ -1,9 +1,11 @@
-"""Shared helpers for the test suite: instance generators."""
+"""Shared helpers for the test suite: instance generators and the sandwich
+of a sweep row."""
 
 import numpy as np
 from hypothesis import strategies as st
 
 from pimac import PimacParams
+from pimac.experiments import _CURVE_TABLE
 from pimac.schemes import _tdma_coeffs, _tdma_parts
 
 
@@ -94,3 +96,17 @@ def draw_feasible_genie(rng: np.random.Generator, rho_high: float = 0.85,
     eta1 = float(rng.uniform(frac_low, 1.0) * np.sqrt(1.0 - rho2 ** 2))
     eta2 = float(rng.uniform(frac_low, 1.0) * np.sqrt(1.0 - rho1 ** 2))
     return rho1, rho2, eta1, eta2
+
+
+def sandwich(row, curves):
+    """The best scheme and the tightest bound of a sweep row over ``curves``,
+    by the kinds of the curve table.
+
+    Every scheme among ``curves`` must be held by the row. A bound that the
+    row leaves unavailable is skipped, and min raises if it holds no bound.
+    """
+    kinds = {name: _CURVE_TABLE[name][0] for name in curves}
+    best = max(getattr(row, name) for name in curves if kinds[name] == "scheme")
+    tightest = min(getattr(row, name) for name in curves
+                   if kinds[name] == "bound" and getattr(row, name) is not None)
+    return best, tightest

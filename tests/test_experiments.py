@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import sys
@@ -34,11 +35,11 @@ from pimac import (
 )
 from pimac import bounds, schemes
 from pimac.bounds import _c_sigma_1_batch, genie_bound_batch
-from pimac.experiments import CURVES, _evaluate_rows
+from pimac.experiments import _CURVE_TABLE, CSV_COLUMNS, CURVES, _evaluate_rows
 from pimac.optimize import _BLOCK_POINTS
 from pimac.schemes import _tdma_tin_batch
 
-from _support import draw_feasible_genie, draw_params, same_bits
+from _support import draw_feasible_genie, draw_params, same_bits, sandwich
 
 BUDGETS = (10.0, 10.0, 10.0)
 
@@ -51,9 +52,19 @@ def test_sweep_config_validation():
     for steps in (0, 2.5, True, False):
         with pytest.raises(DomainError):
             SweepConfig(h_min=0.0, h_max=1.0, steps=steps, h22=0.2, p1=1, p2=1, p3=1)
-    with pytest.raises(DomainError):
-        SweepConfig(h_min=0.0, h_max=1.0, steps=5, h22=0.2, p1=1, p2=1, p3=1,
-                    which_curves=("sd_tin", "nope"))
+    # A string is no collection of names (it would be read letter by
+    # letter), None or a number is no collection at all, and a list is no
+    # name.
+    for curves in (("sd_tin", "nope"), "sd_tin", None, 3, [["sd_tin"]]):
+        with pytest.raises(DomainError):
+            SweepConfig(h_min=0.0, h_max=1.0, steps=5, h22=0.2, p1=1, p2=1, p3=1,
+                        which_curves=curves)
+    # Any other collection is kept as a tuple, so the frozen config hashes.
+    cfg = SweepConfig(h_min=0.0, h_max=1.0, steps=5, h22=0.2, p1=1, p2=1, p3=1,
+                      which_curves=["sd_tin", "ub2"])
+    assert cfg.which_curves == ("sd_tin", "ub2")
+    assert hash(cfg) == hash(SweepConfig(h_min=0.0, h_max=1.0, steps=5, h22=0.2, p1=1,
+                                         p2=1, p3=1, which_curves=("sd_tin", "ub2")))
     for h_min, h_max in ((math.nan, 1.0), (-math.inf, 1.0), (0.0, math.inf), (0.0, math.nan)):
         with pytest.raises(DomainError, match="must be finite"):
             SweepConfig(h_min=h_min, h_max=h_max, steps=5, h22=0.2, p1=1, p2=1, p3=1)
@@ -71,7 +82,8 @@ def test_small_sweep_rows():
             assert row.ub2 is None      # out of the closed-form bound's regime
         else:
             assert row.ub2 is not None
-            assert row.ub2 >= max(row.sd_tin, row.tdma) - 1e-9
+            best, tightest = sandwich(row, cfg.which_curves)
+            assert tightest >= best - 1e-9
 
 
 def test_sweep_row_beyond_float_square_leaves_ub2_unavailable():
@@ -148,6 +160,30 @@ def test_batched_rows_equal_per_instance_calls():
         assert run_sweep(cfg) == [_row_from_public_calls(PimacParams(
             h, cfg.h22, h, cfg.p1, cfg.p2, cfg.p3))
             for h in np.linspace(cfg.h_min, cfg.h_max, cfg.steps).tolist()]
+
+
+def test_curve_table_entries_are_consistent():
+    # Rows where each curve that can be unavailable is: ub1 at h = 1e160,
+    # ub2 at h = 1.5 and 1e160.
+    rows = [PimacParams(h, 0.2, h, 10.0, 10.0, 10.0) for h in (0.0, 0.5, 1.0, 1.5, 1e160)]
+    full = _evaluate_rows(rows, CURVES)
+    assert [row.ub1 is None for row in full] == [False] * 4 + [True]
+    assert [row.ub2 is None for row in full] == [False] * 3 + [True] * 2
+    owner = {}
+    for name in CURVES:
+        got = _evaluate_rows(rows, (name,))
+        own = {f.name for row in got for f in dataclasses.fields(row)
+               if f.name != "h" and getattr(row, f.name) is not None}
+        assert name in own
+        for field in own:
+            assert owner.setdefault(field, name) == name, (field, owner[field], name)
+        # Each entry gives its slice of the all-curves rows and nothing else.
+        assert got == [SweepRow(h=row.h, **{field: getattr(row, field) for field in own})
+                       for row in full]
+    assert sorted(owner) == sorted(f.name for f in dataclasses.fields(SweepRow)
+                                   if f.name != "h")
+    assert {kind for kind, _ in _CURVE_TABLE.values()} == {"scheme", "bound"}
+    assert CSV_COLUMNS[1:7] == CURVES
 
 
 # TDMA-TIN (value, share) and the genie bound (value, rho1, rho2) on figure
@@ -503,17 +539,20 @@ def test_csv_round_trip(tmp_path, figure3_small_rows):
             assert f"{float(cell):.9g}" == cell
 
 
+SMALL_CURVES = ("sd_tin", "tdma_tin", "tdma", "ub1", "ub2")
+
+
 @pytest.fixture(scope="module")
 def figure3_small_rows():
     cfg = SweepConfig(h_min=0.0, h_max=1.0, steps=5, h22=0.2, p1=10, p2=10,
-                      p3=10, which_curves=("sd_tin", "tdma_tin", "tdma", "ub1", "ub2"))
+                      p3=10, which_curves=SMALL_CURVES)
     return run_sweep(cfg)
 
 
 def test_small_sweep_sandwich_and_optimizers(figure3_small_rows):
     for row in figure3_small_rows:
-        upper = min(x for x in (row.ub1, row.ub2) if x is not None)
-        assert upper >= max(row.sd_tin, row.tdma_tin, row.tdma) - 1e-9
+        best, tightest = sandwich(row, SMALL_CURVES)
+        assert tightest >= best - 1e-9
         assert row.alpha_opt is not None
         assert row.genie_opt is not None and len(row.genie_opt) == 4
 
