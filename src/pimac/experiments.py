@@ -21,13 +21,8 @@ from .bounds import (
     c_sigma_2,
 )
 from .errors import ContractError, DomainError, InvalidRegimeError
-from .model import PimacParams
-from .schemes import (
-    _tdma_tin_batch,
-    pc_tin_sum_rate,
-    plain_tdma_sum_rate,
-    sd_tin_sum_rate,
-)
+from .model import PimacParams, _checked_rate, _half_log_sum
+from .schemes import _pc_tin_vertex, _tdma_tin_batch, _tin_value
 
 FULL_POWER = "FULL_POWER"
 USER1_SILENT = "USER1_SILENT"
@@ -38,9 +33,8 @@ RNG_NAME = "numpy PCG64 (numpy.random.default_rng)"
 
 
 def _pc_tin(params):
-    res = pc_tin_sum_rate(params)
-    p_opt = res.arg.as_tuple()
-    return {"pc_tin": res.sum_rate, "p_opt": p_opt, "regime": classify_power_point(
+    value, p_opt = _pc_tin_vertex(params)
+    return {"pc_tin": _checked_rate(value), "p_opt": p_opt, "regime": classify_power_point(
         p_opt, (params.p1_max, params.p2_max, params.p3_max))}
 
 
@@ -55,12 +49,19 @@ def _ub2(params):
 # batch function, which maps a list of instances to the SweepRow fields of
 # each and gives no fields where the curve is unavailable. The functions look
 # their callees up by module name when called, so a rebound name takes effect.
+# TDMA-TIN and the genie bound call the batch searches. SD-TIN, PC-TIN and
+# plain TDMA call the private value helpers of their public calls
+# (_tin_value at the budgets, _pc_tin_vertex, _half_log_sum of the budgets),
+# with no result object per row, and check each rate as SchemeResult does,
+# through _checked_rate.
 _CURVE_TABLE = {
-    "sd_tin": ("scheme", lambda rows: [{"sd_tin": sd_tin_sum_rate(p).sum_rate} for p in rows]),
+    "sd_tin": ("scheme", lambda rows: [
+        {"sd_tin": _checked_rate(_tin_value(p, p.p1_max, p.p2_max, p.p3_max))} for p in rows]),
     "tdma_tin": ("scheme", lambda rows: [
         {"tdma_tin": res.sum_rate, "alpha_opt": res.arg.alpha} for res in _tdma_tin_batch(rows)]),
     "pc_tin": ("scheme", lambda rows: [_pc_tin(p) for p in rows]),
-    "tdma": ("scheme", lambda rows: [{"tdma": plain_tdma_sum_rate(p).sum_rate} for p in rows]),
+    "tdma": ("scheme", lambda rows: [
+        {"tdma": _checked_rate(_half_log_sum((p.p1_max, p.p2_max, p.p3_max)))} for p in rows]),
     "ub1": ("bound", lambda rows: [
         {} if res is None else {"ub1": res.sum_rate, "genie_opt": res.arg.as_tuple()}
         for res in _c_sigma_1_batch(rows)]),
@@ -105,6 +106,8 @@ class SweepConfig:
         if isinstance(self.which_curves, str) or not isinstance(self.which_curves, Iterable):
             raise DomainError(f"which_curves must be curve names, got {self.which_curves!r}")
         object.__setattr__(self, "which_curves", tuple(self.which_curves))
+        if not self.which_curves:
+            raise DomainError("no curve selected")
         unknown = [name for name in self.which_curves if name not in CURVES]
         if unknown:
             raise DomainError(f"unknown curves: {unknown!r}")
@@ -150,8 +153,10 @@ def _evaluate_rows(rows, curves) -> list[SweepRow]:
 
     Each requested curve's entry of ``_CURVE_TABLE``, in table order,
     evaluates all the rows and leaves its curve unavailable where it has no
-    value. TDMA-TIN and the genie bound take the rows as one batch, the
-    others one row at a time.
+    value. TDMA-TIN and the genie bound take the rows as one batch
+    (``_tdma_tin_batch``, ``_c_sigma_1_batch``). The others go one row at a
+    time: SD-TIN through ``_tin_value``, PC-TIN through ``_pc_tin_vertex``,
+    plain TDMA through ``_half_log_sum`` and ``ub2`` through ``c_sigma_2``.
     """
     values = [{} for _ in rows]
     for name, (_, batch) in _CURVE_TABLE.items():
@@ -173,9 +178,13 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
     rows where the genie bound finds no finite value; everything else is
     defined for all gains.
     """
+    # h_max - h_min overflows for finite ends of opposite signs near the float
+    # limit. Then the gains are twice those between the halved ends: halving
+    # and doubling are exact there, and no numpy operation overflows.
+    gains = (np.linspace(cfg.h_min, cfg.h_max, cfg.steps) if cfg.h_max - cfg.h_min < math.inf
+             else 2.0 * np.linspace(0.5 * cfg.h_min, 0.5 * cfg.h_max, cfg.steps))
     rows = [PimacParams(h12=h, h22=cfg.h22, h31=h, p1_max=cfg.p1, p2_max=cfg.p2,
-                        p3_max=cfg.p3)
-            for h in np.linspace(cfg.h_min, cfg.h_max, cfg.steps).tolist()]
+                        p3_max=cfg.p3) for h in gains.tolist()]
     return _evaluate_rows(rows, cfg.which_curves)
 
 

@@ -98,9 +98,17 @@ class SchemeResult:
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        _require_finite("sum_rate", self.sum_rate)
-        if self.sum_rate < 0.0:
-            raise DomainError(f"sum_rate must be >= 0, got {self.sum_rate!r}")
+        _checked_rate(self.sum_rate)
+
+
+def _checked_rate(value: float) -> float:
+    """``value`` where it is a sum-rate, finite and ``>= 0``; DomainError
+    otherwise. SchemeResult and the sweep's closed-form curves check their
+    rates with it."""
+    _require_finite("sum_rate", value)
+    if value < 0.0:
+        raise DomainError(f"sum_rate must be >= 0, got {value!r}")
+    return value
 
 
 def half_log(x: float) -> float:

@@ -9,9 +9,14 @@ vertices of the budget box, and TDMA-TIN searches its time share. Each
 scheme returns a SchemeResult whose ``diagnostics`` count the formula's
 ``evaluations``; TDMA-TIN adds the ``stages`` and ``levels`` of its grid
 search.
+
+Each closed form has a private value helper, which the sweep calls with no
+result object per row: ``_tin_value`` (full-power TIN at the budgets),
+``_pc_tin_vertex`` (PC-TIN's value and vertex, from the 10 distinct log
+terms of its 8 vertices) and ``model._half_log_sum`` (plain TDMA). TDMA-TIN
+has its batch search, ``_tdma_tin_batch``.
 """
 
-import itertools
 import math
 
 import numpy as np
@@ -173,6 +178,29 @@ def _tin_value(params: PimacParams, p1: float, p2: float, p3: float) -> float:
     return mac + p2p
 
 
+def _pc_tin_vertex(params: PimacParams) -> tuple[float, tuple]:
+    """PC-TIN's value and box vertex: ``_tin_value`` at the 8 vertices in
+    ``itertools.product`` order, the first of equal values kept, bit for bit.
+
+    The vertices share their log terms. With ``p3 = 0`` the P2P term is 0.0
+    and the MAC noise 1; with ``p3 = P3`` the MAC noise is ``N = 1 + h31^2
+    P3``, and the P2P term depends on the interference sum of ``(p1, p2)``.
+    A MAC pair of zeros adds 0.0. So the 8 values take 10 log terms: the MAC
+    term of the 3 other pairs at both noises, and the P2P term of the 4
+    pairs, each written as in ``_tin_value``.
+    """
+    h12, h22, p1, p2, p3 = params.h12, params.h22, params.p1_max, params.p2_max, params.p3_max
+    noise = 1.0 + params.h31 * (params.h31 * p3)
+    value, vertex = 0.0, (0.0, 0.0, 0.0)
+    for a, b in ((0.0, 0.0), (0.0, p2), (p1, 0.0), (p1, p2)):
+        p2p = 0.5 * math.log2(1.0 + p3 / (1.0 + h12 * (h12 * a) + h22 * (h22 * b)))
+        macs = (_half_log_sum((a, b)), _half_log_sum((a, b), noise)) if a or b else (0.0, 0.0)
+        for v, c in ((macs[0], 0.0), (macs[1] + p2p, p3)):
+            if v > value:
+                value, vertex = v, (a, b, c)
+    return value, vertex
+
+
 def pc_tin_objective(params: PimacParams, alloc: PowerAllocation) -> float:
     """Sum-rate of full-power TIN evaluated at an arbitrary allocation."""
     budgets = (params.p1_max, params.p2_max, params.p3_max)
@@ -188,7 +216,9 @@ def pc_tin_sum_rate(params: PimacParams) -> SchemeResult:
     The maximum over ``[0,P1] x [0,P2] x [0,P3]`` is attained at a vertex,
     so the 8 vertices are the whole candidate set (binary power control, as
     in Gjendemsjoe, Gesbert, Oien and Kiani, IEEE Trans. Wireless Commun.,
-    2008). Ties go to the lexicographically smallest vertex.
+    2008). Ties go to the lexicographically smallest vertex. The values come
+    from ``_pc_tin_vertex``, which shares the vertices' log terms and gives
+    ``_tin_value`` at each vertex bit for bit; the sweep calls it directly.
 
     Proof. Write ``g_ij = h_ij^2``, ``S = p1 + p2``, ``L = g12 p1 + g22 p2``
     and ``u = 1 + g31 p3``; up to the factor ``1/(2 ln 2)`` the objective is
@@ -218,13 +248,9 @@ def pc_tin_sum_rate(params: PimacParams) -> SchemeResult:
     time-shares: at ``h12=1.076, h22=0.687, h31=0.738, P=(31.28, 0.628,
     18.36)`` PC-TIN gives 2.520 bits and plain TDMA 2.840.
     """
-    budgets = (params.p1_max, params.p2_max, params.p3_max)
-    vertices = list(itertools.product(*((0.0, float(b)) for b in budgets)))
-    # max() keeps the first of equal values: product order is lexicographic.
-    value, vertex = max(((_tin_value(params, *v), v) for v in vertices),
-                        key=lambda pair: pair[0])
+    value, vertex = _pc_tin_vertex(params)
     return SchemeResult(sum_rate=value, arg=PowerAllocation(*vertex),
-                        diagnostics={"evaluations": len(vertices)})
+                        diagnostics={"evaluations": 8})
 
 
 def plain_tdma_sum_rate(params: PimacParams) -> SchemeResult:

@@ -95,12 +95,19 @@ def test_sweep_missing_required_flag_is_config_error(capsys):
     assert "out" in capsys.readouterr().err
 
 
-def test_sweep_unknown_curve_is_config_error(capsys):
+def test_sweep_unknown_curve_is_config_error(tmp_path, capsys):
     rc = main(["sweep", "--h-min", "0", "--h-max", "1", "--steps", "3",
                "--h22", "0.2", "--p1", "10", "--p2", "10", "--p3", "10",
                "--curves", "sd_tin,bogus", "--out", "x.csv"])
     assert rc == 1
     assert "unknown curves: ['bogus']" in capsys.readouterr().err
+    # A list of no names selects no curve, and writes no all-NA CSV.
+    out = tmp_path / "none.csv"
+    rc = main(["sweep", "--h-min", "0", "--h-max", "1", "--steps", "3", "--curves", ",",
+               "--out", str(out)] + FIGURE)
+    assert rc == 1
+    assert "no curve selected" in capsys.readouterr().err
+    assert not out.exists()
     # Sweeps are deterministic, so sweep has no --seed option.
     rc = main(["sweep", "--h-min", "0", "--h-max", "1", "--steps", "3",
                "--h22", "0.2", "--p1", "10", "--p2", "10", "--p3", "10",

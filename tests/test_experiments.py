@@ -53,9 +53,9 @@ def test_sweep_config_validation():
         with pytest.raises(DomainError):
             SweepConfig(h_min=0.0, h_max=1.0, steps=steps, h22=0.2, p1=1, p2=1, p3=1)
     # A string is no collection of names (it would be read letter by
-    # letter), None or a number is no collection at all, and a list is no
-    # name.
-    for curves in (("sd_tin", "nope"), "sd_tin", None, 3, [["sd_tin"]]):
+    # letter), None or a number is no collection at all, a list is no name,
+    # and an empty collection selects no curve (its CSV would be all NA).
+    for curves in (("sd_tin", "nope"), "sd_tin", None, 3, [["sd_tin"]], (), []):
         with pytest.raises(DomainError):
             SweepConfig(h_min=0.0, h_max=1.0, steps=5, h22=0.2, p1=1, p2=1, p3=1,
                         which_curves=curves)
@@ -109,6 +109,17 @@ def test_sweep_zero_gain_row_values():
     assert row.regime == "FULL_POWER"
 
 
+def test_sweep_over_a_span_that_overflows():
+    # h_max - h_min overflows to inf although both ends are finite: the
+    # gains are still the three points, with no numpy warning (pytest makes
+    # every warning an error), and each row is its instance's.
+    cfg = SweepConfig(h_min=-1.7e308, h_max=1.7e308, steps=3, h22=0.2, p1=10, p2=10, p3=10)
+    rows = run_sweep(cfg)
+    assert [row.h for row in rows] == [-1.7e308, 0.0, 1.7e308]
+    assert rows == [_row_from_public_calls(PimacParams(h, 0.2, h, 10.0, 10.0, 10.0))
+                    for h in (-1.7e308, 0.0, 1.7e308)]
+
+
 def _row_from_public_calls(params):
     """The sweep row of one instance, from the per-instance public calls."""
     tdma_tin, pc_tin = tdma_tin_sum_rate(params), pc_tin_sum_rate(params)
@@ -160,6 +171,16 @@ def test_batched_rows_equal_per_instance_calls():
         assert run_sweep(cfg) == [_row_from_public_calls(PimacParams(
             h, cfg.h22, h, cfg.p1, cfg.p2, cfg.p3))
             for h in np.linspace(cfg.h_min, cfg.h_max, cfg.steps).tolist()]
+
+
+def test_figure_rows_closed_forms_are_the_public_calls_bit_for_bit(figure3_sweep):
+    # The table's closed-form entries read the value helpers of the public
+    # calls, not their results: each field is the public call's, bit for bit.
+    for row in figure3_sweep["rows"]:
+        want = _row_from_public_calls(PimacParams(row.h, 0.2, row.h, 10.0, 10.0, 10.0))
+        for name in ("sd_tin", "pc_tin", "p_opt", "tdma"):
+            assert same_bits(getattr(row, name), getattr(want, name)), (row.h, name)
+        assert row.regime == want.regime
 
 
 def test_curve_table_entries_are_consistent():

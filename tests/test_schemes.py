@@ -23,8 +23,9 @@ from pimac import (
     sd_tin_sum_rate,
     tdma_tin_sum_rate,
 )
+from pimac.experiments import _evaluate_rows
 from pimac.model import _half_log_sum
-from pimac.schemes import _tdma_coeffs, _tdma_parts
+from pimac.schemes import _tdma_coeffs, _tdma_parts, _tin_value
 
 from _support import (
     KERNEL_ROWS,
@@ -312,6 +313,43 @@ def test_pc_tin_vertex_over_extreme_range(gains, powers):
         _, oracle = dense_pc_grid_max(p, 21)
     if math.isfinite(oracle):  # float64 grid sums of 1e308 overflow
         assert res.sum_rate >= oracle - 1e-12 * max(1.0, abs(res.sum_rate))
+
+
+def _pc_tin_by_enumeration(p):
+    """PC-TIN's value and vertex as the plain loop over the 8 box vertices in
+    itertools.product order, each through _tin_value, the first maximum
+    kept."""
+    best = None
+    for vertex in itertools.product(*((0.0, b) for b in (p.p1_max, p.p2_max, p.p3_max))):
+        value = _tin_value(p, *vertex)
+        if best is None or value > best[0]:
+            best = (value, vertex)
+    return best
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(gains=st.tuples(WIDE_GAIN, WIDE_GAIN, WIDE_GAIN),
+       powers=st.tuples(WIDE_POWER, WIDE_POWER, WIDE_POWER))
+@example((0.5, 0.2, 0.5), (0.0, 0.0, 0.0))
+@example((0.5, 0.2, 0.5), (10.0, 0.0, 10.0))
+@example((0.5, 0.2, 0.5), (1e-300, 1e-300, 1e-300))
+@example((1.0, 1.0, 0.0), (2.0 ** -53, 2.0 ** -53, 10.0))
+@example(*_SUM_OVERFLOWS)
+def test_pc_tin_equals_its_vertex_enumeration(gains, powers):
+    # pc_tin_sum_rate takes the 8 vertices' values from their shared log
+    # terms: value and vertex are the plain enumeration's bit for bit, ties
+    # included (powers of 1e-300 make all 8 values 0.0), and so are the
+    # sweep's closed-form fields, which read the same helpers. At P1 = P2 =
+    # 2^-53 the interference sum (1 + P1) + P2 is 1, and 1 + (P1 + P2) is
+    # not: the full-power vertex wins only in _tin_value's order.
+    p = PimacParams(*gains, *powers)
+    value, vertex = _pc_tin_by_enumeration(p)
+    res = pc_tin_sum_rate(p)
+    assert same_bits(res.sum_rate, value) and same_bits(res.arg.as_tuple(), vertex)
+    (row,) = _evaluate_rows([p], ("sd_tin", "pc_tin", "tdma"))
+    assert same_bits(row.pc_tin, value) and same_bits(row.p_opt, vertex)
+    assert same_bits(row.sd_tin, sd_tin_sum_rate(p).sum_rate)
+    assert same_bits(row.tdma, plain_tdma_sum_rate(p).sum_rate)
 
 
 # genie_wide's extreme panel, point 300: alpha' = 1.3e-257, where the plain
