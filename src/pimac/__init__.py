@@ -6,6 +6,7 @@ from .bounds import (
     c_sigma_1,
     c_sigma_2,
     genie_bound_objective,
+    montecarlo_covariance_check,
 )
 from .errors import (
     ConstraintError,
@@ -21,7 +22,6 @@ from .experiments import (
     classify_power_point,
     detect_pc_tin_regimes,
     emit_csv,
-    montecarlo_covariance_check,
     render_csv,
     run_sweep,
 )

@@ -1,4 +1,5 @@
-"""Sum-capacity upper bounds.
+"""Sum-capacity upper bounds, and a Monte-Carlo check of the genie bound's
+kernel.
 
 Two bounds are computed. The closed-form bound hands the MAC messages to
 the point-to-point receiver and is valid whenever ``h31^2 <= 1``. The
@@ -77,9 +78,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConstraintError, InfeasibleError, InvalidRegimeError
-from .model import PimacParams, SchemeResult, _half_log_sum, half_log
-from .optimize import _WORK, _blocks, _columns, maximize_box
+from .errors import ConstraintError, DomainError, InfeasibleError, InvalidRegimeError
+from .model import PimacParams, SchemeResult, _half_log_sum, _is_finite, _is_integer, half_log
+from .optimize import _WORK, _blocks, maximize_box
 
 LN2 = math.log(2.0)
 
@@ -112,9 +113,8 @@ class GenieParams:
     eta2: float
 
     def __post_init__(self):
-        for name in ("rho1", "rho2", "eta1", "eta2"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
+        for name, v in zip(("rho1", "rho2", "eta1", "eta2"), self.as_tuple()):
+            if not _is_finite(v):
                 raise ConstraintError(f"{name} must be finite, got {v!r}")
         if abs(self.rho1) > 1.0 or abs(self.rho2) > 1.0:
             raise ConstraintError(
@@ -168,7 +168,7 @@ def _logdet_bits(ld_a, ld_b, ld_ab) -> float:
 
 class _GenieCoeffs(NamedTuple):
     """The quantities of the module docstring for m instances, each an
-    (m, 1, 1, 1) array (``optimize._columns``): the scalars, the ratios the
+    (m, 1, 1, 1) array (``_columns``): the scalars, the ratios the
     kernel needs, and one flag per degenerate case. A flag is None where no
     instance has it, so normal instances pay nothing for it."""
 
@@ -219,9 +219,24 @@ def _coeff_row(params: PimacParams, signed: bool) -> tuple:
 _N_VALUES = 13  # leading float fields of _GenieCoeffs; the rest are flags
 
 
+def _columns(table, n_values: int) -> list:
+    """An objective's per-instance constants, from one tuple per instance
+    in ``table``: its first ``n_values`` entries as (m, 1, 1, 1) float
+    arrays and the rest, flags, as (m, 1, 1, 1) masks, or None where no
+    instance sets the flag, so that the objective skips it. They broadcast
+    against the four axes of a 2-D objective's points
+    (``optimize._values``). A batch of one keeps Python floats and bools,
+    which broadcast as such arrays do, at a lower cost per numpy call."""
+    if len(table) == 1:
+        return [*table[0][:n_values], *(flag or None for flag in table[0][n_values:])]
+    values = np.array([r[:n_values] for r in table]).T[:, :, None, None, None]
+    flags = zip(*(r[n_values:] for r in table))
+    return [*values, *(np.array(f)[:, None, None, None] if any(f) else None for f in flags)]
+
+
 def _genie_coeffs(rows, signed: bool = False) -> _GenieCoeffs:
     """``_GenieCoeffs`` of the instances ``rows``, one row of each array per
-    instance (``optimize._columns``: Python floats and bools for one).
+    instance (``_columns``: Python floats and bools for one).
 
     The gains are taken by absolute value, so the search runs on the
     nonnegative-gain equivalent, and its value is bit-identical under
@@ -386,6 +401,107 @@ def genie_bound_batch(params: PimacParams, points) -> np.ndarray:
 def genie_bound_objective(params: PimacParams, genie: GenieParams) -> float:
     """Upper bound value at one genie point (any feasible point is valid)."""
     return float(genie_bound_batch(params, [genie.as_tuple()])[0])
+
+
+RNG_NAME = "numpy PCG64 (numpy.random.default_rng)"
+
+
+@dataclass(frozen=True)
+class MiCheckEntry:
+    name: str
+    analytic: float
+    sampled: float
+    gap: float
+
+
+@dataclass(frozen=True)
+class CovarianceCheckReport:
+    """Analytic vs sampled mutual information at one (params, genie) point.
+
+    ``max_gap`` is NaN if any entry's gap is.
+    """
+
+    n_samples: int
+    seed: int
+    generator: str
+    entries: tuple
+    max_gap: float
+    sample_min_eigenvalue: float
+
+
+def _sampling_map(params: PimacParams, genie: GenieParams) -> np.ndarray:
+    """The map ``m`` from standard normals ``g = (g_x1, g_x2, g_x3, z1, n1, z2,
+    n2)`` to ``(X1, X2, X3, Y1, S1, Y2, S2)``, with genie noise ``w_k = rho_k
+    z_k + sqrt(1 - rho_k^2) n_k``: their sample covariance is ``m Cov(g) m^T``."""
+    a1, a2, a3 = (math.sqrt(p) for p in (params.p1_max, params.p2_max, params.p3_max))
+    h12, h22, h31 = params.h12, params.h22, params.h31
+    w1 = (genie.eta1 * genie.rho1, genie.eta1 * math.sqrt(1.0 - genie.rho1 ** 2))
+    w2 = (genie.eta2 * genie.rho2, genie.eta2 * math.sqrt(1.0 - genie.rho2 ** 2))
+    return np.array([
+        [a1, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],                  # x1
+        [0.0, a2, 0.0, 0.0, 0.0, 0.0, 0.0],                  # x2
+        [0.0, 0.0, a3, 0.0, 0.0, 0.0, 0.0],                  # x3
+        [a1, a2, h31 * a3, 1.0, 0.0, 0.0, 0.0],              # y1
+        [h12 * a1, h22 * a2, 0.0, w1[0], w1[1], 0.0, 0.0],   # s1
+        [h12 * a1, h22 * a2, a3, 0.0, 0.0, 1.0, 0.0],        # y2
+        [0.0, 0.0, h31 * a3, 0.0, 0.0, w2[0], w2[1]],        # s2
+    ])
+
+
+def montecarlo_covariance_check(params: PimacParams, genie: GenieParams,
+                                n_samples: int, seed: int) -> CovarianceCheckReport:
+    """Validate the genie kernel's two terms by direct sampling.
+
+    Draws the sample covariance of ``n_samples`` draws of the inputs and
+    correlated noise pairs, all seven variables, and compares its mutual
+    informations ``I(X1,X2; Y1,S1)`` and ``I(X3; Y2,S2)`` with the terms of
+    the kernel that ``c_sigma_1`` minimises. Deterministic for a given
+    seed. Requires at least 8 samples, below which the sample covariance of
+    the 7 variables is singular, and at most ``2**63``, so that the
+    chi-square draws' degrees of freedom fit numpy's int64, and genie
+    scalings above 0.05 so the sampled joint stays well conditioned.
+    """
+    if not (_is_integer(n_samples) and 8 <= n_samples <= 2 ** 63):
+        raise DomainError(f"n_samples must be an integer in [8, 2**63], got {n_samples!r}")
+    if not (_is_integer(seed) and seed >= 0):
+        raise DomainError(f"seed must be an integer >= 0, got {seed!r}")
+    if not (genie.eta1 > 0.05 and genie.eta2 > 0.05):
+        raise DomainError("genie scalings must exceed 0.05 for a stable estimate")
+
+    # The sample covariance of n_samples draws of g ~ N(0, I_7) is W_7(dof, I)
+    # / dof. Bartlett's decomposition draws it exactly as A A^T / dof, with A
+    # lower triangular, sqrt(chi2(dof - i)) on its diagonal and N(0, 1) below
+    # it.
+    rng = np.random.default_rng(seed)
+    dof = int(n_samples) - 1
+    a = np.tril(rng.standard_normal((7, 7)), -1)
+    a[range(7), range(7)] = np.sqrt(rng.chisquare(dof - np.arange(7)))
+    m = _sampling_map(params, genie)
+    cov = m @ (a @ a.T / dof) @ m.T
+    cov = 0.5 * (cov + cov.T)
+    mac, p2p = _genie_terms(params, [genie.as_tuple()])
+
+    # Log-det mutual information of the sampled groups, without the variables
+    # of zero variance (a silent transmitter's row is exactly 0) and under the
+    # kernel's rule for degenerate terms.
+    keep = np.diagonal(cov) != 0.0
+    entries = []
+    for name, analytic, inputs, outputs in (("mac_rx1", mac.item(), (0, 1), (3, 4)),
+                                            ("p2p_rx2", p2p.item(), (2,), (5, 6))):
+        ia, ib = [i for i in inputs if keep[i]], [i for i in outputs if keep[i]]
+        sampled = 0.0
+        if ia and ib:
+            sampled = _logdet_bits(*(np.linalg.slogdet(cov[np.ix_(k, k)])[1]
+                                     for k in (ia, ib, ia + ib)))
+        # Two equal infinities (a degenerate term on both sides) agree.
+        gap = 0.0 if analytic == sampled else abs(analytic - sampled)
+        entries.append(MiCheckEntry(name=name, analytic=analytic, sampled=sampled, gap=gap))
+    return CovarianceCheckReport(
+        n_samples=int(n_samples), seed=int(seed),
+        generator=RNG_NAME, entries=tuple(entries),
+        max_gap=float(np.max([e.gap for e in entries])),
+        sample_min_eigenvalue=float(np.linalg.eigvalsh(cov)[0]),
+    )
 
 
 def _signed_rho(p: PimacParams, rho1: float, rho2: float) -> tuple[float, float]:

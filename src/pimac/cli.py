@@ -15,7 +15,7 @@ values.
 import argparse
 import sys
 
-from .bounds import GenieParams
+from .bounds import GenieParams, montecarlo_covariance_check
 from .errors import PimacError
 from .experiments import (
     CSV_COLUMNS,
@@ -24,7 +24,6 @@ from .experiments import (
     _evaluate_rows,
     _row_cells,
     emit_csv,
-    montecarlo_covariance_check,
     run_sweep,
 )
 from .model import PimacParams
@@ -90,9 +89,7 @@ def _cmd_validate(opts) -> int:
     params = PimacParams(h12=0.5, h22=0.2, h31=0.5,
                          p1_max=10.0, p2_max=10.0, p3_max=10.0)
     genie = GenieParams(rho1=0.0, rho2=0.0, eta1=1.0, eta2=1.0)
-    report = montecarlo_covariance_check(params, genie,
-                                         n_samples=opts["samples"],
-                                         seed=opts["seed"])
+    report = montecarlo_covariance_check(params, genie, opts["samples"], opts["seed"])
     print(f"generator={report.generator}")
     print(f"seed={report.seed}")
     print(f"samples={report.n_samples}")

@@ -1,5 +1,4 @@
-"""Sweep harness, power-control regime detection, Monte-Carlo covariance
-validation, and CSV output.
+"""Sweep harness, power-control regime detection, and CSV output.
 
 The sweep follows the convention ``h12 = h31 = h`` with ``h22`` held
 fixed; rows are produced in ascending ``h`` and every computation is
@@ -7,29 +6,20 @@ deterministic, so identical configurations yield byte-identical CSV files.
 """
 
 import math
-import numbers
 from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import (
-    GenieParams,
-    _c_sigma_1_batch,
-    _genie_terms,
-    _logdet_bits,
-    c_sigma_2,
-)
+from .bounds import _c_sigma_1_batch, c_sigma_2
 from .errors import ContractError, DomainError, InvalidRegimeError
-from .model import PimacParams, _checked_rate, _half_log_sum
+from .model import PimacParams, _checked_rate, _half_log_sum, _is_finite, _is_integer
 from .schemes import _pc_tin_vertex, _tdma_tin_batch, _tin_value
 
 FULL_POWER = "FULL_POWER"
 USER1_SILENT = "USER1_SILENT"
 USER3_SILENT = "USER3_SILENT"
 OTHER = "OTHER"
-
-RNG_NAME = "numpy PCG64 (numpy.random.default_rng)"
 
 
 def _pc_tin(params):
@@ -74,11 +64,6 @@ CSV_COLUMNS = ("h", *CURVES, "alpha_opt", "p1_opt", "p2_opt", "p3_opt",
                "rho1", "rho2", "eta1", "eta2", "regime")
 
 
-def _is_integer(value) -> bool:
-    # numbers.Integral admits bool, which is no count or seed.
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class SweepConfig:
     """Gain sweep specification: ``h12 = h31 = h`` over [h_min, h_max].
@@ -97,7 +82,7 @@ class SweepConfig:
     which_curves: tuple = CURVES
 
     def __post_init__(self):
-        if not (math.isfinite(self.h_min) and math.isfinite(self.h_max)):
+        if not (_is_finite(self.h_min) and _is_finite(self.h_max)):
             raise DomainError("h_min and h_max must be finite")
         if self.h_min > self.h_max:
             raise DomainError(f"h_min={self.h_min!r} exceeds h_max={self.h_max!r}")
@@ -214,103 +199,6 @@ def detect_pc_tin_regimes(rows):
             start = boundary
     intervals.append(((start, rows[-1].h), rows[-1].regime))
     return intervals
-
-
-@dataclass(frozen=True)
-class MiCheckEntry:
-    name: str
-    analytic: float
-    sampled: float
-    gap: float
-
-
-@dataclass(frozen=True)
-class CovarianceCheckReport:
-    """Analytic vs sampled mutual information at one (params, genie) point.
-
-    ``max_gap`` is NaN if any entry's gap is.
-    """
-
-    n_samples: int
-    seed: int
-    generator: str
-    entries: tuple
-    max_gap: float
-    sample_min_eigenvalue: float
-
-
-def _sampling_map(params: PimacParams, genie: GenieParams) -> np.ndarray:
-    """The map ``m`` from standard normals ``g = (g_x1, g_x2, g_x3, z1, n1, z2,
-    n2)`` to ``(X1, X2, X3, Y1, S1, Y2, S2)``, with genie noise ``w_k = rho_k
-    z_k + sqrt(1 - rho_k^2) n_k``: their sample covariance is ``m Cov(g) m^T``."""
-    a1, a2, a3 = (math.sqrt(p) for p in (params.p1_max, params.p2_max, params.p3_max))
-    h12, h22, h31 = params.h12, params.h22, params.h31
-    w1 = (genie.eta1 * genie.rho1, genie.eta1 * math.sqrt(1.0 - genie.rho1 ** 2))
-    w2 = (genie.eta2 * genie.rho2, genie.eta2 * math.sqrt(1.0 - genie.rho2 ** 2))
-    return np.array([
-        [a1, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],                  # x1
-        [0.0, a2, 0.0, 0.0, 0.0, 0.0, 0.0],                  # x2
-        [0.0, 0.0, a3, 0.0, 0.0, 0.0, 0.0],                  # x3
-        [a1, a2, h31 * a3, 1.0, 0.0, 0.0, 0.0],              # y1
-        [h12 * a1, h22 * a2, 0.0, w1[0], w1[1], 0.0, 0.0],   # s1
-        [h12 * a1, h22 * a2, a3, 0.0, 0.0, 1.0, 0.0],        # y2
-        [0.0, 0.0, h31 * a3, 0.0, 0.0, w2[0], w2[1]],        # s2
-    ])
-
-
-def montecarlo_covariance_check(params: PimacParams, genie: GenieParams,
-                                n_samples: int, seed: int) -> CovarianceCheckReport:
-    """Validate the genie kernel's two terms by direct sampling.
-
-    Draws the sample covariance of ``n_samples`` draws of the inputs and
-    correlated noise pairs, all seven variables, and compares its mutual
-    informations ``I(X1,X2; Y1,S1)`` and ``I(X3; Y2,S2)`` with the terms of
-    the kernel that ``c_sigma_1`` minimises. Deterministic for a given
-    seed. Requires at least 8 samples, below which the sample covariance of
-    the 7 variables is singular, and genie scalings above 0.05 so the
-    sampled joint stays well conditioned.
-    """
-    if not (_is_integer(n_samples) and n_samples >= 8):
-        raise DomainError(f"n_samples must be an integer >= 8, got {n_samples!r}")
-    if not (_is_integer(seed) and seed >= 0):
-        raise DomainError(f"seed must be an integer >= 0, got {seed!r}")
-    if not (genie.eta1 > 0.05 and genie.eta2 > 0.05):
-        raise DomainError("genie scalings must exceed 0.05 for a stable estimate")
-
-    # The sample covariance of n_samples draws of g ~ N(0, I_7) is W_7(dof, I)
-    # / dof. Bartlett's decomposition draws it exactly as A A^T / dof, with A
-    # lower triangular, sqrt(chi2(dof - i)) on its diagonal and N(0, 1) below
-    # it.
-    rng = np.random.default_rng(seed)
-    dof = int(n_samples) - 1
-    a = np.tril(rng.standard_normal((7, 7)), -1)
-    a[range(7), range(7)] = np.sqrt(rng.chisquare(dof - np.arange(7)))
-    m = _sampling_map(params, genie)
-    cov = m @ (a @ a.T / dof) @ m.T
-    cov = 0.5 * (cov + cov.T)
-    mac, p2p = _genie_terms(params, [genie.as_tuple()])
-
-    # Log-det mutual information of the sampled groups, without the variables
-    # of zero variance (a silent transmitter's row is exactly 0) and under the
-    # kernel's rule for degenerate terms.
-    keep = np.diagonal(cov) != 0.0
-    entries = []
-    for name, analytic, inputs, outputs in (("mac_rx1", mac.item(), (0, 1), (3, 4)),
-                                            ("p2p_rx2", p2p.item(), (2,), (5, 6))):
-        ia, ib = [i for i in inputs if keep[i]], [i for i in outputs if keep[i]]
-        sampled = 0.0
-        if ia and ib:
-            sampled = _logdet_bits(*(np.linalg.slogdet(cov[np.ix_(k, k)])[1]
-                                     for k in (ia, ib, ia + ib)))
-        # Two equal infinities (a degenerate term on both sides) agree.
-        gap = 0.0 if analytic == sampled else abs(analytic - sampled)
-        entries.append(MiCheckEntry(name=name, analytic=analytic, sampled=sampled, gap=gap))
-    return CovarianceCheckReport(
-        n_samples=int(n_samples), seed=int(seed),
-        generator=RNG_NAME, entries=tuple(entries),
-        max_gap=float(np.max([e.gap for e in entries])),
-        sample_min_eigenvalue=float(np.linalg.eigvalsh(cov)[0]),
-    )
 
 
 def _format_cell(value) -> str:

@@ -318,21 +318,6 @@ def _blocks(rows, dim: int) -> list:
     return [rows[i:i + step] for i in range(0, len(rows), step)]
 
 
-def _columns(table, n_values: int) -> list:
-    """An objective's per-instance constants, from one tuple per instance
-    in ``table``: its first ``n_values`` entries as (m, 1, 1, 1) float
-    arrays and the rest, flags, as (m, 1, 1, 1) masks, or None where no
-    instance sets the flag, so that the objective skips it. They broadcast
-    against the four axes of a 2-D objective's points (``_values``). A batch
-    of one keeps Python floats and bools, which broadcast as such arrays
-    do, at a lower cost per numpy call."""
-    if len(table) == 1:
-        return [*table[0][:n_values], *(flag or None for flag in table[0][n_values:])]
-    values = np.array([r[:n_values] for r in table]).T[:, :, None, None, None]
-    flags = zip(*(r[n_values:] for r in table))
-    return [*values, *(np.array(f)[:, None, None, None] if any(f) else None for f in flags)]
-
-
 def maximize_box(f, dim: int, grid: int, tol: float, seeds=((),)) -> list:
     """Maximize the vectorised ``f`` on the unit cube ``[0, 1]^dim`` by a
     grid and nested grids, for a batch of instances at once: TDMA-TIN's

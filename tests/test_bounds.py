@@ -26,9 +26,9 @@ from pimac.bounds import (
     _genie_coeffs,
     _genie_kernel,
     _genie_sum,
+    _sampling_map,
     genie_bound_batch,
 )
-from pimac.experiments import _sampling_map
 from pimac.optimize import _grid, _grid_axes, _windows
 
 from _support import (

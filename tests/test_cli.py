@@ -214,7 +214,16 @@ def test_validate_rejects_fewer_than_8_samples(capsys):
     assert rc == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "n_samples must be an integer >= 8, got 7" in captured.err
+    assert "n_samples must be an integer in [8, 2**63], got 7" in captured.err
+
+
+def test_validate_rejects_more_than_2_63_samples(capsys):
+    # A count whose chi-square degrees of freedom overflow int64 is a domain
+    # error (exit 1), not numpy's OverflowError escaping main.
+    assert main(["validate", "--samples", str(2 ** 63 + 1)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"got {2 ** 63 + 1}" in captured.err
 
 
 # Frozen stdout of ``pimac point``: every digit and every line is pinned.

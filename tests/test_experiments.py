@@ -467,17 +467,20 @@ def test_montecarlo_determinism_and_precondition():
         montecarlo_covariance_check(params, GenieParams(0.0, 0.0, 0.01, 1.0),
                                     1000, seed=0)
     # n_samples is an integer >= 8 (fewer samples of the 7 variables have a
-    # singular sample covariance) and seed an integer >= 0, as
+    # singular sample covariance) and at most 2**63 (the chi-square draws'
+    # degrees of freedom fit int64), and seed an integer >= 0, as
     # SweepConfig.steps: a float count is not truncated, a bool is no seed
-    # (True would report seed 1), and numpy's own TypeError or ValueError
-    # does not escape.
+    # (True would report seed 1), and numpy's own TypeError, ValueError or
+    # OverflowError does not escape.
     for n_samples, seed in ((8.9, 0), (8.0, 0), (7, 0), (2, 0), (1, 0), (math.nan, 0),
+                            (2 ** 63 + 1, 0), (10 ** 400, 0),
                             (100, 1.5), (100, 1.0), (100, -1), (100, None),
                             (100, True), (100, False), (True, 0)):
         with pytest.raises(DomainError):
             montecarlo_covariance_check(params, genie, n_samples, seed)
     small = montecarlo_covariance_check(params, genie, np.int64(8), np.int64(0))
     assert (small.n_samples, small.seed) == (8, 0)
+    assert montecarlo_covariance_check(params, genie, 2 ** 63, 0).n_samples == 2 ** 63
 
 
 def test_montecarlo_silent_transmitters():

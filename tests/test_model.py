@@ -6,12 +6,15 @@ import numpy as np
 import pytest
 
 from pimac import (
+    ConstraintError,
     DomainError,
+    GenieParams,
     InfeasibleError,
     InvalidRegimeError,
     PimacParams,
     PowerAllocation,
     SchemeResult,
+    SweepConfig,
     TimeShare,
     c_sigma_1,
     c_sigma_2,
@@ -106,6 +109,36 @@ def test_scheme_result_validation():
         SchemeResult(sum_rate=-0.1)
     with pytest.raises(DomainError):
         SchemeResult(sum_rate=math.nan)
+
+
+_POINT = (0.5, 0.2, 0.5, 10.0, 10.0, 10.0)
+
+# Each entry point that checks its real arguments for finiteness, with valid
+# arguments and the error it documents for a bad one.
+_FINITE_CHECKS = {
+    "PimacParams": (PimacParams, _POINT, DomainError),
+    "TimeShare": (TimeShare, (0.5,), DomainError),
+    "PowerAllocation": (PowerAllocation, (1.0, 2.0, 3.0), DomainError),
+    "SchemeResult": (SchemeResult, (1.0,), DomainError),
+    "effective_noise_at_rx1": (lambda p3: effective_noise_at_rx1(PimacParams(*_POINT), p3),
+                               (1.0,), DomainError),
+    "half_log": (half_log, (1.0,), DomainError),
+    "GenieParams": (GenieParams, (0.0, 0.0, 1.0, 1.0), ConstraintError),
+    "SweepConfig": (lambda h_min, h_max: SweepConfig(h_min, h_max, 3, 0.2, 10.0, 10.0, 10.0),
+                    (0.0, 1.0), DomainError),
+}
+
+
+@pytest.mark.parametrize("entry", list(_FINITE_CHECKS))
+def test_huge_integers_and_non_numbers_raise_the_documented_error(entry):
+    # math.isfinite raises OverflowError for an integer beyond the float
+    # range and TypeError for a non-number; neither may escape.
+    call, args, error = _FINITE_CHECKS[entry]
+    call(*args)
+    for i in range(len(args)):
+        for value in (10 ** 400, -10 ** 400, "x"):
+            with pytest.raises(error, match="finite"):
+                call(*args[:i], value, *args[i + 1:])
 
 
 def test_scale_convention_zero_gains():
