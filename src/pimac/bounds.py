@@ -168,9 +168,10 @@ def _logdet_bits(ld_a, ld_b, ld_ab) -> float:
 
 class _GenieCoeffs(NamedTuple):
     """The quantities of the module docstring for m instances, each an
-    (m, 1, 1, 1) array (``_columns``): the scalars, the ratios the
-    kernel needs, and one flag per degenerate case. A flag is None where no
-    instance has it, so normal instances pay nothing for it."""
+    (m, 1, 1, 1) array, or a Python scalar for one instance
+    (``_genie_coeffs``): the scalars, the ratios the kernel needs, and one
+    flag per degenerate case. A flag is None where no instance has it, so
+    normal instances pay nothing for it."""
 
     total: np.ndarray      # P
     n1: np.ndarray
@@ -194,9 +195,10 @@ class _GenieCoeffs(NamedTuple):
 
 
 def _coeff_row(params: PimacParams, signed: bool) -> tuple:
-    # One instance's fields of _GenieCoeffs, as Python floats and bools.
-    # Cross products are formed as h * (h * P) and D with the powers first,
-    # so a zero power gives 0 however large its gain.
+    # One instance's fields of _GenieCoeffs, as Python floats and bools: its
+    # 13 values and its 6 flags, as two tuples. Cross products are formed as
+    # h * (h * P) and D with the powers first, so a zero power gives 0
+    # however large its gain.
     g12, g22, g31 = params.h12, params.h22, params.h31
     if not signed:
         g12, g22, g31 = abs(g12), abs(g22), abs(g31)
@@ -210,33 +212,20 @@ def _coeff_row(params: PimacParams, signed: bool) -> tuple:
     s_a, k_mac, s2_a = ((s / a, d * (total + n1) / a, s * (s / a)) if a != 0.0
                         else (math.nan,) * 3)
     q1 = q + 1.0
-    return (total, n1, a, s_a, k_mac, s2_a, total / n1, g31, p3, q1, 1.0 / q1,
-            p3 / q1, 1.0 / (g31 * q1) if g31 != 0.0 else math.nan,
-            not total > 0.0, a == 0.0, q == 0.0, not p3 > 0.0,
-            g31 * (g31 * p3) == 0.0, g31 == 0.0)
-
-
-_N_VALUES = 13  # leading float fields of _GenieCoeffs; the rest are flags
-
-
-def _columns(table, n_values: int) -> list:
-    """An objective's per-instance constants, from one tuple per instance
-    in ``table``: its first ``n_values`` entries as (m, 1, 1, 1) float
-    arrays and the rest, flags, as (m, 1, 1, 1) masks, or None where no
-    instance sets the flag, so that the objective skips it. They broadcast
-    against the four axes of a 2-D objective's points
-    (``optimize._values``). A batch of one keeps Python floats and bools,
-    which broadcast as such arrays do, at a lower cost per numpy call."""
-    if len(table) == 1:
-        return [*table[0][:n_values], *(flag or None for flag in table[0][n_values:])]
-    values = np.array([r[:n_values] for r in table]).T[:, :, None, None, None]
-    flags = zip(*(r[n_values:] for r in table))
-    return [*values, *(np.array(f)[:, None, None, None] if any(f) else None for f in flags)]
+    return ((total, n1, a, s_a, k_mac, s2_a, total / n1, g31, p3, q1, 1.0 / q1,
+             p3 / q1, 1.0 / (g31 * q1) if g31 != 0.0 else math.nan),
+            (not total > 0.0, a == 0.0, q == 0.0, not p3 > 0.0,
+             g31 * (g31 * p3) == 0.0, g31 == 0.0))
 
 
 def _genie_coeffs(rows, signed: bool = False) -> _GenieCoeffs:
-    """``_GenieCoeffs`` of the instances ``rows``, one row of each array per
-    instance (``_columns``: Python floats and bools for one).
+    """``_GenieCoeffs`` of the instances ``rows``: for a batch, each value
+    an (m, 1, 1, 1) float array and each flag an (m, 1, 1, 1) mask, one row
+    per instance, or None where no instance sets the flag, so that the
+    kernel skips it. They broadcast against the four axes of the search's
+    2-D points (``optimize._values``). One instance keeps Python floats and
+    bools (a flag it does not set is None), which broadcast as such arrays
+    do, at a lower cost per numpy call.
 
     The gains are taken by absolute value, so the search runs on the
     nonnegative-gain equivalent, and its value is bit-identical under
@@ -245,7 +234,13 @@ def _genie_coeffs(rows, signed: bool = False) -> _GenieCoeffs:
     channel is open (see ``c_sigma_1``). With ``signed``
     they keep their signs, as the kernel at an explicit genie point of the
     signed channel needs (``_genie_terms``)."""
-    return _GenieCoeffs(*_columns([_coeff_row(p, signed) for p in rows], _N_VALUES))
+    if len(rows) == 1:
+        values, flags = _coeff_row(rows[0], signed)
+        return _GenieCoeffs(*values, *(flag or None for flag in flags))
+    # The values (13, m) and the flags (6, m), one column per instance.
+    values, flags = (np.array(a).T for a in zip(*(_coeff_row(p, signed) for p in rows)))
+    return _GenieCoeffs(*values[:, :, None, None, None],
+                        *(f[:, None, None, None] if f.any() else None for f in flags))
 
 
 def _rho_terms(c: _GenieCoeffs, xy) -> tuple:

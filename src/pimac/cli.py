@@ -9,10 +9,13 @@ Exit codes: 0 success, 1 domain/config errors, 2 I/O errors. Each option is
 declared once, in ``_COMMANDS``: its flag is ``--name`` (with ``-`` for
 ``_``) and its config-file key is the name. Each subcommand also accepts
 ``--config FILE`` with ``key = value`` lines; explicit flags override file
-values.
+values. In a config file, ``#`` starts a comment at the start of a line or
+after whitespace, and runs to the end of the line; any other ``#`` is part
+of the value, so ``out = run#1.csv`` names the file ``run#1.csv``.
 """
 
 import argparse
+import re
 import sys
 
 from .bounds import GenieParams, montecarlo_covariance_check
@@ -51,7 +54,7 @@ def _read_config_file(path) -> dict:
     values = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
+            line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
             if not line:
                 continue
             if "=" not in line:

@@ -68,6 +68,8 @@ CSV_COLUMNS = ("h", *CURVES, "alpha_opt", "p1_opt", "p2_opt", "p3_opt",
 class SweepConfig:
     """Gain sweep specification: ``h12 = h31 = h`` over [h_min, h_max].
 
+    ``steps`` is an integer in ``[1, 10**6]``: the sweep holds every row,
+    about 1.8 KB each at its peak, so the limit is about 2 GB.
     ``which_curves`` is a collection of names from ``CURVES``, not a string,
     and is kept as a tuple.
     """
@@ -86,8 +88,8 @@ class SweepConfig:
             raise DomainError("h_min and h_max must be finite")
         if self.h_min > self.h_max:
             raise DomainError(f"h_min={self.h_min!r} exceeds h_max={self.h_max!r}")
-        if not (_is_integer(self.steps) and self.steps >= 1):
-            raise DomainError(f"steps must be an integer >= 1, got {self.steps!r}")
+        if not (_is_integer(self.steps) and 1 <= self.steps <= 10**6):
+            raise DomainError(f"steps must be an integer in [1, 10**6], got {self.steps!r}")
         if isinstance(self.which_curves, str) or not isinstance(self.which_curves, Iterable):
             raise DomainError(f"which_curves must be curve names, got {self.which_curves!r}")
         object.__setattr__(self, "which_curves", tuple(self.which_curves))

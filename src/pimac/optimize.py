@@ -3,13 +3,13 @@
 TDMA-TIN's time share and the genie bound's correlations are each found by
 ``maximize_box``: the maximum of a vectorised objective on ``[0, 1]`` or
 ``[0, 1]^2``, for a batch of instances at once. Each of its stages is a
-single call of the objective for the whole batch: a uniform grid together
-with each instance's seed points, then nested grids around each instance's
-best points found so far. Each search passes its constant schedule (grid
-points per axis and the tolerance that fixes the number of nested levels)
-and its seeds. The returned value can never be worse than the objective at
-any seed. Tie-breaks are lexicographic on the argument, which makes results
-reproducible across runs and platforms.
+single call of the objective for the whole batch: a uniform grid, together
+with each instance's seed points in 1-D, then nested grids around each
+instance's best points found so far. Each search passes its constant
+schedule (grid points per axis and the tolerance that fixes the number of
+nested levels), and the 1-D search its seeds. The returned value can never
+be worse than the objective at any seed. Tie-breaks are lexicographic on
+the argument, which makes results reproducible across runs and platforms.
 """
 
 import functools
@@ -93,10 +93,11 @@ def _values(f, pts, m: int, step: int) -> tuple:
     """``f`` at the points ``pts`` of a stage of m instances: an (m, n) array
     of values, and its largest value.
 
-    In 1-D ``pts`` is an (m, n) array, and ``f`` returns (m, n) values. In
-    2-D it is a pair (x, y) of coordinate arrays of four axes, instances
-    (m or 1) first, which broadcast against each other: one (2, m, n, 1, 1)
-    array of explicit points, or the tuple of a batch's axes
+    In 1-D ``pts`` is an (m, n) array, the seeds and grid or the windows,
+    and ``f`` returns (m, n) values. A 2-D stage has no seeds: ``pts`` is
+    a pair (x, y) of coordinate arrays of four axes, instances (m or 1)
+    first, which broadcast against each other: the tuple of a batch's axes,
+    or one instance's explicit points as one (2, 1, n, 1, 1) array
     (``maximize_box``). ``f`` returns their values in the points' broadcast
     shape, read row-major per instance, with an instance axis of m, or of 1
     where they do not depend on the instance, which is broadcast to m
@@ -326,37 +327,38 @@ def maximize_box(f, dim: int, grid: int, tol: float, seeds=((),)) -> list:
     (2, 33 and 1e-6, no seeds).
 
     ``seeds`` holds one sequence of seed points per instance, so the number
-    m of instances is its length. A point is a float in 1-D and a pair in
-    2-D. In 1-D ``f`` maps an (m, n) array of points, row i for instance i,
-    to their (m, n) values. In 2-D its one argument is a pair (x, y) of
-    coordinate arrays of four axes, instances first, which broadcast
-    against each other, and it returns the values at the points of their
-    product, read row-major per instance, with an instance axis of m (or of
-    1 for values that do not depend on the instance; ``_values``). A batch without seeds passes axes: its grid stage as the
-    grid's rows x (1, grid, 1, 1) against its columns y (1, 1, 1, grid),
-    shared by the instances, and each refinement stage as 3 windows per
-    instance, x (m, 3, 9, 1) against y (m, 3, 1, 9). A batch of one, whose
-    stages are bound by numpy's cost per call, and a first stage with
-    seeds pass their explicit points, as the columns x and y of one
-    (2, m, n, 1, 1) array. Each point's value is its own. Every stage is
-    one call of ``f`` for the whole batch (see below for large stages);
-    instances do not interact. The arguments are the two searches'
-    constants and seeds, so none of them is checked: ``dim`` is 1 or 2,
-    ``grid`` is an integer of at least 2, ``tol`` is positive and every
-    seed is a point of the cube.
+    m of instances is its length. Seeds are 1-D only: a seed is a float,
+    and a 2-D search passes an empty sequence per instance. In 1-D ``f``
+    maps an (m, n) array of points, row i for instance i, to their (m, n)
+    values. In 2-D its one argument is a pair (x, y) of coordinate arrays
+    of four axes, instances first, which broadcast against each other, and
+    it returns the values at the points of their product, read row-major
+    per instance, with an instance axis of m (or of 1 for values that do
+    not depend on the instance; ``_values``). A batch passes axes: its grid
+    stage as the grid's rows x (1, grid, 1, 1) against its columns
+    y (1, 1, 1, grid), shared by the instances, and each refinement stage
+    as 3 windows per instance, x (m, 3, 9, 1) against y (m, 3, 1, 9). A
+    batch of one, whose stages are bound by numpy's cost per call, passes
+    its explicit points, as the columns x and y of one (2, 1, n, 1, 1)
+    array. Each point's value is its own. Every stage is one call of ``f``
+    for the whole batch (see below for large stages); instances do not
+    interact. The arguments are the two searches' constants and seeds, so
+    none of them is checked: ``dim`` is 1 or 2, ``grid`` is an integer of
+    at least 2, ``tol`` is positive and every seed is a point of
+    ``[0, 1]``.
 
     The first stage evaluates each instance's seeds together with a uniform
     grid of ``grid`` points per axis. An instance with fewer seeds than
-    another has its list padded with a grid point, which is not counted.
-    Each refinement level is one more call: a grid over plus or minus one
-    spacing of the previous level (cut to the cube) around each of that
-    level's 3 best distinct points of each instance (its last one repeated
-    where it has fewer), with 65 points in 1-D and 9 per axis in 2-D, so the
-    spacing shrinks 32-fold or 4-fold. Levels repeat until the spacing is
-    below ``tol``, so their number is fixed before the first call. Every
-    evaluated point is a candidate, so an instance's value is never below
-    its objective at a seed; ties go to the lexicographically smallest
-    point. Windows are built per axis. A stage of more than
+    another has its list padded with the grid point 0.0, which is not
+    counted. Each refinement level is one more call: a grid over plus or
+    minus one spacing of the previous level (cut to the cube) around each of
+    that level's 3 best distinct points of each instance (its last one
+    repeated where it has fewer), with 65 points in 1-D and 9 per axis in
+    2-D, so the spacing shrinks 32-fold or 4-fold. Levels repeat until the
+    spacing is below ``tol``, so their number is fixed before the first
+    call. Every evaluated point is a candidate, so an instance's value is
+    never below its objective at a seed; ties go to the lexicographically
+    smallest point. Windows are built per axis. A stage of more than
     ``_BLOCK_POINTS`` points is evaluated in several calls of ``f`` of at
     most that many, each on consecutive points, or whole grid rows, of all
     instances (``_values``), which gives the same values as one call, since
@@ -364,9 +366,9 @@ def maximize_box(f, dim: int, grid: int, tol: float, seeds=((),)) -> list:
     2-D stages from their few best candidates, and a larger batch in array
     form (``_ranked``, which reads each candidate's coordinates from the
     axes by index), with the same results; the larger batch keeps its
-    windows' axes and its seeded points in workspace arrays, and its stage
-    bests as (m, stages) arrays, ranked once at the end. With no finite
-    value on the grid the search stops before ranking.
+    windows' axes and its 1-D seeded points in workspace arrays, and its
+    stage bests as (m, stages) arrays, ranked once at the end. With no
+    finite value on the grid the search stops before ranking.
 
     Returns one entry per instance: an OptResult whose argument is a float
     in 1-D and a tuple in 2-D, or None where the instance is infeasible. A
@@ -382,17 +384,14 @@ def maximize_box(f, dim: int, grid: int, tol: float, seeds=((),)) -> list:
     """
     n_seeds = [len(s) for s in seeds]
     m, k_max = len(n_seeds), max(n_seeds)
-    if dim == 2 and m > 1 and not k_max:  # a batch evaluates its 2-D stages on their axes
-        pts = _grid_axes(grid)
+    if dim == 2:  # a batch's grid axes, or one instance's explicit grid
+        pts = _grid_axes(grid) if m > 1 else _grid(2, grid, 1)
+    elif k_max:  # the seeds, padded with the first grid point 0.0, then the grid
+        padded = [list(s) + [0.0] * (k_max - len(s)) for s in seeds]
+        pts = np.concatenate((padded, _grid(1, grid, m)), axis=1,
+                             out=None if m == 1 else _points((m, k_max + grid)))
     else:
-        pts = _grid(dim, grid, m)
-    if k_max:  # explicit points: the seeds, then the grid
-        pad = [0.0 if dim == 1 else (0.0, 0.0)]  # the first grid point
-        padded = np.array([list(s) + pad * (k_max - len(s)) for s in seeds], dtype=float)
-        if dim == 2:
-            padded = padded.transpose(2, 0, 1)[..., None, None]
-        pts = np.concatenate((padded, pts), axis=dim, out=None if m == 1 else _points(
-            pts.shape[:dim] + (k_max + pts.shape[dim],) + pts.shape[dim + 1:]))
+        pts = _grid(1, grid, m)
 
     per_axis = len(_WINDOWS[dim])
     # The grid's spacing, then each level's: it shrinks until below tol, and

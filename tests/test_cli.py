@@ -148,6 +148,26 @@ def test_config_file_provides_defaults_and_flags_override(tmp_path, capsys):
     assert len(override.read_text().splitlines()) == 6
 
 
+def test_config_file_hash_inside_a_value_is_kept(tmp_path, capsys):
+    # A '#' starts a comment only at the start of a line or after
+    # whitespace: one inside a value is part of it, and an inline comment
+    # after whitespace is still cut.
+    out = tmp_path / "run#1.csv"
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(
+        "  # indented full-line comment\n"
+        "h-min = 0\nh-max = 1\n"
+        "steps = 3  # rows\n"
+        "h22 = 0.2\t# tab before the comment\n"
+        "p1 = 10\np2 = 10\np3 = 10\ncurves = sd_tin\n"
+        f"out = {out}\n"
+    )
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out == f"wrote {out} (3 rows)\n"
+    assert [f.name for f in tmp_path.iterdir() if f.suffix == ".csv"] == ["run#1.csv"]
+    assert len(out.read_text().splitlines()) == 4
+
+
 def test_config_file_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("h-min = 0\nwhatever = 1\n")
@@ -224,6 +244,18 @@ def test_validate_rejects_more_than_2_63_samples(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"got {2 ** 63 + 1}" in captured.err
+
+
+def test_sweep_rejects_more_than_a_million_steps(tmp_path, capsys):
+    # A row count beyond the limit is a domain error (exit 1) before any
+    # gain is allocated, not numpy's bare "Maximum allowed size exceeded".
+    steps = "100000000000000000000000"
+    assert main(["sweep", "--h-min", "0", "--h-max", "1", "--steps", steps] + FIGURE
+                + ["--out", str(tmp_path / "x.csv")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"pimac: error: steps must be an integer in [1, 10**6], got {steps}\n"
+    assert not (tmp_path / "x.csv").exists()
 
 
 # Frozen stdout of ``pimac point``: every digit and every line is pinned.

@@ -48,10 +48,13 @@ def test_sweep_config_validation():
     with pytest.raises(DomainError):
         SweepConfig(h_min=1.0, h_max=0.0, steps=5, h22=0.2, p1=1, p2=1, p3=1)
     # A bool is no step count: numbers.Integral admits it, and True would
-    # sweep one row.
-    for steps in (0, 2.5, True, False):
-        with pytest.raises(DomainError):
+    # sweep one row. More than 10**6 rows is refused before np.linspace,
+    # which raises a bare ValueError for 10**23 and 10**400; 10**6 is
+    # accepted (constructed only, never run).
+    for steps in (0, 2.5, True, False, 10**6 + 1, 10**23, 10**400):
+        with pytest.raises(DomainError, match=r"steps must be an integer in \[1, 10\*\*6\]"):
             SweepConfig(h_min=0.0, h_max=1.0, steps=steps, h22=0.2, p1=1, p2=1, p3=1)
+    assert SweepConfig(h_min=0.0, h_max=1.0, steps=10**6, h22=0.2, p1=1, p2=1, p3=1).steps == 10**6
     # A string is no collection of names (it would be read letter by
     # letter), None or a number is no collection at all, a list is no name,
     # and an empty collection selects no curve (its CSV would be all NA).

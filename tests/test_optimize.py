@@ -132,9 +132,10 @@ def test_batch_ranking_equals_the_walk_of_one_instance():
     # A batch of one walks its sorted points; a larger batch ranks all rows
     # in array form. Both give the same results on each case: ties
     # everywhere, a plateau, a ridge whose ties cross the 3k-th best value
-    # in 2-D, one point repeated 9 times at the top, a grid of 2 points
-    # (fewer than 3 distinct, with and without a seed on one of them), and
-    # an infeasible region.
+    # in 2-D, one point repeated 9 times at the top (1-D; _stages and
+    # _plateau_and_repeats repeat 2-D points for the rankers), a grid of 2
+    # points (fewer than 3 distinct, with and without a seed on one of
+    # them), and an infeasible region.
     cases = (
         (lambda x: np.zeros_like(x), 1, 9, (0.75,)),
         (lambda x: np.minimum(x, 0.25), 1, 9, ()),
@@ -142,16 +143,16 @@ def test_batch_ranking_equals_the_walk_of_one_instance():
         (lambda x: np.where(x == 0.5, 1.0, 0.0), 1, 5, (0.5,) * 8),
         (lambda x: -(x - 0.3) ** 2, 1, 2, ()),
         (lambda x: -(x - 0.3) ** 2, 1, 2, (0.0,)),
-        (_pair(_zeros), 2, 5, ((0.75, 0.75),)),
+        (_pair(_zeros), 2, 5, ()),
         (_pair(lambda x, y: np.minimum(x + 0.0 * y, 0.25)), 2, 9, ()),
-        (_pair(lambda x, y: np.where(x + 0.0 * y == 0.5, 1.0, 0.0)), 2, 5, ((0.5, 0.0),) * 9),
-        (_pair(_in_disk(_bowl)), 2, 17, ((0.75, 0.75),)),
+        (_pair(lambda x, y: np.where(x + 0.0 * y == 0.5, 1.0, 0.0)), 2, 5, ()),
+        (_pair(_in_disk(_bowl)), 2, 17, ()),
     )
     for f, dim, grid, seeds in cases:
         alone = maximize_box(f, dim, grid, 1e-6, [seeds])
         assert alone[0] is not None
-        # The same instance twice, the second time without seeds: its 2-D
-        # stages are explicit points, and without any seeds a batch's axes.
+        # The same instance twice, the second time without seeds (1-D): a
+        # batch's 2-D stages are its axes.
         for both_seeds in ([seeds, ()], [(), ()]):
             both = maximize_box(lambda p: np.stack([f(_instance(p, 0)), f(_instance(p, 1))]),
                                 dim, grid, 1e-6, both_seeds)
@@ -322,7 +323,7 @@ def test_windows_equal_expression_form():
 
 
 def test_minimize_unit_disk_quadratic():
-    (res,) = maximize_box(_pair(_in_disk(_bowl)), 2, 17, 1e-8, seeds=[((0.75, 0.75),)])
+    (res,) = maximize_box(_pair(_in_disk(_bowl)), 2, 17, 1e-8)
     assert isinstance(res.arg, tuple) and len(res.arg) == 2
     assert abs(res.arg[0] - 0.65) <= 1e-8 and abs(res.arg[1] - 0.275) <= 1e-8
     assert -res.value <= 1e-15
@@ -334,15 +335,14 @@ def test_minimize_skips_infinite_plateau():
         inside = (np.abs(x - 0.5) <= 0.15) & (np.abs(y - 0.5) <= 0.15)
         return np.where(inside, (x - 0.95) ** 2 + (y - 0.95) ** 2, math.inf)
 
-    (res,) = maximize_box(_pair(lambda x, y: -pocket(x, y)), 2, 21, 1e-9, seeds=[((0.5, 0.5),)])
+    (res,) = maximize_box(_pair(lambda x, y: -pocket(x, y)), 2, 21, 1e-9)
     assert math.isfinite(res.value)
     assert abs(res.arg[0] - 0.65) <= 1e-9 and abs(res.arg[1] - 0.65) <= 1e-9
 
 
 def test_minimize_infeasible_when_everything_is_infinite():
     # An instance whose every seed and grid point is infeasible has no result.
-    assert maximize_box(_pair(lambda x, y: _zeros(x, y) - math.inf), 2, 5, 1e-6,
-                        seeds=[((0.0, 0.0),)]) == [None]
+    assert maximize_box(_pair(lambda x, y: _zeros(x, y) - math.inf), 2, 5, 1e-6) == [None]
     assert maximize_box(lambda x: np.full(x.shape, -math.inf), 1, 101, 1e-6) == [None]
 
 
@@ -350,15 +350,15 @@ def test_minimize_determinism():
     def f(x, y):
         return -(np.cos(6 * x - 3) + (2 * y - 1.2) ** 2)
 
-    a = maximize_box(_pair(f), 2, 21, 1e-6, seeds=[((0.5, 0.5),)])
-    b = maximize_box(_pair(f), 2, 21, 1e-6, seeds=[((0.5, 0.5),)])
+    a = maximize_box(_pair(f), 2, 21, 1e-6)
+    b = maximize_box(_pair(f), 2, 21, 1e-6)
     assert a == b
 
 
 def test_minimize_stop_reasons_and_stage_counts():
     cases = (
         # the spacing 1/16 shrinks 4-fold per level: 1/16/4**4 > 1e-4 > 1/16/4**5
-        (1e-4, ((0.25, 1.0),), 5),
+        (1e-4, (), 5),
         # the spacing 1/16 is already below 0.5: no refinement level runs
         (0.5, (), 0),
     )
@@ -409,7 +409,7 @@ def test_batch_objective_without_instance_axis():
 
 
 def test_box_ties_go_to_lexicographically_smallest_point():
-    (res,) = maximize_box(_pair(_zeros), 2, 5, 1e-6, seeds=[((0.75, 0.75),)])
+    (res,) = maximize_box(_pair(_zeros), 2, 5, 1e-6)
     assert (res.arg, res.value) == ((0.0, 0.0), 0.0)
     # A ridge along p0 = 0.25: every point on it ties, the smallest p1 wins.
     (ridge,) = maximize_box(_pair(lambda x, y: np.minimum(x + 0.0 * y, 0.25)), 2, 9, 1e-6)
