@@ -11,7 +11,8 @@ declared once, in ``_COMMANDS``: its flag is ``--name`` (with ``-`` for
 ``--config FILE`` with ``key = value`` lines; explicit flags override file
 values. In a config file, ``#`` starts a comment at the start of a line or
 after whitespace, and runs to the end of the line; any other ``#`` is part
-of the value, so ``out = run#1.csv`` names the file ``run#1.csv``.
+of the value, so ``out = run#1.csv`` names the file ``run#1.csv``. A key
+(``h-min`` and ``h_min`` are one key) may appear once in a file.
 """
 
 import argparse
@@ -51,8 +52,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_config_file(path) -> dict:
-    values = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    values, seen = {}, {}
+    # "utf-8-sig" drops the byte-order mark that some editors write first.
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
             if not line:
@@ -60,7 +62,10 @@ def _read_config_file(path) -> dict:
             if "=" not in line:
                 raise _UsageError(f"{path}:{lineno}: expected 'key = value'")
             key, value = line.split("=", 1)
-            values[key.strip().lower().replace("-", "_")] = value.strip()
+            key = key.strip().lower().replace("-", "_")
+            if key in seen:
+                raise _UsageError(f"{path}:{lineno}: key '{key}' already set on line {seen[key]}")
+            values[key], seen[key] = value.strip(), lineno
     return values
 
 

@@ -1,8 +1,15 @@
 import time
+from pathlib import Path
 
 import pytest
 
+import pimac
 from pimac import SweepConfig, run_sweep
+
+
+def pytest_terminal_summary(terminalreporter):
+    """Name the package under test: src/ of the checkout or an installed copy."""
+    terminalreporter.write_line(f"pimac imported from {Path(pimac.__file__).parent}")
 
 
 @pytest.fixture(scope="session")

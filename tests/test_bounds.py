@@ -2,6 +2,7 @@ import itertools
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -402,6 +403,32 @@ def test_c_sigma_1_tight_and_valid_over_wide_range(gains, powers):
     assert bound <= seed + 1e-9 * max(1.0, abs(seed))
     achievable = max(sd_tin_sum_rate(p).sum_rate, plain_tdma_sum_rate(p).sum_rate)
     assert bound >= achievable - 1e-9
+
+
+# Two extreme instances, (gains, powers, bound in bits), at which the
+# product forms of the genie's covariance determinants cancel to 0 at 40
+# digits.
+_CANCELLING_GENIES = [
+    ((1.2447217903559244e-71, 2.4311474115304843e+91, -2.7583225826744517e+28),
+     (29569.92640358197, 1.4805303090486762e+112, 2.0013380848059533e-190), 497.314070),
+    ((-9.952152167196834e+68, -1.676970616168655e+148, -2.7621186371920736e+71),
+     (5.736863851837604e+156, 1.7952999847713108e-62, 8.196986486817249e-107), 650.204080),
+]
+
+
+@pytest.mark.parametrize("gains,powers,bits", _CANCELLING_GENIES)
+def test_genie_independent_oracle_at_cancelling_gains(gains, powers, bits):
+    # The oracle against the covariance determinants themselves, evaluated
+    # at 400 digits, where the cancellation leaves enough digits.
+    with mp.workdps(400):
+        h12, h22, h31, p1, p2, p3 = map(mp.mpf, gains + powers)
+        n1, n2 = 1 + h31 ** 2 * p3, 1 + h12 ** 2 * p1 + h22 ** 2 * p2
+        s = h12 * p1 + h22 * p2
+        det1 = mp.det(mp.matrix([[p1 + p2 + n1, s], [s, n2]]))
+        det2 = mp.det(mp.matrix([[n2 + p3, h31 * p3], [h31 * p3, h31 ** 2 * p3 + 1]]))
+        want = (mp.log(det1 / n1, 2) + mp.log(det2 / n2, 2)) / 2
+    assert abs(want - bits) < 1e-6
+    assert abs(genie_independent(*gains, *powers) - want) <= 1e-30 * want
 
 
 @settings(derandomize=True, deadline=None, max_examples=100)

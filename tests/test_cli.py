@@ -6,9 +6,9 @@ from pathlib import Path
 
 import pytest
 
+import pimac
 from pimac.cli import main
 
-SRC = Path(__file__).resolve().parents[1] / "src"
 FIGURE = ["--h22", "0.2", "--p1", "10", "--p2", "10", "--p3", "10"]
 
 
@@ -166,6 +166,34 @@ def test_config_file_hash_inside_a_value_is_kept(tmp_path, capsys):
     assert capsys.readouterr().out == f"wrote {out} (3 rows)\n"
     assert [f.name for f in tmp_path.iterdir() if f.suffix == ".csv"] == ["run#1.csv"]
     assert len(out.read_text().splitlines()) == 4
+
+
+def test_config_file_with_a_byte_order_mark(tmp_path, capsys):
+    # Some editors (Notepad among them) start a UTF-8 file with a byte-order
+    # mark; it is not part of the first key.
+    out = tmp_path / "bom.csv"
+    cfg = tmp_path / "bom.cfg"
+    cfg.write_text("h_min = 0\nh_max = 1\nsteps = 3\nh22 = 0.2\np1 = 10\np2 = 10\n"
+                   f"p3 = 10\ncurves = sd_tin\nout = {out}\n", encoding="utf-8-sig")
+    assert cfg.read_bytes().startswith(b"\xef\xbb\xbfh_min")
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out == f"wrote {out} (3 rows)\n"
+
+
+def test_config_file_repeated_key_is_config_error(tmp_path, capsys):
+    # Keys are normalised, so "steps" and "STEPS", or "h-min" and "h_min",
+    # are one key: a second line for it is an error that names both lines.
+    out = tmp_path / "x.csv"
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("h-min = 0\nh-max = 1\nsteps = 3\nh22 = 0.2\np1 = 10\np2 = 10\n"
+                   f"p3 = 10\nSTEPS = 5\nout = {out}\n")
+    assert main(["sweep", "--config", str(cfg), "--steps", "4"]) == 1
+    assert capsys.readouterr().err == (
+        f"pimac: error: {cfg}:8: key 'steps' already set on line 3\n")
+    cfg.write_text("h_min = 0\n# h-min = 1\nh-min = 0\n")
+    assert main(["sweep", "--config", str(cfg)]) == 1
+    assert f"{cfg}:3: key 'h_min' already set on line 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_file_unknown_key(tmp_path, capsys):
@@ -343,7 +371,9 @@ def test_subcommand_flags_in_order(command, flags, capsys):
 
 def test_module_entry_point_runs_the_benchmark_commands(tmp_path):
     """The three ``python -m pimac`` commands the benchmark times exit 0."""
-    env = dict(os.environ, PYTHONPATH=str(SRC))
+    # The subprocess imports the package that this test imported: src/ of
+    # the checkout, or the installed copy.
+    env = dict(os.environ, PYTHONPATH=str(Path(pimac.__file__).resolve().parents[1]))
     commands = [
         ["point", "--h12", "0.2", "--h31", "0.2"] + FIGURE,
         ["sweep", "--h-min", "0", "--h-max", "1", "--steps", "5",

@@ -35,6 +35,7 @@ from pimac import (
 )
 from pimac import bounds, schemes
 from pimac.bounds import _c_sigma_1_batch, genie_bound_batch
+from pimac.cli import main
 from pimac.experiments import _CURVE_TABLE, CSV_COLUMNS, CURVES, _evaluate_rows
 from pimac.optimize import _BLOCK_POINTS
 from pimac.schemes import _tdma_tin_batch
@@ -298,9 +299,15 @@ def test_batch_of_one_matches_frozen_search_results():
 FIGURE_CSV_SHA256 = "72c0526f5f5e05ec2b7b6870acc50a2c0ecd819059d83eb73a4b84cd9f022d7b"
 
 
-def test_figure_csv_bytes_are_pinned(figure3_sweep):
+def test_figure_csv_bytes_are_pinned(figure3_sweep, tmp_path, capsys):
     csv = render_csv(figure3_sweep["rows"]).encode()
     assert hashlib.sha256(csv).hexdigest() == FIGURE_CSV_SHA256
+    # The same bytes from the file that ``pimac sweep`` writes.
+    out = tmp_path / "figure.csv"
+    assert main(["sweep", "--h-min", "0", "--h-max", "1", "--steps", "101", "--h22", "0.2",
+                 "--p1", "10", "--p2", "10", "--p3", "10", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote {out} (101 rows)\n"
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == FIGURE_CSV_SHA256
 
 
 def test_batched_searches_in_threads_equal_serial_results():
