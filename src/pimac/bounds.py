@@ -171,7 +171,9 @@ class _GenieCoeffs(NamedTuple):
     (m, 1, 1, 1) array, or a Python scalar for one instance
     (``_genie_coeffs``): the scalars, the ratios the kernel needs, and one
     flag per degenerate case. A flag is None where no instance has it, so
-    normal instances pay nothing for it."""
+    normal instances pay nothing for it, and otherwise a pair: the slice of
+    instances from its first to its last flagged one, and their mask, so
+    that a rule costs a pass over those instances only."""
 
     total: np.ndarray      # P
     n1: np.ndarray
@@ -186,12 +188,12 @@ class _GenieCoeffs(NamedTuple):
     inv_q1: np.ndarray     # 1 / (q + 1)
     p3_q1: np.ndarray      # P3 / (q + 1)
     inv_g31q1: np.ndarray  # 1 / (h31 (q + 1)) (NaN where h31 = 0)
-    mac_off: np.ndarray | None    # P = 0: the first term is 0
-    a_zero: np.ndarray | None     # A = 0: S1 carries no input
-    q_zero: np.ndarray | None     # q = 0: S1 of zero variance at t1 = inf
-    p2p_off: np.ndarray | None    # P3 = 0: the second term is 0
-    s2_zero: np.ndarray | None    # h31^2 P3 = 0: S2 of zero variance at t2 = inf
-    g31_zero: np.ndarray | None   # h31 = 0: S2 carries no input
+    mac_off: tuple | None    # P = 0: the first term is 0
+    a_zero: tuple | None     # A = 0: S1 carries no input
+    q_zero: tuple | None     # q = 0: S1 of zero variance at t1 = inf
+    p2p_off: tuple | None    # P3 = 0: the second term is 0
+    s2_zero: tuple | None    # h31^2 P3 = 0: S2 of zero variance at t2 = inf
+    g31_zero: tuple | None   # h31 = 0: S2 carries no input
 
 
 def _coeff_row(params: PimacParams, signed: bool) -> tuple:
@@ -220,12 +222,12 @@ def _coeff_row(params: PimacParams, signed: bool) -> tuple:
 
 def _genie_coeffs(rows, signed: bool = False) -> _GenieCoeffs:
     """``_GenieCoeffs`` of the instances ``rows``: for a batch, each value
-    an (m, 1, 1, 1) float array and each flag an (m, 1, 1, 1) mask, one row
-    per instance, or None where no instance sets the flag, so that the
-    kernel skips it. They broadcast against the four axes of the search's
-    2-D points (``optimize._values``). One instance keeps Python floats and
-    bools (a flag it does not set is None), which broadcast as such arrays
-    do, at a lower cost per numpy call.
+    an (m, 1, 1, 1) float array and each flag the slice of its flagged rows'
+    span and their (k, 1, 1, 1) mask, or None where no instance sets the
+    flag, so that the kernel skips it. They broadcast against the four axes
+    of the search's 2-D points (``optimize._values``). One instance keeps
+    Python floats and bools (a flag it sets is ``(slice(None), True)``),
+    which broadcast as such arrays do, at a lower cost per numpy call.
 
     The gains are taken by absolute value, so the search runs on the
     nonnegative-gain equivalent, and its value is bit-identical under
@@ -236,11 +238,25 @@ def _genie_coeffs(rows, signed: bool = False) -> _GenieCoeffs:
     signed channel needs (``_genie_terms``)."""
     if len(rows) == 1:
         values, flags = _coeff_row(rows[0], signed)
-        return _GenieCoeffs(*values, *(flag or None for flag in flags))
+        return _GenieCoeffs(*values, *((slice(None), True) if f else None for f in flags))
     # The values (13, m) and the flags (6, m), one column per instance.
     values, flags = (np.array(a).T for a in zip(*(_coeff_row(p, signed) for p in rows)))
+    spans = [slice(i[0], i[-1] + 1) if i.size else None for i in map(np.flatnonzero, flags)]
     return _GenieCoeffs(*values[:, :, None, None, None],
-                        *(f[:, None, None, None] if f.any() else None for f in flags))
+                        *(None if r is None else (r, f[r, None, None, None])
+                          for r, f in zip(spans, flags)))
+
+
+def _apply(flag, out, value, inf_at=None):
+    """The rule of a degenerate case: ``out`` set to ``value`` on the rows
+    that ``flag`` marks (see ``_GenieCoeffs``), and only where ``inf_at`` is
+    ``+inf`` if it is given. ``value`` is a Python scalar, or an array with
+    an instance axis, read on the flag's span as ``out`` and ``inf_at``
+    are."""
+    rows, where = flag
+    if inf_at is not None:
+        where = where & np.isinf(inf_at[rows])
+    np.copyto(out[rows], value[rows] if isinstance(value, np.ndarray) else value, where=where)
 
 
 def _rho_terms(c: _GenieCoeffs, xy) -> tuple:
@@ -267,7 +283,7 @@ def _t1_star(c: _GenieCoeffs, r1_s, b) -> np.ndarray:
     ``t* = inf``. ``fmax`` skips the NaN of ``0 * inf``."""
     t1 = np.fmax(r1_s, b[1])
     if c.a_zero is not None:
-        np.copyto(t1, math.inf, where=c.a_zero)
+        _apply(c.a_zero, t1, math.inf)
     return t1
 
 
@@ -277,7 +293,7 @@ def _t2_star(c: _GenieCoeffs, y, b, out=None) -> np.ndarray:
     written into ``out`` (new where None); ``inf`` where ``h31 = 0``."""
     t2 = np.fmax(np.multiply(y, c.inv_g31q1), b[0], out=out)
     if c.g31_zero is not None:
-        np.copyto(t2, math.inf, where=c.g31_zero)
+        _apply(c.g31_zero, t2, math.inf)
     return t2
 
 
@@ -311,9 +327,9 @@ def _genie_kernel(c: _GenieCoeffs, y, sq, w, t1, t2,
     mac /= den
     mac += c.s2_a
     if c.a_zero is not None:  # q = s = D = 0: the ratio does not depend on t
-        np.divide(c.total, den, out=mac, where=c.a_zero)
+        _apply(c.a_zero, mac, np.divide(c.total, den))
     if c.q_zero is not None:
-        np.copyto(mac, c.total_n1, where=c.q_zero & np.isinf(t1))
+        _apply(c.q_zero, mac, c.total_n1, t1)
     np.multiply(c.g31, t2, out=w)
     w -= np.multiply(y, c.inv_q1)
     np.multiply(c.q1, w, out=p2p)
@@ -322,13 +338,13 @@ def _genie_kernel(c: _GenieCoeffs, y, sq, w, t1, t2,
     p2p += c.inv_q1
     p2p *= c.p3
     if c.s2_zero is not None:
-        np.copyto(p2p, c.p3_q1, where=c.s2_zero & np.isinf(t2))
+        _apply(c.s2_zero, p2p, c.p3_q1, t2)
     _bits(x)
     # An input group of zero power carries nothing.
     if c.mac_off is not None:
-        np.copyto(mac, 0.0, where=c.mac_off)
+        _apply(c.mac_off, mac, 0.0)
     if c.p2p_off is not None:
-        np.copyto(p2p, 0.0, where=c.p2p_off)
+        _apply(c.p2p_off, p2p, 0.0)
     return mac, p2p
 
 
@@ -387,8 +403,16 @@ def genie_bound_batch(params: PimacParams, points) -> np.ndarray:
     (n, 4) array; returns n values in bits. Every feasible row gives a valid
     upper bound: the sum of the log-det mutual informations of the inputs
     and their receiver's output and genie signal, with the degenerate cases
-    of the module docstring and the ``EPS_DET`` rule of ``_bits``.
+    of the module docstring and the ``EPS_DET`` rule of ``_bits``. Points
+    that are not rows of 4 values raise ConstraintError; no rows (``[]`` or
+    an empty (0, 4) array) give an empty array.
     """
+    points = np.asarray(points, dtype=float)
+    if points.shape in ((0,), (0, 4)):
+        return np.empty(0)
+    if points.ndim != 2 or points.shape[1] != 4:
+        raise ConstraintError(
+            f"points must be rows (rho1, rho2, eta1, eta2), got shape {points.shape}")
     mac, p2p = _genie_terms(params, points)
     return np.add(mac, p2p, out=mac)
 
@@ -523,7 +547,7 @@ def _c_sigma_1_batch(rows) -> list:
             return np.negative(value, out=value)
 
         with np.errstate(all="ignore"):  # once per search, not per stage
-            found = maximize_box(objective, 2, 33, 1e-6, [()] * len(block))
+            found = maximize_box(objective, 2, 9, 1e-6, [()] * len(block))
             # The scalings at each instance's point, as (2, m, 1, 1, 1) columns.
             xy = np.array([(0.0, 0.0) if res is None else res.arg for res in found]).T
             xy = xy[..., None, None, None]
@@ -545,11 +569,13 @@ def c_sigma_1(params: PimacParams) -> SchemeResult:
     docstring, so the bound is the minimum over ``(rho1, rho2)`` in
     ``[0, 1]^2`` of the kernel at ``t*``, for the nonnegative-gain
     equivalent of ``params``. ``maximize_box`` searches it as the maximum
-    of its negative with grid 33 and tol 1e-6, and no seeds: a 33 x 33
-    grid, then 8 nested 9 x 9 grids around the 3 best points down to a
-    spacing below 1e-6, one kernel call per stage (3 033 evaluations). The
-    grid corner ``rho = 0`` is never above the genie with ``eta = 1`` and
-    noise independent of everything, so neither is the result.
+    of its negative with grid 9 and tol 1e-6, and no seeds: a 9 x 9 grid,
+    then 9 nested 9 x 9 grids around the 3 best points down to a spacing
+    of 2^-21, one kernel call per stage (2 268 evaluations). An interval
+    branch and bound certifies the result within 1e-4 bits of the minimum
+    on the tests' instances (``tests/oracle_tools.py``). The grid corner
+    ``rho = 0`` is never above the genie with ``eta = 1`` and noise
+    independent of everything, so neither is the result.
     A point where the kernel is ``+inf`` (the ``EPS_DET`` rule) is
     infeasible; if every grid point is, InfeasibleError is raised.
     The code is that of ``_c_sigma_1_batch``, for a batch of one.

@@ -46,9 +46,10 @@ _CENTRES = 3
 # Cap on the points of one objective call. Callers cut a batch of
 # instances into blocks whose refinement stages are one call each
 # (_blocks): 84 instances of TDMA-TIN's three 65-point windows or 67 of the
-# genie bound's three 9 x 9 windows. Their grid stages, 1 027 and 1 089
-# points per instance, are evaluated in calls of at most this many points
-# (_values), so the kernels' work arrays (_Workspace) stay at one block's
+# genie bound's three 9 x 9 windows. TDMA-TIN's grid stage, 1 027 points
+# per instance, is evaluated in calls of at most this many points
+# (_values), and the genie bound's, 81 points per instance, is smaller than
+# its windows, so the kernels' work arrays (_Workspace) stay at one block's
 # size: 2.97 MiB per thread that has run a batch of the figure sweep.
 _BLOCK_POINTS = 16_384
 _BLOCK_ROWS = {dim: _BLOCK_POINTS // (_CENTRES * len(w) ** dim) for dim, w in _WINDOWS.items()}
@@ -94,35 +95,27 @@ def _values(f, pts, m: int, step: int) -> tuple:
     of values, and its largest value.
 
     In 1-D ``pts`` is an (m, n) array, the seeds and grid or the windows,
-    and ``f`` returns (m, n) values. A 2-D stage has no seeds: ``pts`` is
-    a pair (x, y) of coordinate arrays of four axes, instances (m or 1)
-    first, which broadcast against each other: the tuple of a batch's axes,
-    or one instance's explicit points as one (2, 1, n, 1, 1) array
+    and ``f`` returns (m, n) values. A 1-D stage of more than ``step``
+    points per instance (the grid stage of a full block) is evaluated in
+    calls of at most that many, cut along axis 1, into one workspace array.
+    A 2-D stage has no seeds and is one call: ``pts`` is a pair (x, y) of
+    coordinate arrays of four axes, instances (m or 1) first, which
+    broadcast against each other: the tuple of a batch's axes, or one
+    instance's explicit points as one (2, 1, n, 1, 1) array
     (``maximize_box``). ``f`` returns their values in the points' broadcast
     shape, read row-major per instance, with an instance axis of m, or of 1
     where they do not depend on the instance, which is broadcast to m
-    (``_per_instance``; any other length raises ValueError). A stage
-    of more than ``step`` points per instance (the grid stage of a full
-    block) is evaluated in calls of at most that many, cut along axis 1
-    (the points, or the grid's rows), into one workspace array. ``-inf``
-    marks an infeasible point; NaN or ``+inf`` raises NumericError naming
-    its point."""
-    scalar = isinstance(pts, np.ndarray) and pts.ndim == 2
-    if scalar:
-        n, width = pts.shape[1], 1
-    else:
-        n, width = max(pts[0].shape[1], pts[1].shape[1]), pts[0].shape[2] * pts[1].shape[3]
-    if n * width <= step:
+    (``_per_instance``; any other length raises ValueError). ``-inf`` marks
+    an infeasible point; NaN or ``+inf`` raises NumericError naming its
+    point."""
+    if not (isinstance(pts, np.ndarray) and pts.ndim == 2):
+        values = _per_instance(f(pts), m)
+    elif pts.shape[1] <= step:
         values = f(pts)
-        if not scalar:
-            values = _per_instance(values, m)
     else:
-        values = _WORK.take("values", (m, n * width))
-        rows = max(1, step // width)  # entries of axis 1 in one call
-        for j in range(0, n, rows):
-            part = (pts[:, j:j + rows] if scalar else
-                    tuple(a[:, j:j + rows] if a.shape[1] > 1 else a for a in pts))
-            values[:, j * width:(j + rows) * width] = _per_instance(f(part), m)
+        values = _WORK.take("values", pts.shape)
+        for j in range(0, pts.shape[1], step):
+            values[:, j:j + step] = f(pts[:, j:j + step])
     peak = np.maximum.reduce(values, axis=None)
     if not peak < math.inf:  # NaN or +inf
         i, j = np.argwhere(~(values < math.inf))[0].tolist()
@@ -324,7 +317,7 @@ def maximize_box(f, dim: int, grid: int, tol: float, seeds=((),)) -> list:
     grid and nested grids, for a batch of instances at once: TDMA-TIN's
     time share on ``[0, 1]`` (``dim`` 1, ``grid`` 1 025, ``tol`` 1e-7, its
     shares as seeds) and the genie bound's correlations on ``[0, 1]^2``
-    (2, 33 and 1e-6, no seeds).
+    (2, 9 and 1e-6, no seeds).
 
     ``seeds`` holds one sequence of seed points per instance, so the number
     m of instances is its length. Seeds are 1-D only: a seed is a float,
@@ -341,7 +334,7 @@ def maximize_box(f, dim: int, grid: int, tol: float, seeds=((),)) -> list:
     batch of one, whose stages are bound by numpy's cost per call, passes
     its explicit points, as the columns x and y of one (2, 1, n, 1, 1)
     array. Each point's value is its own. Every stage is one call of ``f``
-    for the whole batch (see below for large stages); instances do not
+    for the whole batch (see below for large 1-D stages); instances do not
     interact. The arguments are the two searches' constants and seeds, so
     none of them is checked: ``dim`` is 1 or 2, ``grid`` is an integer of
     at least 2, ``tol`` is positive and every seed is a point of
@@ -358,11 +351,11 @@ def maximize_box(f, dim: int, grid: int, tol: float, seeds=((),)) -> list:
     spacing is below ``tol``, so their number is fixed before the first
     call. Every evaluated point is a candidate, so an instance's value is
     never below its objective at a seed; ties go to the lexicographically
-    smallest point. Windows are built per axis. A stage of more than
+    smallest point. Windows are built per axis. A 1-D stage of more than
     ``_BLOCK_POINTS`` points is evaluated in several calls of ``f`` of at
-    most that many, each on consecutive points, or whole grid rows, of all
-    instances (``_values``), which gives the same values as one call, since
-    ``f`` treats every point on its own. A batch of one is ranked in Python,
+    most that many, each on consecutive points of all instances
+    (``_values``), which gives the same values as one call, since ``f``
+    treats every point on its own. A batch of one is ranked in Python,
     2-D stages from their few best candidates, and a larger batch in array
     form (``_ranked``, which reads each candidate's coordinates from the
     axes by index), with the same results; the larger batch keeps its

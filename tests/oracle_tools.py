@@ -120,6 +120,154 @@ def genie_independent(h12, h22, h31, p1, p2, p3):
             + mp.log(n1 + p3 / (1 + q), 2)) / 2
 
 
+def genie_box_coeffs(params):
+    """The coefficients of ``genie_box_bits``, one column per instance of
+    ``params``, from its nonnegative-gain equivalent: ``P``, ``n1``, ``A``,
+    ``s``, ``D``, ``q + 1``, ``h31`` and ``P3`` (see ``pimac.bounds``).
+    Instances where ``q`` underflows to 0 and ``A`` does not, or ``h31^2
+    P3`` does and neither ``h31`` nor ``P3`` is 0, are outside the oracle
+    and raise ValueError."""
+    g12, g22, g31, p1, p2, p3 = np.abs([(p.h12, p.h22, p.h31, p.p1_max, p.p2_max, p.p3_max)
+                                        for p in params]).T
+    q, n1 = g12 ** 2 * p1 + g22 ** 2 * p2, 1.0 + g31 ** 2 * p3
+    d = p1 * p2 * (g12 - g22) ** 2
+    a = d + n1 * q
+    if np.any((q == 0.0) & (a != 0.0)) or np.any((g31 ** 2 * p3 == 0.0) & (g31 * p3 != 0.0)):
+        raise ValueError("q or h31^2 P3 underflows: outside the oracle")
+    return np.array([p1 + p2, n1, a, g12 * p1 + g22 * p2, d, q + 1.0, g31, p3])
+
+
+def genie_box_bits(coeffs, boxes):
+    """Lower bounds, in bits, of the genie bound minimized over the
+    scalings (the reduced objective of ``pimac.bounds``) on boxes ``[a0,
+    a1] x [b0, b1]`` of ``(rho1, rho2)`` in ``[0, 1]^2`` with ``a0, b0 < 1``,
+    and its values at their centres. ``boxes`` is a (4, n) array of ``(a0,
+    a1, b0, b1)`` and ``coeffs`` the (8, n) ``genie_box_coeffs`` of each
+    box's instance.
+
+    Each ratio is a convex quadratic in ``t = 1/eta`` over a denominator in
+    ``rho`` alone, and the best feasible ``t`` leaves the squares
+    ``w1 = max(0, 1/sqrt(1 - rho2^2) - rho1 s/A)`` and ``w2 = max(0,
+    h31/sqrt(1 - rho1^2) - rho2/(q+1))``:
+
+        R1 = (A w1^2 + D (P + n1)/A) / (n1 - rho1^2) + s^2/A,
+        R2 = P3 [(q+1) w2^2 / (q + 1 - rho2^2) + 1/(q+1)].
+
+    Each square and each denominator is monotone in each coordinate, so
+    taking every coordinate at its worst end bounds each ratio, and each
+    of their partial derivatives, from below and from above (the natural
+    interval extension). The objective is ``0.5 log2(1 + R1) + 0.5 log2(1
+    + R2)`` with the package's ``EPS_DET`` rule (``+inf`` from ``1 + R =
+    1e12`` on), which is monotone, so the ratios' lower ends bound it. That
+    bound is off by the order of the box's width, because at a minimum the
+    two terms pull against each other. The bound returned is the larger of
+    it and the mean-value form ``f(c) - sum_i r_i max |df/drho_i|`` of the
+    smooth objective (the rule only raises it), centre ``c`` and radii
+    ``r``, which near a minimum is off by the order of the width squared.
+
+    The degenerate flags are constants of their own: ``P = 0`` and ``P3 =
+    0`` give 0 bits, ``A = 0`` the ratio ``P/n1`` (``S1`` carries no input
+    and is dropped; ``A = 0`` forces ``q = 0``) and ``h31 = 0`` the ratio
+    ``P3/(q+1)``. A NaN bound is outside the oracle and raises ValueError.
+    Rounding errors of a few ulps are not covered.
+    """
+    total, n1, a, s, d, q1, g31, p3 = coeffs
+    a0, a1, b0, b1 = boxes
+    ca, cb = (a0 + a1) / 2, (b0 + b1) / 2
+    on = (a != 0.0, (g31 != 0.0) & (p3 > 0.0))  # each term depends on rho
+    with np.errstate(all="ignore"):
+        sig, k = s / a, d * (total + n1) / a
+
+        def beta(r):
+            return 1.0 / np.sqrt(1.0 - r * r)
+
+        def r1(x_w, x_den, y):  # (w1, R1) with rho1 = x_w in w1, x_den in the denominator
+            w = np.maximum(beta(y) - sig * x_w, 0.0)
+            return w, np.where(on[0], (a * w * w + k) / (n1 - x_den * x_den) + s * sig,
+                               total / n1)
+
+        def r2(x, y_w, y_den):
+            w = np.maximum(g31 * beta(x) - y_w / q1, 0.0)
+            return w, np.where(g31 != 0.0, p3 * (q1 * w * w / (q1 - y_den * y_den) + 1.0 / q1),
+                               p3 / q1)
+
+        (w1_lo, mac_lo), (w1_hi, mac_hi) = r1(a1, a0, b0), r1(a0, a1, b1)
+        (w2_lo, p2p_lo), (w2_hi, p2p_hi) = r2(a0, b1, b0), r2(a1, b0, b1)
+        mac_c, p2p_c = r1(ca, ca, cb)[1], r2(ca, cb, cb)[1]
+        d1, d2 = (n1 - a1 * a1, n1 - a0 * a0), (q1 - b1 * b1, q1 - b0 * b0)  # (lo, hi)
+        dbeta = [r * beta(r) ** 3 for r in (a0, a1, b0, b1)]
+        # Ranges (lo, hi) of dR1/drho1, dR1/drho2, dR2/drho1 and dR2/drho2.
+        grads = [
+            (2 * (a0 * (a * w1_lo ** 2 + k) / d1[1] ** 2 - a * sig * w1_hi / d1[0]),
+             2 * (a1 * (a * w1_hi ** 2 + k) / d1[0] ** 2 - a * sig * w1_lo / d1[1])),
+            (2 * a * w1_lo * dbeta[2] / d1[1], 2 * a * w1_hi * dbeta[3] / d1[0]),
+            (2 * p3 * q1 * g31 * w2_lo * dbeta[0] / d2[1],
+             2 * p3 * q1 * g31 * w2_hi * dbeta[1] / d2[0]),
+            (2 * p3 * (q1 * b0 * w2_lo ** 2 / d2[1] ** 2 - w2_hi / d2[0]),
+             2 * p3 * (q1 * b1 * w2_hi ** 2 / d2[0] ** 2 - w2_lo / d2[1])),
+        ]
+        # d bits/drho = (0.5/ln 2) dR/drho / (1 + R), summed over the terms per axis.
+        slope = np.zeros((2, 2) + a0.shape)  # (lo, hi) of each axis
+        for i, (lo, hi) in enumerate(grads):
+            r_lo, r_hi = (mac_lo, mac_hi) if i < 2 else (p2p_lo, p2p_hi)
+            u = 1.0 / (1.0 + r_hi), 1.0 / (1.0 + r_lo)
+            slope[0][i % 2] += np.where(on[i // 2], np.minimum(lo * u[0], lo * u[1]), 0.0)
+            slope[1][i % 2] += np.where(on[i // 2], np.maximum(hi * u[0], hi * u[1]), 0.0)
+        smooth = (np.where(total > 0.0, np.log1p(mac_c), 0.0)
+                  + np.where(p3 > 0.0, np.log1p(p2p_c), 0.0))
+        reach = sum(r * np.maximum(-slope[0][i], slope[1][i])
+                    for i, r in enumerate(((a1 - a0) / 2, (b1 - b0) / 2)))
+        mean_value = (smooth - reach) * (0.5 / math.log(2.0))
+    if np.isnan(mac_lo).any() or np.isnan(p2p_lo).any():
+        raise ValueError("a box bound is NaN: outside the oracle")
+    natural, centre = (np.where(total > 0.0, bits_ref(x), 0.0)
+                       + np.where(p3 > 0.0, bits_ref(y), 0.0)
+                       for x, y in ((mac_lo, p2p_lo), (mac_c, p2p_c)))
+    return np.fmax(natural, np.where(np.isnan(mean_value), -np.inf, mean_value)), centre
+
+
+def certified_genie_min(params, eps, max_boxes=2_000_000):
+    """Interval branch and bound (Hansen and Walster, *Global Optimization
+    Using Interval Analysis*, 2004) for the genie bound minimized over
+    ``(rho1, rho2)`` in ``[0, 1]^2`` (``genie_box_bits``), for all the
+    instances ``params`` at once.
+
+    Each instance starts from a 16 x 16 grid of boxes. Each round
+    evaluates the live boxes' centres, which can only lower an instance's
+    best value ``U``, prunes every box whose lower bound is at least
+    ``U - eps``, and splits every other box in two across its longer side
+    (``rho1`` on a tie). Returns three arrays, per instance: a certified
+    lower bound on the minimum (the least bound of its pruned boxes, at
+    least ``U - eps``), ``U`` and its point. Raises RuntimeError when more
+    than ``max_boxes`` boxes are live at once."""
+    coeffs = genie_box_coeffs(params)
+    m = coeffs.shape[1]
+    lower, best_v, best_p = np.full(m, math.inf), np.full(m, math.inf), np.zeros((m, 2))
+    cells = np.indices((16, 16)).reshape(2, -1) / 16.0
+    boxes = np.tile(np.stack([cells[0], cells[0] + 1 / 16, cells[1], cells[1] + 1 / 16]), m)
+    inst = np.repeat(np.arange(m), 256)
+    while inst.size:
+        if inst.size > max_boxes:
+            raise RuntimeError(f"{inst.size} live boxes: not certified")
+        bound, values = genie_box_bits(coeffs[:, inst], boxes)
+        centres = np.array([boxes[0] + boxes[1], boxes[2] + boxes[3]]) / 2
+        order = np.lexsort((values, inst))
+        first = order[np.r_[True, inst[order][1:] != inst[order][:-1]]]
+        first = first[values[first] < best_v[inst[first]]]
+        best_v[inst[first]], best_p[inst[first]] = values[first], centres[:, first].T
+        done = bound >= best_v[inst] - eps
+        np.minimum.at(lower, inst[done], bound[done])
+        inst, boxes = inst[~done], boxes[:, ~done]
+        # Split across the longer side: row 0 of boxes (a0) for rho1, 2 for rho2.
+        cols = np.arange(inst.size)
+        side = np.where(boxes[1] - boxes[0] >= boxes[3] - boxes[2], 0, 2)
+        mid = (boxes[side, cols] + boxes[side + 1, cols]) / 2
+        left, right = boxes.copy(), boxes.copy()
+        left[side + 1, cols] = right[side, cols] = mid
+        inst, boxes = np.concatenate([inst, inst]), np.concatenate([left, right], axis=1)
+    return lower, best_v, best_p
+
+
 # Variable order of the joint covariance: (X1, X2, X3, Y1, S1, Y2, S2).
 MAC_INPUTS, RX1_OUTPUTS, P2P_INPUT, RX2_OUTPUTS = (0, 1), (3, 4), (2,), (5, 6)
 
@@ -203,36 +351,41 @@ def bits_ref(x):
     return np.where(x < 1.0 / 1e-12 - 1.0, np.log1p(x) * (0.5 / math.log(2.0)), np.inf)
 
 
+def flag_mask(c, flag):
+    """A flag of ``c`` (a span of rows and their mask) as a mask over every
+    instance, (m, 1, 1, 1) for a batch, or False where no instance has it."""
+    if flag is None or flag[1] is True:
+        return flag is not None
+    mask = np.zeros(np.shape(c.n1), bool)
+    mask[flag[0]] = flag[1]
+    return mask
+
+
 def genie_kernel_ref(c, r1, r2, t1, t2):
+    a_zero, q_zero, s2_zero = (flag_mask(c, f) for f in (c.a_zero, c.q_zero, c.s2_zero))
+    mac_off, p2p_off = flag_mask(c, c.mac_off), flag_mask(c, c.p2p_off)
     den = c.n1 - r1 * r1
     w = t1 - r1 * c.s_a
     u = (c.a * w * w + c.k_mac) / den
     x = np.empty((2,) + u.shape)
     np.add(u, c.s2_a, out=x[0])
-    if c.a_zero is not None:
-        np.copyto(x[0], c.total / den, where=c.a_zero)
-    if c.q_zero is not None:
-        np.copyto(x[0], c.total_n1, where=c.q_zero & np.isinf(t1))
+    np.copyto(x[0], c.total / den, where=a_zero)
+    np.copyto(x[0], c.total_n1, where=q_zero & np.isinf(t1))
     w = c.g31 * t2 - r2 * c.inv_q1
     np.multiply(c.q1 * w * w / (c.q1 - r2 * r2) + c.inv_q1, c.p3, out=x[1])
-    if c.s2_zero is not None:
-        np.copyto(x[1], c.p3_q1, where=c.s2_zero & np.isinf(t2))
+    np.copyto(x[1], c.p3_q1, where=s2_zero & np.isinf(t2))
     mac, p2p = bits_ref(x)
-    if c.mac_off is not None:
-        np.copyto(mac, 0.0, where=c.mac_off)
-    if c.p2p_off is not None:
-        np.copyto(p2p, 0.0, where=c.p2p_off)
+    np.copyto(mac, 0.0, where=mac_off)
+    np.copyto(p2p, 0.0, where=p2p_off)
     return mac, p2p
 
 
 def t_star_ref(c, r1, r2):
     bound1, bound2 = 1.0 / np.sqrt(1.0 - r1 * r1), 1.0 / np.sqrt(1.0 - r2 * r2)
     t1 = np.fmax(r1 * c.s_a, bound2)
-    if c.a_zero is not None:
-        t1 = np.where(c.a_zero, math.inf, t1)
+    t1 = np.where(flag_mask(c, c.a_zero), math.inf, t1)
     t2 = np.fmax(r2 * c.inv_g31q1, bound1)
-    if c.g31_zero is not None:
-        t2 = np.where(c.g31_zero, math.inf, t2)
+    t2 = np.where(flag_mask(c, c.g31_zero), math.inf, t2)
     return t1, t2
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import warnings
@@ -24,6 +25,7 @@ from pimac import (
     tdma_tin_sum_rate,
 )
 from pimac.bounds import (
+    _c_sigma_1_batch,
     _genie_coeffs,
     _genie_kernel,
     _genie_sum,
@@ -47,6 +49,9 @@ from oracle_tools import (
     P2P_INPUT,
     RX1_OUTPUTS,
     RX2_OUTPUTS,
+    certified_genie_min,
+    genie_box_bits,
+    genie_box_coeffs,
     genie_independent,
     genie_joint_cov,
     genie_kernel_ref,
@@ -323,6 +328,18 @@ def test_genie_kernel_matches_covariance_oracle():
     assert dropped[0] == pytest.approx(half_log(20.0), abs=1e-15)
 
 
+def test_genie_bound_batch_takes_rows_of_four():
+    # Points of another width raise, as GenieParams does: a fifth column was
+    # ignored, and three columns or no rows raised IndexError. No rows give
+    # no values.
+    p = PimacParams(0.5, 0.2, 0.5, 10, 10, 10)
+    for bad in ([(0.1, 0.2, 0.9, 0.9, 0.5)], [(0.1, 0.2, 0.9)], (0.1, 0.2, 0.9, 0.9), [[], []]):
+        with pytest.raises(ConstraintError, match="rows"):
+            genie_bound_batch(p, bad)
+    for empty in ([], np.empty((0, 4))):
+        assert same_bits(genie_bound_batch(p, empty), np.empty(0))
+
+
 def test_c_sigma_1_zero_gain_collapses_to_exact_capacity():
     p = PimacParams(0.0, 0.0, 0.0, 10.0, 10.0, 10.0)
     res = c_sigma_1(p)
@@ -345,9 +362,9 @@ def test_c_sigma_1_regression_and_monotone_sanity():
     # Evaluation counts are deterministic, so they show a regression in the
     # solver's work even where wall time is too noisy to.
     diag = res.diagnostics
-    assert diag["stages"] == {"seeds": 0, "grid": 1089, "refine": 1944}
-    assert diag["evaluations"] == sum(diag["stages"].values()) == 3033
-    assert diag["levels"] == 8
+    assert diag["stages"] == {"seeds": 0, "grid": 81, "refine": 2187}
+    assert diag["evaluations"] == sum(diag["stages"].values()) == 2268
+    assert diag["levels"] == 9
 
 
 def test_c_sigma_1_near_tight_at_matched_gain():
@@ -571,3 +588,61 @@ def test_c_sigma_1_certifies_tin_optimality_at_matched_gain():
     achievable = max(sd_tin_sum_rate(p).sum_rate, tdma_tin_sum_rate(p).sum_rate,
                      pc_tin_sum_rate(p).sum_rate, plain_tdma_sum_rate(p).sum_rate)
     assert abs(c_sigma_1(p).sum_rate - achievable) <= 1e-9
+
+
+def _wide_draw(rng):
+    # Draws over genie_wide's ranges: gains log-uniform in 1e-3..1e3 with
+    # random signs, powers log-uniform in 1e-6..1e8.
+    return PimacParams(*(rng.choice((-1.0, 1.0), 3) * 10.0 ** rng.uniform(-3.0, 3.0, 3)),
+                       *10.0 ** rng.uniform(-6.0, 8.0, 3))
+
+
+# genie_wide seed 3 point 274: a narrow basin near rho = 0. A 33 x 33 start
+# grid stopped 1.0e-5 bits above the minimum, at 11.717994136400492.
+_NARROW_BASIN = PimacParams(0.019611952838597208, 0.08421319698694905, -0.18525852047786165,
+                            11347975.492099306, 0.0056439956004705775, 0.006552031265274089)
+
+
+def test_genie_box_bounds_hold_inside_their_boxes():
+    # The oracle's interval bound is not above the search's objective at
+    # any sampled point of its box, corners included, and its centre value
+    # is the objective's, on boxes of widths 1e-6..1 for ordinary, wide and
+    # degenerate instances (A = 0, h31 = 0, P = 0 and P3 = 0).
+    rng = np.random.default_rng(41)
+    rows = [draw_params(rng) for _ in range(20)] + [_wide_draw(rng) for _ in range(20)]
+    rows += [p for p in KERNEL_ROWS if all(v == 0.0 or 1e-3 <= abs(v) <= 1e3
+                                           for v in dataclasses.astuple(p))]
+    for p in rows:
+        width = 10.0 ** rng.uniform(-6.0, 0.0, 100)
+        a0, b0 = rng.uniform(0.0, 1.0 - width), rng.uniform(0.0, 1.0 - width)
+        bound, centre = genie_box_bits(np.repeat(genie_box_coeffs([p]), 100, axis=1),
+                                       np.array([a0, a0 + width, b0, b0 + width]))
+        c = _genie_coeffs([p])
+        at_centre = genie_reduced(c, np.stack([a0 + width / 2, b0 + width / 2], -1)[None])[0]
+        assert np.allclose(centre, at_centre, rtol=1e-12, atol=0.0)
+        for u in [(0.0, 0.0), (1.0, 1.0)] + [rng.uniform(0.0, 1.0, (2, 100)) for _ in range(5)]:
+            rho = np.stack([a0 + width * u[0], b0 + width * u[1]], axis=-1)[None]
+            assert np.all(genie_reduced(c, rho)[0] >= bound * (1.0 - 1e-12))
+
+
+def test_c_sigma_1_is_within_1e_4_bits_of_the_certified_minimum():
+    # Interval branch and bound certifies the genie minimum to 5e-5 bits,
+    # and ub1 lies within 1e-4 bits above it, on the 101 figure rows, 200
+    # random draws, and 300 wide draws, where a search can stop in a wrong
+    # basin. ub1 comes from the batched search, which equals c_sigma_1 bit
+    # for bit; wide draws on which it finds no finite value (the EPS_DET
+    # rule) are left out.
+    rng = np.random.default_rng(31)
+    rows = [figure3_params(h) for h in np.linspace(0.0, 1.0, 101)]
+    rows += [draw_params(rng) for _ in range(200)]
+    rows += [_wide_draw(rng) for _ in range(300)]
+    found = [(p, res.sum_rate) for p, res in zip(rows, _c_sigma_1_batch(rows)) if res is not None]
+    assert len(found) >= 550
+    params, ub1 = zip(*found)
+    lower = certified_genie_min(params, 5e-5)[0]
+    assert np.all(np.array(ub1) >= lower - 1e-12 * lower)
+    assert np.max(np.array(ub1) - lower) <= 1e-4
+    # The narrow basin: within 1e-9 bits of its minimum, certified to 1e-10.
+    ub1 = c_sigma_1(_NARROW_BASIN).sum_rate
+    lower = certified_genie_min([_NARROW_BASIN], 1e-10)[0][0]
+    assert lower <= ub1 <= lower + 1e-9

@@ -237,11 +237,14 @@ def test_figure_rows_match_frozen_search_results():
 
 # Searches with a batch of one (c_sigma_1, tdma_tin_sum_rate), frozen bit
 # for bit before the 2-D stages were ranked from candidates and their
-# windows built per axis (commit 620006d): value (float.hex), argument and
-# the seed count of the diagnostics. The instances are ROADMAP's two inputs
-# on which the genie bound raises, genie_wide seed 3 point 274 (a narrow
-# basin near rho = 0), genie_wide seed 2 point 436 (3 of the 1 089 grid
-# points finite, the rest -inf), h31 = 0, A = 0 (ties at every 2-D cut), a
+# windows built per axis (commit 620006d), and the genie bound's values
+# again at its 9 x 9 start grid, where only the third moved: value
+# (float.hex), argument and the seed count of the diagnostics. The
+# instances are ROADMAP's two inputs on which the genie bound raises,
+# genie_wide seed 3 point 274 (a narrow basin near rho = 0, which the 9 x 9
+# start grid finds 1.0e-5 bits lower than the 33 x 33 one did), genie_wide
+# seed 2 point 436 (1 of the 81 grid points finite, the rest -inf; 3 of
+# 1 089 on a 33 x 33 grid), h31 = 0, A = 0 (ties at every 2-D cut), a
 # gain of 1e150, the matched gain h = 0.2 (a plateau of equal values) and
 # zero powers (every value 0). The genie points of the two instances with
 # h31 < 0 are the signed channel's, with rho2 negated (see c_sigma_1).
@@ -250,8 +253,8 @@ _FROZEN_ONE = [
     ((0.5, 0.2, 0.5, 1e200, 10.0, 10.0), None, ("0x1.4b4a048e7b3acp+8", 1.0, 2)),
     ((0.019611952838597208, 0.08421319698694905, -0.18525852047786165, 11347975.492099306,
       0.0056439956004705775, 0.006552031265274089),
-     ("0x1.76f9ced6d1ea8p+3",
-      (0.024860382080078125, -0.6145839691162109, 0.7888514086349622, 0.9996909329401926)),
+     ("0x1.76f9b997daeabp+3",
+      (0.019612789154052734, -0.011739730834960938, 0.9999310869854595, 0.9998076507516827)),
      ("0x1.76f841ae98d79p+3", 0.999999999502643, 2)),
     ((691.3648855703752, 0.01827095848657556, -573.2753264057374, 2.200776373921615e-05,
       12017.749452163156, 3041361.265213577),
@@ -288,7 +291,7 @@ def test_batch_of_one_matches_frozen_search_results():
         else:
             res = c_sigma_1(p)
             assert (res.sum_rate.hex(), res.arg.as_tuple()) == ub1
-            assert res.diagnostics == _search_diagnostics(0, 33 * 33, 3 * 8 * 81, 8)
+            assert res.diagnostics == _search_diagnostics(0, 9 * 9, 3 * 9 * 81, 9)
         res = tdma_tin_sum_rate(p)
         assert (res.sum_rate.hex(), res.arg.alpha) == (tdma_hex, alpha)
         assert res.diagnostics == _search_diagnostics(seeds, 1025, 3 * 3 * 65, 3)
@@ -364,12 +367,11 @@ def test_figure_sweep_objective_calls_and_block_rows(monkeypatch):
     # row) of every kernel call of the 101-row figure sweep. Blocks are cut
     # by the refinement stage, so each search's refinement calls cover
     # 84 + 17 rows (TDMA-TIN, 195 points a row) and 67 + 34 rows (the genie
-    # bound, 243 points a row), and each block's grid stage (1 027 and 1 089
-    # points a row) takes calls of at most _BLOCK_POINTS points: 14 and 24
-    # calls in all, against 28 and 63 with blocks of 15 rows. The genie
-    # bound's grid is cut into whole rows of 33 points (7 and 14 rows a
-    # call), and its points per row are those of its values, since its
-    # calls pass axes.
+    # bound, 243 points a row). TDMA-TIN's grid stage (1 027 points a row)
+    # takes calls of at most _BLOCK_POINTS points, and the genie bound's
+    # 9 x 9 grid stage one call per block: 14 and 20 calls in all, against
+    # 28 and 63 with blocks of 15 rows and a 33 x 33 grid. The genie bound's
+    # points per row are those of its values, since its calls pass axes.
     calls = {"tdma_tin": [], "ub1": []}
 
     def counted(kernel, shapes):
@@ -390,8 +392,7 @@ def test_figure_sweep_objective_calls_and_block_rows(monkeypatch):
     run_sweep(SweepConfig(h_min=0.0, h_max=1.0, steps=101, h22=0.2, p1=10, p2=10, p3=10))
     assert calls["tdma_tin"] == ([(84, 195)] * 5 + [(84, 52)] + [(84, 3 * 65)] * 3
                                  + [(17, 963), (17, 64)] + [(17, 3 * 65)] * 3)
-    assert calls["ub1"] == ([(67, 7 * 33)] * 4 + [(67, 5 * 33)] + [(67, 3 * 81)] * 8
-                            + [(34, 14 * 33)] * 2 + [(34, 5 * 33)] + [(34, 3 * 81)] * 8)
+    assert calls["ub1"] == ([(67, 81)] + [(67, 3 * 81)] * 9 + [(34, 81)] + [(34, 3 * 81)] * 9)
     assert all(m * n <= _BLOCK_POINTS for shapes in calls.values() for m, n in shapes)
 
 

@@ -395,9 +395,10 @@ def test_batch_objective_without_instance_axis():
     # An objective that does not depend on the instance returns values of
     # instance axis 1 on the shared grid axes, which stand for every
     # instance: batches of 3 (1 089 grid points, a multiple of 3) and of 20
-    # (grid stage cut into whole rows) find one instance's result for each,
-    # as the same objective with an instance axis of m does. Values of
-    # another instance axis length raise.
+    # (a grid stage of 21 780 points, above _BLOCK_POINTS, in one call: only
+    # 1-D stages are cut) find one instance's result for each, as the same
+    # objective with an instance axis of m does. Values of another instance
+    # axis length raise.
     g = _pair(lambda x, y: -_bowl(x, y))
     (one,) = maximize_box(g, 2, 33, 1e-6)
     for m in (3, 20):
@@ -427,10 +428,10 @@ _UNIT = st.floats(0.0, 1.0)
 def test_search_objectives_are_never_nan_or_plus_infinity(rows, rho, alphas):
     # maximize_box raises on NaN or +inf at any point of any instance. Its two
     # objectives never give either: the genie bound (the search minimizes it,
-    # sign-canonical as c_sigma_1 evaluates it) lies in [0, +inf] on the 33 x
-    # 33 start grid and at any point of [0, 1]^2, and TDMA-TIN's sum is finite
-    # on its 1 025-point grid and at any share. Wide draws with exact zeros,
-    # and the kernel rows' degenerate cases.
+    # sign-canonical as c_sigma_1 evaluates it) lies in [0, +inf] on a 33 x 33
+    # grid, which holds the 9 x 9 start grid, and at any point of [0, 1]^2,
+    # and TDMA-TIN's sum is finite on its 1 025-point grid and at any share.
+    # Wide draws with exact zeros, and the kernel rows' degenerate cases.
     rows = KERNEL_ROWS + rows
     m = len(rows)
     genie = _genie_coeffs(rows)
